@@ -5,6 +5,7 @@ from .errors import (
     DegenerateSubtreeError,
     FitError,
     GraphError,
+    InvariantError,
     LoadError,
     OwnetError,
     PipelineError,

@@ -10,11 +10,11 @@ import click
 
 from . import components as comp
 from . import pipeline as pl
-from .community import community_size_histogram, detect_communities
+from .community import detect_communities
 from .errors import OwnetError
 from .graph import load_cache, load_graph, save_cache, substantial_view, write_csv_rows
 from .keyfirms import classify_all, load_keyfirms_csv
-from .mnc import build_subtree, load_hq_list
+from .mnc import load_hq_list
 from .synth import SynthSpec, build_corpus, write_corpus
 
 
@@ -32,12 +32,11 @@ def _load(graph_path: str):
 
 
 @click.group()
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker cap for parallel stages.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for seeded subcommands.")
 @click.pass_context
-def main(ctx, threads, seed):
+def main(ctx, seed):
     """Ownership-network analytics pipeline."""
-    ctx.obj = {"threads": threads, "seed": seed}
+    ctx.obj = {"seed": seed}
 
 
 @main.command()
@@ -66,10 +65,7 @@ def bowtie(graph_path, out, summary):
     """Bow-tie decomposition of the giant weakly connected component."""
     graph = _load(graph_path)
     result = comp.bowtie_decompose(graph)
-    write_csv_rows(
-        out, ["node_id", "region"],
-        ((graph.ids[i], comp.REGION_NAMES[int(result.region[i])]) for i in range(graph.n_nodes)),
-    )
+    pl.write_bowtie_csv(graph, result, out)
     for name, count, ratio in result.summary_rows():
         click.echo(f"{name:>5}  {count:>12}  {ratio}")
     if summary:
@@ -87,10 +83,7 @@ def distances(graph_path, direction, out, reverse_orientation):
     result = comp.bowtie_decompose(graph)
     hist = comp.distance_distribution(result, direction, reverse_orientation)
     target = out or f"distances_{direction}.csv"
-    write_csv_rows(
-        target, ["distance", "count", "ratio"],
-        ((d, c, repr(c / hist.total)) for d, c, _ in hist.rows()),
-    )
+    pl.write_distances_csv(hist, target)
     click.echo(f"{target}: {len(hist.counts)} distance levels over {hist.total} nodes")
 
 
@@ -118,29 +111,10 @@ def stats(graph_path, outdir, bin_ratio):
 @click.pass_context
 def communities(ctx, graph_path, seed, out, scope, damping):
     """Two-level map-equation communities and their size distribution."""
-    import numpy as np
-
-    from .graph import induced_subgraph
-
-    graph = _load(graph_path)
-    if scope == "gwcc":
-        weak = comp.weak_components(graph)
-        keep = np.flatnonzero(weak.labels == weak.largest)
-        graph = induced_subgraph(graph, [graph.ids[i] for i in keep])
+    graph = pl.community_scope(_load(graph_path), scope)
     use_seed = seed if seed is not None else ctx.obj["seed"]
     partition = detect_communities(graph, seed=use_seed, damping=damping)
-    write_csv_rows(
-        out, ["node_id", "community_id"],
-        ((graph.ids[i], int(partition.labels[i])) for i in range(graph.n_nodes)),
-    )
-    hist = community_size_histogram(partition)
-    dsizes = Path(out).parent / "dsizes.csv"
-    rows = [
-        (repr(float(hist.bin_edges[i])), repr(float(hist.bin_edges[i + 1])),
-         int(hist.counts[i]), repr(float(hist.densities[i])))
-        for i in range(hist.counts.shape[0])
-    ]
-    write_csv_rows(dsizes, ["size_lo", "size_hi", "count", "density"], rows)
+    pl.write_community_csvs(graph, partition, out, Path(out).parent / "dsizes.csv")
     click.echo(f"{partition.n_communities} communities, codelength {partition.codelength:.6f} bits")
 
 
@@ -151,21 +125,11 @@ def communities(ctx, graph_path, seed, out, scope, damping):
 @click.option("--out", "outdir", default="mnc", show_default=True)
 def extract(graph_path, hqs, threshold, outdir):
     """Per-MNC affiliate files (node_id, layer, within-MNC degrees)."""
-    graph = _load(graph_path)
-    view = substantial_view(graph, threshold)
+    report = classify_all(substantial_view(_load(graph_path), threshold), load_hq_list(hqs))
+    for name, reason in report.failures:
+        click.echo(f"skipping {name}: {reason}", err=True)
     outpath = Path(outdir)
-    outpath.mkdir(parents=True, exist_ok=True)
-    for hq_id, name in load_hq_list(hqs):
-        try:
-            subtree = build_subtree(view, graph.index_of(hq_id))
-        except OwnetError as exc:
-            click.echo(f"skipping {name}: {exc}", err=True)
-            continue
-        rows = [
-            (graph.ids[int(a)], int(subtree.layers[i]), int(subtree.k_in[i]), int(subtree.k_out[i]))
-            for i, a in enumerate(subtree.affiliates)
-        ]
-        write_csv_rows(outpath / f"{name.replace('/', '_')}.csv", ["node_id", "layer", "k_in", "k_out"], rows)
+    pl.write_mnc_csvs(report, outpath)
     click.echo(f"affiliate files under {outpath}")
 
 
@@ -176,29 +140,11 @@ def extract(graph_path, hqs, threshold, outdir):
 @click.option("--out", default="keyfirms.csv", show_default=True)
 @click.option("--global-degrees", is_flag=True,
               help="Count affiliate degrees over the whole view, not the member subgraph.")
-@click.pass_context
-def identify(ctx, graph_path, hqs, threshold, out, global_degrees):
+def identify(graph_path, hqs, threshold, out, global_degrees):
     """Hierarchical key-company identification for every listed MNC."""
-    from .keyfirms import ROLE_NAMES
-
-    graph = _load(graph_path)
-    view = substantial_view(graph, threshold)
-    report = classify_all(
-        view, load_hq_list(hqs), threads=ctx.obj["threads"], global_degrees=global_degrees
-    )
-    rows = []
-    for cls in report.classifications:
-        for rec in cls.records:
-            rows.append(
-                (cls.mnc, rec.affiliate, rec.layer, rec.k_in, rec.k_out,
-                 repr(rec.holding) if rec.holding is not None else "",
-                 repr(rec.conduit) if rec.conduit is not None else "",
-                 "1" if rec.third_country else "0",
-                 ROLE_NAMES[rec.role])
-            )
-    write_csv_rows(
-        out, ["mnc", "affiliate_id", "layer", "k_in", "k_out", "H", "T", "third_country", "role"], rows
-    )
+    view = substantial_view(_load(graph_path), threshold)
+    report = classify_all(view, load_hq_list(hqs), global_degrees=global_degrees)
+    pl.write_keyfirms_csv(report, out)
     click.echo(f"tallies: {report.tallies}")
     for name, reason in report.failures:
         click.echo(f"failed {name}: {reason}", err=True)
@@ -254,12 +200,9 @@ def synth(spec_path, outdir):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.pass_context
-def run(ctx, config_path):
+def run(config_path):
     """Run the full pipeline from a JSON config."""
     config = pl.RunConfig.from_json(config_path)
-    if ctx.obj["threads"] > 1:
-        config.threads = ctx.obj["threads"]
     try:
         manifest = pl.run_pipeline(config)
     except OwnetError as exc:

@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 
 from ._csr import build_indptr
 from .errors import ConvergenceError, GraphError
-from .netstats import PowerLawFit, fit_power_law
+from .netstats import PowerLawFit, fit_power_law, geometric_bins
 
 DEFAULT_DAMPING = 0.85
 MIN_CODELENGTH_GAIN = 1e-10  # stop when a full level cycle improves less
@@ -391,14 +391,6 @@ def community_size_histogram(partition: Partition, bin_ratio: float = 2.0,
     if sizes.size == 0:
         return CommunitySizeHistogram(raw, np.zeros(0), np.zeros(0, np.int64), np.zeros(0))
 
-    max_s = int(sizes.max())
-    edges = [1.0]
-    while edges[-1] <= max_s:
-        edges.append(edges[-1] * bin_ratio)
-    edges_arr = np.asarray(edges)
-    counts, _ = np.histogram(sizes, bins=edges_arr)
-    widths = np.diff(edges_arr)
-    densities = counts / (sizes.size * widths)
-
+    edges, counts, densities = geometric_bins(sizes, bin_ratio)
     fit = fit_power_law(sizes, x_min=x_min) if fit_exponent else None
-    return CommunitySizeHistogram(raw, edges_arr, counts.astype(np.int64), densities, fit)
+    return CommunitySizeHistogram(raw, edges, counts, densities, fit)

@@ -40,3 +40,7 @@ class DegenerateSubtreeError(OwnetError):
 
 class PipelineError(OwnetError):
     """A pipeline stage could not run or failed."""
+
+
+class InvariantError(OwnetError):
+    """An internal consistency check failed: a bug, not bad input."""

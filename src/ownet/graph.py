@@ -414,18 +414,6 @@ def node_csv_row(record: NodeRecord) -> tuple[str, str, str, str, str]:
     )
 
 
-def edge_csv_row(edge: OwnershipEdge) -> tuple[str, str, str]:
-    return (edge.subsidiary, edge.shareholder, f"{edge.pct:.2f}")
-
-
-def write_nodes_csv(records, path) -> None:
-    write_csv_rows(path, NODE_HEADER, (node_csv_row(r) for r in records))
-
-
-def write_edges_csv(edges, path) -> None:
-    write_csv_rows(path, EDGE_HEADER, (edge_csv_row(e) for e in edges))
-
-
 # -- binary cache --------------------------------------------------------
 
 def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSubtreeError, GraphError
+from .errors import DegenerateSubtreeError, GraphError, InvariantError
 from .graph import SubstantialView
 from .mnc import MncSubtree, build_subtree
 
@@ -30,6 +30,8 @@ class Role(enum.IntFlag):
     CONDUIT = 2
     HOLDING_AND_CONDUIT = 3
 
+
+KEYFIRMS_HEADER = ["mnc", "affiliate_id", "layer", "k_in", "k_out", "H", "T", "third_country", "role"]
 
 ROLE_NAMES = {
     Role.NONE: "None",
@@ -194,7 +196,8 @@ def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
             t_val.setdefault(x, conduit_centrality(subtree, x))
 
     # post hoc: a role without the third-country condition is a logic bug
-    assert all(tc(aff) for aff, role in roles.items() if role != Role.NONE)
+    if not all(tc(aff) for aff, role in roles.items() if role != Role.NONE):
+        raise InvariantError("a key firm fails the third-country condition")
 
     na = g.na_jurisdiction
     hq_missing = int(g.jurisdiction_index[subtree.hq]) == na
@@ -224,6 +227,8 @@ class MncClassification:
     hq_id: str
     hq_index: int
     records: list[CentralityRecord]
+    # the subtree the records came from; None when rebuilt from keyfirms.csv
+    subtree: MncSubtree | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -269,14 +274,13 @@ def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> Clas
     with open(path, newline="", encoding="utf-8") as handle:
         reader = _csv.reader(handle)
         header = next(reader, None)
-        expected = ["mnc", "affiliate_id", "layer", "k_in", "k_out", "H", "T", "third_country", "role"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise LoadError(f"expected header {','.join(expected)}", path, 1)
+        if header is None or [h.strip() for h in header] != KEYFIRMS_HEADER:
+            raise LoadError(f"expected header {','.join(KEYFIRMS_HEADER)}", path, 1)
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(expected):
-                raise LoadError(f"expected {len(expected)} fields", path, line)
+            if len(row) != len(KEYFIRMS_HEADER):
+                raise LoadError(f"expected {len(KEYFIRMS_HEADER)} fields", path, line)
             mnc, aff, layer, k_in, k_out, h, t, tc, role = row
             if mnc not in by_mnc:
                 hq_id = hq_map.get(mnc, "") if hq_map else ""
@@ -301,49 +305,23 @@ def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> Clas
     return ClassificationReport(graph=graph, classifications=list(by_mnc.values()))
 
 
-def _classify_one(view: SubstantialView, hq_id: str, mnc_name: str, global_degrees: bool):
-    hq_index = view.graph.index_of(hq_id)
-    subtree = build_subtree(view, hq_index, global_degrees=global_degrees)
-    records = hierarchical_identify(subtree)
-    return MncClassification(mnc=mnc_name, hq_id=hq_id, hq_index=hq_index, records=records)
-
-
-def classify_all(view: SubstantialView, hq_list, threads: int = 1,
-                 global_degrees: bool = False) -> ClassificationReport:
+def classify_all(view: SubstantialView, hq_list, global_degrees: bool = False) -> ClassificationReport:
     """Extract, layer, and identify every MNC in the HQ list.
 
-    ``hq_list`` yields (hq_node_id, mnc_name) pairs. Per-MNC failures are
-    collected and the run continues. MNCs are independent, so ``threads``
-    may fan the work out; results keep list order either way.
+    ``hq_list`` yields (hq_node_id, mnc_name) pairs. Each subtree is built
+    once and kept on its classification. Per-MNC failures are collected
+    and the run continues; classifications keep list order.
     """
     report = ClassificationReport(graph=view.graph)
-    hq_list = list(hq_list)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_classify_one, view, hq, name, global_degrees)
-                for hq, name in hq_list
-            ]
-        outcomes = []
-        for (hq, name), fut in zip(hq_list, futures):
-            try:
-                outcomes.append(fut.result())
-            except (GraphError, DegenerateSubtreeError) as exc:
-                outcomes.append((name, str(exc)))
-    else:
-        outcomes = []
-        for hq, name in hq_list:
-            try:
-                outcomes.append(_classify_one(view, hq, name, global_degrees))
-            except (GraphError, DegenerateSubtreeError) as exc:
-                outcomes.append((name, str(exc)))
-
-    for item in outcomes:
-        if isinstance(item, MncClassification):
-            report.classifications.append(item)
-        else:
-            report.failures.append(item)
+    for hq_id, name in hq_list:
+        try:
+            hq_index = view.graph.index_of(hq_id)
+            subtree = build_subtree(view, hq_index, global_degrees=global_degrees)
+            records = hierarchical_identify(subtree)
+        except (GraphError, DegenerateSubtreeError) as exc:
+            report.failures.append((name, str(exc)))
+            continue
+        report.classifications.append(
+            MncClassification(mnc=name, hq_id=hq_id, hq_index=hq_index, records=records, subtree=subtree)
+        )
     return report

@@ -17,17 +17,26 @@ from pathlib import Path
 import numpy as np
 
 from ._csr import multi_source_bfs, neighbor_positions
-from .errors import GraphError, LoadError
+from .errors import GraphError, InvariantError, LoadError
 from .graph import SubstantialView
 
 HQ_HEADER = ["hq_node_id", "mnc_name"]
 
 
+def mnc_file_name(name: str) -> str:
+    """File name of an MNC's affiliate artifact (``/`` would split the path)."""
+    return f"{name.replace('/', '_')}.csv"
+
+
 def load_hq_list(path) -> list[tuple[str, str]]:
-    """Read ``hq_node_id,mnc_name`` rows; duplicate MNC names rejected."""
+    """Read ``hq_node_id,mnc_name`` rows.
+
+    Duplicate MNC names are rejected, and so are distinct names that map to
+    the same artifact file name (``a/b`` and ``a_b``).
+    """
     path = Path(path)
     rows: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    names_by_file: dict[str, str] = {}
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -45,9 +54,14 @@ def load_hq_list(path) -> list[tuple[str, str]]:
             hq_id, name = row[0].strip(), row[1].strip()
             if not hq_id or not name:
                 raise LoadError("empty field", path, line)
-            if name in seen:
+            file_name = mnc_file_name(name)
+            other = names_by_file.get(file_name)
+            if other == name:
                 raise LoadError(f"duplicate mnc_name {name!r}", path, line)
-            seen.add(name)
+            if other is not None:
+                raise LoadError(f"mnc_name {name!r} and {other!r} share the file name {file_name!r}",
+                                path, line)
+            names_by_file[file_name] = name
             rows.append((hq_id, name))
     return rows
 
@@ -141,7 +155,8 @@ def mnc_degrees(subtree: MncSubtree, global_degrees: bool = False) -> tuple[np.n
 
         aff_sel = members != subtree.hq
         # members() sorts, so the non-HQ entries are exactly the affiliates in order
-        assert np.array_equal(members[aff_sel], subtree.affiliates)
+        if not np.array_equal(members[aff_sel], subtree.affiliates):
+            raise InvariantError("subtree members minus the HQ differ from its affiliates")
         k_in = k_in_m[aff_sel].astype(np.int64)
         k_out = k_out_m[aff_sel].astype(np.int64)
 

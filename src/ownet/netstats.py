@@ -74,15 +74,26 @@ def degree_histogram(g, direction: str = "in", bin_ratio: float = 2.0) -> Degree
     if positive.size == 0:
         return DegreeHistogram(direction, raw, np.zeros(0), np.zeros(0, np.int64), np.zeros(0), 0)
 
-    max_deg = int(positive.max())
+    edges, counts, densities = geometric_bins(positive, bin_ratio)
+    return DegreeHistogram(direction, raw, edges, counts, densities, int(positive.size))
+
+
+def geometric_bins(values: np.ndarray, bin_ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin positive ``values`` on the edges 1, r, r^2, ... past their maximum.
+
+    Returns (edges, counts, densities); densities are counts / (n * width),
+    so sum(density * width) equals 1. ``values`` must be non-empty.
+    """
+    if not bin_ratio > 1.0:
+        raise ValueError(f"bin_ratio must exceed 1, got {bin_ratio}")
+    max_v = int(values.max())
     edges = [1.0]
-    while edges[-1] <= max_deg:
+    while edges[-1] <= max_v:
         edges.append(edges[-1] * bin_ratio)
     edges_arr = np.asarray(edges)
-    counts, _ = np.histogram(positive, bins=edges_arr)
-    widths = np.diff(edges_arr)
-    densities = counts / (positive.size * widths)
-    return DegreeHistogram(direction, raw, edges_arr, counts.astype(np.int64), densities, int(positive.size))
+    counts, _ = np.histogram(values, bins=edges_arr)
+    densities = counts / (values.size * np.diff(edges_arr))
+    return edges_arr, counts.astype(np.int64), densities
 
 
 @dataclass(frozen=True)
@@ -168,19 +179,13 @@ def binned_fit_slope(samples, bin_ratio: float = 2.0) -> float:
     data = data[data > 0]
     if data.size < 2:
         raise FitError("need at least two positive samples")
-    max_v = int(data.max())
-    edges = [1.0]
-    while edges[-1] <= max_v:
-        edges.append(edges[-1] * bin_ratio)
-    edges_arr = np.asarray(edges)
-    counts, _ = np.histogram(data, bins=edges_arr)
-    widths = np.diff(edges_arr)
-    centers = np.sqrt(edges_arr[:-1] * edges_arr[1:])
+    edges, counts, densities = geometric_bins(data, bin_ratio)
+    centers = np.sqrt(edges[:-1] * edges[1:])
     mask = counts > 0
     if mask.sum() < 2:
         raise FitError("fewer than two occupied bins")
     x = np.log10(centers[mask])
-    y = np.log10(counts[mask] / (data.size * widths[mask]))
+    y = np.log10(densities[mask])
     slope = np.polyfit(x, y, 1)[0]
     return float(slope)
 

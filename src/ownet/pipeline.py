@@ -3,7 +3,9 @@
 Stages run in dependency order and write their artifacts under the output
 directory; ``manifest.json`` records every artifact with a sha256 content
 hash. Outputs carry no timestamps, so identical inputs and seeds reproduce
-identical bytes.
+identical bytes. The CLI subcommands call the same public helpers
+(``community_scope`` and the ``write_*`` functions) as the stages, so both
+emit the same bytes.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .graph import (
     substantial_view,
     write_csv_rows,
 )
-from .keyfirms import ROLE_NAMES, Role, classify_all
-from .mnc import build_subtree, load_hq_list
+from .keyfirms import KEYFIRMS_HEADER, ROLE_NAMES, Role, classify_all
+from .mnc import load_hq_list, mnc_file_name
 
 STAGES = ("ingest", "bowtie", "stats", "communities", "extract", "identify", "jurisdiction")
 
@@ -52,7 +54,6 @@ class RunConfig:
     bin_ratio: float = 2.0
     damping: float = 0.85
     communities_scope: str = "gwcc"
-    threads: int = 1
     cache: Path | None = None
     rebuild_cache: bool = False
 
@@ -188,17 +189,30 @@ def _stage_ingest(config, outdir, manifest, state):
     manifest.add("ingest", summary)
 
 
+def write_bowtie_csv(graph: OwnershipGraph, bowtie, path) -> None:
+    """``bowtie.csv``: the bow-tie region of every node."""
+    region = bowtie.region
+    write_csv_rows(
+        path, ["node_id", "region"],
+        ((graph.ids[i], comp.REGION_NAMES[int(region[i])]) for i in range(graph.n_nodes)),
+    )
+
+
+def write_distances_csv(hist, path) -> None:
+    """``distances_<direction>.csv``: hop counts between a region and the GSCC."""
+    write_csv_rows(
+        path, ["distance", "count", "ratio"],
+        ((d, c, _fmt(c / hist.total)) for d, c, _ in hist.rows()),
+    )
+
+
 def _stage_bowtie(config, outdir, manifest, state):
     graph = _get_graph(config, state)
     bowtie = comp.bowtie_decompose(graph)
     state["bowtie"] = bowtie
 
     path = outdir / "bowtie.csv"
-    region = bowtie.region
-    write_csv_rows(
-        path, ["node_id", "region"],
-        ((graph.ids[i], comp.REGION_NAMES[int(region[i])]) for i in range(graph.n_nodes)),
-    )
+    write_bowtie_csv(graph, bowtie, path)
     manifest.add("bowtie", path)
 
     path = outdir / "bowtie_summary.csv"
@@ -206,12 +220,8 @@ def _stage_bowtie(config, outdir, manifest, state):
     manifest.add("bowtie", path)
 
     for direction in ("in", "out"):
-        hist = comp.distance_distribution(bowtie, direction)
         path = outdir / f"distances_{direction}.csv"
-        write_csv_rows(
-            path, ["distance", "count", "ratio"],
-            ((d, c, _fmt(c / hist.total)) for d, c, _ in hist.rows()),
-        )
+        write_distances_csv(comp.distance_distribution(bowtie, direction), path)
         manifest.add("bowtie", path)
 
     weak = comp.weak_components(graph)
@@ -273,31 +283,36 @@ def _stage_stats(config, outdir, manifest, state):
     manifest.add("stats", path)
 
 
-def _stage_communities(config, outdir, manifest, state):
-    graph = _get_graph(config, state)
-    if config.communities_scope == "gwcc":
-        weak = comp.weak_components(graph)
-        keep = np.flatnonzero(weak.labels == weak.largest)
-        scope = induced_subgraph(graph, [graph.ids[i] for i in keep])
-    else:
-        scope = graph
-    partition = detect_communities(scope, seed=config.seed, damping=config.damping)
+def community_scope(graph: OwnershipGraph, scope: str) -> OwnershipGraph:
+    """The graph communities are detected on: the GWCC for ``"gwcc"``, else all of it."""
+    if scope != "gwcc":
+        return graph
+    weak = comp.weak_components(graph)
+    keep = np.flatnonzero(weak.labels == weak.largest)
+    return induced_subgraph(graph, [graph.ids[i] for i in keep])
 
-    path = outdir / "communities.csv"
+
+def write_community_csvs(scope: OwnershipGraph, partition, path, dsizes_path, bin_ratio: float = 2.0) -> None:
+    """``communities.csv`` (node -> community) and ``dsizes.csv`` (log-binned sizes)."""
     write_csv_rows(
         path, ["node_id", "community_id"],
         ((scope.ids[i], int(partition.labels[i])) for i in range(scope.n_nodes)),
     )
-    manifest.add("communities", path)
+    hist = community_size_histogram(partition, bin_ratio=bin_ratio)
+    rows = [
+        (_fmt(hist.bin_edges[i]), _fmt(hist.bin_edges[i + 1]), int(hist.counts[i]), _fmt(hist.densities[i]))
+        for i in range(hist.counts.shape[0])
+    ]
+    write_csv_rows(dsizes_path, ["size_lo", "size_hi", "count", "density"], rows)
 
-    hist = community_size_histogram(partition, bin_ratio=config.bin_ratio)
-    path = outdir / "dsizes.csv"
-    rows = []
-    for i in range(hist.counts.shape[0]):
-        rows.append((_fmt(hist.bin_edges[i]), _fmt(hist.bin_edges[i + 1]),
-                     int(hist.counts[i]), _fmt(hist.densities[i])))
-    write_csv_rows(path, ["size_lo", "size_hi", "count", "density"], rows)
+
+def _stage_communities(config, outdir, manifest, state):
+    scope = community_scope(_get_graph(config, state), config.communities_scope)
+    partition = detect_communities(scope, seed=config.seed, damping=config.damping)
+    path, dsizes = outdir / "communities.csv", outdir / "dsizes.csv"
+    write_community_csvs(scope, partition, path, dsizes, config.bin_ratio)
     manifest.add("communities", path)
+    manifest.add("communities", dsizes)
 
     path = outdir / "communities_summary.json"
     with open(path, "w", encoding="utf-8") as handle:
@@ -318,31 +333,49 @@ def _get_view(config, state):
 
 def _get_report(config, state):
     if "report" not in state:
-        view = _get_view(config, state)
-        hq_list = load_hq_list(config.hqs)
-        state["hq_list"] = hq_list
-        state["report"] = classify_all(view, hq_list, threads=config.threads)
+        state["report"] = classify_all(_get_view(config, state), load_hq_list(config.hqs))
     return state["report"]
 
 
-def _stage_extract(config, outdir, manifest, state):
-    view = _get_view(config, state)
-    graph = view.graph
-    hq_list = state.get("hq_list") or load_hq_list(config.hqs)
-    state["hq_list"] = hq_list
-    mnc_dir = outdir / "mnc"
-    mnc_dir.mkdir(exist_ok=True)
-    for hq_id, name in hq_list:
-        try:
-            subtree = build_subtree(view, graph.index_of(hq_id))
-        except OwnetError:
-            continue
-        path = mnc_dir / f"{name.replace('/', '_')}.csv"
+def write_mnc_csvs(report, mnc_dir: Path) -> list[Path]:
+    """One affiliate file (node_id, layer, within-MNC degrees) per classified MNC."""
+    mnc_dir.mkdir(parents=True, exist_ok=True)
+    ids = report.graph.ids
+    paths = []
+    for cls in report.classifications:
+        subtree = cls.subtree
+        path = mnc_dir / mnc_file_name(cls.mnc)
         rows = [
-            (graph.ids[int(a)], int(subtree.layers[i]), int(subtree.k_in[i]), int(subtree.k_out[i]))
+            (ids[int(a)], int(subtree.layers[i]), int(subtree.k_in[i]), int(subtree.k_out[i]))
             for i, a in enumerate(subtree.affiliates)
         ]
         write_csv_rows(path, ["node_id", "layer", "k_in", "k_out"], rows)
+        paths.append(path)
+    return paths
+
+
+def write_keyfirms_csv(report, path) -> None:
+    """``keyfirms.csv``: centralities and role of every classified affiliate."""
+    rows = [
+        (
+            cls.mnc,
+            rec.affiliate,
+            rec.layer,
+            rec.k_in,
+            rec.k_out,
+            _fmt(rec.holding) if rec.holding is not None else "",
+            _fmt(rec.conduit) if rec.conduit is not None else "",
+            "1" if rec.third_country else "0",
+            ROLE_NAMES[rec.role],
+        )
+        for cls in report.classifications
+        for rec in cls.records
+    ]
+    write_csv_rows(path, KEYFIRMS_HEADER, rows)
+
+
+def _stage_extract(config, outdir, manifest, state):
+    for path in write_mnc_csvs(_get_report(config, state), outdir / "mnc"):
         manifest.add("extract", path)
 
 
@@ -351,27 +384,7 @@ def _stage_identify(config, outdir, manifest, state):
     graph = report.graph
 
     path = outdir / "keyfirms.csv"
-    rows = []
-    for cls in report.classifications:
-        for rec in cls.records:
-            rows.append(
-                (
-                    cls.mnc,
-                    rec.affiliate,
-                    rec.layer,
-                    rec.k_in,
-                    rec.k_out,
-                    _fmt(rec.holding) if rec.holding is not None else "",
-                    _fmt(rec.conduit) if rec.conduit is not None else "",
-                    "1" if rec.third_country else "0",
-                    ROLE_NAMES[rec.role],
-                )
-            )
-    write_csv_rows(
-        path,
-        ["mnc", "affiliate_id", "layer", "k_in", "k_out", "H", "T", "third_country", "role"],
-        rows,
-    )
+    write_keyfirms_csv(report, path)
     manifest.add("identify", path)
 
     path = outdir / "mnc_summary.csv"

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -89,6 +90,26 @@ class TestPipeline:
         assert config.seed == 3
         data = verify_manifest(run_pipeline(config))
         assert "identify" in data["stages"]
+
+    def test_one_subtree_per_mnc(self, corpus, tmp_path, monkeypatch):
+        import ownet.mnc
+
+        bundle, paths, _ = corpus
+        real = ownet.mnc.build_subtree
+        hqs = []
+
+        def counted(view, hq, *args, **kwargs):
+            hqs.append(hq)
+            return real(view, hq, *args, **kwargs)
+
+        # wrap every binding, so a call through any module is counted once
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ownet") and getattr(module, "build_subtree", None) is real:
+                monkeypatch.setattr(module, "build_subtree", counted)
+        config = config_for(paths, tmp_path / "out", stages=("extract", "identify"))
+        assert verify_manifest(run_pipeline(config))["status"] == "ok"
+        assert len(hqs) == len(bundle.hq_rows)
+        assert len(set(hqs)) == len(hqs)
 
 
 class TestCli:
@@ -231,3 +252,44 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "rep" / "reports" / "sink.csv").exists()
         assert (tmp_path / "rep" / "reports" / "regression.json").exists()
+
+
+class TestCliMatchesPipeline:
+    def test_artifacts_byte_identical(self, corpus, tmp_path):
+        bundle, paths, _ = corpus
+        # one unknown HQ: the pipeline and the CLI must skip the same MNC
+        hqs = tmp_path / "hqs.csv"
+        hqs.write_text(paths["hqs"].read_text(encoding="utf-8") + "ghost,Ghost\n", encoding="utf-8")
+        out = tmp_path / "out"
+        config = config_for(paths, out, hqs=hqs,
+                            stages=("ingest", "bowtie", "communities", "extract", "identify"))
+        data = verify_manifest(run_pipeline(config))
+        assert len(data["stages"]["extract"]["artifacts"]) == len(bundle.hq_rows)
+
+        runner = CliRunner()
+        graph = str(out / "graph.npz")
+        cli = tmp_path / "cli"
+        commands = [
+            ["extract", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "mnc")],
+            ["identify", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "keyfirms.csv")],
+            ["bowtie", "--graph", graph, "--out", str(cli / "bowtie.csv"),
+             "--summary", str(cli / "bowtie_summary.csv")],
+            ["distances", "--graph", graph, "--direction", "in", "--out", str(cli / "distances_in.csv")],
+            ["communities", "--graph", graph, "--out", str(cli / "communities.csv")],
+        ]
+        skipped = {"extract": "skipping Ghost: ", "identify": "failed Ghost: "}
+        cli.mkdir()
+        for args in commands:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert skipped.get(args[0], "") in result.stderr
+
+        names = sorted(p.name for p in (out / "mnc").iterdir())
+        assert names == sorted(p.name for p in (cli / "mnc").iterdir())
+        assert len(names) == len(bundle.hq_rows)
+        compared = [f"mnc/{name}" for name in names] + [
+            "keyfirms.csv", "bowtie.csv", "bowtie_summary.csv", "distances_in.csv",
+            "communities.csv", "dsizes.csv",
+        ]
+        for rel in compared:
+            assert (cli / rel).read_bytes() == (out / rel).read_bytes(), rel

@@ -239,13 +239,16 @@ class TestClassifyAll:
         assert [name for name, _ in report.failures] == ["Ghost"]
         assert len(report.classifications) == 1
 
-    def test_threads_match_serial(self):
-        view = self._two_copies_view()
-        serial = classify_all(view, [("M1:HQ", "M1"), ("M2:HQ", "M2")], threads=1)
-        threaded = classify_all(view, [("M1:HQ", "M1"), ("M2:HQ", "M2")], threads=4)
-        s = [(c.mnc, [(r.affiliate, r.role) for r in c.records]) for c in serial.classifications]
-        t = [(c.mnc, [(r.affiliate, r.role) for r in c.records]) for c in threaded.classifications]
-        assert s == t
+    def test_subtree_kept_on_classification(self, tmp_path, m1_view, m1_graph):
+        from ownet.pipeline import write_keyfirms_csv
+
+        report = classify_all(m1_view, [("M1:HQ", "M1")])
+        (cls,) = report.classifications
+        assert cls.subtree.hq == m1_graph.index_of("M1:HQ")
+        assert [rec.index for rec in cls.records] == cls.subtree.affiliates.tolist()
+        path = tmp_path / "keyfirms.csv"
+        write_keyfirms_csv(report, path)
+        assert load_keyfirms_csv(path, m1_graph).classifications[0].subtree is None
 
     def test_keyfirms_csv_roundtrip(self, tmp_path, m1_view):
         report = classify_all(m1_view, [("M1:HQ", "M1")])

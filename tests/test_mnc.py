@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from ownet.errors import GraphError, LoadError
+from ownet.errors import GraphError, InvariantError, LoadError
 from ownet.graph import substantial_view
-from ownet.mnc import assign_layers, build_subtree, extract_mnc, load_hq_list, mnc_degrees
+from ownet.mnc import MncSubtree, assign_layers, build_subtree, extract_mnc, load_hq_list, mnc_degrees
 
 
 def view_of(n, edges, jurisdictions=None):
@@ -102,6 +102,13 @@ class TestDegrees:
         assert m1_subtree.sum_k_total == int((k_in + k_out).sum())
         assert m1_subtree.sum_k_product == int((k_in * k_out).sum())
 
+    def test_unsorted_affiliates_rejected(self, m1_subtree):
+        # a real check, not an assert: it must survive python -O
+        broken = MncSubtree(view=m1_subtree.view, hq=m1_subtree.hq,
+                            affiliates=m1_subtree.affiliates[::-1].copy(), layers=m1_subtree.layers)
+        with pytest.raises(InvariantError):
+            mnc_degrees(broken)
+
     def test_sum_k_in_bounded_by_internal_edges(self):
         rng = np.random.default_rng(12)
         from ownet.synth import random_mnc_template, template_graph
@@ -162,3 +169,11 @@ class TestHqList:
         path.write_text("hq_node_id,mnc_name\nn1,Acme\nn2,Acme\n", encoding="utf-8")
         with pytest.raises(LoadError, match="duplicate"):
             load_hq_list(path)
+
+    def test_names_sharing_a_file_name(self, tmp_path):
+        # "a/b" and "a_b" would both be written to mnc/a_b.csv
+        path = tmp_path / "hqs.csv"
+        path.write_text("hq_node_id,mnc_name\nn1,a/b\nn2,a_b\n", encoding="utf-8")
+        with pytest.raises(LoadError, match="share the file name") as info:
+            load_hq_list(path)
+        assert info.value.line == 3

@@ -43,6 +43,11 @@ class TestDegreeHistogram:
         with pytest.raises(ValueError):
             netstats.degree_histogram(g, "in", bin_ratio=1.0)
 
+    def test_binned_slope_rejects_invalid_ratio(self):
+        # shares the binning with degree_histogram, so it cannot loop forever
+        with pytest.raises(ValueError):
+            netstats.binned_fit_slope([1, 2, 3, 4], bin_ratio=1.0)
+
 
 class TestPowerLawFit:
     def test_recovery(self):
