@@ -13,6 +13,7 @@ from . import pipeline as pl
 from .community import detect_communities
 from .errors import OwnetError
 from .graph import load_cache, load_graph, save_cache, substantial_view, write_csv_rows
+from .jurisdiction import load_edge_values, load_profiles
 from .keyfirms import classify_all, load_keyfirms_csv
 from .mnc import load_hq_list
 from .synth import SynthSpec, build_corpus, write_corpus
@@ -93,13 +94,9 @@ def distances(graph_path, direction, out, reverse_orientation):
 @click.option("--bin-ratio", default=2.0, show_default=True)
 def stats(graph_path, outdir, bin_ratio):
     """Degree distributions, exponent fits, clustering, and k_nn curves."""
-    graph = _load(graph_path)
-    config = pl.RunConfig(nodes=Path("."), edges=Path("."), outdir=Path(outdir), bin_ratio=bin_ratio)
-    outpath = Path(outdir)
-    outpath.mkdir(parents=True, exist_ok=True)
-    manifest = pl._Manifest(outpath, config)
-    pl._stage_stats(config, outpath, manifest, {"graph": graph})
-    click.echo(f"stats written under {outpath / 'stats'}")
+    stats_dir = Path(outdir) / "stats"
+    pl.write_stats(_load(graph_path), stats_dir, bin_ratio)
+    click.echo(f"stats written under {stats_dir}")
 
 
 @main.command()
@@ -162,24 +159,14 @@ def identify(graph_path, hqs, threshold, out, global_degrees):
 @click.option("--out", "outdir", default="reports", show_default=True)
 def jurisdiction(graph_path, keyfirms_path, profiles, hqs, values_path, threshold, outdir):
     """Jurisdiction centralities, tallies, chains, and regressions."""
-    from .jurisdiction import load_edge_values
-
     graph = _load(graph_path)
     view = substantial_view(graph, threshold)
     hq_map = dict((name, hq) for hq, name in load_hq_list(hqs)) if hqs else None
     report = load_keyfirms_csv(keyfirms_path, graph, hq_map)
-    state = {"graph": graph, "view": view, "report": report}
-    if values_path:
-        state["edge_values"] = load_edge_values(values_path, view)
-    config = pl.RunConfig(
-        nodes=Path("."), edges=Path("."), outdir=Path(outdir),
-        profiles=Path(profiles), threshold=threshold,
-    )
-    outpath = Path(outdir)
-    outpath.mkdir(parents=True, exist_ok=True)
-    manifest = pl._Manifest(outpath, config)
-    pl._stage_jurisdiction(config, outpath, manifest, state)
-    click.echo(f"jurisdiction reports under {outpath / 'reports'}")
+    edge_values = load_edge_values(values_path, view) if values_path else None
+    reports_dir = Path(outdir) / "reports"
+    pl.write_jurisdiction_reports(view, report, load_profiles(profiles), reports_dir, edge_values, None)
+    click.echo(f"jurisdiction reports under {reports_dir}")
 
 
 @main.command()

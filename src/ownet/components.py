@@ -76,7 +76,8 @@ class BowTie:
 
     ``region`` assigns every node one of GSCC / IN / OUT / TE, or REST for
     nodes outside the GWCC. Shortest-hop distances to/from the GSCC are
-    kept for the distance tables.
+    kept for the distance tables, and the weak labeling the GWCC came from
+    for the component-size table.
     """
 
     region: np.ndarray
@@ -84,6 +85,7 @@ class BowTie:
     sizes: dict[int, int]
     dist_to_gscc: np.ndarray = field(repr=False)
     dist_from_gscc: np.ndarray = field(repr=False)
+    weak: ComponentLabeling = field(repr=False)
     graph: object = field(repr=False, default=None)
 
     def size(self, region: int) -> int:
@@ -151,6 +153,7 @@ def bowtie_decompose(g) -> BowTie:
         sizes=sizes,
         dist_to_gscc=dist_to,
         dist_from_gscc=dist_from,
+        weak=weak,
         graph=g,
     )
 

@@ -5,6 +5,10 @@ by exact discrete maximum likelihood through the Hurwitz zeta function,
 with an optional Kolmogorov-Smirnov scan for the lower cutoff; a log-log
 regression slope on the binned densities is available separately for
 comparison with straight-line fits.
+
+The clustering and k_nn curves take one undirected simple CSR, built once
+per caller by ``undirected_simple_csr``. Triangles are counted per node by
+degree-ordered masked sparse matrix products (SpGEMM) in scipy.
 """
 
 from __future__ import annotations
@@ -13,23 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.sparse import csr_matrix
 from scipy.special import zeta
 
-from ._csr import build_indptr
 from .errors import FitError
 
 _GAMMA_LO = 1.000001
 _GAMMA_HI = 25.0
 _MIN_TAIL = 50
 _MAX_XMIN_CANDIDATES = 200
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 
 @dataclass(frozen=True)
 class DegreeHistogram:
@@ -193,95 +189,45 @@ def binned_fit_slope(samples, bin_ratio: float = 2.0) -> float:
 # -- clustering and degree correlations -----------------------------------
 
 def undirected_simple_csr(g) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the undirected simple graph (reciprocal/parallel collapsed)."""
+    """CSR of the undirected simple graph (reciprocal/parallel collapsed).
+
+    The adjacency holds bool data: summing duplicates of a narrow integer
+    type would wrap to zero on a pair with many parallel edges.
+    """
     n = g.n_nodes
-    u = np.concatenate([g.src, g.dst]).astype(np.int64)
-    v = np.concatenate([g.dst, g.src]).astype(np.int64)
-    key = np.unique(u * n + v)
-    uu = (key // n).astype(np.int64)
-    vv = (key % n).astype(np.int64)
-    return build_indptr(uu, n), vv
-
-
-def _triangle_kernel_py(indptr, nbrs, tri):
-    n = indptr.shape[0] - 1
-    for u in range(n):
-        for pos in range(indptr[u], indptr[u + 1]):
-            v = nbrs[pos]
-            if v <= u:
-                continue
-            a, a_end = int(indptr[u]), int(indptr[u + 1])
-            b, b_end = int(indptr[v]), int(indptr[v + 1])
-            # advance past elements <= v: triangles counted once with u < v < w
-            lo, hi = a, a_end
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if nbrs[mid] <= v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            a = lo
-            lo, hi = b, b_end
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if nbrs[mid] <= v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            b = lo
-            while a < a_end and b < b_end:
-                x = nbrs[a]
-                y = nbrs[b]
-                if x == y:
-                    tri[u] += 1
-                    tri[v] += 1
-                    tri[x] += 1
-                    a += 1
-                    b += 1
-                elif x < y:
-                    a += 1
-                else:
-                    b += 1
-
-
-if _HAVE_NUMBA:
-    _triangle_kernel = _njit(cache=True)(_triangle_kernel_py)
-else:  # pragma: no cover
-    _triangle_kernel = _triangle_kernel_py
+    a = csr_matrix((np.ones(g.n_edges, dtype=bool), (g.src, g.dst)), shape=(n, n))
+    s = (a + a.T).tocsr()
+    s.sort_indices()
+    return s.indptr.astype(np.int64), s.indices.astype(np.int64)
 
 
 def triangle_counts(indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Per-node triangle counts on a sorted undirected CSR.
 
-    Nodes are visited by ascending degree internally so hub adjacency lists
-    are merged only against shorter lists.
+    Degree-ordered masked SpGEMM (Azad, Buluc & Gilbert, IPDPSW 2015): L
+    orients every edge from the lower to the higher degree rank, so a
+    triangle a < b < c (by rank) is the (a, c) entry of (L@L)*L through b,
+    and the (b, c) entry of (L.T@L)*L below a. L@L.T is never formed: it
+    pairs up the lower-ranked neighbours of hubs.
     """
     n = indptr.shape[0] - 1
     deg = np.diff(indptr)
-    order = np.argsort(deg, kind="stable").astype(np.int64)
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-
-    # rebuild the CSR in rank space with sorted rows
-    new_src = rank[np.repeat(np.arange(n), deg)]
-    new_dst = rank[nbrs]
-    perm = np.lexsort((new_dst, new_src))
-    r_indptr = build_indptr(new_src[perm], n)
-    r_nbrs = new_dst[perm]
-
-    tri_ranked = np.zeros(n, dtype=np.int64)
-    _triangle_kernel(r_indptr, r_nbrs, tri_ranked)
-    tri = np.empty(n, dtype=np.int64)
-    tri[order] = tri_ranked
-    return tri
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    row = np.repeat(np.arange(n), deg)
+    up = rank[row] < rank[nbrs]
+    low = csr_matrix((np.ones(int(up.sum()), dtype=np.int64), (row[up], nbrs[up])), shape=(n, n))
+    closed = (low @ low).multiply(low)
+    below = (low.T @ low).multiply(low)
+    tri = closed.sum(axis=1) + closed.sum(axis=0).T + below.sum(axis=1)
+    return np.asarray(tri, dtype=np.int64).ravel()
 
 
-def local_clustering(g) -> np.ndarray:
-    """Per-node clustering on the undirected simple graph (0 for degree < 2)."""
-    indptr, nbrs = undirected_simple_csr(g)
+def local_clustering(indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Per-node clustering on an undirected simple CSR (0 for degree < 2)."""
     deg = np.diff(indptr)
     tri = triangle_counts(indptr, nbrs)
-    c = np.zeros(g.n_nodes, dtype=np.float64)
+    c = np.zeros(deg.shape[0], dtype=np.float64)
     mask = deg >= 2
     c[mask] = 2.0 * tri[mask] / (deg[mask] * (deg[mask] - 1.0))
     return c
@@ -310,17 +256,15 @@ def _group_by_degree(deg: np.ndarray, values: np.ndarray, keep: np.ndarray) -> S
     return StatCurve(ks.astype(np.int64), sums[ks] / cnt[ks], cnt[ks].astype(np.int64))
 
 
-def clustering_by_degree(g) -> StatCurve:
-    """Average clustering per (undirected simple) total degree."""
-    indptr, _ = undirected_simple_csr(g)
+def clustering_by_degree(indptr: np.ndarray, nbrs: np.ndarray) -> StatCurve:
+    """Average clustering per degree of an undirected simple CSR."""
     deg = np.diff(indptr)
-    c = local_clustering(g)
+    c = local_clustering(indptr, nbrs)
     return _group_by_degree(deg, c, np.ones(deg.shape[0], dtype=bool))
 
 
-def knn_by_degree(g) -> StatCurve:
-    """Average nearest-neighbor degree per (undirected simple) total degree."""
-    indptr, nbrs = undirected_simple_csr(g)
+def knn_by_degree(indptr: np.ndarray, nbrs: np.ndarray) -> StatCurve:
+    """Average nearest-neighbor degree per degree of an undirected simple CSR."""
     deg = np.diff(indptr)
     n = deg.shape[0]
     row = np.repeat(np.arange(n), deg)

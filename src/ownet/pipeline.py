@@ -224,27 +224,29 @@ def _stage_bowtie(config, outdir, manifest, state):
         write_distances_csv(comp.distance_distribution(bowtie, direction), path)
         manifest.add("bowtie", path)
 
-    weak = comp.weak_components(graph)
-    hist = comp.component_size_histogram(weak)
+    hist = comp.component_size_histogram(bowtie.weak)
     path = outdir / "component_sizes.csv"
     write_csv_rows(path, ["size", "count"], sorted(hist.items()))
     manifest.add("bowtie", path)
 
 
-def _stage_stats(config, outdir, manifest, state):
-    graph = _get_graph(config, state)
-    stats_dir = outdir / "stats"
-    stats_dir.mkdir(exist_ok=True)
+def _fmt_curve(curve) -> list[tuple[int, str, int]]:
+    return [(int(k), _fmt(v), int(c)) for k, v, c in zip(curve.degrees, curve.values, curve.counts)]
 
+
+def write_stats(graph: OwnershipGraph, stats_dir: Path, bin_ratio: float) -> list[Path]:
+    """``stats/``: degree histograms, exponent fits, clustering and k_nn curves."""
+    stats_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
     fits = {}
     for direction in ("in", "out"):
-        hist = netstats.degree_histogram(graph, direction, config.bin_ratio)
+        hist = netstats.degree_histogram(graph, direction, bin_ratio)
         path = stats_dir / f"pk_{direction}.csv"
         write_csv_rows(
             path, ["bin_lo", "bin_hi", "count", "density"],
             ((_fmt(lo), _fmt(hi), c, _fmt(d)) for lo, hi, c, d in hist.rows()),
         )
-        manifest.add("stats", path)
+        paths.append(path)
 
         deg = graph.in_degrees() if direction == "in" else graph.out_degrees()
         try:
@@ -255,32 +257,31 @@ def _stage_stats(config, outdir, manifest, state):
                 "n_tail": fit.n_tail,
                 "loglik": fit.loglik,
                 "ks": fit.ks,
-                "binned_slope": netstats.binned_fit_slope(deg, config.bin_ratio),
+                "binned_slope": netstats.binned_fit_slope(deg, bin_ratio),
             }
         except FitError as exc:
             fits[direction] = {"error": str(exc)}
 
-    curve = netstats.clustering_by_degree(graph)
+    indptr, nbrs = netstats.undirected_simple_csr(graph)
     path = stats_dir / "ck.csv"
-    write_csv_rows(
-        path, ["k", "mean_clustering", "n"],
-        ((int(k), _fmt(v), int(c)) for k, v, c in zip(curve.degrees, curve.values, curve.counts)),
-    )
-    manifest.add("stats", path)
+    write_csv_rows(path, ["k", "mean_clustering", "n"], _fmt_curve(netstats.clustering_by_degree(indptr, nbrs)))
+    paths.append(path)
 
-    curve = netstats.knn_by_degree(graph)
     path = stats_dir / "knn.csv"
-    write_csv_rows(
-        path, ["k", "mean_knn", "n"],
-        ((int(k), _fmt(v), int(c)) for k, v, c in zip(curve.degrees, curve.values, curve.counts)),
-    )
-    manifest.add("stats", path)
+    write_csv_rows(path, ["k", "mean_knn", "n"], _fmt_curve(netstats.knn_by_degree(indptr, nbrs)))
+    paths.append(path)
 
     path = stats_dir / "fits.json"
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(fits, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    manifest.add("stats", path)
+    paths.append(path)
+    return paths
+
+
+def _stage_stats(config, outdir, manifest, state):
+    for path in write_stats(_get_graph(config, state), outdir / "stats", config.bin_ratio):
+        manifest.add("stats", path)
 
 
 def community_scope(graph: OwnershipGraph, scope: str) -> OwnershipGraph:
@@ -414,12 +415,13 @@ def _stage_identify(config, outdir, manifest, state):
     manifest.add("identify", path)
 
 
-def _stage_jurisdiction(config, outdir, manifest, state):
-    view = _get_view(config, state)
-    report = _get_report(config, state)
-    profiles = jur.load_profiles(config.profiles)
-    edge_values = state.get("edge_values")
-    reports_dir = outdir / "reports"
+def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_values, bowtie) -> list[Path]:
+    """``reports/``: sink/conduit scores, tallies, chains, HQ tables, regressions.
+
+    ``edge_values`` switches flows to value mode; ``bowtie`` (may be None)
+    adds the bow-tie region tally.
+    """
+    paths = []
     (reports_dir / "tallies").mkdir(parents=True, exist_ok=True)
     (reports_dir / "chains").mkdir(exist_ok=True)
 
@@ -430,7 +432,7 @@ def _stage_jurisdiction(config, outdir, manifest, state):
         path, ["code", "score", "flagged"],
         ((c, _fmt(s), "1" if c in sink.flagged else "0") for c, s in sorted(sink.scores.items())),
     )
-    manifest.add("jurisdiction", path)
+    paths.append(path)
 
     flows = jur.with_pass_flows(flows, view, sink.flagged, edge_values=edge_values)
     try:
@@ -443,7 +445,7 @@ def _stage_jurisdiction(config, outdir, manifest, state):
         rows = []
     path = reports_dir / "conduit.csv"
     write_csv_rows(path, ["code", "score", "flagged"], rows)
-    manifest.add("jurisdiction", path)
+    paths.append(path)
 
     for dimension in jur.TALLY_DIMENSIONS:
         rows = jur.tally_by_jurisdiction(report, dimension)
@@ -452,10 +454,10 @@ def _stage_jurisdiction(config, outdir, manifest, state):
             path, ["code", "count", "percent"],
             ((c, n, _fmt(p)) for c, n, p in rows),
         )
-        manifest.add("jurisdiction", path)
+        paths.append(path)
 
-    if "bowtie" in state:
-        regions = jur.tally_by_bowtie(report, state["bowtie"])
+    if bowtie is not None:
+        regions = jur.tally_by_bowtie(report, bowtie)
         path = reports_dir / "tallies" / "bowtie_regions.csv"
         rows = [
             (category, region, count)
@@ -463,7 +465,7 @@ def _stage_jurisdiction(config, outdir, manifest, state):
             for region, count in sorted(buckets.items())
         ]
         write_csv_rows(path, ["category", "region", "count"], rows)
-        manifest.add("jurisdiction", path)
+        paths.append(path)
 
     for role, tag in ((Role.HOLDING, "holding"), (Role.HOLDING_AND_CONDUIT, "hc"), (Role.CONDUIT, "conduit")):
         tally = jur.tally_by_jurisdiction(report, tag, top_k=3)
@@ -473,7 +475,7 @@ def _stage_jurisdiction(config, outdir, manifest, state):
             rows = [("subsidiary", c, n, _fmt(p)) for c, n, p in table.subsidiaries]
             rows += [("shareholder", c, n, _fmt(p)) for c, n, p in table.shareholders]
             write_csv_rows(path, ["side", "code", "count", "percent"], rows)
-            manifest.add("jurisdiction", path)
+            paths.append(path)
 
     hq_t = jur.hq_tables(report)
     path = reports_dir / "hq_tables.json"
@@ -490,7 +492,7 @@ def _stage_jurisdiction(config, outdir, manifest, state):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    manifest.add("jurisdiction", path)
+    paths.append(path)
 
     # withholding-tax regressions per role
     regressions = {}
@@ -515,7 +517,17 @@ def _stage_jurisdiction(config, outdir, manifest, state):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(regressions, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    manifest.add("jurisdiction", path)
+    paths.append(path)
+    return paths
+
+
+def _stage_jurisdiction(config, outdir, manifest, state):
+    paths = write_jurisdiction_reports(
+        _get_view(config, state), _get_report(config, state), jur.load_profiles(config.profiles),
+        outdir / "reports", None, state.get("bowtie"),
+    )
+    for path in paths:
+        manifest.add("jurisdiction", path)
 
 
 _STAGE_FUNCS = {

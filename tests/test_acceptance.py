@@ -29,7 +29,7 @@ from ownet.keyfirms import (
     holding_centrality,
 )
 from ownet.mnc import build_subtree
-from ownet.netstats import fit_power_law, local_clustering
+from ownet.netstats import fit_power_law
 from ownet.pipeline import RunConfig, run_pipeline, verify_manifest
 from ownet.synth import (
     SynthSpec,
@@ -253,9 +253,6 @@ def test_08_planted_corpus_end_to_end(tmp_path):
 
 
 def test_09_scale_smoke(tmp_path):
-    # warm the jitted triangle kernel so the timed run measures the pipeline
-    local_clustering(make_graph(3, [(0, 1), (1, 2), (2, 0)]))
-
     spec = SynthSpec(
         seed=20_09, n_noise=997_000, noise_edges=995_000, n_mncs=50,
         core_size=2000, out_chain=20, affiliates_range=(5, 30),

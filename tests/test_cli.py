@@ -111,6 +111,27 @@ class TestPipeline:
         assert len(hqs) == len(bundle.hq_rows)
         assert len(set(hqs)) == len(hqs)
 
+    def test_one_csr_and_one_weak_labeling(self, corpus, tmp_path, monkeypatch):
+        import ownet.components
+        import ownet.netstats
+
+        _, paths, _ = corpus
+        calls = []
+        for owner, name in ((ownet.netstats, "undirected_simple_csr"), (ownet.components, "weak_components")):
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            # wrap every binding, so a call through any module is counted once
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("ownet") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        config = config_for(paths, tmp_path / "out", stages=("ingest", "bowtie", "stats"))
+        assert verify_manifest(run_pipeline(config))["status"] == "ok"
+        assert sorted(calls) == ["undirected_simple_csr", "weak_components"]
+
 
 class TestCli:
     def test_synth_and_run(self, tmp_path):
@@ -262,7 +283,7 @@ class TestCliMatchesPipeline:
         hqs.write_text(paths["hqs"].read_text(encoding="utf-8") + "ghost,Ghost\n", encoding="utf-8")
         out = tmp_path / "out"
         config = config_for(paths, out, hqs=hqs,
-                            stages=("ingest", "bowtie", "communities", "extract", "identify"))
+                            stages=("ingest", "bowtie", "stats", "communities", "extract", "identify"))
         data = verify_manifest(run_pipeline(config))
         assert len(data["stages"]["extract"]["artifacts"]) == len(bundle.hq_rows)
 
@@ -276,6 +297,7 @@ class TestCliMatchesPipeline:
              "--summary", str(cli / "bowtie_summary.csv")],
             ["distances", "--graph", graph, "--direction", "in", "--out", str(cli / "distances_in.csv")],
             ["communities", "--graph", graph, "--out", str(cli / "communities.csv")],
+            ["stats", "--graph", graph, "--out", str(cli)],
         ]
         skipped = {"extract": "skipping Ghost: ", "identify": "failed Ghost: "}
         cli.mkdir()
@@ -290,6 +312,6 @@ class TestCliMatchesPipeline:
         compared = [f"mnc/{name}" for name in names] + [
             "keyfirms.csv", "bowtie.csv", "bowtie_summary.csv", "distances_in.csv",
             "communities.csv", "dsizes.csv",
-        ]
+        ] + [f"stats/{name}" for name in ("pk_in.csv", "pk_out.csv", "ck.csv", "knn.csv", "fits.json")]
         for rel in compared:
             assert (cli / rel).read_bytes() == (out / rel).read_bytes(), rel

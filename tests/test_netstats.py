@@ -1,5 +1,8 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from conftest import make_graph, random_digraph
@@ -109,22 +112,42 @@ def brute_clustering(mask):
     return out
 
 
+@st.composite
+def messy_digraphs(draw):
+    """Digraphs with reciprocal pairs, parallel edges, a hub star and isolated nodes."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edge = st.tuples(node, node, st.booleans(), st.integers(min_value=1, max_value=3))
+    edges = []
+    for u, v, reciprocal, copies in draw(st.lists(edge, max_size=60)):
+        if u == v:
+            continue
+        edges += [(u, v)] * copies
+        if reciprocal:
+            edges.append((v, u))
+    # node n owns a star over the first `leaves` nodes; the nodes past it are isolated
+    leaves = draw(st.integers(min_value=0, max_value=n))
+    edges += [(i, n) for i in range(leaves)]
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    return make_graph(n + 1 + isolated, edges)
+
+
 class TestClustering:
     def test_triangle(self):
         g = make_graph(3, [(0, 1), (1, 2), (2, 0)])
-        curve = netstats.clustering_by_degree(g)
+        curve = netstats.clustering_by_degree(*netstats.undirected_simple_csr(g))
         assert curve.as_dict() == {2: 1.0}
 
     def test_star_no_triangles(self):
         g = make_graph(6, [(i, 0) for i in range(1, 6)])
-        curve = netstats.clustering_by_degree(g)
+        curve = netstats.clustering_by_degree(*netstats.undirected_simple_csr(g))
         assert curve.as_dict() == {1: 0.0, 5: 0.0}
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(15):
             g, mask = random_digraph(rng, 30, p=0.12)
-            got = netstats.local_clustering(g)
+            got = netstats.local_clustering(*netstats.undirected_simple_csr(g))
             assert np.allclose(got, brute_clustering(mask))
 
     def test_direction_reversal_invariance(self):
@@ -132,27 +155,40 @@ class TestClustering:
         g, mask = random_digraph(rng, 25, p=0.12)
         edges = [(j, i) for i, j in zip(g.src, g.dst)]
         rev = make_graph(25, edges)
-        assert np.allclose(netstats.local_clustering(g), netstats.local_clustering(rev))
+        assert np.allclose(
+            netstats.local_clustering(*netstats.undirected_simple_csr(g)),
+            netstats.local_clustering(*netstats.undirected_simple_csr(rev)),
+        )
 
-    def test_python_kernel_matches(self):
-        rng = np.random.default_rng(8)
-        g, _ = random_digraph(rng, 40, p=0.1)
+    @settings(max_examples=150, deadline=None)
+    @given(messy_digraphs())
+    # 256 copies of one pair: summed as a narrow integer type they would wrap to 0
+    @example(make_graph(4, [(0, 1)] * 256 + [(1, 2), (2, 0), (3, 0)]))
+    def test_kernel_matches_networkx(self, g):
+        und = nx.Graph()
+        und.add_nodes_from(range(g.n_nodes))
+        und.add_edges_from(zip(g.src.tolist(), g.dst.tolist()))
+
         indptr, nbrs = netstats.undirected_simple_csr(g)
-        via_kernel = netstats.triangle_counts(indptr, nbrs)
-        tri = np.zeros(g.n_nodes, dtype=np.int64)
-        netstats._triangle_kernel_py(indptr, nbrs, tri)
-        assert np.array_equal(via_kernel, tri)
+        assert indptr.dtype == np.int64 and nbrs.dtype == np.int64
+        assert indptr.shape[0] == g.n_nodes + 1
+        for v in range(g.n_nodes):
+            assert nbrs[indptr[v]:indptr[v + 1]].tolist() == sorted(und[v])
+
+        tri = netstats.triangle_counts(indptr, nbrs)
+        assert tri.dtype == np.int64
+        assert tri.tolist() == [nx.triangles(und, v) for v in range(g.n_nodes)]
 
 
 class TestKnn:
     def test_star(self):
         g = make_graph(5, [(i, 0) for i in range(1, 5)])
-        curve = netstats.knn_by_degree(g)
+        curve = netstats.knn_by_degree(*netstats.undirected_simple_csr(g))
         assert curve.as_dict() == {1: 4.0, 4: 1.0}
 
     def test_regular_ring(self):
         g = make_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        curve = netstats.knn_by_degree(g)
+        curve = netstats.knn_by_degree(*netstats.undirected_simple_csr(g))
         assert curve.as_dict() == {2: 2.0}
 
     def test_brute_force_oracle(self):
@@ -162,7 +198,7 @@ class TestKnn:
             und = mask | mask.T
             np.fill_diagonal(und, False)
             deg = und.sum(axis=1)
-            curve = netstats.knn_by_degree(g)
+            curve = netstats.knn_by_degree(*netstats.undirected_simple_csr(g))
             expect = {}
             for v in range(30):
                 if deg[v] == 0:
@@ -185,6 +221,6 @@ class TestKnn:
                 edges.append((nid, hub))
                 nid += 1
         g = make_graph(nid, edges)
-        curve = netstats.knn_by_degree(g)
+        curve = netstats.knn_by_degree(*netstats.undirected_simple_csr(g))
         rho = spearmanr(curve.degrees, curve.values).statistic
         assert rho < 0
