@@ -12,7 +12,7 @@ from . import components as comp
 from . import pipeline as pl
 from .community import detect_communities
 from .errors import OwnetError
-from .graph import load_cache, load_graph, save_cache, substantial_view, write_csv_rows
+from .graph import load_cache, load_or_build, save_cache, substantial_view, write_csv_rows
 from .jurisdiction import load_edge_values, load_profiles
 from .keyfirms import classify_all, load_keyfirms_csv
 from .mnc import load_hq_list
@@ -44,16 +44,15 @@ def main(ctx, seed):
 @click.option("--nodes", required=True, type=click.Path(exists=True))
 @click.option("--edges", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, help="Cache path (default: $OWNET_CACHE_DIR/graph.npz).")
-@click.option("--rebuild", is_flag=True, help="Rebuild even if the cache exists.")
-def ingest(nodes, edges, out, rebuild):
-    """Parse CSVs and write the binary graph cache."""
+def ingest(nodes, edges, out):
+    """Parse CSVs and write the binary graph cache, unless it is current."""
     target = Path(out) if out else _cache_dir() / "graph.npz"
-    if target.exists() and not rebuild:
-        click.echo(f"cache exists: {target} (use --rebuild to refresh)")
+    graph, digests = load_or_build(nodes, edges, target)
+    if digests is None:
+        click.echo(f"cache exists: {target} (built from these inputs)")
         return
-    graph = load_graph(nodes, edges)
     target.parent.mkdir(parents=True, exist_ok=True)
-    save_cache(graph, target)
+    save_cache(graph, target, digests)
     click.echo(f"nodes={graph.n_nodes} edges={graph.n_edges} counters={graph.ingest_counters}")
     click.echo(f"cache written: {target}")
 

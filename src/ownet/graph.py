@@ -11,6 +11,10 @@ through ``ids``.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+import zipfile
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +29,8 @@ NA_INDUSTRY = "V"
 NODE_HEADER = ["node_id", "jurisdiction", "nace_section", "name", "is_hq"]
 EDGE_HEADER = ["subsidiary_id", "shareholder_id", "pct"]
 
-CACHE_VERSION = 1
+# version 2 adds the sha256 digests of the two input CSVs
+CACHE_VERSION = 2
 
 _TRUE = {"1", "true", "t", "yes", "y"}
 _FALSE = {"0", "false", "f", "no", "n", ""}
@@ -55,12 +60,41 @@ class DegreeRecord:
 
 
 @dataclass(frozen=True)
+class NodeColumns:
+    """Node metadata as parallel columns; ``id_index`` maps each id to its
+    position and ``jurisdiction_index`` points into the sorted labels."""
+
+    ids: list[str]
+    id_index: dict[str, int]
+    jurisdiction_labels: list[str]
+    jurisdiction_index: np.ndarray
+    nace: list[str] | np.ndarray
+    names: list[str]
+    is_hq: list[bool] | np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+@dataclass(frozen=True)
+class EdgeColumns:
+    """Edges as parallel columns: int32 node indexes ``src``/``dst``, float64 ``pct``."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    pct: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+
+@dataclass(frozen=True)
 class EdgeLoadResult:
     """Edges plus ingest counters (dropped self-loops, blank percentages)."""
 
-    edges: list[OwnershipEdge]
-    self_loops_dropped: int = 0
-    blank_pct: int = 0
+    edges: EdgeColumns
+    self_loops_dropped: int
+    blank_pct: int
 
 
 def _parse_bool(raw: str, path, line) -> bool:
@@ -72,97 +106,94 @@ def _parse_bool(raw: str, path, line) -> bool:
     raise LoadError(f"cannot parse boolean field {raw!r}", path, line)
 
 
-def load_nodes(path) -> list[NodeRecord]:
-    """Read a node CSV (``node_id,jurisdiction,nace_section,name,is_hq``).
-
-    Duplicate node ids and malformed rows are rejected with the line number.
-    """
-    path = Path(path)
-    records: list[NodeRecord] = []
-    seen: set[str] = set()
+def _data_rows(path: Path, header: list[str]):
+    """``(line, row)`` per non-blank row after ``header`` (line = row index + 2);
+    rejects a missing file, a wrong header and a wrong field count."""
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise LoadError(str(exc), path) from exc
     with handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != NODE_HEADER:
-            raise LoadError(f"expected header {','.join(NODE_HEADER)}", path, 1)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise LoadError(f"expected header {','.join(header)}", path, 1)
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(NODE_HEADER):
-                raise LoadError(f"expected {len(NODE_HEADER)} fields, got {len(row)}", path, line)
-            node_id = row[0].strip()
-            if not node_id:
-                raise LoadError("empty node_id", path, line)
-            if node_id in seen:
-                raise LoadError(f"duplicate node_id {node_id!r}", path, line)
-            seen.add(node_id)
-            jurisdiction = row[1].strip() or NA_JURISDICTION
-            nace = row[2].strip() or NA_INDUSTRY
-            records.append(
-                NodeRecord(
-                    node_id=node_id,
-                    jurisdiction=jurisdiction,
-                    nace_section=nace,
-                    name=row[3],
-                    is_hq=_parse_bool(row[4], path, line),
-                )
-            )
-    return records
+            if len(row) != len(header):
+                raise LoadError(f"expected {len(header)} fields, got {len(row)}", path, line)
+            yield line, row
 
 
-def load_edges(path, known_ids=None) -> EdgeLoadResult:
-    """Read an edge CSV (``subsidiary_id,shareholder_id,pct``).
+def load_nodes(path) -> NodeColumns:
+    """Read a node CSV (``node_id,jurisdiction,nace_section,name,is_hq``) into columns.
 
-    Self-loops are dropped and counted rather than rejected. A blank pct is
-    ingested as 0.0 (never substantial) and counted. When ``known_ids`` is
-    given, unknown endpoints are rejected immediately; otherwise validation
-    is deferred to ``build_graph``.
+    Empty and duplicate node ids and malformed rows are rejected with the
+    line number.
     """
     path = Path(path)
-    edges: list[OwnershipEdge] = []
-    self_loops = 0
-    blank_pct = 0
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != EDGE_HEADER:
-            raise LoadError(f"expected header {','.join(EDGE_HEADER)}", path, 1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EDGE_HEADER):
-                raise LoadError(f"expected {len(EDGE_HEADER)} fields, got {len(row)}", path, line)
-            sub, sh = row[0].strip(), row[1].strip()
-            if not sub or not sh:
-                raise LoadError("empty endpoint id", path, line)
-            if known_ids is not None:
-                if sub not in known_ids:
-                    raise LoadError(f"unknown node_id {sub!r}", path, line)
-                if sh not in known_ids:
-                    raise LoadError(f"unknown node_id {sh!r}", path, line)
-            raw_pct = row[2].strip()
-            if raw_pct == "":
-                pct = 0.0
-                blank_pct += 1
-            else:
-                try:
-                    pct = float(raw_pct)
-                except ValueError as exc:
-                    raise LoadError(f"cannot parse pct {raw_pct!r}", path, line) from exc
-            if not 0.0 <= pct <= 100.0:
-                raise LoadError(f"pct {pct} outside [0, 100]", path, line)
-            if sub == sh:
-                self_loops += 1
-                continue
-            edges.append(OwnershipEdge(sub, sh, pct))
+    ids, nace, names, is_hq = [], [], [], []
+    id_index: dict[str, int] = {}
+    first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
+    codes = array("i")
+    for line, row in _data_rows(path, NODE_HEADER):
+        node_id = row[0].strip()
+        if not node_id:
+            raise LoadError("empty node_id", path, line)
+        if node_id in id_index:
+            raise LoadError(f"duplicate node_id {node_id!r}", path, line)
+        id_index[node_id] = len(ids)
+        ids.append(node_id)
+        codes.append(first_seen.setdefault(row[1].strip() or NA_JURISDICTION, len(first_seen)))
+        nace.append(row[2].strip() or NA_INDUSTRY)
+        names.append(row[3])
+        is_hq.append(_parse_bool(row[4], path, line))
+    labels = sorted(first_seen)
+    rank = np.empty(len(labels), dtype=np.int32)
+    rank[[first_seen[label] for label in labels]] = np.arange(len(labels))
+    return NodeColumns(ids, id_index, labels, rank[np.asarray(codes)], nace, names, is_hq)
+
+
+def load_edges(path, id_index: dict[str, int]) -> EdgeLoadResult:
+    """Read an edge CSV (``subsidiary_id,shareholder_id,pct``) into index columns.
+
+    Endpoints are mapped through ``id_index`` (see :func:`load_nodes`); an
+    unknown id is rejected with the line number. Self-loops are dropped and
+    counted rather than rejected. A blank pct is ingested as 0.0 (never
+    substantial) and counted.
+    """
+    path = Path(path)
+    src, dst, pct = array("i"), array("i"), array("d")
+    self_loops = blank_pct = 0
+    for line, row in _data_rows(path, EDGE_HEADER):
+        sub, sh = row[0].strip(), row[1].strip()
+        if not sub or not sh:
+            raise LoadError("empty endpoint id", path, line)
+        s = id_index.get(sub)
+        if s is None:
+            raise LoadError(f"unknown node_id {sub!r}", path, line)
+        d = id_index.get(sh)
+        if d is None:
+            raise LoadError(f"unknown node_id {sh!r}", path, line)
+        raw_pct = row[2].strip()
+        if raw_pct == "":
+            value = 0.0
+            blank_pct += 1
+        else:
+            try:
+                value = float(raw_pct)
+            except ValueError as exc:
+                raise LoadError(f"cannot parse pct {raw_pct!r}", path, line) from exc
+        if not 0.0 <= value <= 100.0:
+            raise LoadError(f"pct {value} outside [0, 100]", path, line)
+        if s == d:
+            self_loops += 1
+            continue
+        src.append(s)
+        dst.append(d)
+        pct.append(value)
+    edges = EdgeColumns(np.asarray(src), np.asarray(dst), np.asarray(pct))
     return EdgeLoadResult(edges=edges, self_loops_dropped=self_loops, blank_pct=blank_pct)
 
 
@@ -216,29 +247,24 @@ class _Adjacency:
 class OwnershipGraph(_Adjacency):
     """Immutable directed shareholding graph with node metadata.
 
-    Construction happens once through :func:`build_graph` (or the cache
-    loader); afterwards every array is write-protected and the object is
-    safe for unrestricted concurrent reads.
+    Built once from node and edge columns (by :func:`load_graph`,
+    :func:`build_graph`, :func:`load_cache` or :func:`induced_subgraph`);
+    afterwards every array is write-protected and the object is safe for
+    unrestricted concurrent reads.
     """
 
-    def __init__(self, ids, jurisdictions, nace, names, is_hq, src, dst, pct, counters=None):
-        n = len(ids)
-        self.ids: list[str] = list(ids)
-        self.id_index: dict[str, int] = {node_id: i for i, node_id in enumerate(self.ids)}
-        if len(self.id_index) != n:
-            raise GraphError("duplicate node ids")
-        labels = sorted(set(jurisdictions))
+    def __init__(self, nodes: NodeColumns, edges: EdgeColumns, counters: dict[str, int]):
+        self.ids: list[str] = nodes.ids
+        self.id_index: dict[str, int] = nodes.id_index
+        labels = nodes.jurisdiction_labels
         self.jurisdiction_labels: list[str] = labels
-        label_index = {code: i for i, code in enumerate(labels)}
-        self.jurisdiction_index = freeze(
-            np.fromiter((label_index[j] for j in jurisdictions), dtype=np.int32, count=n)
-        )
-        self.na_jurisdiction = label_index.get(NA_JURISDICTION, -1)
-        self.nace = freeze(np.asarray(nace, dtype="U1"))
-        self.names: list[str] = list(names)
-        self.is_hq = freeze(np.asarray(is_hq, dtype=bool))
-        self.ingest_counters: dict[str, int] = dict(counters or {})
-        self._index_edges(n, src, dst, pct)
+        self.jurisdiction_index = freeze(np.asarray(nodes.jurisdiction_index, dtype=np.int32))
+        self.na_jurisdiction = labels.index(NA_JURISDICTION) if NA_JURISDICTION in labels else -1
+        self.nace = freeze(np.asarray(nodes.nace, dtype="U1"))
+        self.names: list[str] = nodes.names
+        self.is_hq = freeze(np.asarray(nodes.is_hq, dtype=bool))
+        self.ingest_counters: dict[str, int] = dict(counters)
+        self._index_edges(len(nodes), edges.src, edges.dst, edges.pct)
 
     # -- metadata access -------------------------------------------------
     def index_of(self, node_id: str) -> int:
@@ -249,15 +275,6 @@ class OwnershipGraph(_Adjacency):
 
     def jurisdiction_of(self, i: int) -> str:
         return self.jurisdiction_labels[self.jurisdiction_index[i]]
-
-    def node_record(self, i: int) -> NodeRecord:
-        return NodeRecord(
-            node_id=self.ids[i],
-            jurisdiction=self.jurisdiction_of(i),
-            nace_section=str(self.nace[i]),
-            name=self.names[i],
-            is_hq=bool(self.is_hq[i]),
-        )
 
     @property
     def graph(self) -> "OwnershipGraph":
@@ -286,58 +303,35 @@ class SubstantialView(_Adjacency):
 
 
 def build_graph(nodes, edges) -> OwnershipGraph:
-    """Assemble the immutable graph from parsed records.
+    """Assemble the immutable graph from in-memory :class:`NodeRecord` and
+    :class:`OwnershipEdge` records.
 
-    ``edges`` may be a plain sequence of :class:`OwnershipEdge` or an
-    :class:`EdgeLoadResult` (its counters are then carried onto the graph).
-    Edges referencing unknown nodes are rejected.
+    Duplicate node ids and edges referencing unknown nodes are rejected.
     """
-    counters = {"self_loops_dropped": 0, "blank_pct": 0}
-    if isinstance(edges, EdgeLoadResult):
-        counters = {
-            "self_loops_dropped": edges.self_loops_dropped,
-            "blank_pct": edges.blank_pct,
-        }
-        edge_seq = edges.edges
-    else:
-        edge_seq = list(edges)
-
     ids = [rec.node_id for rec in nodes]
-    index = {node_id: i for i, node_id in enumerate(ids)}
-    if len(index) != len(ids):
+    id_index = {node_id: i for i, node_id in enumerate(ids)}
+    if len(id_index) != len(ids):
         raise GraphError("duplicate node ids")
-
-    m = len(edge_seq)
-    src = np.empty(m, dtype=np.int32)
-    dst = np.empty(m, dtype=np.int32)
-    pct = np.empty(m, dtype=np.float64)
-    for k, edge in enumerate(edge_seq):
-        try:
-            src[k] = index[edge.subsidiary]
-            dst[k] = index[edge.shareholder]
-        except KeyError as exc:
-            raise GraphError(f"edge references unknown node {exc.args[0]!r}") from None
-        pct[k] = edge.pct
-
-    return OwnershipGraph(
-        ids=ids,
-        jurisdictions=[rec.jurisdiction for rec in nodes],
-        nace=[rec.nace_section for rec in nodes],
-        names=[rec.name for rec in nodes],
-        is_hq=[rec.is_hq for rec in nodes],
-        src=src,
-        dst=dst,
-        pct=pct,
-        counters=counters,
-    )
+    labels = sorted({rec.jurisdiction for rec in nodes})
+    code = {label: i for i, label in enumerate(labels)}
+    columns = NodeColumns(ids, id_index, labels, [code[rec.jurisdiction] for rec in nodes],
+                          [rec.nace_section for rec in nodes], [rec.name for rec in nodes],
+                          [rec.is_hq for rec in nodes])
+    try:
+        rows = [(id_index[edge.subsidiary], id_index[edge.shareholder], edge.pct) for edge in edges]
+    except KeyError as exc:
+        raise GraphError(f"edge references unknown node {exc.args[0]!r}") from None
+    table = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    edge_columns = EdgeColumns(table[:, 0].astype(np.int32), table[:, 1].astype(np.int32), table[:, 2])
+    return OwnershipGraph(columns, edge_columns, {"self_loops_dropped": 0, "blank_pct": 0})
 
 
-def load_graph(nodes_path, edges_path, strict: bool = True) -> OwnershipGraph:
-    """Convenience: parse both CSVs and build the graph."""
+def load_graph(nodes_path, edges_path) -> OwnershipGraph:
+    """Parse both CSVs and build the graph."""
     nodes = load_nodes(nodes_path)
-    known = {rec.node_id for rec in nodes} if strict else None
-    result = load_edges(edges_path, known_ids=known)
-    return build_graph(nodes, result)
+    result = load_edges(edges_path, nodes.id_index)
+    counters = {"self_loops_dropped": result.self_loops_dropped, "blank_pct": result.blank_pct}
+    return OwnershipGraph(nodes, result.edges, counters)
 
 
 def substantial_view(graph: OwnershipGraph, threshold: float = 10.0) -> SubstantialView:
@@ -371,30 +365,27 @@ def reciprocal_link_ratio(g: _Adjacency) -> float:
 def induced_subgraph(graph: OwnershipGraph, node_ids) -> OwnershipGraph:
     """Subgraph on the given node ids with exactly the internal edges.
 
-    Metadata is preserved; kept nodes retain their relative order. Unknown
-    ids are rejected.
+    Metadata is preserved; kept nodes retain their relative order, and only
+    the jurisdiction labels they use are kept. Unknown ids are rejected.
     """
-    indexes = sorted({graph.index_of(node_id) for node_id in node_ids})
+    indexes = np.array(sorted({graph.index_of(node_id) for node_id in node_ids}), dtype=np.int64)
     keep = np.zeros(graph.n_nodes, dtype=bool)
     keep[indexes] = True
     remap = np.full(graph.n_nodes, -1, dtype=np.int64)
     remap[indexes] = np.arange(len(indexes))
 
+    ids = [graph.ids[i] for i in indexes]
+    used, jurisdiction_index = np.unique(graph.jurisdiction_index[indexes], return_inverse=True)
+    nodes = NodeColumns(ids, {node_id: i for i, node_id in enumerate(ids)},
+                        [graph.jurisdiction_labels[u] for u in used], jurisdiction_index,
+                        graph.nace[indexes], [graph.names[i] for i in indexes], graph.is_hq[indexes])
     mask = keep[graph.src] & keep[graph.dst]
-    return OwnershipGraph(
-        ids=[graph.ids[i] for i in indexes],
-        jurisdictions=[graph.jurisdiction_of(i) for i in indexes],
-        nace=[str(graph.nace[i]) for i in indexes],
-        names=[graph.names[i] for i in indexes],
-        is_hq=[bool(graph.is_hq[i]) for i in indexes],
-        src=remap[graph.src[mask]].astype(np.int32),
-        dst=remap[graph.dst[mask]].astype(np.int32),
-        pct=graph.pct[mask].copy(),
-        counters=graph.ingest_counters,
-    )
+    edges = EdgeColumns(remap[graph.src[mask]].astype(np.int32), remap[graph.dst[mask]].astype(np.int32),
+                        graph.pct[mask])
+    return OwnershipGraph(nodes, edges, graph.ingest_counters)
 
 
-# -- canonical CSV emit ----------------------------------------------------
+# -- canonical CSV and JSON emit -------------------------------------------
 
 def write_csv_rows(path, header, rows) -> None:
     """Write rows with deterministic quoting and unix line endings."""
@@ -402,6 +393,13 @@ def write_csv_rows(path, header, rows) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def node_csv_row(record: NodeRecord) -> tuple[str, str, str, str, str]:
@@ -426,18 +424,29 @@ def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
-    raw = blob.tobytes()
-    return [raw[offsets[i] : offsets[i + 1]].decode("utf-8") for i in range(len(offsets) - 1)]
+    raw, bounds = blob.tobytes(), offsets.tolist()
+    return [raw[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
-def save_cache(graph: OwnershipGraph, path) -> None:
-    """Persist the built graph to a versioned npz cache."""
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def save_cache(graph: OwnershipGraph, path, digests: tuple[str, str] = ("", "")) -> None:
+    """Persist the built graph to a versioned npz cache, keyed on ``digests``:
+    the sha256 of the node and edge CSVs it was parsed from (default: none)."""
     ids_blob, ids_off = _pack_strings(graph.ids)
     names_blob, names_off = _pack_strings(graph.names)
     jur_blob, jur_off = _pack_strings(graph.jurisdiction_labels)
     np.savez(
         path,
         version=np.int64(CACHE_VERSION),
+        nodes_sha256=np.array(digests[0]),
+        edges_sha256=np.array(digests[1]),
         ids_blob=ids_blob,
         ids_off=ids_off,
         names_blob=names_blob,
@@ -456,27 +465,61 @@ def save_cache(graph: OwnershipGraph, path) -> None:
 
 
 def load_cache(path) -> OwnershipGraph:
-    """Load a graph cache written by :func:`save_cache`."""
+    """Load a graph cache written by :func:`save_cache`.
+
+    Field lengths, node and label index ranges and pct values are checked;
+    a violation raises a :class:`LoadError` naming the field.
+    """
     try:
         data = np.load(path)
     except OSError as exc:
         raise LoadError(str(exc), path) from exc
-    version = int(data["version"])
-    if version != CACHE_VERSION:
-        raise LoadError(f"cache version {version} unsupported (expected {CACHE_VERSION})", path)
-    labels = _unpack_strings(data["jur_blob"], data["jur_off"])
-    jurisdictions = [labels[i] for i in data["jur_index"]]
-    return OwnershipGraph(
-        ids=_unpack_strings(data["ids_blob"], data["ids_off"]),
-        jurisdictions=jurisdictions,
-        nace=list(data["nace"]),
-        names=_unpack_strings(data["names_blob"], data["names_off"]),
-        is_hq=data["is_hq"],
-        src=data["src"].astype(np.int32),
-        dst=data["dst"].astype(np.int32),
-        pct=data["pct"].astype(np.float64),
-        counters={
-            "self_loops_dropped": int(data["self_loops_dropped"]),
-            "blank_pct": int(data["blank_pct"]),
-        },
-    )
+    with data:
+        version = int(data["version"])
+        if version != CACHE_VERSION:
+            raise LoadError(f"cache version {version} unsupported (expected {CACHE_VERSION})", path)
+        ids = _unpack_strings(data["ids_blob"], data["ids_off"])
+        labels = _unpack_strings(data["jur_blob"], data["jur_off"])
+        fields = {key: data[key] for key in ("jur_index", "nace", "is_hq", "src", "dst", "pct")}
+        fields["names"] = _unpack_strings(data["names_blob"], data["names_off"])
+        counters = {key: int(data[key]) for key in ("self_loops_dropped", "blank_pct")}
+
+    n, m = len(ids), len(fields["src"])
+    for field in ("names", "nace", "is_hq", "jur_index", "dst", "pct"):
+        expected = m if field in ("dst", "pct") else n
+        if len(fields[field]) != expected:
+            raise LoadError(f"cache field {field!r} has {len(fields[field])} entries, not {expected}", path)
+    for field, bound in (("src", n), ("dst", n), ("jur_index", len(labels))):
+        values = fields[field]
+        if values.size and (values.min() < 0 or values.max() >= bound):
+            raise LoadError(f"cache field {field!r} holds values outside [0, {bound})", path)
+    if not np.all((fields["pct"] >= 0.0) & (fields["pct"] <= 100.0)):
+        raise LoadError("cache field 'pct' holds values outside [0, 100]", path)
+    id_index = {node_id: i for i, node_id in enumerate(ids)}
+    if len(id_index) != n:
+        raise LoadError("cache field 'ids' holds duplicate node ids", path)
+
+    nodes = NodeColumns(ids, id_index, labels, fields["jur_index"], fields["nace"], fields["names"],
+                        fields["is_hq"])
+    src, dst = fields["src"].astype(np.int32), fields["dst"].astype(np.int32)
+    edges = EdgeColumns(src, dst, fields["pct"].astype(np.float64))
+    return OwnershipGraph(nodes, edges, counters)
+
+
+def load_or_build(nodes_path, edges_path, cache_path) -> tuple[OwnershipGraph, tuple[str, str] | None]:
+    """The graph of the two CSVs, from ``cache_path`` only if that cache has this
+    ``CACHE_VERSION`` and was saved with the inputs' sha256 digests.
+
+    Otherwise (absent, older, stale or unreadable cache) the CSVs are parsed,
+    and their digests are returned for :func:`save_cache`; else None.
+    """
+    digests = (_sha256(nodes_path), _sha256(edges_path))
+    try:
+        with np.load(cache_path) as data:
+            current = (int(data["version"]) == CACHE_VERSION
+                       and (data["nodes_sha256"].item(), data["edges_sha256"].item()) == digests)
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+        current = False
+    if current:
+        return load_cache(cache_path), None
+    return load_graph(nodes_path, edges_path), digests

@@ -10,7 +10,6 @@ emit the same bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,12 +23,13 @@ from .community import community_size_histogram, detect_communities
 from .errors import FitError, OwnetError, PipelineError
 from .graph import (
     OwnershipGraph,
+    _sha256,
     induced_subgraph,
-    load_cache,
-    load_graph,
+    load_or_build,
     save_cache,
     substantial_view,
     write_csv_rows,
+    write_json,
 )
 from .keyfirms import KEYFIRMS_HEADER, ROLE_NAMES, Role, classify_all
 from .mnc import load_hq_list, mnc_file_name
@@ -55,7 +55,6 @@ class RunConfig:
     damping: float = 0.85
     communities_scope: str = "gwcc"
     cache: Path | None = None
-    rebuild_cache: bool = False
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -93,14 +92,6 @@ class RunConfig:
                 raise PipelineError(f"missing input file: {name} ({path})")
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class _Manifest:
     def __init__(self, outdir: Path, config: RunConfig):
         self.outdir = outdir
@@ -125,9 +116,7 @@ class _Manifest:
     def finish(self, status: str) -> Path:
         self.data["status"] = status
         target = self.outdir / "manifest.json"
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(self.data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(target, self.data)
         return target
 
 
@@ -159,33 +148,25 @@ def run_pipeline(config: RunConfig) -> Path:
     return manifest.finish("ok")
 
 
+def _cache_path(config: RunConfig) -> Path:
+    return Path(config.cache) if config.cache else Path(config.outdir) / "graph.npz"
+
+
 def _get_graph(config: RunConfig, state: dict) -> OwnershipGraph:
     if "graph" not in state:
-        cache = Path(config.cache) if config.cache else Path(config.outdir) / "graph.npz"
-        if cache.exists() and not config.rebuild_cache:
-            state["graph"] = load_cache(cache)
-        else:
-            state["graph"] = load_graph(config.nodes, config.edges)
+        state["graph"], state["digests"] = load_or_build(config.nodes, config.edges, _cache_path(config))
     return state["graph"]
 
 
 def _stage_ingest(config, outdir, manifest, state):
     graph = _get_graph(config, state)
-    cache = Path(config.cache) if config.cache else outdir / "graph.npz"
-    save_cache(graph, cache)
+    cache = _cache_path(config)
+    if state["digests"] is not None:  # parsed from the CSVs: the cache was absent or stale
+        save_cache(graph, cache, state["digests"])
     if cache.is_relative_to(outdir):
         manifest.add("ingest", cache)
     summary = outdir / "ingest_summary.json"
-    with open(summary, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "nodes": graph.n_nodes,
-                "edges": graph.n_edges,
-                "counters": graph.ingest_counters,
-            },
-            handle, indent=2, sort_keys=True,
-        )
-        handle.write("\n")
+    write_json(summary, {"nodes": graph.n_nodes, "edges": graph.n_edges, "counters": graph.ingest_counters})
     manifest.add("ingest", summary)
 
 
@@ -272,9 +253,7 @@ def write_stats(graph: OwnershipGraph, stats_dir: Path, bin_ratio: float) -> lis
     paths.append(path)
 
     path = stats_dir / "fits.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(fits, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, fits)
     paths.append(path)
     return paths
 
@@ -316,13 +295,8 @@ def _stage_communities(config, outdir, manifest, state):
     manifest.add("communities", dsizes)
 
     path = outdir / "communities_summary.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {"communities": partition.n_communities, "codelength": partition.codelength,
-             "scope": config.communities_scope},
-            handle, indent=2, sort_keys=True,
-        )
-        handle.write("\n")
+    write_json(path, {"communities": partition.n_communities, "codelength": partition.codelength,
+                      "scope": config.communities_scope})
     manifest.add("communities", path)
 
 
@@ -405,13 +379,8 @@ def _stage_identify(config, outdir, manifest, state):
     manifest.add("identify", path)
 
     path = outdir / "identify_summary.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {"tallies": report.tallies, "affiliates": report.n_affiliates,
-             "failures": report.failures},
-            handle, indent=2, sort_keys=True,
-        )
-        handle.write("\n")
+    write_json(path, {"tallies": report.tallies, "affiliates": report.n_affiliates,
+                      "failures": report.failures})
     manifest.add("identify", path)
 
 
@@ -489,9 +458,7 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
             for (hq, role), rows in hq_t.locations.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
     paths.append(path)
 
     # withholding-tax regressions per role
@@ -514,9 +481,7 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
         except ValueError as exc:
             regressions[tag] = {"error": str(exc)}
     path = reports_dir / "regression.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(regressions, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, regressions)
     paths.append(path)
     return paths
 

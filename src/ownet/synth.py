@@ -35,6 +35,7 @@ from .graph import (
     NodeRecord,
     OwnershipEdge,
     write_csv_rows,
+    write_json,
 )
 from .jurisdiction import PROFILE_HEADER
 
@@ -397,10 +398,7 @@ class SynthSpec:
         return spec
 
     def to_json(self, path) -> None:
-        data = asdict(self)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, asdict(self))
 
 
 @dataclass
@@ -540,10 +538,5 @@ def write_corpus(bundle: CorpusBundle, outdir) -> dict[str, Path]:
     write_csv_rows(paths["edges"], EDGE_HEADER, bundle.edge_rows)
     write_csv_rows(paths["hqs"], ["hq_node_id", "mnc_name"], bundle.hq_rows)
     write_csv_rows(paths["profiles"], PROFILE_HEADER, bundle.profile_rows)
-    with open(paths["truth"], "w", encoding="utf-8") as handle:
-        json.dump(
-            {"target_region": bundle.target_region, "roles": bundle.truth},
-            handle, indent=2, sort_keys=True,
-        )
-        handle.write("\n")
+    write_json(paths["truth"], {"target_region": bundle.target_region, "roles": bundle.truth})
     return paths

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from ownet.cli import main
 from ownet.errors import PipelineError
+from ownet.graph import load_cache, load_graph
 from ownet.pipeline import RunConfig, run_pipeline, verify_manifest, write_report
 from ownet.synth import SynthSpec, build_corpus, write_corpus
 
@@ -133,6 +134,48 @@ class TestPipeline:
         assert sorted(calls) == ["undirected_simple_csr", "weak_components"]
 
 
+    def test_stale_cache_rebuilt(self, corpus, tmp_path, monkeypatch):
+        import ownet.pipeline
+
+        _, paths, _ = corpus
+        inputs = drop_edge_rows_copy(paths, tmp_path / "data", 0)
+        config = config_for(inputs, tmp_path / "out", stages=("ingest",))
+        run_pipeline(config)
+        before = json.loads((tmp_path / "out" / "ingest_summary.json").read_text(encoding="utf-8"))
+
+        drop_edge_rows_copy(paths, tmp_path / "data", 10)
+        assert verify_manifest(run_pipeline(config))["status"] == "ok"
+        after = json.loads((tmp_path / "out" / "ingest_summary.json").read_text(encoding="utf-8"))
+        assert after["edges"] == load_graph(inputs["nodes"], inputs["edges"]).n_edges
+        assert after["edges"] == before["edges"] - 10
+
+        # unchanged inputs: the cache is read and not written again
+        saves = []
+        monkeypatch.setattr(ownet.pipeline, "save_cache", lambda *args: saves.append(args))
+        assert verify_manifest(run_pipeline(config))["status"] == "ok"
+        assert saves == []
+
+    def test_rebuild_cache_option_rejected(self, corpus, tmp_path):
+        _, paths, _ = corpus
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"nodes": str(paths["nodes"]), "edges": str(paths["edges"]),
+                        "outdir": str(tmp_path / "out"), "rebuild_cache": True}),
+            encoding="utf-8",
+        )
+        with pytest.raises(PipelineError, match="bad config"):
+            RunConfig.from_json(config_path)
+
+
+def drop_edge_rows_copy(paths, outdir, n_dropped):
+    """Copy the node and edge CSVs into ``outdir``, without the last ``n_dropped`` edge rows."""
+    outdir.mkdir(exist_ok=True)
+    lines = paths["edges"].read_text(encoding="utf-8").splitlines(keepends=True)
+    (outdir / "edges.csv").write_text("".join(lines[: len(lines) - n_dropped]), encoding="utf-8")
+    (outdir / "nodes.csv").write_text(paths["nodes"].read_text(encoding="utf-8"), encoding="utf-8")
+    return dict(paths, nodes=outdir / "nodes.csv", edges=outdir / "edges.csv")
+
+
 class TestCli:
     def test_synth_and_run(self, tmp_path):
         runner = CliRunner()
@@ -180,6 +223,21 @@ class TestCli:
             main, ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"])]
         )
         assert "cache exists" in result.output
+
+    def test_ingest_rebuilds_stale_cache(self, corpus, tmp_path):
+        _, paths, _ = corpus
+        runner = CliRunner()
+        inputs = drop_edge_rows_copy(paths, tmp_path / "data", 0)
+        args = ["ingest", "--nodes", str(inputs["nodes"]), "--edges", str(inputs["edges"]),
+                "--out", str(tmp_path / "graph.npz")]
+        assert runner.invoke(main, args).exit_code == 0
+        drop_edge_rows_copy(paths, tmp_path / "data", 10)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        edges = load_graph(inputs["nodes"], inputs["edges"]).n_edges
+        assert f"edges={edges} " in result.output
+        assert "cache written" in result.output
+        assert load_cache(tmp_path / "graph.npz").n_edges == edges
 
     def test_run_missing_input_nonzero_exit(self, tmp_path):
         runner = CliRunner()

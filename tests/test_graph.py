@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
@@ -21,7 +23,9 @@ from ownet.graph import (
     save_cache,
     substantial_view,
     write_csv_rows,
+    EDGE_HEADER,
     NODE_HEADER,
+    _parse_bool,
 )
 
 
@@ -32,11 +36,30 @@ def write(tmp_path, name, text):
 
 
 NODES_2 = "node_id,jurisdiction,nace_section,name,is_hq\nn1,US,C,Acme,0\nn2,NL,K,Holdco,1\n"
+IDS_2 = {"n1": 0, "n2": 1}
+
+
+def node_records(columns):
+    """The node columns from ``load_nodes`` as one record per row."""
+    return [
+        NodeRecord(node_id, columns.jurisdiction_labels[code], nace, name, bool(hq))
+        for node_id, code, nace, name, hq in zip(
+            columns.ids, columns.jurisdiction_index, columns.nace, columns.names, columns.is_hq
+        )
+    ]
+
+
+def edge_records(edges, ids):
+    """The edge columns from ``load_edges`` as one record per kept row."""
+    return [
+        OwnershipEdge(ids[s], ids[d], p)
+        for s, d, p in zip(edges.src.tolist(), edges.dst.tolist(), edges.pct.tolist())
+    ]
 
 
 class TestLoadNodes:
     def test_two_rows(self, tmp_path):
-        recs = load_nodes(write(tmp_path, "n.csv", NODES_2))
+        recs = node_records(load_nodes(write(tmp_path, "n.csv", NODES_2)))
         assert len(recs) == 2
         assert recs[0] == NodeRecord("n1", "US", "C", "Acme", False)
         assert recs[1].is_hq
@@ -48,7 +71,8 @@ class TestLoadNodes:
         assert err.value.line == 3
 
     def test_header_only(self, tmp_path):
-        assert load_nodes(write(tmp_path, "n.csv", "node_id,jurisdiction,nace_section,name,is_hq\n")) == []
+        path = write(tmp_path, "n.csv", "node_id,jurisdiction,nace_section,name,is_hq\n")
+        assert node_records(load_nodes(path)) == []
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(LoadError, match="header"):
@@ -60,38 +84,37 @@ class TestLoadNodes:
 
     def test_blank_jurisdiction_gets_sentinel(self, tmp_path):
         text = "node_id,jurisdiction,nace_section,name,is_hq\nn1,,,,0\n"
-        rec = load_nodes(write(tmp_path, "n.csv", text))[0]
+        rec = node_records(load_nodes(write(tmp_path, "n.csv", text)))[0]
         assert rec.jurisdiction == "n.a."
         assert rec.nace_section == "V"
 
 
 class TestLoadEdges:
     def test_parse(self, tmp_path):
-        res = load_edges(write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,55.0\n"))
-        assert res.edges == [OwnershipEdge("n1", "n2", 55.0)]
+        res = load_edges(write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,55.0\n"), IDS_2)
+        assert edge_records(res.edges, ["n1", "n2"]) == [OwnershipEdge("n1", "n2", 55.0)]
         assert res.self_loops_dropped == 0
 
     def test_self_loop_dropped_and_counted(self, tmp_path):
         res = load_edges(
-            write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n1,30.0\nn1,n2,20\n")
+            write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n1,30.0\nn1,n2,20\n"), IDS_2
         )
         assert len(res.edges) == 1
         assert res.self_loops_dropped == 1
 
     def test_out_of_range_pct(self, tmp_path):
         with pytest.raises(LoadError, match=r"\[0, 100\]"):
-            load_edges(write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,130.0\n"))
+            load_edges(write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,130.0\n"), IDS_2)
 
     def test_blank_pct_counted(self, tmp_path):
-        res = load_edges(write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,\n"))
-        assert res.edges[0].pct == 0.0
+        res = load_edges(write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,\n"), IDS_2)
+        assert res.edges.pct[0] == 0.0
         assert res.blank_pct == 1
 
     def test_unknown_id_strict(self, tmp_path):
         path = write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,zz,10\n")
         with pytest.raises(LoadError, match="unknown"):
-            load_edges(path, known_ids={"n1"})
-        assert len(load_edges(path).edges) == 1  # deferred validation
+            load_edges(path, {"n1": 0})
 
 
 class TestBuildGraph:
@@ -253,7 +276,7 @@ class TestCache:
 class TestCsvRoundTrip:
     def test_nodes_parse_emit_byte_equal(self, tmp_path):
         src = write(tmp_path, "nodes.csv", NODES_2)
-        records = load_nodes(src)
+        records = node_records(load_nodes(src))
         out = tmp_path / "out.csv"
         write_csv_rows(out, NODE_HEADER, (node_csv_row(r) for r in records))
         assert out.read_bytes() == src.read_bytes()
@@ -263,3 +286,215 @@ class TestCsvRoundTrip:
         write(tmp_path, "edges.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,55.00\n")
         g = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
         assert (g.n_nodes, g.n_edges) == (2, 1)
+
+
+class TestCacheValidation:
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            pytest.param("pct", lambda d: d["pct"].__setitem__(0, 150.0), id="pct-150"),
+            pytest.param("pct", lambda d: d["pct"].__setitem__(0, np.nan), id="pct-nan"),
+            pytest.param("is_hq", lambda d: d.update(is_hq=d["is_hq"][:-1]), id="is_hq-short"),
+            pytest.param("nace", lambda d: d.update(nace=d["nace"][:-1]), id="nace-short"),
+            pytest.param("jur_index", lambda d: d.update(jur_index=d["jur_index"][1:]), id="jur_index-short"),
+            pytest.param("names", lambda d: d.update(names_off=d["names_off"][:-1]), id="names-short"),
+            pytest.param("dst", lambda d: d.update(dst=d["dst"][:-1]), id="dst-short"),
+            pytest.param("pct", lambda d: d.update(pct=d["pct"][:-1]), id="pct-short"),
+            pytest.param("src", lambda d: d["src"].__setitem__(0, 9), id="src-past-n"),
+            pytest.param("dst", lambda d: d["dst"].__setitem__(0, -1), id="dst-negative"),
+            pytest.param("jur_index", lambda d: d["jur_index"].__setitem__(0, 99), id="jur_index-past-end"),
+        ],
+    )
+    def test_corrupt_field_named(self, tmp_path, m1_graph, field, corrupt):
+        path = tmp_path / "g.npz"
+        save_cache(m1_graph, path)
+        data = {key: value.copy() for key, value in np.load(path).items()}
+        corrupt(data)
+        np.savez(path, **data)
+        with pytest.raises(LoadError, match=f"cache field '{field}'"):
+            load_cache(path)
+
+
+# -- loader oracle ---------------------------------------------------------
+# The row-by-row loader that preceded the columnar one: one record per row,
+# endpoints checked against the set of node ids. Kept as the reference.
+
+def reference_load_nodes(path):
+    records, seen = [], set()
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != NODE_HEADER:
+            raise LoadError(f"expected header {','.join(NODE_HEADER)}", path, 1)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(NODE_HEADER):
+                raise LoadError(f"expected {len(NODE_HEADER)} fields, got {len(row)}", path, line)
+            node_id = row[0].strip()
+            if not node_id:
+                raise LoadError("empty node_id", path, line)
+            if node_id in seen:
+                raise LoadError(f"duplicate node_id {node_id!r}", path, line)
+            seen.add(node_id)
+            records.append(NodeRecord(node_id, row[1].strip() or "n.a.", row[2].strip() or "V",
+                                      row[3], _parse_bool(row[4], path, line)))
+    return records
+
+
+def reference_load_edges(path, known_ids):
+    edges, self_loops, blank_pct = [], 0, 0
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != EDGE_HEADER:
+            raise LoadError(f"expected header {','.join(EDGE_HEADER)}", path, 1)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(EDGE_HEADER):
+                raise LoadError(f"expected {len(EDGE_HEADER)} fields, got {len(row)}", path, line)
+            sub, sh = row[0].strip(), row[1].strip()
+            if not sub or not sh:
+                raise LoadError("empty endpoint id", path, line)
+            if sub not in known_ids:
+                raise LoadError(f"unknown node_id {sub!r}", path, line)
+            if sh not in known_ids:
+                raise LoadError(f"unknown node_id {sh!r}", path, line)
+            raw_pct = row[2].strip()
+            if raw_pct == "":
+                pct = 0.0
+                blank_pct += 1
+            else:
+                try:
+                    pct = float(raw_pct)
+                except ValueError as exc:
+                    raise LoadError(f"cannot parse pct {raw_pct!r}", path, line) from exc
+            if not 0.0 <= pct <= 100.0:
+                raise LoadError(f"pct {pct} outside [0, 100]", path, line)
+            if sub == sh:
+                self_loops += 1
+                continue
+            edges.append(OwnershipEdge(sub, sh, pct))
+    return edges, {"self_loops_dropped": self_loops, "blank_pct": blank_pct}
+
+
+def reference_load_graph(nodes_path, edges_path):
+    nodes = reference_load_nodes(nodes_path)
+    edges, counters = reference_load_edges(edges_path, {rec.node_id for rec in nodes})
+    return build_graph(nodes, edges), counters
+
+
+def outcome(load):
+    """``("error", type, message, line)`` if ``load`` raises a LoadError, else ``("ok", result)``."""
+    try:
+        return ("ok", load())
+    except LoadError as exc:
+        return ("error", type(exc), str(exc), exc.line)
+
+
+@st.composite
+def csv_inputs(draw):
+    """Node and edge rows over ids n0..n{k}, with every anomaly the loader checks.
+
+    About one row in ten is broken, and a broken row breaks each of its
+    checks with even odds: most files load, and a failing row often fails
+    several checks at once, which pins down the order of the checks.
+    """
+
+    def field(common, faults, broken):
+        return draw(st.sampled_from(faults)) if broken and draw(st.booleans()) else common
+
+    def shaped(row, broken):
+        if draw(st.integers(0, 19)) == 0:
+            return []
+        if broken and draw(st.integers(0, 3)) == 0:
+            return row[:-1] if draw(st.booleans()) else row + ["extra"]
+        return row
+
+    ids = [f"n{k}" for k in range(draw(st.integers(0, 8)))]
+    node_rows = []
+    for node_id in ids:
+        broken = draw(st.integers(0, 9)) == 0
+        row = [
+            field(node_id, [f" {node_id} ", "n0", ""], broken),
+            draw(st.sampled_from(["US", "NL", "", " KY ", "n.a."])),
+            draw(st.sampled_from(["C", "K", "", "AB"])),
+            draw(st.sampled_from(["", "Acme", "Acme, Inc.", 'He said "hi"', "x\ny"])),
+            field(draw(st.sampled_from(["0", "1", "true", " No ", "", "y"])), ["maybe"], broken),
+        ]
+        node_rows.append(shaped(row, broken))
+    endpoint = st.sampled_from(ids or ["n0"])
+    pct = st.sampled_from(["", " ", "100", "1e2", " 50 ", "0", "12.5"]) | st.floats(0, 100).map(repr)
+    edge_rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        broken = draw(st.integers(0, 9)) == 0
+        row = [
+            field(draw(endpoint), ["zz", "", " n1"], broken),
+            field(draw(endpoint), ["zz", ""], broken),
+            field(draw(pct), ["abc", "nan", "inf", "-1", "100.5", "1e3"], broken),
+        ]
+        edge_rows.append(shaped(row, broken))
+    return node_rows, edge_rows
+
+
+def assert_same_graph(got, want, want_counters):
+    assert got.ids == want.ids
+    assert got.id_index == want.id_index
+    assert got.names == want.names
+    assert got.jurisdiction_labels == want.jurisdiction_labels
+    assert got.na_jurisdiction == want.na_jurisdiction
+    for name in ("jurisdiction_index", "nace", "is_hq", "src", "dst", "pct", "out_indptr",
+                 "in_indptr", "in_order"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.ingest_counters == want_counters
+
+
+class TestLoaderOracle:
+    @given(csv_inputs())
+    # rows that fail two checks at once: the earlier check must win
+    @example(([["n0", "US", "C", "", "0"], ["n0", "NL", "K", "", "maybe"]], []))
+    @example(([["n0", "US", "C", "", "0"]], [["zz", "yy", "abc"]]))
+    @example(([["n0", "US", "C", "", "0"]], [["n0", "zz", "150"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_by_row_reference(self, tmp_path_factory, rows):
+        node_rows, edge_rows = rows
+        tmp = tmp_path_factory.mktemp("oracle")
+        nodes, edges = tmp / "nodes.csv", tmp / "edges.csv"
+        write_csv_rows(nodes, NODE_HEADER, node_rows)
+        write_csv_rows(edges, EDGE_HEADER, edge_rows)
+        got = outcome(lambda: load_graph(nodes, edges))
+        want = outcome(lambda: reference_load_graph(nodes, edges))
+        if want[0] == "error":
+            assert got == want
+        else:
+            assert got[0] == "ok", got
+            assert_same_graph(got[1], *want[1])
+
+    def test_first_bad_line_wins(self, tmp_path):
+        text = ("node_id,jurisdiction,nace_section,name,is_hq\n"
+                "n1,US,C,,0\nn1,NL,K,,0\nn2,NL,K,,0\nn3,NL,K,0\n")
+        nodes = write(tmp_path, "nodes.csv", text)
+        edges = write(tmp_path, "edges.csv", "subsidiary_id,shareholder_id,pct\n")
+        with pytest.raises(LoadError, match="duplicate") as err:
+            load_graph(nodes, edges)
+        assert err.value.line == 3
+        assert outcome(lambda: load_graph(nodes, edges)) == outcome(
+            lambda: reference_load_graph(nodes, edges))
+
+    def test_graph_keeps_the_parsed_id_index(self, tmp_path, monkeypatch):
+        import ownet.graph as graph_module
+
+        parsed = []
+
+        def recording_load_nodes(path):
+            parsed.append(load_nodes(path))
+            return parsed[-1]
+
+        monkeypatch.setattr(graph_module, "load_nodes", recording_load_nodes)
+        write(tmp_path, "nodes.csv", NODES_2)
+        write(tmp_path, "edges.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,55.00\n")
+        g = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+        assert g.id_index is parsed[0].id_index
+        assert g.id_index == {"n1": 0, "n2": 1}
