@@ -16,7 +16,6 @@ from .graph import (
     OwnershipGraph,
     SubstantialView,
     build_graph,
-    degrees,
     induced_subgraph,
     load_edges,
     load_graph,
@@ -44,7 +43,7 @@ from .community import (
     map_equation,
     stationary_flow,
 )
-from .mnc import assign_layers, build_subtree, extract_mnc, mnc_degrees
+from .mnc import build_subtree, extract_mnc, mnc_degrees
 from .keyfirms import (
     Role,
     classify_all,

@@ -134,12 +134,10 @@ def extract(graph_path, hqs, threshold, outdir):
 @click.option("--hqs", required=True, type=click.Path(exists=True))
 @click.option("--threshold", default=10.0, show_default=True)
 @click.option("--out", default="keyfirms.csv", show_default=True)
-@click.option("--global-degrees", is_flag=True,
-              help="Count affiliate degrees over the whole view, not the member subgraph.")
-def identify(graph_path, hqs, threshold, out, global_degrees):
+def identify(graph_path, hqs, threshold, out):
     """Hierarchical key-company identification for every listed MNC."""
     view = substantial_view(_load(graph_path), threshold)
-    report = classify_all(view, load_hq_list(hqs), global_degrees=global_degrees)
+    report = classify_all(view, load_hq_list(hqs))
     pl.write_keyfirms_csv(report, out)
     click.echo(f"tallies: {report.tallies}")
     for name, reason in report.failures:

@@ -52,13 +52,6 @@ class OwnershipEdge:
     pct: float
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeRecord:
-    node_id: str
-    k_in: int
-    k_out: int
-
-
 @dataclass(frozen=True)
 class NodeColumns:
     """Node metadata as parallel columns; ``id_index`` maps each id to its
@@ -106,7 +99,7 @@ def _parse_bool(raw: str, path, line) -> bool:
     raise LoadError(f"cannot parse boolean field {raw!r}", path, line)
 
 
-def _data_rows(path: Path, header: list[str]):
+def data_rows(path: Path, header: list[str]):
     """``(line, row)`` per non-blank row after ``header`` (line = row index + 2);
     rejects a missing file, a wrong header and a wrong field count."""
     try:
@@ -137,7 +130,7 @@ def load_nodes(path) -> NodeColumns:
     id_index: dict[str, int] = {}
     first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
     codes = array("i")
-    for line, row in _data_rows(path, NODE_HEADER):
+    for line, row in data_rows(path, NODE_HEADER):
         node_id = row[0].strip()
         if not node_id:
             raise LoadError("empty node_id", path, line)
@@ -166,7 +159,7 @@ def load_edges(path, id_index: dict[str, int]) -> EdgeLoadResult:
     path = Path(path)
     src, dst, pct = array("i"), array("i"), array("d")
     self_loops = blank_pct = 0
-    for line, row in _data_rows(path, EDGE_HEADER):
+    for line, row in data_rows(path, EDGE_HEADER):
         sub, sh = row[0].strip(), row[1].strip()
         if not sub or not sh:
             raise LoadError("empty endpoint id", path, line)
@@ -339,18 +332,6 @@ def substantial_view(graph: OwnershipGraph, threshold: float = 10.0) -> Substant
     return SubstantialView(graph, threshold)
 
 
-def degree_arrays(g: _Adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """(k_in, k_out) arrays over the given graph or view."""
-    return g.in_degrees(), g.out_degrees()
-
-
-def degrees(g: _Adjacency) -> list[DegreeRecord]:
-    """Per-node degree records in capital-flow orientation."""
-    k_in, k_out = degree_arrays(g)
-    ids = g.graph.ids
-    return [DegreeRecord(ids[i], int(k_in[i]), int(k_out[i])) for i in range(g.n_nodes)]
-
-
 def reciprocal_link_ratio(g: _Adjacency) -> float:
     """Fraction of edges (u, v) whose reverse (v, u) is also present."""
     m = g.n_edges
@@ -400,16 +381,6 @@ def write_json(path, data) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def node_csv_row(record: NodeRecord) -> tuple[str, str, str, str, str]:
-    return (
-        record.node_id,
-        record.jurisdiction,
-        record.nace_section,
-        record.name,
-        "1" if record.is_hq else "0",
-    )
 
 
 # -- binary cache --------------------------------------------------------

@@ -9,7 +9,6 @@ rewards pass-through volume toward sink-flagged jurisdictions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,8 @@ import numpy as np
 from scipy import stats
 
 from .components import REGION_NAMES, BowTie
-from .errors import LoadError
+from .errors import GraphError, LoadError
+from .graph import data_rows
 from .keyfirms import ClassificationReport, Role, ROLE_NAMES
 
 SINK_THRESHOLD = 10.0
@@ -48,49 +48,36 @@ def load_profiles(path) -> dict[str, JurisdictionProfile]:
     """Read ``code,gdp,gdp_year,statutory_rate,wtc`` profile rows."""
     path = Path(path)
     profiles: dict[str, JurisdictionProfile] = {}
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PROFILE_HEADER:
-            raise LoadError(f"expected header {','.join(PROFILE_HEADER)}", path, 1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PROFILE_HEADER):
-                raise LoadError(f"expected {len(PROFILE_HEADER)} fields", path, line)
-            code = row[0].strip()
-            if not code:
-                raise LoadError("empty jurisdiction code", path, line)
-            if code in profiles:
-                raise LoadError(f"duplicate jurisdiction {code!r}", path, line)
+    for line, row in data_rows(path, PROFILE_HEADER):
+        code = row[0].strip()
+        if not code:
+            raise LoadError("empty jurisdiction code", path, line)
+        if code in profiles:
+            raise LoadError(f"duplicate jurisdiction {code!r}", path, line)
 
-            def opt_float(raw, name):
-                raw = raw.strip()
-                if raw == "":
-                    return None
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise LoadError(f"cannot parse {name} {raw!r}", path, line) from None
+        def opt_float(raw, name):
+            raw = raw.strip()
+            if raw == "":
+                return None
+            try:
+                return float(raw)
+            except ValueError:
+                raise LoadError(f"cannot parse {name} {raw!r}", path, line) from None
 
-            gdp = opt_float(row[1], "gdp")
-            if gdp is not None and gdp <= 0:
-                raise LoadError(f"gdp must be positive, got {gdp}", path, line)
-            year_raw = row[2].strip()
-            wtc = opt_float(row[4], "wtc")
-            if wtc is not None and wtc < 0:
-                raise LoadError(f"wtc must be nonnegative, got {wtc}", path, line)
-            profiles[code] = JurisdictionProfile(
-                code=code,
-                gdp=gdp,
-                gdp_year=int(year_raw) if year_raw else None,
-                statutory_rate=opt_float(row[3], "statutory_rate"),
-                wtc=wtc,
-            )
+        gdp = opt_float(row[1], "gdp")
+        if gdp is not None and gdp <= 0:
+            raise LoadError(f"gdp must be positive, got {gdp}", path, line)
+        year_raw = row[2].strip()
+        wtc = opt_float(row[4], "wtc")
+        if wtc is not None and wtc < 0:
+            raise LoadError(f"wtc must be nonnegative, got {wtc}", path, line)
+        profiles[code] = JurisdictionProfile(
+            code=code,
+            gdp=gdp,
+            gdp_year=int(year_raw) if year_raw else None,
+            statutory_rate=opt_float(row[3], "statutory_rate"),
+            wtc=wtc,
+        )
     return profiles
 
 
@@ -111,37 +98,24 @@ def load_edge_values(path, view) -> np.ndarray:
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     values = np.zeros(view.n_edges, dtype=np.float64)
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != VALUE_HEADER:
-            raise LoadError(f"expected header {','.join(VALUE_HEADER)}", path, 1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise LoadError("expected 3 fields", path, line)
-            try:
-                sub = g.index_of(row[0].strip())
-                sh = g.index_of(row[1].strip())
-            except Exception:
-                raise LoadError(f"unknown node in value row", path, line) from None
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise LoadError(f"cannot parse value {row[2]!r}", path, line) from None
-            if value < 0:
-                raise LoadError(f"value must be nonnegative, got {value}", path, line)
-            key = np.int64(sub) * n + np.int64(sh)
-            lo = int(np.searchsorted(sorted_keys, key, side="left"))
-            hi = int(np.searchsorted(sorted_keys, key, side="right"))
-            # parallel edges share the pair: spread the value over them
-            if hi > lo:
-                values[order[lo:hi]] += value / (hi - lo)
+    for line, row in data_rows(path, VALUE_HEADER):
+        try:
+            sub = g.index_of(row[0].strip())
+            sh = g.index_of(row[1].strip())
+        except GraphError:
+            raise LoadError("unknown node in value row", path, line) from None
+        try:
+            value = float(row[2])
+        except ValueError:
+            raise LoadError(f"cannot parse value {row[2]!r}", path, line) from None
+        if value < 0:
+            raise LoadError(f"value must be nonnegative, got {value}", path, line)
+        key = np.int64(sub) * n + np.int64(sh)
+        lo = int(np.searchsorted(sorted_keys, key, side="left"))
+        hi = int(np.searchsorted(sorted_keys, key, side="right"))
+        # parallel edges share the pair: spread the value over them
+        if hi > lo:
+            values[order[lo:hi]] += value / (hi - lo)
     return values
 
 

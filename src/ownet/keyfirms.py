@@ -16,12 +16,14 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from ._csr import neighbor_positions
 from .errors import DegenerateSubtreeError, GraphError, InvariantError
-from .graph import SubstantialView
-from .mnc import MncSubtree, build_subtree
+from .graph import SubstantialView, data_rows
+from .mnc import MncSubtree, _member_mask_lookup, build_subtree
 
 
 class Role(enum.IntFlag):
@@ -51,86 +53,79 @@ class CentralityRecord:
     holding: float | None
     conduit: float | None
     third_country: bool
-    jurisdiction_missing: bool
     role: Role
 
 
-def _require_degrees(subtree: MncSubtree) -> None:
-    if subtree.k_in is None:
-        from .mnc import mnc_degrees
-
-        mnc_degrees(subtree)
+def _as_given(affiliate, values):
+    """``values`` as an array for an array of affiliates, else as one Python scalar."""
+    return values if np.ndim(affiliate) else values.item()
 
 
-def holding_centrality(subtree: MncSubtree, affiliate: int) -> float:
-    """Normalised surplus of capital entering the affiliate.
+def _degrees_of(subtree: MncSubtree, affiliate) -> tuple[np.ndarray, np.ndarray]:
+    """Within-subtree (k_in, k_out) of the affiliate(s); rejects isolated ones."""
+    pos = subtree.position(affiliate)
+    k_in, k_out = subtree.k_in[pos], subtree.k_out[pos]
+    isolated = np.flatnonzero(np.atleast_1d(k_in + k_out) == 0)
+    if isolated.size:
+        node = np.atleast_1d(affiliate)[isolated[0]]
+        raise DegenerateSubtreeError(f"affiliate {node} is isolated in the subtree")
+    return k_in, k_out
+
+
+def holding_centrality(subtree: MncSubtree, affiliate):
+    """Normalised surplus of capital entering the affiliate(s).
 
     Positive exactly when the affiliate owns more substantial links than it
-    grants, relative to the whole subtree. Undefined (raises) for isolated
-    affiliates and for subtrees whose total in-degree is zero.
+    grants, relative to the whole subtree. Takes one affiliate index (gives
+    a float) or an array of them (gives an array). Undefined (raises) for
+    isolated affiliates and for subtrees whose total in-degree is zero.
     """
-    _require_degrees(subtree)
-    pos = subtree.position(affiliate)
-    k_in = int(subtree.k_in[pos])
-    k_out = int(subtree.k_out[pos])
-    if k_in + k_out == 0:
-        raise DegenerateSubtreeError(f"affiliate {affiliate} is isolated in the subtree")
+    k_in, k_out = _degrees_of(subtree, affiliate)
     if subtree.sum_k_in <= 0:
         raise DegenerateSubtreeError("subtree in-degree sum is zero; holding centrality undefined")
-    return (k_in - k_out) / subtree.sum_k_in * (subtree.sum_k_total / (k_in + k_out))
+    return _as_given(affiliate, (k_in - k_out) / subtree.sum_k_in * (subtree.sum_k_total / (k_in + k_out)))
 
 
-def conduit_centrality(subtree: MncSubtree, affiliate: int) -> float:
-    """Normalised pass-through volume of the affiliate."""
-    _require_degrees(subtree)
-    pos = subtree.position(affiliate)
-    k_in = int(subtree.k_in[pos])
-    k_out = int(subtree.k_out[pos])
-    if k_in + k_out == 0:
-        raise DegenerateSubtreeError(f"affiliate {affiliate} is isolated in the subtree")
+def conduit_centrality(subtree: MncSubtree, affiliate):
+    """Normalised pass-through volume of the affiliate(s); scalar or array like
+    :func:`holding_centrality`."""
+    k_in, k_out = _degrees_of(subtree, affiliate)
     if subtree.sum_k_product <= 0:
         raise DegenerateSubtreeError("subtree in*out degree sum is zero; conduit centrality undefined")
-    return k_in / subtree.sum_k_product * (subtree.sum_k_total / (k_in + k_out))
+    return _as_given(affiliate, k_in / subtree.sum_k_product * (subtree.sum_k_total / (k_in + k_out)))
 
 
-def _jurisdictions_differ(g, a: int, b: int) -> bool:
-    # the "n.a." sentinel never equals any code, itself included
-    na = g.na_jurisdiction
-    ja, jb = int(g.jurisdiction_index[a]), int(g.jurisdiction_index[b])
-    if ja == na or jb == na:
-        return True
-    return ja != jb
+def _subsidiary_edges(subtree: MncSubtree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, sub)`` per substantial in-edge ``sub -> nodes[owner]`` whose
+    subsidiary is a member of the subtree (an affiliate or the HQ)."""
+    view = subtree.view
+    counts = view.in_indptr[nodes + 1] - view.in_indptr[nodes]
+    owner = np.repeat(np.arange(nodes.shape[0]), counts)
+    subs = view.in_sources[neighbor_positions(view.in_indptr, nodes)]
+    member = (subs == subtree.hq) | _member_mask_lookup(subtree.affiliates, subs)
+    return owner[member], subs[member]
 
 
-def _direct_subsidiaries(subtree: MncSubtree, affiliate: int) -> list[int]:
-    """In-neighbors of the affiliate that are themselves affiliates."""
-    nbrs = subtree.view.in_neighbors(affiliate)
-    members = subtree.affiliates
-    out = []
-    for s in np.unique(nbrs):
-        pos = int(np.searchsorted(members, s))
-        if pos < members.shape[0] and members[pos] == s:
-            out.append(int(s))
-    return out
-
-
-def third_country(subtree: MncSubtree, affiliate: int) -> bool:
+def third_country(subtree: MncSubtree, affiliate):
     """Located outside the HQ's jurisdiction with a foreign direct subsidiary.
 
     True iff the affiliate's jurisdiction differs from the HQ's and at least
-    one direct subsidiary inside the subtree sits in a jurisdiction
-    different from the affiliate's own.
+    one direct subsidiary inside the subtree (the HQ included) sits in a
+    jurisdiction different from the affiliate's own. The "n.a." sentinel
+    never equals any code, itself included. Scalar or array like
+    :func:`holding_centrality`.
     """
+    nodes = np.atleast_1d(subtree.affiliates[subtree.position(affiliate)])
     g = subtree.view.graph
-    if not _jurisdictions_differ(g, affiliate, subtree.hq):
-        return False
-    member_set = subtree.members()
-    for s in subtree.view.in_neighbors(affiliate):
-        pos = int(np.searchsorted(member_set, s))
-        if pos < member_set.shape[0] and member_set[pos] == s:
-            if _jurisdictions_differ(g, int(s), affiliate):
-                return True
-    return False
+    jur, na = g.jurisdiction_index, g.na_jurisdiction
+
+    def differ(a, b):
+        return (a != b) | (a == na) | (b == na)
+
+    owner, subs = _subsidiary_edges(subtree, nodes)
+    foreign_sub = np.zeros(nodes.shape[0], dtype=bool)
+    foreign_sub[owner[differ(jur[subs], jur[nodes[owner]])]] = True
+    return _as_given(affiliate, differ(jur[nodes], jur[subtree.hq]) & foreign_sub)
 
 
 def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
@@ -140,85 +135,75 @@ def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
     once, so cross-shareholding cycles terminate. Conduit-centrality values
     for first-layer affiliates are recorded as diagnostics but never create
     a conduit role without an identified holding parent. On subtrees with a
-    zero centrality denominator no role can be assigned.
+    zero centrality denominator no role can be assigned. H and T are
+    reported only for the affiliates the role search evaluated.
     """
-    _require_degrees(subtree)
     g = subtree.view.graph
+    affiliates = subtree.affiliates
     n_aff = subtree.n_affiliates
     if n_aff == 0:
         return []
 
     degenerate_h = subtree.sum_k_in <= 0
     degenerate_t = subtree.sum_k_product <= 0
+    h = holding_centrality(subtree, affiliates).tolist() if not degenerate_h else None
+    t = conduit_centrality(subtree, affiliates).tolist() if not degenerate_t else None
+    tc = third_country(subtree, affiliates)
 
-    h_val: dict[int, float] = {}
-    t_val: dict[int, float] = {}
-    roles: dict[int, Role] = {}
-    tc_cache: dict[int, bool] = {}
+    # direct subsidiaries inside the subtree, HQ excluded, as sorted unique positions
+    owner, subs = _subsidiary_edges(subtree, affiliates)
+    keep = subs != subtree.hq
+    pairs = np.unique(owner[keep] * n_aff + np.searchsorted(affiliates, subs[keep]))
+    sub_pos = (pairs % n_aff).tolist()
+    sub_ptr = np.searchsorted(pairs // n_aff, np.arange(n_aff + 1)).tolist()
 
-    def tc(node: int) -> bool:
-        if node not in tc_cache:
-            tc_cache[node] = third_country(subtree, node)
-        return tc_cache[node]
-
-    layer1 = [int(a) for a, l in zip(subtree.affiliates, subtree.layers) if l == 1]
-    pending = deque(sorted(layer1))
-    expanded: set[int] = set()
+    tc_list = tc.tolist()
+    h_seen = np.zeros(n_aff, dtype=bool)
+    t_seen = np.zeros(n_aff, dtype=bool)
+    roles = np.zeros(n_aff, dtype=np.int8)
+    expanded = np.zeros(n_aff, dtype=bool)
+    pending = deque(np.flatnonzero(subtree.layers == 1).tolist())
 
     while pending and not degenerate_h:
         x = pending.popleft()
-        if x in expanded:
+        if expanded[x]:
             continue
-        expanded.add(x)
-        if x not in h_val:
-            h_val[x] = holding_centrality(subtree, x)
-        if not (h_val[x] > 0.0 and tc(x)):
-            continue
-        if degenerate_t:
+        expanded[x] = h_seen[x] = True
+        if not (h[x] > 0.0 and tc_list[x]) or degenerate_t:
             continue
         found_conduit = False
-        for s in _direct_subsidiaries(subtree, x):
-            if s not in t_val:
-                t_val[s] = conduit_centrality(subtree, s)
-            if t_val[s] > 0.0 and tc(s):
+        for s in sub_pos[sub_ptr[x]:sub_ptr[x + 1]]:
+            t_seen[s] = True
+            if t[s] > 0.0 and tc_list[s]:
                 found_conduit = True
-                roles[s] = roles.get(s, Role.NONE) | Role.CONDUIT
-                if s not in h_val:
-                    h_val[s] = holding_centrality(subtree, s)
-                if h_val[s] > 0.0 and tc(s):
-                    roles[s] = roles.get(s, Role.NONE) | Role.HOLDING
+                roles[s] |= Role.CONDUIT
+                h_seen[s] = True
+                if h[s] > 0.0:
+                    roles[s] |= Role.HOLDING
                     pending.append(s)
         if found_conduit:
-            roles[x] = roles.get(x, Role.NONE) | Role.HOLDING
+            roles[x] |= Role.HOLDING
 
     if not degenerate_t:
-        for x in layer1:
-            t_val.setdefault(x, conduit_centrality(subtree, x))
+        t_seen[subtree.layers == 1] = True
 
     # post hoc: a role without the third-country condition is a logic bug
-    if not all(tc(aff) for aff, role in roles.items() if role != Role.NONE):
+    if np.any((roles != Role.NONE) & ~tc):
         raise InvariantError("a key firm fails the third-country condition")
 
-    na = g.na_jurisdiction
-    hq_missing = int(g.jurisdiction_index[subtree.hq]) == na
-    records = []
-    for pos, aff in enumerate(subtree.affiliates):
-        aff = int(aff)
-        records.append(
-            CentralityRecord(
-                affiliate=g.ids[aff],
-                index=aff,
-                layer=int(subtree.layers[pos]),
-                k_in=int(subtree.k_in[pos]),
-                k_out=int(subtree.k_out[pos]),
-                holding=h_val.get(aff),
-                conduit=t_val.get(aff),
-                third_country=tc(aff),
-                jurisdiction_missing=hq_missing or int(g.jurisdiction_index[aff]) == na,
-                role=roles.get(aff, Role.NONE),
-            )
-        )
-    return records
+    return [
+        CentralityRecord(g.ids[aff], aff, layer, k_in, k_out, hv, tv, third, Role(role))
+        for aff, layer, k_in, k_out, hv, tv, third, role in zip(
+            affiliates.tolist(), subtree.layers.tolist(), subtree.k_in.tolist(), subtree.k_out.tolist(),
+            _where_seen(h, h_seen), _where_seen(t, t_seen), tc_list, roles.tolist())
+    ]
+
+
+def _where_seen(values: list[float] | None, seen: np.ndarray) -> list[float | None]:
+    """``values`` where ``seen`` is set, None elsewhere (everywhere without values)."""
+    if values is None:
+        return [None] * seen.shape[0]
+    return [v if shown else None for v, shown in zip(values, seen.tolist())]
 
 
 @dataclass
@@ -265,47 +250,31 @@ def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> Clas
     ``hq_map`` (mnc name -> hq node id) restores the headquarters link;
     without it HQ-based tables are unavailable (hq_index stays -1).
     """
-    import csv as _csv
-
-    from .errors import LoadError
-
     name_to_role = {v: k for k, v in ROLE_NAMES.items()}
     by_mnc: dict[str, MncClassification] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = _csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != KEYFIRMS_HEADER:
-            raise LoadError(f"expected header {','.join(KEYFIRMS_HEADER)}", path, 1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(KEYFIRMS_HEADER):
-                raise LoadError(f"expected {len(KEYFIRMS_HEADER)} fields", path, line)
-            mnc, aff, layer, k_in, k_out, h, t, tc, role = row
-            if mnc not in by_mnc:
-                hq_id = hq_map.get(mnc, "") if hq_map else ""
-                hq_index = graph.index_of(hq_id) if hq_id else -1
-                by_mnc[mnc] = MncClassification(mnc=mnc, hq_id=hq_id, hq_index=hq_index, records=[])
-            index = graph.index_of(aff)
-            na = graph.na_jurisdiction
-            by_mnc[mnc].records.append(
-                CentralityRecord(
-                    affiliate=aff,
-                    index=index,
-                    layer=int(layer),
-                    k_in=int(k_in),
-                    k_out=int(k_out),
-                    holding=float(h) if h else None,
-                    conduit=float(t) if t else None,
-                    third_country=tc == "1",
-                    jurisdiction_missing=int(graph.jurisdiction_index[index]) == na,
-                    role=name_to_role[role],
-                )
+    for _, row in data_rows(Path(path), KEYFIRMS_HEADER):
+        mnc, aff, layer, k_in, k_out, h, t, tc, role = row
+        if mnc not in by_mnc:
+            hq_id = hq_map.get(mnc, "") if hq_map else ""
+            hq_index = graph.index_of(hq_id) if hq_id else -1
+            by_mnc[mnc] = MncClassification(mnc=mnc, hq_id=hq_id, hq_index=hq_index, records=[])
+        by_mnc[mnc].records.append(
+            CentralityRecord(
+                affiliate=aff,
+                index=graph.index_of(aff),
+                layer=int(layer),
+                k_in=int(k_in),
+                k_out=int(k_out),
+                holding=float(h) if h else None,
+                conduit=float(t) if t else None,
+                third_country=tc == "1",
+                role=name_to_role[role],
             )
+        )
     return ClassificationReport(graph=graph, classifications=list(by_mnc.values()))
 
 
-def classify_all(view: SubstantialView, hq_list, global_degrees: bool = False) -> ClassificationReport:
+def classify_all(view: SubstantialView, hq_list) -> ClassificationReport:
     """Extract, layer, and identify every MNC in the HQ list.
 
     ``hq_list`` yields (hq_node_id, mnc_name) pairs. Each subtree is built
@@ -316,7 +285,7 @@ def classify_all(view: SubstantialView, hq_list, global_degrees: bool = False) -
     for hq_id, name in hq_list:
         try:
             hq_index = view.graph.index_of(hq_id)
-            subtree = build_subtree(view, hq_index, global_degrees=global_degrees)
+            subtree = build_subtree(view, hq_index)
             records = hierarchical_identify(subtree)
         except (GraphError, DegenerateSubtreeError) as exc:
             report.failures.append((name, str(exc)))

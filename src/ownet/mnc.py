@@ -10,7 +10,6 @@ affiliates plus the HQ, with the sums running over affiliates only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from ._csr import multi_source_bfs, neighbor_positions
 from .errors import GraphError, InvariantError, LoadError
-from .graph import SubstantialView
+from .graph import SubstantialView, data_rows
 
 HQ_HEADER = ["hq_node_id", "mnc_name"]
 
@@ -37,32 +36,19 @@ def load_hq_list(path) -> list[tuple[str, str]]:
     path = Path(path)
     rows: list[tuple[str, str]] = []
     names_by_file: dict[str, str] = {}
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(str(exc), path) from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != HQ_HEADER:
-            raise LoadError(f"expected header {','.join(HQ_HEADER)}", path, 1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise LoadError("expected 2 fields", path, line)
-            hq_id, name = row[0].strip(), row[1].strip()
-            if not hq_id or not name:
-                raise LoadError("empty field", path, line)
-            file_name = mnc_file_name(name)
-            other = names_by_file.get(file_name)
-            if other == name:
-                raise LoadError(f"duplicate mnc_name {name!r}", path, line)
-            if other is not None:
-                raise LoadError(f"mnc_name {name!r} and {other!r} share the file name {file_name!r}",
-                                path, line)
-            names_by_file[file_name] = name
-            rows.append((hq_id, name))
+    for line, row in data_rows(path, HQ_HEADER):
+        hq_id, name = row[0].strip(), row[1].strip()
+        if not hq_id or not name:
+            raise LoadError("empty field", path, line)
+        file_name = mnc_file_name(name)
+        other = names_by_file.get(file_name)
+        if other == name:
+            raise LoadError(f"duplicate mnc_name {name!r}", path, line)
+        if other is not None:
+            raise LoadError(f"mnc_name {name!r} and {other!r} share the file name {file_name!r}",
+                            path, line)
+        names_by_file[file_name] = name
+        rows.append((hq_id, name))
     return rows
 
 
@@ -86,15 +72,15 @@ class MncSubtree:
         """Affiliates plus the HQ, sorted by node index."""
         return np.sort(np.append(self.affiliates, self.hq))
 
-    def position(self, node: int) -> int:
-        """Index of ``node`` inside the sorted affiliate array."""
-        pos = int(np.searchsorted(self.affiliates, node))
-        if pos >= self.n_affiliates or self.affiliates[pos] != node:
-            raise GraphError(f"node {node} is not an affiliate of this subtree")
-        return pos
-
-    def layer_of(self, node: int) -> int:
-        return int(self.layers[self.position(node)])
+    def position(self, node):
+        """Index of ``node`` (one node index or an array of them) inside the
+        sorted affiliate array; raises for any node that is not an affiliate."""
+        found = _member_mask_lookup(self.affiliates, node)
+        if not np.all(found):
+            bad = np.atleast_1d(node)[~np.atleast_1d(found)][0]
+            raise GraphError(f"node {bad} is not an affiliate of this subtree")
+        pos = np.searchsorted(self.affiliates, node)
+        return int(pos) if np.ndim(node) == 0 else pos
 
 
 def extract_mnc(view: SubstantialView, hq) -> MncSubtree:
@@ -116,49 +102,40 @@ def extract_mnc(view: SubstantialView, hq) -> MncSubtree:
     )
 
 
-def assign_layers(subtree: MncSubtree) -> dict[int, int]:
-    """Affiliate -> shortest substantial hop count to the HQ."""
-    return {int(a): int(l) for a, l in zip(subtree.affiliates, subtree.layers)}
-
-
-def _member_mask_lookup(members: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _member_mask_lookup(members: np.ndarray, nodes) -> np.ndarray:
+    """Whether each of ``nodes`` occurs in the sorted array ``members``."""
+    if members.shape[0] == 0:
+        return np.zeros(np.shape(nodes), dtype=bool)
     pos = np.searchsorted(members, nodes)
     pos_clipped = np.minimum(pos, members.shape[0] - 1)
     return (pos < members.shape[0]) & (members[pos_clipped] == nodes)
 
 
-def mnc_degrees(subtree: MncSubtree, global_degrees: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def mnc_degrees(subtree: MncSubtree) -> tuple[np.ndarray, np.ndarray]:
     """In/out degrees of each affiliate, plus the three centrality sums.
 
-    By default degrees are counted inside the subgraph induced by the
-    affiliates plus the HQ (the sums run over members, so links leaving the
-    corporation are ignored). ``global_degrees`` switches to each
-    affiliate's degree over the whole substantial view instead; the sums
-    still run over the subtree's affiliates. Returns (k_in, k_out) aligned
-    with ``subtree.affiliates``.
+    Degrees are counted inside the subgraph induced by the affiliates plus
+    the HQ, so links leaving the corporation are ignored; the sums run over
+    the affiliates. Returns (k_in, k_out) aligned with ``subtree.affiliates``.
     """
     view = subtree.view
-    if global_degrees:
-        k_in = view.in_degrees()[subtree.affiliates].astype(np.int64)
-        k_out = view.out_degrees()[subtree.affiliates].astype(np.int64)
-    else:
-        members = subtree.members()
-        edge_pos = neighbor_positions(view.out_indptr, members)
-        srcs = view.src[edge_pos]
-        dsts = view.dst[edge_pos]
-        internal = _member_mask_lookup(members, dsts)
-        srcs, dsts = srcs[internal], dsts[internal]
+    members = subtree.members()
+    edge_pos = neighbor_positions(view.out_indptr, members)
+    srcs = view.src[edge_pos]
+    dsts = view.dst[edge_pos]
+    internal = _member_mask_lookup(members, dsts)
+    srcs, dsts = srcs[internal], dsts[internal]
 
-        k = members.shape[0]
-        k_out_m = np.bincount(np.searchsorted(members, srcs), minlength=k)
-        k_in_m = np.bincount(np.searchsorted(members, dsts), minlength=k)
+    k = members.shape[0]
+    k_out_m = np.bincount(np.searchsorted(members, srcs), minlength=k)
+    k_in_m = np.bincount(np.searchsorted(members, dsts), minlength=k)
 
-        aff_sel = members != subtree.hq
-        # members() sorts, so the non-HQ entries are exactly the affiliates in order
-        if not np.array_equal(members[aff_sel], subtree.affiliates):
-            raise InvariantError("subtree members minus the HQ differ from its affiliates")
-        k_in = k_in_m[aff_sel].astype(np.int64)
-        k_out = k_out_m[aff_sel].astype(np.int64)
+    aff_sel = members != subtree.hq
+    # members() sorts, so the non-HQ entries are exactly the affiliates in order
+    if not np.array_equal(members[aff_sel], subtree.affiliates):
+        raise InvariantError("subtree members minus the HQ differ from its affiliates")
+    k_in = k_in_m[aff_sel].astype(np.int64)
+    k_out = k_out_m[aff_sel].astype(np.int64)
 
     subtree.k_in = k_in
     subtree.k_out = k_out
@@ -168,8 +145,8 @@ def mnc_degrees(subtree: MncSubtree, global_degrees: bool = False) -> tuple[np.n
     return k_in, k_out
 
 
-def build_subtree(view: SubstantialView, hq, global_degrees: bool = False) -> MncSubtree:
+def build_subtree(view: SubstantialView, hq) -> MncSubtree:
     """Extract, layer, and degree a subtree in one call."""
     subtree = extract_mnc(view, hq)
-    mnc_degrees(subtree, global_degrees=global_degrees)
+    mnc_degrees(subtree)
     return subtree

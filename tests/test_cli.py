@@ -333,6 +333,19 @@ class TestCli:
         assert (tmp_path / "rep" / "reports" / "regression.json").exists()
 
 
+    def test_global_degrees_flag_removed(self, corpus, tmp_path):
+        _, paths, _ = corpus
+        runner = CliRunner()
+        graph = str(tmp_path / "g.npz")
+        assert runner.invoke(main, ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
+                                    "--out", graph]).exit_code == 0
+        args = ["identify", "--graph", graph, "--hqs", str(paths["hqs"]), "--out", str(tmp_path / "k.csv")]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, args + ["--global-degrees"])
+        assert result.exit_code == 2
+        assert "No such option '--global-degrees'" in result.output
+
+
 class TestCliMatchesPipeline:
     def test_artifacts_byte_identical(self, corpus, tmp_path):
         bundle, paths, _ = corpus

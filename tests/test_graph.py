@@ -11,14 +11,11 @@ from ownet.graph import (
     NodeRecord,
     OwnershipEdge,
     build_graph,
-    degree_arrays,
-    degrees,
     induced_subgraph,
     load_cache,
     load_edges,
     load_graph,
     load_nodes,
-    node_csv_row,
     reciprocal_link_ratio,
     save_cache,
     substantial_view,
@@ -171,20 +168,20 @@ class TestSubstantialView:
 
 class TestDegrees:
     def test_toy_affiliate_a(self, m1_view, m1_graph):
-        recs = {r.node_id: r for r in degrees(m1_view)}
-        assert (recs["M1:a"].k_in, recs["M1:a"].k_out) == (3, 1)
+        a = m1_graph.index_of("M1:a")
+        assert (m1_view.in_degrees()[a], m1_view.out_degrees()[a]) == (3, 1)
 
     def test_isolated(self):
         g = make_graph(3, [(0, 1)])
-        recs = {r.node_id: r for r in degrees(g)}
-        assert (recs["n2"].k_in, recs["n2"].k_out) == (0, 0)
+        n2 = g.index_of("n2")
+        assert (g.in_degrees()[n2], g.out_degrees()[n2]) == (0, 0)
 
     def test_mean_degree_identity(self):
         rng = np.random.default_rng(5)
         from conftest import random_digraph
 
         g, _ = random_digraph(rng, 40)
-        k_in, k_out = degree_arrays(g)
+        k_in, k_out = g.in_degrees(), g.out_degrees()
         assert k_in.sum() == k_out.sum() == g.n_edges
         assert k_in.mean() == pytest.approx(g.n_edges / g.n_nodes)
 
@@ -202,9 +199,11 @@ class TestDegrees:
         nodes = [NodeRecord(f"n{i}") for i in range(4)]
         rows = [OwnershipEdge("n0", "n1", 20.0), OwnershipEdge("n2", "n1", 30.0),
                 OwnershipEdge("n1", "n3", 40.0)]
-        by_id_a = {r.node_id: (r.k_in, r.k_out) for r in degrees(build_graph(nodes, rows))}
-        by_id_b = {r.node_id: (r.k_in, r.k_out) for r in degrees(build_graph(list(reversed(nodes)), rows))}
-        assert by_id_a == by_id_b
+        def by_id(g):
+            return {node_id: (int(k_in), int(k_out))
+                    for node_id, k_in, k_out in zip(g.ids, g.in_degrees(), g.out_degrees())}
+
+        assert by_id(build_graph(nodes, rows)) == by_id(build_graph(list(reversed(nodes)), rows))
 
 
 class TestReciprocal:
@@ -278,7 +277,8 @@ class TestCsvRoundTrip:
         src = write(tmp_path, "nodes.csv", NODES_2)
         records = node_records(load_nodes(src))
         out = tmp_path / "out.csv"
-        write_csv_rows(out, NODE_HEADER, (node_csv_row(r) for r in records))
+        rows = ((r.node_id, r.jurisdiction, r.nace_section, r.name, "1" if r.is_hq else "0") for r in records)
+        write_csv_rows(out, NODE_HEADER, rows)
         assert out.read_bytes() == src.read_bytes()
 
     def test_graph_load_convenience(self, tmp_path):
@@ -286,6 +286,56 @@ class TestCsvRoundTrip:
         write(tmp_path, "edges.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,55.00\n")
         g = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
         assert (g.n_nodes, g.n_edges) == (2, 1)
+
+
+def _load_keyfirms(path, g):
+    from ownet.keyfirms import load_keyfirms_csv
+
+    return load_keyfirms_csv(path, g).classifications
+
+
+def _load_values(path, g):
+    from ownet.jurisdiction import load_edge_values
+
+    return load_edge_values(path, substantial_view(g, 10.0)).tolist()
+
+
+def _small_loaders():
+    from ownet.jurisdiction import PROFILE_HEADER, VALUE_HEADER, load_profiles
+    from ownet.keyfirms import KEYFIRMS_HEADER
+    from ownet.mnc import HQ_HEADER, load_hq_list
+
+    return {
+        "hqs": (lambda path, g: load_hq_list(path), HQ_HEADER, []),
+        "profiles": (lambda path, g: load_profiles(path), PROFILE_HEADER, {}),
+        "values": (_load_values, VALUE_HEADER, [0.0]),
+        "keyfirms": (_load_keyfirms, KEYFIRMS_HEADER, []),
+    }
+
+
+class TestDataRows:
+    """The HQ, profile, edge-value and keyfirms loaders read rows through
+    ``data_rows``: one set of file, header, blank-row and field-count checks."""
+
+    @pytest.mark.parametrize("kind", ["hqs", "profiles", "values", "keyfirms"])
+    def test_shared_row_checks(self, tmp_path, kind):
+        load, header, empty = _small_loaders()[kind]
+        g = make_graph(2, [(1, 0)])
+        with pytest.raises(LoadError) as info:
+            load(tmp_path / "absent.csv", g)
+        assert info.value.path == tmp_path / "absent.csv"
+
+        bad_header = write(tmp_path, "header.csv", "x,y\n")
+        with pytest.raises(LoadError) as info:
+            load(bad_header, g)
+        assert info.value.line == 1
+
+        too_wide = write(tmp_path, "wide.csv", ",".join(header) + "\n\n" + ",".join("x" * 10) + "\n")
+        with pytest.raises(LoadError, match=f"expected {len(header)} fields, got 10") as info:
+            load(too_wide, g)
+        assert info.value.line == 3
+
+        assert load(write(tmp_path, "blank.csv", ",".join(header) + "\n\n"), g) == empty
 
 
 class TestCacheValidation:

@@ -155,7 +155,7 @@ class TestTallies:
 
         g = make_graph(3, [], jurisdictions={0: "NL", 1: "NL", 2: "GB"})
         recs = [
-            CentralityRecord(f"n{i}", i, 1, 1, 0, None, None, True, False, Role.HOLDING)
+            CentralityRecord(f"n{i}", i, 1, 1, 0, None, None, True, Role.HOLDING)
             for i in range(3)
         ]
         report = ClassificationReport(
@@ -186,8 +186,8 @@ class TestBowTieTally:
         from ownet.keyfirms import CentralityRecord, ClassificationReport, MncClassification
 
         recs = [
-            CentralityRecord("n2", 2, 1, 1, 1, 1.0, None, True, False, Role.HOLDING),
-            CentralityRecord("n4", 4, 1, 1, 1, 1.0, None, True, False, Role.CONDUIT),
+            CentralityRecord("n2", 2, 1, 1, 1, 1.0, None, True, Role.HOLDING),
+            CentralityRecord("n4", 4, 1, 1, 1, 1.0, None, True, Role.CONDUIT),
         ]
         report = ClassificationReport(
             graph=g, classifications=[MncClassification("X", "n3", 3, recs)]
@@ -235,7 +235,7 @@ class TestHqTables:
         g = make_graph(6, [], jurisdictions=juris)
 
         def rec(i):
-            return CentralityRecord(f"n{i}", i, 1, 1, 0, 1.0, None, True, False, Role.HOLDING)
+            return CentralityRecord(f"n{i}", i, 1, 1, 0, 1.0, None, True, Role.HOLDING)
 
         report = ClassificationReport(
             graph=g,

@@ -1,12 +1,13 @@
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from ownet.errors import DegenerateSubtreeError
+from ownet.errors import DegenerateSubtreeError, GraphError
 from ownet.graph import substantial_view
 from ownet.keyfirms import (
     ROLE_NAMES,
@@ -274,3 +275,179 @@ class TestClassifyAll:
         assert [(r.affiliate, r.role, r.layer) for r in loaded.records] == [
             (r.affiliate, r.role, r.layer) for r in orig.records
         ]
+
+
+# -- reference: the scalar, one-affiliate-at-a-time identification ----------
+
+def _ref_holding(subtree, affiliate):
+    pos = subtree.position(affiliate)
+    k_in, k_out = int(subtree.k_in[pos]), int(subtree.k_out[pos])
+    return (k_in - k_out) / subtree.sum_k_in * (subtree.sum_k_total / (k_in + k_out))
+
+
+def _ref_conduit(subtree, affiliate):
+    pos = subtree.position(affiliate)
+    k_in, k_out = int(subtree.k_in[pos]), int(subtree.k_out[pos])
+    return k_in / subtree.sum_k_product * (subtree.sum_k_total / (k_in + k_out))
+
+
+def _ref_jurisdictions_differ(g, a, b):
+    na = g.na_jurisdiction
+    ja, jb = int(g.jurisdiction_index[a]), int(g.jurisdiction_index[b])
+    if ja == na or jb == na:
+        return True
+    return ja != jb
+
+
+def _ref_direct_subsidiaries(subtree, affiliate):
+    nbrs = subtree.view.in_neighbors(affiliate)
+    members = subtree.affiliates
+    out = []
+    for s in np.unique(nbrs):
+        pos = int(np.searchsorted(members, s))
+        if pos < members.shape[0] and members[pos] == s:
+            out.append(int(s))
+    return out
+
+
+def ref_third_country(subtree, affiliate):
+    g = subtree.view.graph
+    if not _ref_jurisdictions_differ(g, affiliate, subtree.hq):
+        return False
+    member_set = subtree.members()
+    for s in subtree.view.in_neighbors(affiliate):
+        pos = int(np.searchsorted(member_set, s))
+        if pos < member_set.shape[0] and member_set[pos] == s:
+            if _ref_jurisdictions_differ(g, int(s), affiliate):
+                return True
+    return False
+
+
+def ref_hierarchical_identify(subtree):
+    """Record fields per affiliate: (id, index, layer, k_in, k_out, H, T, third country, role)."""
+    g = subtree.view.graph
+    if subtree.n_affiliates == 0:
+        return []
+    degenerate_h = subtree.sum_k_in <= 0
+    degenerate_t = subtree.sum_k_product <= 0
+    h_val, t_val, roles, tc_cache = {}, {}, {}, {}
+
+    def tc(node):
+        if node not in tc_cache:
+            tc_cache[node] = ref_third_country(subtree, node)
+        return tc_cache[node]
+
+    layer1 = [int(a) for a, l in zip(subtree.affiliates, subtree.layers) if l == 1]
+    pending = deque(sorted(layer1))
+    expanded = set()
+    while pending and not degenerate_h:
+        x = pending.popleft()
+        if x in expanded:
+            continue
+        expanded.add(x)
+        if x not in h_val:
+            h_val[x] = _ref_holding(subtree, x)
+        if not (h_val[x] > 0.0 and tc(x)):
+            continue
+        if degenerate_t:
+            continue
+        found_conduit = False
+        for s in _ref_direct_subsidiaries(subtree, x):
+            if s not in t_val:
+                t_val[s] = _ref_conduit(subtree, s)
+            if t_val[s] > 0.0 and tc(s):
+                found_conduit = True
+                roles[s] = roles.get(s, Role.NONE) | Role.CONDUIT
+                if s not in h_val:
+                    h_val[s] = _ref_holding(subtree, s)
+                if h_val[s] > 0.0 and tc(s):
+                    roles[s] = roles.get(s, Role.NONE) | Role.HOLDING
+                    pending.append(s)
+        if found_conduit:
+            roles[x] = roles.get(x, Role.NONE) | Role.HOLDING
+    if not degenerate_t:
+        for x in layer1:
+            t_val.setdefault(x, _ref_conduit(subtree, x))
+    return [
+        (g.ids[int(aff)], int(aff), int(subtree.layers[pos]), int(subtree.k_in[pos]), int(subtree.k_out[pos]),
+         h_val.get(int(aff)), t_val.get(int(aff)), tc(int(aff)), roles.get(int(aff), Role.NONE))
+        for pos, aff in enumerate(subtree.affiliates)
+    ]
+
+
+JURISDICTIONS = ["US", "NL", "GB", "n.a."]
+
+
+@st.composite
+def ownership_views(draw):
+    """Small digraphs with cycles, self-loops, parallel and sub-threshold edges,
+    "n.a." jurisdictions, and one or two HQs that may share affiliates."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    jurisdictions = draw(st.lists(st.sampled_from(JURISDICTIONS), min_size=n, max_size=n))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.sampled_from([5.0, 20.0, 60.0])), max_size=3 * n))
+    hqs = draw(st.lists(node, min_size=1, max_size=2, unique=True))
+    return make_graph(n, edges, dict(enumerate(jurisdictions))), hqs
+
+
+def _fields(rec):
+    return (rec.affiliate, rec.index, rec.layer, rec.k_in, rec.k_out, rec.holding, rec.conduit,
+            rec.third_country, rec.role)
+
+
+class TestArrayIdentificationOracle:
+    """The array identification against the scalar reference above."""
+
+    @given(ownership_views(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    # a cross-shareholding 2-cycle {2, 3} under a foreign holding 1
+    @example((make_graph(4, [(1, 0), (2, 1), (3, 1), (2, 3), (3, 2)],
+                         {0: "US", 1: "NL", 2: "GB", 3: "NL"}), [0]), False)
+    # a cycle through the HQ: HQ 0 is a subsidiary of its holding candidate 1
+    @example((make_graph(4, [(1, 0), (2, 1), (3, 1), (0, 1)],
+                         {0: "US", 1: "NL", 2: "GB", 3: "US"}), [0]), False)
+    # affiliates 2 and 3 shared by the MNCs of HQs 0 and 4, "n.a." jurisdictions
+    @example((make_graph(5, [(1, 0), (2, 1), (3, 2), (1, 4), (3, 4)],
+                         {0: "US", 1: "n.a.", 2: "n.a.", 3: "GB", 4: "n.a."}), [0, 4]), False)
+    # sum k_in == 0 == sum k_product: a star of direct affiliates
+    @example((make_graph(4, [(1, 0), (2, 0), (3, 0)], {0: "US", 1: "NL", 2: "GB", 3: "n.a."}), [0]), False)
+    # sum k_product forced to 0 while sum k_in > 0
+    @example((make_graph(4, [(1, 0), (2, 1), (3, 2)], {0: "US", 1: "NL", 2: "GB", 3: "NL"}), [0]), True)
+    def test_records_equal_reference(self, case, zero_product):
+        g, hqs = case
+        view = substantial_view(g, 10.0)
+        for hq in hqs:
+            subtree = build_subtree(view, hq)
+            if zero_product:
+                subtree.sum_k_product = 0
+            expected = ref_hierarchical_identify(subtree)
+            got = [_fields(rec) for rec in hierarchical_identify(subtree)]
+            # repr tells a Python float from a numpy one and compares floats exactly
+            assert repr(got) == repr(expected)
+
+            affiliates = subtree.affiliates
+            if affiliates.size == 0:
+                continue
+            tc = third_country(subtree, affiliates)
+            assert tc.dtype == bool
+            assert tc.tolist() == [third_country(subtree, int(a)) for a in affiliates]
+            assert tc.tolist() == [ref_third_country(subtree, int(a)) for a in affiliates]
+            for fn, ref, total in ((holding_centrality, _ref_holding, subtree.sum_k_in),
+                                   (conduit_centrality, _ref_conduit, subtree.sum_k_product)):
+                if total > 0:
+                    values = fn(subtree, affiliates).tolist()
+                    assert values == [fn(subtree, int(a)) for a in affiliates]
+                    assert values == [ref(subtree, int(a)) for a in affiliates]
+
+    def test_non_affiliate_rejected(self, m1_subtree):
+        for fn in (holding_centrality, conduit_centrality, third_country):
+            with pytest.raises(GraphError):
+                fn(m1_subtree, m1_subtree.hq)
+            with pytest.raises(GraphError):
+                fn(m1_subtree, np.append(m1_subtree.affiliates, m1_subtree.hq))
+
+    def test_scalar_results_are_python_scalars(self, m1_subtree):
+        a = int(m1_subtree.affiliates[0])
+        assert type(holding_centrality(m1_subtree, a)) is float
+        assert type(conduit_centrality(m1_subtree, a)) is float
+        assert type(third_country(m1_subtree, a)) is bool

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_graph
 from ownet.errors import GraphError, InvariantError, LoadError
 from ownet.graph import substantial_view
-from ownet.mnc import MncSubtree, assign_layers, build_subtree, extract_mnc, load_hq_list, mnc_degrees
+from ownet.mnc import MncSubtree, build_subtree, extract_mnc, load_hq_list, mnc_degrees
 
 
 def view_of(n, edges, jurisdictions=None):
@@ -41,20 +41,22 @@ class TestExtract:
 
 class TestLayers:
     def test_toy_layers(self, m1_subtree, m1_graph):
-        layers = {m1_graph.ids[a].split(":")[1]: l for a, l in assign_layers(m1_subtree).items()}
+        layers = {
+            m1_graph.ids[a].split(":")[1]: int(l) for a, l in zip(m1_subtree.affiliates, m1_subtree.layers)
+        }
         assert layers == {"a": 1, "h": 1, "b": 2, "c": 2, "d": 2, "e": 3, "f": 3, "g": 4}
 
     def test_direct_affiliate(self):
         view = view_of(2, [(1, 0)])
         subtree = extract_mnc(view, "n0")
-        assert subtree.layer_of(1) == 1
+        assert subtree.layers[subtree.position(1)] == 1
 
     def test_cross_share_cycle_min_layer(self):
         # HQ=0 <- 1 <- 2; {3,4} form a 2-cycle, both owned by 2
         view = view_of(5, [(1, 0), (2, 1), (3, 2), (4, 2), (3, 4), (4, 3)])
         subtree = extract_mnc(view, "n0")
-        assert subtree.layer_of(3) == 3
-        assert subtree.layer_of(4) == 3
+        assert subtree.layers[subtree.position(3)] == 3
+        assert subtree.layers[subtree.position(4)] == 3
 
     def test_stable_under_non_shortening_insertion(self):
         base = [(1, 0), (2, 1), (3, 2)]
@@ -64,7 +66,26 @@ class TestLayers:
         s2 = extract_mnc(v2, "n0")
         # inserting an edge that does not shorten paths of 1..3 leaves them unchanged
         for node in (1, 2, 3):
-            assert s1.layer_of(node) == s2.layer_of(node)
+            assert s1.layers[s1.position(node)] == s2.layers[s2.position(node)]
+
+
+class TestPosition:
+    def test_scalar_and_array(self, m1_subtree):
+        affiliates = m1_subtree.affiliates
+        assert m1_subtree.position(int(affiliates[2])) == 2
+        assert m1_subtree.position(affiliates[::-1]).tolist() == list(range(len(affiliates)))[::-1]
+
+    def test_non_affiliate_rejected(self, m1_subtree):
+        with pytest.raises(GraphError, match=f"node {m1_subtree.hq} "):
+            m1_subtree.position(m1_subtree.hq)
+        with pytest.raises(GraphError, match=f"node {m1_subtree.hq} "):
+            m1_subtree.position(np.append(m1_subtree.affiliates, m1_subtree.hq))
+
+    def test_empty_subtree(self):
+        subtree = extract_mnc(view_of(3, [(0, 1)]), "n2")
+        assert subtree.position(np.empty(0, dtype=np.int64)).tolist() == []
+        with pytest.raises(GraphError):
+            subtree.position(0)
 
 
 class TestDegrees:
@@ -122,22 +143,6 @@ class TestDegrees:
                 1 for s, d in zip(view.src, view.dst) if int(s) in members and int(d) in members
             )
             assert subtree.sum_k_in <= internal
-
-    def test_global_degrees_mode(self):
-        # HQ=0 <- a=1; a -> external shareholder 2 (no path from 2 to HQ)
-        view = view_of(3, [(1, 0), (1, 2)])
-        local = build_subtree(view, 0)
-        assert local.k_out.tolist() == [1]
-        swapped = build_subtree(view, 0, global_degrees=True)
-        assert swapped.k_out.tolist() == [2]
-        assert swapped.sum_k_total == 2
-
-    def test_global_degrees_same_on_closed_template(self, m1_view, m1_graph):
-        hq = m1_graph.index_of("M1:HQ")
-        a = build_subtree(m1_view, hq)
-        b = build_subtree(m1_view, hq, global_degrees=True)
-        assert a.k_in.tolist() == b.k_in.tolist()
-        assert a.k_out.tolist() == b.k_out.tolist()
 
 
 class TestClosure:
