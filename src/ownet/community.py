@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ._csr import build_indptr
+from .components import rank_by_first_member
 from .errors import ConvergenceError, GraphError
-from .netstats import PowerLawFit, fit_power_law, geometric_bins
+from .graph import _Adjacency
+from .netstats import LogBinnedHistogram, log_binned_histogram
 
 DEFAULT_DAMPING = 0.85
 MIN_CODELENGTH_GAIN = 1e-10  # stop when a full level cycle improves less
@@ -119,7 +120,6 @@ class Partition:
     labels: np.ndarray
     codelength: float
     exit_flow: np.ndarray
-    internal_flow: np.ndarray
 
     @property
     def n_communities(self) -> int:
@@ -129,29 +129,22 @@ class Partition:
         return np.bincount(self.labels, minlength=self.n_communities).astype(np.int64)
 
 
-class _Level:
+class _Level(_Adjacency):
     """One aggregation level: super-nodes with inter-node flow edges."""
 
-    def __init__(self, s, t, size, e_src, e_dst, e_w):
+    def __init__(self, s, t, size, src, dst, w):
         n = s.shape[0]
         self.n = n
         self.s = s
         self.t = t
         self.size = size
-        order = np.lexsort((e_dst, e_src))
-        self.e_src = e_src[order]
-        self.e_dst = e_dst[order]
-        self.e_w = e_w[order]
-        self.out_indptr = build_indptr(self.e_src, n)
-        in_order = np.lexsort((self.e_src, self.e_dst))
-        self.in_indptr = build_indptr(self.e_dst[in_order], n)
-        self.in_sources = self.e_src[in_order]
-        self.in_w = self.e_w[in_order]
-        self.total_out = np.bincount(self.e_src, weights=self.e_w, minlength=n)
+        self.w = self._index_edges(n, src, dst, w)
+        self.in_w = self.w[self.in_order]
+        self.total_out = np.bincount(self.src, weights=self.w, minlength=n)
 
     def out_links(self, v):
         lo, hi = self.out_indptr[v], self.out_indptr[v + 1]
-        return self.e_dst[lo:hi], self.e_w[lo:hi]
+        return self.dst[lo:hi], self.w[lo:hi]
 
     def in_links(self, v):
         lo, hi = self.in_indptr[v], self.in_indptr[v + 1]
@@ -286,10 +279,10 @@ def _aggregate(level: _Level, mod: np.ndarray) -> tuple[_Level, np.ndarray]:
     t = np.bincount(dense, weights=level.t, minlength=comms.shape[0])
     size = np.bincount(dense, weights=level.size, minlength=comms.shape[0])
 
-    cs = dense[level.e_src]
-    cd = dense[level.e_dst]
+    cs = dense[level.src]
+    cd = dense[level.dst]
     ext = cs != cd
-    cs, cd, w = cs[ext], cd[ext], level.e_w[ext]
+    cs, cd, w = cs[ext], cd[ext], level.w[ext]
     if cs.size:
         key = cs * comms.shape[0] + cd
         uniq, inv = np.unique(key, return_inverse=True)
@@ -312,7 +305,7 @@ def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
     """
     n = g.n_nodes
     if n == 0:
-        return Partition(np.zeros(0, dtype=np.int64), 0.0, np.zeros(0), np.zeros(0))
+        return Partition(np.zeros(0, dtype=np.int64), 0.0, np.zeros(0))
 
     flow = stationary_flow(g, damping=damping, tolerance=flow_tolerance)
     const_term = _plogp_arr(flow.rates)
@@ -344,10 +337,7 @@ def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
             break
 
     # deterministic final ids: order communities by smallest member node
-    uniq, first = np.unique(assign, return_index=True)
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(uniq.shape[0])
-    labels = rank[np.searchsorted(uniq, assign)]
+    labels = rank_by_first_member(assign)
 
     # greedy moves start from singletons and can miss the all-in-one optimum
     if map_equation(np.zeros(n, dtype=np.int64), flow) < map_equation(labels, flow):
@@ -359,38 +349,15 @@ def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
     size = np.bincount(labels, minlength=n_mod).astype(np.float64)
     tele = np.bincount(labels, weights=flow.teleport, minlength=n_mod)
     exit_flow = exit_flow + tele * (n - size) / n
-    internal = np.bincount(labels[g.src[~ext]], weights=flow.edge_flows[~ext], minlength=n_mod)
 
     return Partition(
         labels=labels,
         codelength=map_equation(labels, flow),
         exit_flow=exit_flow,
-        internal_flow=internal,
     )
 
 
-@dataclass(frozen=True)
-class CommunitySizeHistogram:
-    raw: dict[int, int]
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    densities: np.ndarray
-    fit: PowerLawFit | None = None
-
-
-def community_size_histogram(partition: Partition, bin_ratio: float = 2.0,
-                             fit_exponent: bool = False, x_min: int = 1) -> CommunitySizeHistogram:
-    """Community-size counts, log-binned density, optional exponent fit."""
+def community_size_histogram(partition: Partition, bin_ratio: float = 2.0) -> LogBinnedHistogram:
+    """Community-size counts and log-binned density."""
     sizes = partition.sizes()
-    sizes = sizes[sizes > 0]
-    raw: dict[int, int] = {}
-    for s in sizes:
-        raw[int(s)] = raw.get(int(s), 0) + 1
-    raw = dict(sorted(raw.items()))
-
-    if sizes.size == 0:
-        return CommunitySizeHistogram(raw, np.zeros(0), np.zeros(0, np.int64), np.zeros(0))
-
-    edges, counts, densities = geometric_bins(sizes, bin_ratio)
-    fit = fit_power_law(sizes, x_min=x_min) if fit_exponent else None
-    return CommunitySizeHistogram(raw, edges, counts, densities, fit)
+    return log_binned_histogram(sizes[sizes > 0], bin_ratio)

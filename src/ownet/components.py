@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from ._csr import multi_source_bfs
 from .errors import GraphError
+from .netstats import value_counts
 
 GSCC, IN, OUT, TE, REST = 0, 1, 2, 3, 4
 REGION_NAMES = {GSCC: "GSCC", IN: "IN", OUT: "OUT", TE: "TE", REST: "REST"}
@@ -36,13 +37,19 @@ class ComponentLabeling:
         return int(self.sizes.shape[0])
 
 
-def _relabel_by_first_member(raw: np.ndarray) -> ComponentLabeling:
-    if raw.size == 0:
-        return ComponentLabeling(raw.astype(np.int32), np.zeros(0, dtype=np.int64), -1)
+def rank_by_first_member(raw: np.ndarray) -> np.ndarray:
+    """Renumber the group ids in ``raw`` 0, 1, ... in order of each group's
+    first (smallest-index) member."""
     uniq, first = np.unique(raw, return_index=True)
     rank = np.empty(uniq.shape[0], dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(uniq.shape[0])
-    labels = rank[np.searchsorted(uniq, raw)].astype(np.int32)
+    return rank[np.searchsorted(uniq, raw)]
+
+
+def _relabel_by_first_member(raw: np.ndarray) -> ComponentLabeling:
+    if raw.size == 0:
+        return ComponentLabeling(raw.astype(np.int32), np.zeros(0, dtype=np.int64), -1)
+    labels = rank_by_first_member(raw).astype(np.int32)
     sizes = np.bincount(labels).astype(np.int64)
     # np.argmax picks the first maximum, i.e. the smallest component id
     return ComponentLabeling(labels, sizes, int(np.argmax(sizes)))
@@ -90,9 +97,6 @@ class BowTie:
 
     def size(self, region: int) -> int:
         return self.sizes.get(region, 0)
-
-    def ratio_percent(self, region: int) -> float:
-        return 100.0 * self.size(region) / self.gwcc_size
 
     def summary_rows(self) -> list[tuple[str, int, str]]:
         """(region, count, ratio) rows with ratios rounded half-up to 3 dp."""
@@ -160,13 +164,10 @@ def bowtie_decompose(g) -> BowTie:
 
 def component_size_histogram(labeling: ComponentLabeling, exclude_largest: bool = False) -> dict[int, int]:
     """Mapping component size -> number of components of that size."""
-    sizes = labeling.sizes.copy()
+    sizes = labeling.sizes
     if exclude_largest and sizes.size:
         sizes = np.delete(sizes, labeling.largest)
-    hist: dict[int, int] = {}
-    for s in sizes:
-        hist[int(s)] = hist.get(int(s), 0) + 1
-    return dict(sorted(hist.items()))
+    return value_counts(sizes)
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,6 @@ class DistanceHistogram:
     counts: dict[int, int]
     total: int
     unreachable: int = 0
-
-    def ratio(self, distance: int) -> float:
-        return self.counts.get(distance, 0) / self.total if self.total else 0.0
 
     def rows(self) -> list[tuple[int, int, float]]:
         return [(d, c, c / self.total) for d, c in sorted(self.counts.items())]
@@ -208,12 +206,9 @@ def distance_distribution(bowtie: BowTie, direction: str, reverse_orientation: b
     member = bowtie.region == want
     values = dist[member]
     reached = values[values > 0]
-    counts: dict[int, int] = {}
-    for d in reached:
-        counts[int(d)] = counts.get(int(d), 0) + 1
     return DistanceHistogram(
         direction=direction,
-        counts=dict(sorted(counts.items())),
+        counts=value_counts(reached),
         total=int(member.sum()),
         unreachable=int(member.sum() - reached.size),
     )

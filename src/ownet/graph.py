@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import zipfile
 from array import array
 from dataclasses import dataclass
@@ -97,6 +98,18 @@ def _parse_bool(raw: str, path, line) -> bool:
     if token in _FALSE:
         return False
     raise LoadError(f"cannot parse boolean field {raw!r}", path, line)
+
+
+def parse_number(raw: str, kind, name: str, path, line):
+    """Field ``name`` read as ``kind`` (``int`` or ``float``); text that does
+    not parse, and a float that is not finite, fail with the line."""
+    try:
+        value = kind(raw.strip())
+    except ValueError:
+        raise LoadError(f"cannot parse {name} {raw!r}", path, line) from None
+    if kind is float and not math.isfinite(value):
+        raise LoadError(f"{name} must be finite, got {raw!r}", path, line)
+    return value
 
 
 def data_rows(path: Path, header: list[str]):
@@ -193,30 +206,30 @@ def load_edges(path, id_index: dict[str, int]) -> EdgeLoadResult:
 class _Adjacency:
     """Shared read API over canonical edge arrays.
 
-    ``src``/``dst``/``pct`` are sorted by (src, dst). ``in_order`` permutes
-    edge positions into (dst, src) order so both directions can be walked
-    from the same arrays.
+    ``src``/``dst`` and the per-edge values (``pct`` on graphs and views)
+    are sorted by (src, dst). ``in_order`` permutes edge positions into
+    (dst, src) order so both directions can be walked from the same arrays.
     """
 
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
-    pct: np.ndarray
     out_indptr: np.ndarray
     in_indptr: np.ndarray
     in_order: np.ndarray
     in_sources: np.ndarray
 
-    def _index_edges(self, n: int, src: np.ndarray, dst: np.ndarray, pct: np.ndarray) -> None:
+    def _index_edges(self, n: int, src: np.ndarray, dst: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Store and index the edges; returns ``values`` in the same order."""
         order = canonical_edge_order(src, dst)
         self.n_nodes = n
         self.src = freeze(src[order])
         self.dst = freeze(dst[order])
-        self.pct = freeze(pct[order])
         self.out_indptr = freeze(build_indptr(self.src, n))
         self.in_order = freeze(np.lexsort((self.src, self.dst)))
         self.in_indptr = freeze(build_indptr(self.dst[self.in_order], n))
         self.in_sources = freeze(self.src[self.in_order])
+        return freeze(values[order])
 
     @property
     def n_edges(self) -> int:
@@ -257,7 +270,7 @@ class OwnershipGraph(_Adjacency):
         self.names: list[str] = nodes.names
         self.is_hq = freeze(np.asarray(nodes.is_hq, dtype=bool))
         self.ingest_counters: dict[str, int] = dict(counters)
-        self._index_edges(len(nodes), edges.src, edges.dst, edges.pct)
+        self.pct = self._index_edges(len(nodes), edges.src, edges.dst, edges.pct)
 
     # -- metadata access -------------------------------------------------
     def index_of(self, node_id: str) -> int:
@@ -288,7 +301,7 @@ class SubstantialView(_Adjacency):
         self.graph = graph
         self.threshold = float(threshold)
         keep = graph.pct >= threshold
-        self._index_edges(graph.n_nodes, graph.src[keep], graph.dst[keep], graph.pct[keep])
+        self.pct = self._index_edges(graph.n_nodes, graph.src[keep], graph.dst[keep], graph.pct[keep])
 
     @property
     def n_excluded(self) -> int:

@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
+from ._csr import neighbor_positions
 from .components import REGION_NAMES, BowTie
 from .errors import GraphError, LoadError
-from .graph import data_rows
+from .graph import data_rows, parse_number
 from .keyfirms import ClassificationReport, Role, ROLE_NAMES
+from .netstats import value_counts
 
 SINK_THRESHOLD = 10.0
 CONDUIT_THRESHOLD = 1.0
@@ -55,27 +57,20 @@ def load_profiles(path) -> dict[str, JurisdictionProfile]:
         if code in profiles:
             raise LoadError(f"duplicate jurisdiction {code!r}", path, line)
 
-        def opt_float(raw, name):
-            raw = raw.strip()
-            if raw == "":
-                return None
-            try:
-                return float(raw)
-            except ValueError:
-                raise LoadError(f"cannot parse {name} {raw!r}", path, line) from None
+        def optional(raw, kind, name):
+            return parse_number(raw, kind, name, path, line) if raw.strip() else None
 
-        gdp = opt_float(row[1], "gdp")
+        gdp = optional(row[1], float, "gdp")
         if gdp is not None and gdp <= 0:
             raise LoadError(f"gdp must be positive, got {gdp}", path, line)
-        year_raw = row[2].strip()
-        wtc = opt_float(row[4], "wtc")
+        wtc = optional(row[4], float, "wtc")
         if wtc is not None and wtc < 0:
             raise LoadError(f"wtc must be nonnegative, got {wtc}", path, line)
         profiles[code] = JurisdictionProfile(
             code=code,
             gdp=gdp,
-            gdp_year=int(year_raw) if year_raw else None,
-            statutory_rate=opt_float(row[3], "statutory_rate"),
+            gdp_year=optional(row[2], int, "gdp_year"),
+            statutory_rate=optional(row[3], float, "statutory_rate"),
             wtc=wtc,
         )
     return profiles
@@ -104,10 +99,7 @@ def load_edge_values(path, view) -> np.ndarray:
             sh = g.index_of(row[1].strip())
         except GraphError:
             raise LoadError("unknown node in value row", path, line) from None
-        try:
-            value = float(row[2])
-        except ValueError:
-            raise LoadError(f"cannot parse value {row[2]!r}", path, line) from None
+        value = parse_number(row[2], float, "value", path, line)
         if value < 0:
             raise LoadError(f"value must be nonnegative, got {value}", path, line)
         key = np.int64(sub) * n + np.int64(sh)
@@ -168,9 +160,24 @@ class CentralityScores:
     threshold: float
 
 
-def _gdp_table(profiles) -> tuple[dict[str, float], float]:
+def _gdp_normalised(values: dict[str, float], total: float, profiles: dict[str, JurisdictionProfile],
+                    threshold: float) -> CentralityScores:
+    """``values[code] / total`` divided by the code's share of the summed GDP.
+
+    Codes without a GDP are skipped; scores strictly above ``threshold``
+    are flagged.
+    """
     gdp = {p.code: p.gdp for p in profiles.values() if p.gdp is not None}
-    return gdp, sum(gdp.values())
+    gdp_sum = sum(gdp.values())
+    scores: dict[str, float] = {}
+    skipped: list[str] = []
+    for code in sorted(values):
+        if code not in gdp:
+            skipped.append(code)
+            continue
+        scores[code] = values[code] / total * (gdp_sum / gdp[code])
+    flagged = [c for c, s in scores.items() if s > threshold]
+    return CentralityScores(scores, flagged, skipped, threshold)
 
 
 def sink_centrality(flows: FlowAggregate, profiles: dict[str, JurisdictionProfile]) -> CentralityScores:
@@ -178,18 +185,9 @@ def sink_centrality(flows: FlowAggregate, profiles: dict[str, JurisdictionProfil
     total_in = flows.total_in
     if total_in <= 0:
         raise ValueError("total inbound flow is zero; sink centrality undefined")
-    gdp, gdp_sum = _gdp_table(profiles)
-    codes = sorted(set(flows.v_in) | set(flows.v_out))
-    scores: dict[str, float] = {}
-    skipped: list[str] = []
-    for code in codes:
-        if code not in gdp:
-            skipped.append(code)
-            continue
-        net = flows.v_in.get(code, 0.0) - flows.v_out.get(code, 0.0)
-        scores[code] = net / total_in * (gdp_sum / gdp[code])
-    flagged = [c for c, s in scores.items() if s > SINK_THRESHOLD]
-    return CentralityScores(scores, flagged, skipped, SINK_THRESHOLD)
+    net = {code: flows.v_in.get(code, 0.0) - flows.v_out.get(code, 0.0)
+           for code in set(flows.v_in) | set(flows.v_out)}
+    return _gdp_normalised(net, total_in, profiles, SINK_THRESHOLD)
 
 
 def pass_flows(view, sink_codes, edge_values=None) -> dict[str, float]:
@@ -229,24 +227,24 @@ def conduit_outward_centrality(flows: FlowAggregate, profiles: dict[str, Jurisdi
     total = flows.total_pass
     if total <= 0:
         raise ValueError("total pass-through flow is zero; conduit centrality undefined")
-    gdp, gdp_sum = _gdp_table(profiles)
-    scores: dict[str, float] = {}
-    skipped: list[str] = []
-    codes = sorted(set(flows.v_in) | set(flows.v_out) | set(flows.v_pass))
-    for code in codes:
-        if code not in gdp:
-            skipped.append(code)
-            continue
-        scores[code] = flows.v_pass.get(code, 0.0) / total * (gdp_sum / gdp[code])
-    flagged = [c for c, s in scores.items() if s > CONDUIT_THRESHOLD]
-    return CentralityScores(scores, flagged, skipped, CONDUIT_THRESHOLD)
+    passed = {code: flows.v_pass.get(code, 0.0)
+              for code in set(flows.v_in) | set(flows.v_out) | set(flows.v_pass)}
+    return _gdp_normalised(passed, total, profiles, CONDUIT_THRESHOLD)
 
 
 # -- tallies over classification output -----------------------------------
 
-def _ranked(counts: dict[str, int], top_k: int | None = None) -> list[tuple[str, int, float]]:
-    total = sum(counts.values())
-    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+def _ranked_jurisdictions(g, nodes, top_k: int | None = None) -> list[tuple[str, int, float]]:
+    """Ranked (code, count, percent) rows over the jurisdictions of ``nodes``.
+
+    Rows run by descending count, then code; percents are of all ``nodes``,
+    also when ``top_k`` keeps only the first rows.
+    """
+    counts = np.bincount(g.jurisdiction_index[np.asarray(nodes, dtype=np.int64)],
+                         minlength=len(g.jurisdiction_labels))
+    total = int(counts.sum())
+    rows = sorted(((g.jurisdiction_labels[i], int(counts[i])) for i in np.flatnonzero(counts)),
+                  key=lambda kv: (-kv[1], kv[0]))
     if top_k is not None:
         rows = rows[:top_k]
     return [(code, cnt, 100.0 * cnt / total) for code, cnt in rows]
@@ -257,44 +255,29 @@ def tally_by_jurisdiction(report: ClassificationReport, dimension: str,
     """Ranked (code, count, percent) rows for one tally dimension."""
     if dimension not in TALLY_DIMENSIONS:
         raise ValueError(f"dimension must be one of {TALLY_DIMENSIONS}, got {dimension!r}")
-    g = report.graph
-    counts: dict[str, int] = {}
-
-    def bump(node: int):
-        jur = g.jurisdiction_of(node)
-        counts[jur] = counts.get(jur, 0) + 1
-
-    for cls in report.classifications:
-        if dimension == "hq":
-            if cls.hq_index >= 0:
-                bump(cls.hq_index)
-            continue
-        for rec in cls.records:
-            if dimension == "affiliates":
-                bump(rec.index)
-            elif rec.role == _DIMENSION_ROLE[dimension]:
-                bump(rec.index)
-    if not counts:
-        return []
-    return _ranked(counts, top_k)
+    if dimension == "hq":
+        nodes = [cls.hq_index for cls in report.classifications if cls.hq_index >= 0]
+    elif dimension == "affiliates":
+        nodes = [rec.index for cls in report.classifications for rec in cls.records]
+    else:
+        role = _DIMENSION_ROLE[dimension]
+        nodes = [rec.index for cls in report.classifications for rec in cls.records if rec.role == role]
+    return _ranked_jurisdictions(report.graph, nodes, top_k)
 
 
 def tally_by_bowtie(report: ClassificationReport, bowtie: BowTie) -> dict[str, dict[str, int]]:
     """Bow-tie region counts for headquarters and each key-company role."""
-    out: dict[str, dict[str, int]] = {}
-
-    def bump(category: str, node: int):
-        region = REGION_NAMES[int(bowtie.region[node])]
-        bucket = out.setdefault(category, {})
-        bucket[region] = bucket.get(region, 0) + 1
-
+    nodes: dict[str, list[int]] = {}
     for cls in report.classifications:
         if cls.hq_index >= 0:
-            bump("hq", cls.hq_index)
+            nodes.setdefault("hq", []).append(cls.hq_index)
         for rec in cls.records:
             if rec.role != Role.NONE:
-                bump(ROLE_NAMES[rec.role], rec.index)
-    return out
+                nodes.setdefault(ROLE_NAMES[rec.role], []).append(rec.index)
+    return {
+        category: {REGION_NAMES[r]: c for r, c in value_counts(bowtie.region[members]).items()}
+        for category, members in nodes.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -324,20 +307,14 @@ def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: s
             if rec.role == role and g.jurisdiction_of(rec.index) == jurisdiction:
                 firms.add(rec.index)
 
-    subs: dict[str, int] = {}
-    share: dict[str, int] = {}
-    for firm in sorted(firms):
-        for s in view.in_neighbors(firm):
-            code = g.jurisdiction_of(int(s))
-            subs[code] = subs.get(code, 0) + 1
-        for s in view.out_neighbors(firm):
-            code = g.jurisdiction_of(int(s))
-            share[code] = share.get(code, 0) + 1
+    firms_arr = np.fromiter(firms, dtype=np.int64, count=len(firms))
+    subsidiaries = view.in_sources[neighbor_positions(view.in_indptr, firms_arr)]
+    shareholders = view.dst[neighbor_positions(view.out_indptr, firms_arr)]
     return ChainTable(
         role=ROLE_NAMES[role],
         jurisdiction=jurisdiction,
-        subsidiaries=_ranked(subs, top_k) if subs else [],
-        shareholders=_ranked(share, top_k) if share else [],
+        subsidiaries=_ranked_jurisdictions(g, subsidiaries, top_k),
+        shareholders=_ranked_jurisdictions(g, shareholders, top_k),
     )
 
 
@@ -351,8 +328,8 @@ class HqTables:
 
 def hq_tables(report: ClassificationReport, top_k: int = 5) -> HqTables:
     g = report.graph
-    by_role_counts: dict[str, dict[str, int]] = {}
-    loc_counts: dict[tuple[str, str], dict[str, int]] = {}
+    hqs: dict[str, list[int]] = {}  # role -> the HQ of each key firm
+    firms: dict[tuple[str, str], list[int]] = {}  # (HQ jurisdiction, role) -> key firms
     for cls in report.classifications:
         if cls.hq_index < 0:
             continue
@@ -361,14 +338,11 @@ def hq_tables(report: ClassificationReport, top_k: int = 5) -> HqTables:
             if rec.role == Role.NONE:
                 continue
             role_name = ROLE_NAMES[rec.role]
-            bucket = by_role_counts.setdefault(role_name, {})
-            bucket[hq_jur] = bucket.get(hq_jur, 0) + 1
-            loc = loc_counts.setdefault((hq_jur, role_name), {})
-            code = g.jurisdiction_of(rec.index)
-            loc[code] = loc.get(code, 0) + 1
+            hqs.setdefault(role_name, []).append(cls.hq_index)
+            firms.setdefault((hq_jur, role_name), []).append(rec.index)
     return HqTables(
-        by_role={r: _ranked(c, top_k) for r, c in sorted(by_role_counts.items())},
-        locations={k: _ranked(c, top_k) for k, c in sorted(loc_counts.items())},
+        by_role={r: _ranked_jurisdictions(g, nodes, top_k) for r, nodes in sorted(hqs.items())},
+        locations={k: _ranked_jurisdictions(g, nodes, top_k) for k, nodes in sorted(firms.items())},
     )
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from ._csr import neighbor_positions
-from .errors import DegenerateSubtreeError, GraphError, InvariantError
-from .graph import SubstantialView, data_rows
+from .errors import DegenerateSubtreeError, GraphError, InvariantError, LoadError
+from .graph import SubstantialView, data_rows, parse_number
 from .mnc import MncSubtree, _member_mask_lookup, build_subtree
 
 
@@ -237,36 +237,41 @@ class ClassificationReport:
     def n_affiliates(self) -> int:
         return sum(len(cls.records) for cls in self.classifications)
 
-    def key_records(self):
-        for cls in self.classifications:
-            for rec in cls.records:
-                if rec.role != Role.NONE:
-                    yield cls, rec
-
 
 def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> ClassificationReport:
     """Rebuild a classification report from an emitted keyfirms.csv.
 
     ``hq_map`` (mnc name -> hq node id) restores the headquarters link;
-    without it HQ-based tables are unavailable (hq_index stays -1).
+    without it HQ-based tables are unavailable (hq_index stays -1). A row
+    with an unknown id or role, a malformed number or a third_country
+    other than 0/1 fails with its line.
     """
+    path = Path(path)
     name_to_role = {v: k for k, v in ROLE_NAMES.items()}
     by_mnc: dict[str, MncClassification] = {}
-    for _, row in data_rows(Path(path), KEYFIRMS_HEADER):
+    for line, row in data_rows(path, KEYFIRMS_HEADER):
         mnc, aff, layer, k_in, k_out, h, t, tc, role = row
-        if mnc not in by_mnc:
-            hq_id = hq_map.get(mnc, "") if hq_map else ""
-            hq_index = graph.index_of(hq_id) if hq_id else -1
-            by_mnc[mnc] = MncClassification(mnc=mnc, hq_id=hq_id, hq_index=hq_index, records=[])
+        if role not in name_to_role:
+            raise LoadError(f"unknown role {role!r}", path, line)
+        if tc not in ("0", "1"):
+            raise LoadError(f"third_country must be 0 or 1, got {tc!r}", path, line)
+        try:
+            if mnc not in by_mnc:
+                hq_id = hq_map.get(mnc, "") if hq_map else ""
+                hq_index = graph.index_of(hq_id) if hq_id else -1
+                by_mnc[mnc] = MncClassification(mnc=mnc, hq_id=hq_id, hq_index=hq_index, records=[])
+            index = graph.index_of(aff)
+        except GraphError as exc:
+            raise LoadError(str(exc), path, line) from None
         by_mnc[mnc].records.append(
             CentralityRecord(
                 affiliate=aff,
-                index=graph.index_of(aff),
-                layer=int(layer),
-                k_in=int(k_in),
-                k_out=int(k_out),
-                holding=float(h) if h else None,
-                conduit=float(t) if t else None,
+                index=index,
+                layer=parse_number(layer, int, "layer", path, line),
+                k_in=parse_number(k_in, int, "k_in", path, line),
+                k_out=parse_number(k_out, int, "k_out", path, line),
+                holding=parse_number(h, float, "H", path, line) if h else None,
+                conduit=parse_number(t, float, "T", path, line) if t else None,
                 third_country=tc == "1",
                 role=name_to_role[role],
             )

@@ -28,19 +28,47 @@ _MIN_TAIL = 50
 _MAX_XMIN_CANDIDATES = 200
 
 @dataclass(frozen=True)
-class DegreeHistogram:
-    direction: str
+class LogBinnedHistogram:
+    """Raw ``{value: count}`` tally plus geometric bins over the positive values.
+
+    The one histogram type of the degree and community-size distributions.
+    """
+
     raw: dict[int, int]
     bin_edges: np.ndarray
     counts: np.ndarray
     densities: np.ndarray
-    n_binned: int
 
     def rows(self) -> list[tuple[float, float, int, float]]:
         return [
             (float(self.bin_edges[i]), float(self.bin_edges[i + 1]), int(self.counts[i]), float(self.densities[i]))
             for i in range(self.counts.shape[0])
         ]
+
+
+def value_counts(values: np.ndarray) -> dict[int, int]:
+    """``{value: count}`` of non-negative integer ``values``, in value order."""
+    counts = np.bincount(values)
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), counts[present].tolist()))
+
+
+def log_binned_histogram(values: np.ndarray, bin_ratio: float) -> LogBinnedHistogram:
+    """Raw counts of non-negative integer ``values`` and their log-binned density.
+
+    Zero values stay in the raw counts but are excluded from the geometric
+    bins. Densities are normalised so that sum(density * width) equals 1
+    over the binned values.
+    """
+    if not bin_ratio > 1.0:
+        raise ValueError(f"bin_ratio must exceed 1, got {bin_ratio}")
+    raw = value_counts(values)
+    positive = values[values > 0]
+    if positive.size == 0:
+        return LogBinnedHistogram(raw, np.zeros(0), np.zeros(0, np.int64), np.zeros(0))
+
+    edges, counts, densities = geometric_bins(positive, bin_ratio)
+    return LogBinnedHistogram(raw, edges, counts, densities)
 
 
 def _degrees_for(g, direction: str) -> np.ndarray:
@@ -53,25 +81,9 @@ def _degrees_for(g, direction: str) -> np.ndarray:
     raise ValueError(f"direction must be in/out/total, got {direction!r}")
 
 
-def degree_histogram(g, direction: str = "in", bin_ratio: float = 2.0) -> DegreeHistogram:
-    """Raw and log-binned degree distribution.
-
-    Zero-degree nodes stay in the raw histogram but are excluded from the
-    geometric bins. Densities are normalised so that sum(density * width)
-    equals 1 over the binned nodes.
-    """
-    if not bin_ratio > 1.0:
-        raise ValueError(f"bin_ratio must exceed 1, got {bin_ratio}")
-    deg = _degrees_for(g, direction)
-    raw_counts = np.bincount(deg) if deg.size else np.zeros(0, dtype=np.int64)
-    raw = {int(k): int(c) for k, c in enumerate(raw_counts) if c}
-
-    positive = deg[deg > 0]
-    if positive.size == 0:
-        return DegreeHistogram(direction, raw, np.zeros(0), np.zeros(0, np.int64), np.zeros(0), 0)
-
-    edges, counts, densities = geometric_bins(positive, bin_ratio)
-    return DegreeHistogram(direction, raw, edges, counts, densities, int(positive.size))
+def degree_histogram(g, direction: str = "in", bin_ratio: float = 2.0) -> LogBinnedHistogram:
+    """Raw and log-binned degree distribution (see :func:`log_binned_histogram`)."""
+    return log_binned_histogram(_degrees_for(g, direction), bin_ratio)
 
 
 def geometric_bins(values: np.ndarray, bin_ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -211,6 +211,10 @@ def _stage_bowtie(config, outdir, manifest, state):
     manifest.add("bowtie", path)
 
 
+def _fmt_bins(hist) -> list[tuple[str, str, int, str]]:
+    return [(_fmt(lo), _fmt(hi), c, _fmt(d)) for lo, hi, c, d in hist.rows()]
+
+
 def _fmt_curve(curve) -> list[tuple[int, str, int]]:
     return [(int(k), _fmt(v), int(c)) for k, v, c in zip(curve.degrees, curve.values, curve.counts)]
 
@@ -223,10 +227,7 @@ def write_stats(graph: OwnershipGraph, stats_dir: Path, bin_ratio: float) -> lis
     for direction in ("in", "out"):
         hist = netstats.degree_histogram(graph, direction, bin_ratio)
         path = stats_dir / f"pk_{direction}.csv"
-        write_csv_rows(
-            path, ["bin_lo", "bin_hi", "count", "density"],
-            ((_fmt(lo), _fmt(hi), c, _fmt(d)) for lo, hi, c, d in hist.rows()),
-        )
+        write_csv_rows(path, ["bin_lo", "bin_hi", "count", "density"], _fmt_bins(hist))
         paths.append(path)
 
         deg = graph.in_degrees() if direction == "in" else graph.out_degrees()
@@ -279,11 +280,7 @@ def write_community_csvs(scope: OwnershipGraph, partition, path, dsizes_path, bi
         ((scope.ids[i], int(partition.labels[i])) for i in range(scope.n_nodes)),
     )
     hist = community_size_histogram(partition, bin_ratio=bin_ratio)
-    rows = [
-        (_fmt(hist.bin_edges[i]), _fmt(hist.bin_edges[i + 1]), int(hist.counts[i]), _fmt(hist.densities[i]))
-        for i in range(hist.counts.shape[0])
-    ]
-    write_csv_rows(dsizes_path, ["size_lo", "size_hi", "count", "density"], rows)
+    write_csv_rows(dsizes_path, ["size_lo", "size_hi", "count", "density"], _fmt_bins(hist))
 
 
 def _stage_communities(config, outdir, manifest, state):

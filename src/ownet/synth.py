@@ -176,10 +176,6 @@ class MncTemplate:
     hq: str = "HQ"
     roles: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def affiliate_ids(self) -> list[str]:
-        return sorted(k for k in self.jurisdictions if k != self.hq)
-
     def global_id(self, local: str) -> str:
         return f"{self.name}:{local}"
 

@@ -386,3 +386,65 @@ class TestCliMatchesPipeline:
         ] + [f"stats/{name}" for name in ("pk_in.csv", "pk_out.csv", "ck.csv", "knn.csv", "fits.json")]
         for rel in compared:
             assert (cli / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+
+# sha256 of every artifact of the test-10 corpus run (seed 7), taken with numpy 2.4.6
+# and scipy 1.17.1. A declared behaviour change updates these and says so in CHANGES.md.
+PINNED_DIGESTS = {
+    "bowtie.csv": "a0a78bb0afd7e578f1f45f826488c4ff1c669a89d7ff072e85259bd24b8a3854",
+    "bowtie_summary.csv": "3a4843d241e64e521a7ee946143d639f92b8c7a67cc22beaea87774df23e011a",
+    "communities.csv": "4b0df513d4ab1f192156258c4fae48ebfa923bbd522b1107b6d02a6ce923a6b5",
+    "communities_summary.json": "72aa77a6015937a15083b49e1f66190046cb616592f0b416075d25be3162365f",
+    "component_sizes.csv": "5aaa253e5454eab45e566dcf8849b2b12111162602adb73179d9ea758bf81514",
+    "distances_in.csv": "f83538d2c65f83033189b3601baf58d7a259f050b24a0bd179ec0a386be22d3c",
+    "distances_out.csv": "50978c97e89b344421a603c34db54bca113c3490a34b8bfc10685a2fc4774328",
+    "dsizes.csv": "d8a22080d783bcd5aa6f518c16adfade32f7edd1866fc40836ee445a6f6d62b5",
+    "graph.npz": "521fa8c6bafcfe42ea9c110f65980599bbc68acdd4334d4140d4b70b49ce5b31",
+    "identify_summary.json": "6c38717c6520c1b12201738f520d34870effd33ab3f7d81cd733b1b1c6ebc2a1",
+    "ingest_summary.json": "1dd5304970c5915d3ab63bc682cfe0bbffce57f425c29c764421945b440f271d",
+    "keyfirms.csv": "9d892366b402702a603ef6807827987fdcb1acc856442ae8415d860bb6fc522c",
+    "mnc/M1.csv": "163c0117396c90087e23ed7dd2e834777e26623b1fd1033f5417676b84402d55",
+    "mnc/MNC000.csv": "c778e07be0dea31e3a2bb48970432be213c734a43fae5da98adaeb210f88ca3d",
+    "mnc/MNC001.csv": "c95fef4ee377f052d95dc2619563c9b977b19443b53ee641cbbe5d09f1c36b7c",
+    "mnc/MNC002.csv": "44d59df7b88dd58e61d71501691c8060b07b32887c1c6e14f6f3f472f9b2feda",
+    "mnc/MNC003.csv": "d12e07d8d7446b1987d831fedb5dd9db1008cdf18836b036171fa103f3a4a428",
+    "mnc/MNC004.csv": "e3518eca4ec75c11b85ec2951748387ad07def42a9fc86ff98b4ad212546be16",
+    "mnc/MNC005.csv": "52e64f1fad02cb2453029650e07356d1643063262eb22574a10287a71aaea4a9",
+    "mnc/MNC006.csv": "b90d541cb782ecc3d64cc13555bd7d3a43d884ad13b61c77967d1fe5ad38158d",
+    "mnc_summary.csv": "313453cb8e7a3bbcbff0851e7aeea9851ea749df27e9402ee664f5fb12541051",
+    "reports/chains/conduit_CH.csv": "9ae831f2bbc2ea9dc9287c1ee0577062ff4ffdac1b73f8a852822c76e220a6c2",
+    "reports/chains/conduit_CN.csv": "3758f9c50da3a0d02bcda121ea37538fa491b9ceb48fd1a66c2eed0bd9ed3a86",
+    "reports/chains/conduit_FR.csv": "19b9b0b1a4410dd80df58b66db8852947aebf4ff9ae95828e890697d372f8fc0",
+    "reports/chains/hc_AU.csv": "d174293a8c68156a23ff28477974f83c1d88634e6dd84bf1db1640de6139f78a",
+    "reports/chains/hc_CA.csv": "0be8d9e2360785186c9b89f7b79929d429709d5c2816b5b7a7713be0e7f2510f",
+    "reports/chains/hc_ES.csv": "34ef0119fb0bb461b1ea669b97dd98f8a02e91489ccc7c642004c3aa01b6651d",
+    "reports/chains/holding_BM.csv": "07d93e031f173c76194af18902b8abab8cd11cde2df160740780926138057eaf",
+    "reports/chains/holding_IE.csv": "b81d948a27c5daaad1f837909b65f9826661b930b036e1650ce825333811c8b5",
+    "reports/chains/holding_NL.csv": "da790a46f2860ec12acc812519004d60862c05281f86fb5125cdd3bc8d2023bb",
+    "reports/conduit.csv": "f12d9405553c2c8b32eebe10c199699ec08c2ff1b5148ed56f84a7ad13ba3f8e",
+    "reports/hq_tables.json": "f9d6dd92bd8bd8a46d4afbaaf7cb4c09665a1160c144eb52910a0c15e6888f1f",
+    "reports/regression.json": "8cdd8df155a80f0e9381ea6d757cb358232172fbf8d6b2e8fea9cbee0d6158a0",
+    "reports/sink.csv": "027df75507b9006c6ed4065a01ba00f73e9c1f87ddaf5daa241a4e9724375158",
+    "reports/tallies/affiliates.csv": "f2a30446c0871485ec508d7c5c59b1250161b6b347501489ba8610201146b68b",
+    "reports/tallies/bowtie_regions.csv": "39649e2c2a27a39fdec6f8e6c9bbb0db231540dd3b78e67165420c1b612415f1",
+    "reports/tallies/conduit.csv": "7888c1d99ad988c602be6255c930ea8721fceeddf3eaabd408440e2fdb4df9f2",
+    "reports/tallies/hc.csv": "41d515c7306ed69f127604cfbeb22bb99acb2276a1a8856df7c6e6853a69a3da",
+    "reports/tallies/holding.csv": "71407be166a48790ba84c220bed7bce7fcaa8f66c98f8c6a491e29f2303c675b",
+    "reports/tallies/hq.csv": "a351a1cc5ece5644d28b574d2dc9c570f1bee93a90b7112dca2ef2f97d2c491d",
+    "stats/ck.csv": "b5dca410224f9cd9a493821c82e3d65a4ba2e122960f719afc802793f1fd464e",
+    "stats/fits.json": "dc56774f332f0c1ab1ff7b422705714fb3f1a42312fcefc766bac1568a8e1fd5",
+    "stats/knn.csv": "46342dfa057c5cb488e345fe4191a0040ed9d4923f6049bcd7de4d4d16b0f647",
+    "stats/pk_in.csv": "2b5a1879f9d4bda7774009ab1fb1c39dad8a4fdfde47c2f65741c193d4be8abc",
+    "stats/pk_out.csv": "95071b6efa7e3322b5e31c1846de6fac98a07b8a23004df1557d235a9a471b3c",
+}
+
+
+class TestPinnedDigests:
+    def test_determinism_corpus_digests(self, tmp_path):
+        spec = SynthSpec(seed=20_10, n_noise=800, noise_edges=1000, n_mncs=8, core_size=40, out_chain=8)
+        paths = write_corpus(build_corpus(spec), tmp_path / "data")
+        data = verify_manifest(run_pipeline(config_for(paths, tmp_path / "out", seed=7)))
+        digests = {rel: digest for entry in data["stages"].values() for rel, digest in entry["artifacts"].items()}
+        assert sorted(digests) == sorted(PINNED_DIGESTS)
+        changed = sorted(rel for rel, digest in digests.items() if PINNED_DIGESTS[rel] != digest)
+        assert changed == []

@@ -325,6 +325,23 @@ class TestProfiles:
         with pytest.raises(LoadError):
             load_profiles(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("US,nan,,,", "gdp"),
+        ("US,inf,,,", "gdp"),
+        ("US,1.0,,-inf,", "statutory_rate"),
+        ("US,1.0,,nan,", "statutory_rate"),
+        ("US,1.0,,,inf", "wtc"),
+        ("US,1.0,,,nan", "wtc"),
+        ("US,1.0,2015.5,,", "gdp_year"),
+        ("US,1.0,y2k,,", "gdp_year"),
+    ])
+    def test_bad_number_names_line(self, tmp_path, row, message):
+        path = tmp_path / "profiles.csv"
+        path.write_text(f"code,gdp,gdp_year,statutory_rate,wtc\nJP,5.0,2015,0.3,0.2\n{row}\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=message) as info:
+            load_profiles(path)
+        assert (info.value.path, info.value.line) == (path, 3)
+
     def test_flow_integration(self):
         juris = {0: "JP", 1: "NL", 2: "KY"}
         g = make_graph(3, [(0, 1), (1, 2)], jurisdictions=juris)
@@ -373,3 +390,15 @@ class TestEdgeValues:
         path.write_text("subsidiary_id,shareholder_id,value\nzz,n1,1.0\n", encoding="utf-8")
         with pytest.raises(LoadError, match="unknown"):
             load_edge_values(path, view)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "+inf", "NaN"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        from ownet.jurisdiction import load_edge_values
+
+        g = make_graph(2, [(0, 1, 50.0)])
+        view = substantial_view(g, 10.0)
+        path = tmp_path / "values.csv"
+        path.write_text(f"subsidiary_id,shareholder_id,value\nn0,n1,1.0\nn0,n1,{value}\n", encoding="utf-8")
+        with pytest.raises(LoadError, match="value") as info:
+            load_edge_values(path, view)
+        assert (info.value.path, info.value.line) == (path, 3)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from ownet.errors import DegenerateSubtreeError, GraphError
+from ownet.errors import DegenerateSubtreeError, GraphError, LoadError
 from ownet.graph import substantial_view
 from ownet.keyfirms import (
     ROLE_NAMES,
@@ -275,6 +275,33 @@ class TestClassifyAll:
         assert [(r.affiliate, r.role, r.layer) for r in loaded.records] == [
             (r.affiliate, r.role, r.layer) for r in orig.records
         ]
+
+
+_GOOD_ROW = "M1,M1:a,1,3,1,1.1666666666666665,1.75,1,Holding"
+
+
+class TestKeyfirmsLoaderErrors:
+    @pytest.mark.parametrize("field, value, hq_map, message", [
+        (2, "one", None, "layer"),
+        (3, "x", None, "k_in"),
+        (4, "2.5", None, "k_out"),
+        (5, "abc", None, "H"),
+        (6, "high", None, "T"),
+        (8, "Boss", None, "role"),
+        (1, "M1:ghost", None, "unknown"),
+        (0, "M1", {"M1": "ghost"}, "unknown"),
+        (7, "yes", None, "third_country"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, m1_graph, field, value, hq_map, message):
+        bad = _GOOD_ROW.split(",")
+        bad[field] = value
+        path = tmp_path / "keyfirms.csv"
+        header = "mnc,affiliate_id,layer,k_in,k_out,H,T,third_country,role"
+        first = "M0,M1:h,1,0,1,,,0,None"  # another MNC, so an hq_map miss shows on line 3
+        path.write_text("\n".join([header, first, ",".join(bad)]) + "\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=message) as info:
+            load_keyfirms_csv(path, m1_graph, hq_map)
+        assert (info.value.path, info.value.line) == (path, 3)
 
 
 # -- reference: the scalar, one-affiliate-at-a-time identification ----------
