@@ -115,15 +115,14 @@ def map_equation(assignment, flow: FlowDistribution) -> float:
 
 @dataclass(frozen=True)
 class Partition:
-    """Final community assignment with per-community flow summaries."""
+    """Final community assignment and its map-equation codelength."""
 
     labels: np.ndarray
     codelength: float
-    exit_flow: np.ndarray
 
     @property
     def n_communities(self) -> int:
-        return int(self.exit_flow.shape[0])
+        return int(self.labels.max()) + 1 if self.labels.size else 0
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_communities).astype(np.int64)
@@ -297,7 +296,7 @@ def _aggregate(level: _Level, mod: np.ndarray) -> tuple[_Level, np.ndarray]:
 
 
 def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
-                       flow_tolerance: float = 1e-12, trace: list | None = None) -> Partition:
+                       trace: list | None = None) -> Partition:
     """Greedy two-level map-equation partition, reproducible per seed.
 
     Node-move passes alternate with community aggregation until a full
@@ -305,9 +304,9 @@ def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
     """
     n = g.n_nodes
     if n == 0:
-        return Partition(np.zeros(0, dtype=np.int64), 0.0, np.zeros(0))
+        return Partition(np.zeros(0, dtype=np.int64), 0.0)
 
-    flow = stationary_flow(g, damping=damping, tolerance=flow_tolerance)
+    flow = stationary_flow(g, damping=damping)
     const_term = _plogp_arr(flow.rates)
     rng = np.random.default_rng(seed)
 
@@ -343,18 +342,7 @@ def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
     if map_equation(np.zeros(n, dtype=np.int64), flow) < map_equation(labels, flow):
         labels = np.zeros(n, dtype=np.int64)
 
-    n_mod = int(labels.max()) + 1
-    ext = labels[g.src] != labels[g.dst]
-    exit_flow = np.bincount(labels[g.src[ext]], weights=flow.edge_flows[ext], minlength=n_mod)
-    size = np.bincount(labels, minlength=n_mod).astype(np.float64)
-    tele = np.bincount(labels, weights=flow.teleport, minlength=n_mod)
-    exit_flow = exit_flow + tele * (n - size) / n
-
-    return Partition(
-        labels=labels,
-        codelength=map_equation(labels, flow),
-        exit_flow=exit_flow,
-    )
+    return Partition(labels=labels, codelength=map_equation(labels, flow))
 
 
 def community_size_histogram(partition: Partition, bin_ratio: float = 2.0) -> LogBinnedHistogram:

@@ -250,8 +250,7 @@ def _ranked_jurisdictions(g, nodes, top_k: int | None = None) -> list[tuple[str,
     return [(code, cnt, 100.0 * cnt / total) for code, cnt in rows]
 
 
-def tally_by_jurisdiction(report: ClassificationReport, dimension: str,
-                          top_k: int | None = None) -> list[tuple[str, int, float]]:
+def tally_by_jurisdiction(report: ClassificationReport, dimension: str) -> list[tuple[str, int, float]]:
     """Ranked (code, count, percent) rows for one tally dimension."""
     if dimension not in TALLY_DIMENSIONS:
         raise ValueError(f"dimension must be one of {TALLY_DIMENSIONS}, got {dimension!r}")
@@ -262,7 +261,7 @@ def tally_by_jurisdiction(report: ClassificationReport, dimension: str,
     else:
         role = _DIMENSION_ROLE[dimension]
         nodes = [rec.index for cls in report.classifications for rec in cls.records if rec.role == role]
-    return _ranked_jurisdictions(report.graph, nodes, top_k)
+    return _ranked_jurisdictions(report.graph, nodes)
 
 
 def tally_by_bowtie(report: ClassificationReport, bowtie: BowTie) -> dict[str, dict[str, int]]:

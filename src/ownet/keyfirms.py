@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csr import neighbor_positions
 from .errors import DegenerateSubtreeError, GraphError, InvariantError, LoadError
 from .graph import SubstantialView, data_rows, parse_number
-from .mnc import MncSubtree, _member_mask_lookup, build_subtree
+from .mnc import MncSubtree, build_subtree
 
 
 class Role(enum.IntFlag):
@@ -95,17 +94,6 @@ def conduit_centrality(subtree: MncSubtree, affiliate):
     return _as_given(affiliate, k_in / subtree.sum_k_product * (subtree.sum_k_total / (k_in + k_out)))
 
 
-def _subsidiary_edges(subtree: MncSubtree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(owner, sub)`` per substantial in-edge ``sub -> nodes[owner]`` whose
-    subsidiary is a member of the subtree (an affiliate or the HQ)."""
-    view = subtree.view
-    counts = view.in_indptr[nodes + 1] - view.in_indptr[nodes]
-    owner = np.repeat(np.arange(nodes.shape[0]), counts)
-    subs = view.in_sources[neighbor_positions(view.in_indptr, nodes)]
-    member = (subs == subtree.hq) | _member_mask_lookup(subtree.affiliates, subs)
-    return owner[member], subs[member]
-
-
 def third_country(subtree: MncSubtree, affiliate):
     """Located outside the HQ's jurisdiction with a foreign direct subsidiary.
 
@@ -115,17 +103,20 @@ def third_country(subtree: MncSubtree, affiliate):
     never equals any code, itself included. Scalar or array like
     :func:`holding_centrality`.
     """
-    nodes = np.atleast_1d(subtree.affiliates[subtree.position(affiliate)])
+    pos = subtree.position(affiliate)
     g = subtree.view.graph
-    jur, na = g.jurisdiction_index, g.na_jurisdiction
+    na = g.na_jurisdiction
+    # jurisdictions by local position, the HQ last
+    jur = g.jurisdiction_index[np.append(subtree.affiliates, subtree.hq)]
 
     def differ(a, b):
         return (a != b) | (a == na) | (b == na)
 
-    owner, subs = _subsidiary_edges(subtree, nodes)
-    foreign_sub = np.zeros(nodes.shape[0], dtype=bool)
-    foreign_sub[owner[differ(jur[subs], jur[nodes[owner]])]] = True
-    return _as_given(affiliate, differ(jur[nodes], jur[subtree.hq]) & foreign_sub)
+    n_members = subtree.n_affiliates + 1
+    owner = np.repeat(np.arange(n_members), np.diff(subtree.sub_indptr))
+    foreign_sub = np.zeros(n_members, dtype=bool)
+    foreign_sub[owner[differ(jur[subtree.subsidiaries], jur[owner])]] = True
+    return _as_given(affiliate, differ(jur[pos], jur[-1]) & foreign_sub[pos])
 
 
 def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
@@ -150,13 +141,8 @@ def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
     t = conduit_centrality(subtree, affiliates).tolist() if not degenerate_t else None
     tc = third_country(subtree, affiliates)
 
-    # direct subsidiaries inside the subtree, HQ excluded, as sorted unique positions
-    owner, subs = _subsidiary_edges(subtree, affiliates)
-    keep = subs != subtree.hq
-    pairs = np.unique(owner[keep] * n_aff + np.searchsorted(affiliates, subs[keep]))
-    sub_pos = (pairs % n_aff).tolist()
-    sub_ptr = np.searchsorted(pairs // n_aff, np.arange(n_aff + 1)).tolist()
-
+    sub_ptr = subtree.sub_indptr.tolist()
+    sub_pos = subtree.subsidiaries.tolist()
     tc_list = tc.tolist()
     h_seen = np.zeros(n_aff, dtype=bool)
     t_seen = np.zeros(n_aff, dtype=bool)
@@ -173,6 +159,8 @@ def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
             continue
         found_conduit = False
         for s in sub_pos[sub_ptr[x]:sub_ptr[x + 1]]:
+            if s == n_aff:  # the HQ, a subsidiary in a cross-shareholding cycle
+                continue
             t_seen[s] = True
             if t[s] > 0.0 and tc_list[s]:
                 found_conduit = True

@@ -5,7 +5,9 @@ path to it (capital-flow orientation), found by reverse BFS from the HQ.
 Layer numbers are the BFS hop counts, so direct affiliates sit in layer 1
 and cross-shareholding cycles get the minimum consistent layer. Degrees
 for the centrality sums are counted inside the subgraph induced by the
-affiliates plus the HQ, with the sums running over affiliates only.
+affiliates plus the HQ, with the sums running over affiliates only. That
+subgraph's edges are gathered once per subtree into a table of direct
+subsidiaries per owner, which key-firm identification reads.
 """
 
 from __future__ import annotations
@@ -63,14 +65,15 @@ class MncSubtree:
     sum_k_in: int | None = None
     sum_k_total: int | None = None
     sum_k_product: int | None = None
+    # internal edges grouped by owner: the direct subsidiaries of the member
+    # at local position p are subsidiaries[sub_indptr[p]:sub_indptr[p + 1]];
+    # local positions index the affiliates, and n_affiliates is the HQ
+    sub_indptr: np.ndarray | None = None
+    subsidiaries: np.ndarray | None = None
 
     @property
     def n_affiliates(self) -> int:
         return int(self.affiliates.shape[0])
-
-    def members(self) -> np.ndarray:
-        """Affiliates plus the HQ, sorted by node index."""
-        return np.sort(np.append(self.affiliates, self.hq))
 
     def position(self, node):
         """Index of ``node`` (one node index or an array of them) inside the
@@ -116,26 +119,27 @@ def mnc_degrees(subtree: MncSubtree) -> tuple[np.ndarray, np.ndarray]:
 
     Degrees are counted inside the subgraph induced by the affiliates plus
     the HQ, so links leaving the corporation are ignored; the sums run over
-    the affiliates. Returns (k_in, k_out) aligned with ``subtree.affiliates``.
+    the affiliates. Also stores that subgraph's edges on the subtree as its
+    subsidiary table. Returns (k_in, k_out) aligned with ``subtree.affiliates``.
     """
     view = subtree.view
-    members = subtree.members()
-    edge_pos = neighbor_positions(view.out_indptr, members)
-    srcs = view.src[edge_pos]
-    dsts = view.dst[edge_pos]
-    internal = _member_mask_lookup(members, dsts)
-    srcs, dsts = srcs[internal], dsts[internal]
+    n_aff = subtree.n_affiliates
+    owners = np.append(subtree.affiliates, subtree.hq)
+    # every in-edge of a member starts at a member, because its subsidiary
+    # reaches the HQ through that member: the in-edges are the internal edges
+    subs = view.in_sources[neighbor_positions(view.in_indptr, owners)]
+    is_hq = subs == subtree.hq
+    outside = ~(is_hq | _member_mask_lookup(subtree.affiliates, subs))
+    if np.any(outside):
+        raise InvariantError(f"node {subs[outside][0]} is a direct subsidiary of a member but not one itself")
+    local = np.searchsorted(subtree.affiliates, subs)
+    local[is_hq] = n_aff
 
-    k = members.shape[0]
-    k_out_m = np.bincount(np.searchsorted(members, srcs), minlength=k)
-    k_in_m = np.bincount(np.searchsorted(members, dsts), minlength=k)
-
-    aff_sel = members != subtree.hq
-    # members() sorts, so the non-HQ entries are exactly the affiliates in order
-    if not np.array_equal(members[aff_sel], subtree.affiliates):
-        raise InvariantError("subtree members minus the HQ differ from its affiliates")
-    k_in = k_in_m[aff_sel].astype(np.int64)
-    k_out = k_out_m[aff_sel].astype(np.int64)
+    counts = view.in_indptr[owners + 1] - view.in_indptr[owners]
+    subtree.sub_indptr = np.concatenate(([0], np.cumsum(counts)))
+    subtree.subsidiaries = local
+    k_in = counts[:n_aff]
+    k_out = np.bincount(local, minlength=n_aff + 1)[:n_aff]
 
     subtree.k_in = k_in
     subtree.k_out = k_out

@@ -413,8 +413,8 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
     write_csv_rows(path, ["code", "score", "flagged"], rows)
     paths.append(path)
 
-    for dimension in jur.TALLY_DIMENSIONS:
-        rows = jur.tally_by_jurisdiction(report, dimension)
+    tallies = {d: jur.tally_by_jurisdiction(report, d) for d in jur.TALLY_DIMENSIONS}
+    for dimension, rows in tallies.items():
         path = reports_dir / "tallies" / f"{dimension}.csv"
         write_csv_rows(
             path, ["code", "count", "percent"],
@@ -434,8 +434,7 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
         paths.append(path)
 
     for role, tag in ((Role.HOLDING, "holding"), (Role.HOLDING_AND_CONDUIT, "hc"), (Role.CONDUIT, "conduit")):
-        tally = jur.tally_by_jurisdiction(report, tag, top_k=3)
-        for code, _, _ in tally:
+        for code, _, _ in tallies[tag][:3]:
             table = jur.chain_tables(report, view, role, code)
             path = reports_dir / "chains" / f"{tag}_{code}.csv"
             rows = [("subsidiary", c, n, _fmt(p)) for c, n, p in table.subsidiaries]
@@ -462,7 +461,7 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
     regressions = {}
     wtc = {code: p.wtc for code, p in profiles.items() if p.wtc is not None}
     for tag in ("holding", "hc", "conduit"):
-        counts = {c: n for c, n, _ in jur.tally_by_jurisdiction(report, tag)}
+        counts = {c: n for c, n, _ in tallies[tag]}
         codes = sorted(wtc)
         x = [wtc[c] for c in codes]
         y = [counts.get(c, 0) for c in codes]

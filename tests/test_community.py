@@ -194,7 +194,6 @@ class TestSizeHistogram:
         g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
         partition = detect_communities(g, seed=0)
         object.__setattr__(partition, "labels", labels.astype(np.int64))
-        object.__setattr__(partition, "exit_flow", np.zeros(len(sizes)))
         return partition
 
     def test_counts(self):
@@ -216,6 +215,5 @@ class TestSizeHistogram:
         g = make_graph(2, [(0, 1)])
         partition = detect_communities(g, seed=0)
         object.__setattr__(partition, "labels", labels.astype(np.int64))
-        object.__setattr__(partition, "exit_flow", np.zeros(sizes.size))
         fit = fit_power_law(partition.sizes(), x_min=1)
         assert abs(fit.gamma - 2.60) < 0.1

@@ -341,12 +341,10 @@ def ref_third_country(subtree, affiliate):
     g = subtree.view.graph
     if not _ref_jurisdictions_differ(g, affiliate, subtree.hq):
         return False
-    member_set = subtree.members()
+    member_set = {int(a) for a in subtree.affiliates} | {subtree.hq}
     for s in subtree.view.in_neighbors(affiliate):
-        pos = int(np.searchsorted(member_set, s))
-        if pos < member_set.shape[0] and member_set[pos] == s:
-            if _ref_jurisdictions_differ(g, int(s), affiliate):
-                return True
+        if int(s) in member_set and _ref_jurisdictions_differ(g, int(s), affiliate):
+            return True
     return False
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import make_graph
 from ownet.errors import GraphError, InvariantError, LoadError
 from ownet.graph import substantial_view
 from ownet.mnc import MncSubtree, build_subtree, extract_mnc, load_hq_list, mnc_degrees
+from test_keyfirms import ownership_views
 
 
 def view_of(n, edges, jurisdictions=None):
@@ -139,10 +141,45 @@ class TestDegrees:
             view = substantial_view(template_graph(template), 10.0)
             subtree = build_subtree(view, view.graph.index_of(template.global_id("HQ")))
             members = set(int(a) for a in subtree.affiliates) | {subtree.hq}
+            # every internal edge owned by an affiliate adds one to its k_in
             internal = sum(
-                1 for s, d in zip(view.src, view.dst) if int(s) in members and int(d) in members
+                1 for s, d in zip(view.src, view.dst)
+                if int(s) in members and int(d) in members and int(d) != subtree.hq
             )
-            assert subtree.sum_k_in <= internal
+            assert subtree.sum_k_in == internal
+
+    def test_subsidiary_outside_subtree_rejected(self, m1_subtree):
+        # every affiliate is a direct subsidiary of a member, so dropping one
+        # leaves an internal edge whose subsidiary is not in the subtree
+        keep = np.arange(m1_subtree.n_affiliates) != 0
+        broken = MncSubtree(view=m1_subtree.view, hq=m1_subtree.hq,
+                            affiliates=m1_subtree.affiliates[keep], layers=m1_subtree.layers[keep])
+        with pytest.raises(InvariantError, match=f"node {m1_subtree.affiliates[0]} "):
+            mnc_degrees(broken)
+
+
+class TestSubsidiaryTableOracle:
+    """The subtree's internal-edge table against brute-force counts over the
+    view edges whose two ends are members."""
+
+    @given(ownership_views())
+    @settings(max_examples=300, deadline=None)
+    def test_table_equals_internal_edges(self, case):
+        g, hqs = case
+        view = substantial_view(g, 10.0)
+        edges = list(zip(view.src.tolist(), view.dst.tolist()))
+        for hq in hqs:
+            subtree = build_subtree(view, hq)
+            members = subtree.affiliates.tolist() + [subtree.hq]  # by local position
+            internal = [(s, d) for s, d in edges if s in members and d in members]
+            affiliates = members[:-1]
+            assert subtree.k_in.tolist() == [sum(d == a for _, d in internal) for a in affiliates]
+            assert subtree.k_out.tolist() == [sum(s == a for s, _ in internal) for a in affiliates]
+            ptr = subtree.sub_indptr.tolist()
+            assert len(ptr) == len(members) + 1
+            for p, owner in enumerate(members):
+                subs = [members[q] for q in subtree.subsidiaries[ptr[p]:ptr[p + 1]].tolist()]
+                assert sorted(subs) == sorted(s for s, d in internal if d == owner)
 
 
 class TestClosure:
