@@ -141,17 +141,14 @@ class _Level(_Adjacency):
         self.in_w = self.w[self.in_order]
         self.total_out = np.bincount(self.src, weights=self.w, minlength=n)
 
-    def out_links(self, v):
-        lo, hi = self.out_indptr[v], self.out_indptr[v + 1]
-        return self.dst[lo:hi], self.w[lo:hi]
-
-    def in_links(self, v):
-        lo, hi = self.in_indptr[v], self.in_indptr[v + 1]
-        return self.in_sources[lo:hi], self.in_w[lo:hi]
-
 
 class _Optimizer:
-    """Greedy map-equation minimisation over one level."""
+    """Greedy map-equation minimisation over one level.
+
+    The move loop reads and writes plain Python scalars through memoryviews
+    of the module and level arrays; the views copy nothing, so ``mod`` stays
+    the numpy array that :func:`_aggregate` reads.
+    """
 
     def __init__(self, level: _Level, n_orig: int, const_term: float, trace=None):
         self.lv = level
@@ -160,14 +157,19 @@ class _Optimizer:
         self.trace = trace
         n = level.n
         self.mod = np.arange(n, dtype=np.int64)
-        self.m_s = level.s.astype(np.float64).copy()
-        self.m_t = level.t.astype(np.float64).copy()
-        self.m_size = level.size.astype(np.float64).copy()
-        self.m_e = level.total_out.astype(np.float64).copy()
+        self.m_s = level.s.astype(np.float64)
+        self.m_t = level.t.astype(np.float64)
+        self.m_size = level.size.astype(np.float64)
+        self.m_e = level.total_out.astype(np.float64)
         self.m_q = self._exit(self.m_t, self.m_size, self.m_e)
         self.qtot = float(self.m_q.sum())
         self.sum_plogp_q = _plogp_arr(self.m_q)
         self.sum_plogp_qs = _plogp_arr(self.m_q + self.m_s)
+        self._views = tuple(memoryview(a) for a in (
+            self.mod, self.m_s, self.m_t, self.m_size, self.m_e, self.m_q,
+            level.out_indptr, level.dst, level.w, level.in_indptr, level.in_sources, level.in_w,
+            level.total_out, level.s, level.t, level.size,
+        ))
 
     def _exit(self, t, size, e):
         return t * (self.n_orig - size) / self.n_orig + e
@@ -176,82 +178,84 @@ class _Optimizer:
         return _plogp(self.qtot) - 2.0 * self.sum_plogp_q + self.sum_plogp_qs - self.const
 
     def _try_move(self, v: int) -> bool:
-        lv = self.lv
-        i = int(self.mod[v])
-        out_nb, out_w = lv.out_links(v)
-        in_nb, in_w = lv.in_links(v)
+        """Move node ``v`` to the neighbouring module that lowers the codelength most.
+
+        Candidates run in ascending module id and only a strictly better
+        delta replaces the best, so ties go to the lowest id.
+        """
+        (mod, m_s, m_t, m_size, m_e, m_q, out_indptr, dst, w,
+         in_indptr, in_sources, in_w, total_out, s, t, size) = self._views
+        n_orig = self.n_orig
+        i = mod[v]
         flow_to: dict[int, float] = {}
         flow_from: dict[int, float] = {}
-        for nb, w in zip(out_nb, out_w):
-            c = int(self.mod[nb])
-            flow_to[c] = flow_to.get(c, 0.0) + float(w)
-        for nb, w in zip(in_nb, in_w):
-            c = int(self.mod[nb])
-            flow_from[c] = flow_from.get(c, 0.0) + float(w)
+        lo, hi = out_indptr[v], out_indptr[v + 1]
+        for nb, f in zip(dst[lo:hi], w[lo:hi]):
+            c = mod[nb]
+            flow_to[c] = flow_to.get(c, 0.0) + f
+        lo, hi = in_indptr[v], in_indptr[v + 1]
+        for nb, f in zip(in_sources[lo:hi], in_w[lo:hi]):
+            c = mod[nb]
+            flow_from[c] = flow_from.get(c, 0.0) + f
 
-        fout_v = float(lv.total_out[v])
-        s_v, t_v, size_v = float(lv.s[v]), float(lv.t[v]), float(lv.size[v])
+        fout_v = total_out[v]
+        s_v, t_v, size_v = s[v], t[v], size[v]
 
         # state of module i after v leaves
-        s_i = self.m_s[i] - s_v
-        t_i = self.m_t[i] - t_v
-        size_i = self.m_size[i] - size_v
-        e_i = self.m_e[i] - (fout_v - flow_to.get(i, 0.0)) + flow_from.get(i, 0.0)
-        q_i_new = t_i * (self.n_orig - size_i) / self.n_orig + e_i
+        s_i = m_s[i] - s_v
+        t_i = m_t[i] - t_v
+        size_i = m_size[i] - size_v
+        e_i = m_e[i] - (fout_v - flow_to.get(i, 0.0)) + flow_from.get(i, 0.0)
+        q_i_new = t_i * (n_orig - size_i) / n_orig + e_i
+        q_i_old = m_q[i]
+        qtot = self.qtot
 
-        q_i_old = self.m_q[i]
-        base_old = (
-            -2.0 * (_plogp(q_i_old))
-            + _plogp(q_i_old + self.m_s[i])
-        )
+        # delta terms that do not depend on the candidate module j
+        p_qtot = _plogp(qtot)
+        p_i_old = _plogp(q_i_old)
+        pqs_i_old = _plogp(q_i_old + m_s[i])
+        p_i_new = _plogp(q_i_new)
+        pqs_i_new = _plogp(q_i_new + s_i)
 
-        candidates = sorted(set(flow_to) | set(flow_from))
         best_j = -1
         best_gain = -_MIN_MOVE_GAIN
         best_state = None
-        for j in candidates:
+        for j in sorted(flow_to.keys() | flow_from.keys()):
             if j == i:
                 continue
-            s_j = self.m_s[j] + s_v
-            t_j = self.m_t[j] + t_v
-            size_j = self.m_size[j] + size_v
-            e_j = self.m_e[j] + (fout_v - flow_to.get(j, 0.0)) - flow_from.get(j, 0.0)
-            q_j_new = t_j * (self.n_orig - size_j) / self.n_orig + e_j
-            q_j_old = self.m_q[j]
+            s_j = m_s[j] + s_v
+            t_j = m_t[j] + t_v
+            size_j = m_size[j] + size_v
+            e_j = m_e[j] + (fout_v - flow_to.get(j, 0.0)) - flow_from.get(j, 0.0)
+            q_j_new = t_j * (n_orig - size_j) / n_orig + e_j
+            q_j_old = m_q[j]
 
-            qtot_new = self.qtot - q_i_old - q_j_old + q_i_new + q_j_new
+            qtot_new = qtot - q_i_old - q_j_old + q_i_new + q_j_new
             delta = (
                 _plogp(qtot_new)
-                - _plogp(self.qtot)
-                - 2.0 * (_plogp(q_i_new) + _plogp(q_j_new) - _plogp(q_i_old) - _plogp(q_j_old))
-                + _plogp(q_i_new + s_i)
+                - p_qtot
+                - 2.0 * (p_i_new + _plogp(q_j_new) - p_i_old - _plogp(q_j_old))
+                + pqs_i_new
                 + _plogp(q_j_new + s_j)
-                - _plogp(q_i_old + self.m_s[i])
-                - _plogp(q_j_old + self.m_s[j])
+                - pqs_i_old
+                - _plogp(q_j_old + m_s[j])
             )
             if delta < best_gain:
                 best_gain = delta
                 best_j = j
-                best_state = (s_i, t_i, size_i, e_i, q_i_new, s_j, t_j, size_j, e_j, q_j_new, qtot_new)
+                best_state = (s_j, t_j, size_j, e_j, q_j_new, qtot_new)
 
         if best_j < 0:
             return False
 
         j = best_j
-        s_i, t_i, size_i, e_i, q_i_new, s_j, t_j, size_j, e_j, q_j_new, qtot_new = best_state
-        self.sum_plogp_q += (
-            _plogp(q_i_new) + _plogp(q_j_new) - _plogp(self.m_q[i]) - _plogp(self.m_q[j])
-        )
-        self.sum_plogp_qs += (
-            _plogp(q_i_new + s_i)
-            + _plogp(q_j_new + s_j)
-            - _plogp(self.m_q[i] + self.m_s[i])
-            - _plogp(self.m_q[j] + self.m_s[j])
-        )
-        self.m_s[i], self.m_t[i], self.m_size[i], self.m_e[i], self.m_q[i] = s_i, t_i, size_i, e_i, q_i_new
-        self.m_s[j], self.m_t[j], self.m_size[j], self.m_e[j], self.m_q[j] = s_j, t_j, size_j, e_j, q_j_new
+        s_j, t_j, size_j, e_j, q_j_new, qtot_new = best_state
+        self.sum_plogp_q += p_i_new + _plogp(q_j_new) - p_i_old - _plogp(m_q[j])
+        self.sum_plogp_qs += pqs_i_new + _plogp(q_j_new + s_j) - pqs_i_old - _plogp(m_q[j] + m_s[j])
+        m_s[i], m_t[i], m_size[i], m_e[i], m_q[i] = s_i, t_i, size_i, e_i, q_i_new
+        m_s[j], m_t[j], m_size[j], m_e[j], m_q[j] = s_j, t_j, size_j, e_j, q_j_new
         self.qtot = qtot_new
-        self.mod[v] = j
+        mod[v] = j
         if self.trace is not None:
             self.trace.append(self.codelength())
         return True
@@ -260,8 +264,8 @@ class _Optimizer:
         moved_total = 0
         while True:
             moved = 0
-            for v in rng.permutation(self.lv.n):
-                if self._try_move(int(v)):
+            for v in memoryview(rng.permutation(self.lv.n)):
+                if self._try_move(v):
                     moved += 1
             moved_total += moved
             if moved == 0:
@@ -270,29 +274,25 @@ class _Optimizer:
 
 def _aggregate(level: _Level, mod: np.ndarray) -> tuple[_Level, np.ndarray]:
     comms = np.unique(mod)
+    n_comm = comms.shape[0]
     remap = np.full(int(mod.max()) + 1, -1, dtype=np.int64)
-    remap[comms] = np.arange(comms.shape[0])
+    remap[comms] = np.arange(n_comm)
     dense = remap[mod]
 
-    s = np.bincount(dense, weights=level.s, minlength=comms.shape[0])
-    t = np.bincount(dense, weights=level.t, minlength=comms.shape[0])
-    size = np.bincount(dense, weights=level.size, minlength=comms.shape[0])
+    s = np.bincount(dense, weights=level.s, minlength=n_comm)
+    t = np.bincount(dense, weights=level.t, minlength=n_comm)
+    size = np.bincount(dense, weights=level.size, minlength=n_comm)
 
-    cs = dense[level.src]
-    cd = dense[level.dst]
-    ext = cs != cd
-    cs, cd, w = cs[ext], cd[ext], level.w[ext]
-    if cs.size:
-        key = cs * comms.shape[0] + cd
-        uniq, inv = np.unique(key, return_inverse=True)
-        agg_w = np.bincount(inv, weights=w)
-        e_src = (uniq // comms.shape[0]).astype(np.int64)
-        e_dst = (uniq % comms.shape[0]).astype(np.int64)
-    else:
-        e_src = np.zeros(0, dtype=np.int64)
-        e_dst = np.zeros(0, dtype=np.int64)
-        agg_w = np.zeros(0)
-    return _Level(s, t, size, e_src, e_dst, agg_w), dense
+    # merge parallel module links; the stable sort sums each pair's flows in edge order
+    ext = dense[level.src] != dense[level.dst]
+    key = dense[level.src[ext]] * n_comm + dense[level.dst[ext]]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.shape[0], dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    pairs = key[first]
+    agg_w = np.bincount(np.cumsum(first) - 1, weights=level.w[ext][order], minlength=pairs.shape[0])
+    return _Level(s, t, size, pairs // n_comm, pairs % n_comm, agg_w), dense
 
 
 def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,

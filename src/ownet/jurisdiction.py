@@ -25,6 +25,7 @@ from .netstats import value_counts
 
 SINK_THRESHOLD = 10.0
 CONDUIT_THRESHOLD = 1.0
+TABLE_ROWS = 5  # jurisdictions listed per chain and HQ table
 
 PROFILE_HEADER = ["code", "gdp", "gdp_year", "statutory_rate", "wtc"]
 
@@ -234,19 +235,19 @@ def conduit_outward_centrality(flows: FlowAggregate, profiles: dict[str, Jurisdi
 
 # -- tallies over classification output -----------------------------------
 
-def _ranked_jurisdictions(g, nodes, top_k: int | None = None) -> list[tuple[str, int, float]]:
+def _ranked_jurisdictions(g, nodes, table: bool = False) -> list[tuple[str, int, float]]:
     """Ranked (code, count, percent) rows over the jurisdictions of ``nodes``.
 
     Rows run by descending count, then code; percents are of all ``nodes``,
-    also when ``top_k`` keeps only the first rows.
+    also when ``table`` keeps only the first ``TABLE_ROWS`` rows.
     """
     counts = np.bincount(g.jurisdiction_index[np.asarray(nodes, dtype=np.int64)],
                          minlength=len(g.jurisdiction_labels))
     total = int(counts.sum())
     rows = sorted(((g.jurisdiction_labels[i], int(counts[i])) for i in np.flatnonzero(counts)),
                   key=lambda kv: (-kv[1], kv[0]))
-    if top_k is not None:
-        rows = rows[:top_k]
+    if table:
+        rows = rows[:TABLE_ROWS]
     return [(code, cnt, 100.0 * cnt / total) for code, cnt in rows]
 
 
@@ -289,8 +290,7 @@ class ChainTable:
     shareholders: list[tuple[str, int, float]]
 
 
-def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: str,
-                 top_k: int = 5) -> ChainTable:
+def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: str) -> ChainTable:
     """Where the key companies of one role in one jurisdiction connect to.
 
     Direct subsidiaries are the firms' in-neighbors over the substantial
@@ -312,8 +312,8 @@ def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: s
     return ChainTable(
         role=ROLE_NAMES[role],
         jurisdiction=jurisdiction,
-        subsidiaries=_ranked_jurisdictions(g, subsidiaries, top_k),
-        shareholders=_ranked_jurisdictions(g, shareholders, top_k),
+        subsidiaries=_ranked_jurisdictions(g, subsidiaries, table=True),
+        shareholders=_ranked_jurisdictions(g, shareholders, table=True),
     )
 
 
@@ -325,7 +325,7 @@ class HqTables:
     locations: dict[tuple[str, str], list[tuple[str, int, float]]]
 
 
-def hq_tables(report: ClassificationReport, top_k: int = 5) -> HqTables:
+def hq_tables(report: ClassificationReport) -> HqTables:
     g = report.graph
     hqs: dict[str, list[int]] = {}  # role -> the HQ of each key firm
     firms: dict[tuple[str, str], list[int]] = {}  # (HQ jurisdiction, role) -> key firms
@@ -340,8 +340,8 @@ def hq_tables(report: ClassificationReport, top_k: int = 5) -> HqTables:
             hqs.setdefault(role_name, []).append(cls.hq_index)
             firms.setdefault((hq_jur, role_name), []).append(rec.index)
     return HqTables(
-        by_role={r: _ranked_jurisdictions(g, nodes, top_k) for r, nodes in sorted(hqs.items())},
-        locations={k: _ranked_jurisdictions(g, nodes, top_k) for k, nodes in sorted(firms.items())},
+        by_role={r: _ranked_jurisdictions(g, nodes, table=True) for r, nodes in sorted(hqs.items())},
+        locations={k: _ranked_jurisdictions(g, nodes, table=True) for k, nodes in sorted(firms.items())},
     )
 
 

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
 from ownet.community import (
+    _MIN_MOVE_GAIN,
+    MIN_CODELENGTH_GAIN,
+    _aggregate,
+    _Level,
+    _plogp,
+    _plogp_arr,
     community_size_histogram,
     detect_communities,
     map_equation,
     stationary_flow,
 )
+from ownet.components import rank_by_first_member
 from ownet.errors import ConvergenceError, GraphError
 
 
@@ -217,3 +226,264 @@ class TestSizeHistogram:
         object.__setattr__(partition, "labels", labels.astype(np.int64))
         fit = fit_power_law(partition.sizes(), x_min=1)
         assert abs(fit.gamma - 2.60) < 0.1
+
+
+# -- reference optimizer ---------------------------------------------------
+# A plain scalar move loop, aggregation and level cycle: numpy scalar reads,
+# dict accumulators, every _plogp term evaluated per candidate and np.unique
+# merging module links. _Optimizer and _aggregate must match it bit for bit.
+
+class RefOptimizer:
+    def __init__(self, level, n_orig, const_term, trace=None):
+        self.lv = level
+        self.n_orig = n_orig
+        self.const = const_term
+        self.trace = trace
+        n = level.n
+        self.mod = np.arange(n, dtype=np.int64)
+        self.m_s = level.s.astype(np.float64).copy()
+        self.m_t = level.t.astype(np.float64).copy()
+        self.m_size = level.size.astype(np.float64).copy()
+        self.m_e = level.total_out.astype(np.float64).copy()
+        self.m_q = self._exit(self.m_t, self.m_size, self.m_e)
+        self.qtot = float(self.m_q.sum())
+        self.sum_plogp_q = _plogp_arr(self.m_q)
+        self.sum_plogp_qs = _plogp_arr(self.m_q + self.m_s)
+
+    def _exit(self, t, size, e):
+        return t * (self.n_orig - size) / self.n_orig + e
+
+    def codelength(self):
+        return _plogp(self.qtot) - 2.0 * self.sum_plogp_q + self.sum_plogp_qs - self.const
+
+    def _try_move(self, v):
+        lv = self.lv
+        i = int(self.mod[v])
+        lo, hi = lv.out_indptr[v], lv.out_indptr[v + 1]
+        out_nb, out_w = lv.dst[lo:hi], lv.w[lo:hi]
+        lo, hi = lv.in_indptr[v], lv.in_indptr[v + 1]
+        in_nb, in_w = lv.in_sources[lo:hi], lv.in_w[lo:hi]
+        flow_to = {}
+        flow_from = {}
+        for nb, w in zip(out_nb, out_w):
+            c = int(self.mod[nb])
+            flow_to[c] = flow_to.get(c, 0.0) + float(w)
+        for nb, w in zip(in_nb, in_w):
+            c = int(self.mod[nb])
+            flow_from[c] = flow_from.get(c, 0.0) + float(w)
+
+        fout_v = float(lv.total_out[v])
+        s_v, t_v, size_v = float(lv.s[v]), float(lv.t[v]), float(lv.size[v])
+
+        s_i = self.m_s[i] - s_v
+        t_i = self.m_t[i] - t_v
+        size_i = self.m_size[i] - size_v
+        e_i = self.m_e[i] - (fout_v - flow_to.get(i, 0.0)) + flow_from.get(i, 0.0)
+        q_i_new = t_i * (self.n_orig - size_i) / self.n_orig + e_i
+
+        q_i_old = self.m_q[i]
+
+        candidates = sorted(set(flow_to) | set(flow_from))
+        best_j = -1
+        best_gain = -_MIN_MOVE_GAIN
+        best_state = None
+        for j in candidates:
+            if j == i:
+                continue
+            s_j = self.m_s[j] + s_v
+            t_j = self.m_t[j] + t_v
+            size_j = self.m_size[j] + size_v
+            e_j = self.m_e[j] + (fout_v - flow_to.get(j, 0.0)) - flow_from.get(j, 0.0)
+            q_j_new = t_j * (self.n_orig - size_j) / self.n_orig + e_j
+            q_j_old = self.m_q[j]
+
+            qtot_new = self.qtot - q_i_old - q_j_old + q_i_new + q_j_new
+            delta = (
+                _plogp(qtot_new)
+                - _plogp(self.qtot)
+                - 2.0 * (_plogp(q_i_new) + _plogp(q_j_new) - _plogp(q_i_old) - _plogp(q_j_old))
+                + _plogp(q_i_new + s_i)
+                + _plogp(q_j_new + s_j)
+                - _plogp(q_i_old + self.m_s[i])
+                - _plogp(q_j_old + self.m_s[j])
+            )
+            if delta < best_gain:
+                best_gain = delta
+                best_j = j
+                best_state = (s_i, t_i, size_i, e_i, q_i_new, s_j, t_j, size_j, e_j, q_j_new, qtot_new)
+
+        if best_j < 0:
+            return False
+
+        j = best_j
+        s_i, t_i, size_i, e_i, q_i_new, s_j, t_j, size_j, e_j, q_j_new, qtot_new = best_state
+        self.sum_plogp_q += (
+            _plogp(q_i_new) + _plogp(q_j_new) - _plogp(self.m_q[i]) - _plogp(self.m_q[j])
+        )
+        self.sum_plogp_qs += (
+            _plogp(q_i_new + s_i)
+            + _plogp(q_j_new + s_j)
+            - _plogp(self.m_q[i] + self.m_s[i])
+            - _plogp(self.m_q[j] + self.m_s[j])
+        )
+        self.m_s[i], self.m_t[i], self.m_size[i], self.m_e[i], self.m_q[i] = s_i, t_i, size_i, e_i, q_i_new
+        self.m_s[j], self.m_t[j], self.m_size[j], self.m_e[j], self.m_q[j] = s_j, t_j, size_j, e_j, q_j_new
+        self.qtot = qtot_new
+        self.mod[v] = j
+        if self.trace is not None:
+            self.trace.append(self.codelength())
+        return True
+
+    def run_passes(self, rng):
+        moved_total = 0
+        while True:
+            moved = 0
+            for v in rng.permutation(self.lv.n):
+                if self._try_move(int(v)):
+                    moved += 1
+            moved_total += moved
+            if moved == 0:
+                return moved_total
+
+
+def ref_aggregate(level, mod):
+    comms = np.unique(mod)
+    remap = np.full(int(mod.max()) + 1, -1, dtype=np.int64)
+    remap[comms] = np.arange(comms.shape[0])
+    dense = remap[mod]
+
+    s = np.bincount(dense, weights=level.s, minlength=comms.shape[0])
+    t = np.bincount(dense, weights=level.t, minlength=comms.shape[0])
+    size = np.bincount(dense, weights=level.size, minlength=comms.shape[0])
+
+    cs = dense[level.src]
+    cd = dense[level.dst]
+    ext = cs != cd
+    cs, cd, w = cs[ext], cd[ext], level.w[ext]
+    if cs.size:
+        key = cs * comms.shape[0] + cd
+        uniq, inv = np.unique(key, return_inverse=True)
+        agg_w = np.bincount(inv, weights=w)
+        e_src = (uniq // comms.shape[0]).astype(np.int64)
+        e_dst = (uniq % comms.shape[0]).astype(np.int64)
+    else:
+        e_src = np.zeros(0, dtype=np.int64)
+        e_dst = np.zeros(0, dtype=np.int64)
+        agg_w = np.zeros(0)
+    return _Level(s, t, size, e_src, e_dst, agg_w), dense
+
+
+def ref_detect_communities(g, seed, trace):
+    n = g.n_nodes
+    flow = stationary_flow(g)
+    const_term = _plogp_arr(flow.rates)
+    rng = np.random.default_rng(seed)
+
+    level = _Level(
+        flow.rates.astype(np.float64),
+        flow.teleport.astype(np.float64),
+        np.ones(n, dtype=np.float64),
+        g.src.astype(np.int64),
+        g.dst.astype(np.int64),
+        flow.edge_flows.astype(np.float64),
+    )
+    assign = np.arange(n, dtype=np.int64)
+    current_len = None
+
+    while True:
+        opt = RefOptimizer(level, n, const_term, trace=trace)
+        if current_len is None:
+            current_len = opt.codelength()
+        moved = opt.run_passes(rng)
+        new_len = opt.codelength()
+        if moved == 0 or current_len - new_len < MIN_CODELENGTH_GAIN:
+            break
+        current_len = new_len
+        level, dense = ref_aggregate(level, opt.mod)
+        assign = dense[assign]
+        if level.n <= 1:
+            break
+
+    labels = rank_by_first_member(assign)
+    if map_equation(np.zeros(n, dtype=np.int64), flow) < map_equation(labels, flow):
+        labels = np.zeros(n, dtype=np.int64)
+    return labels, map_equation(labels, flow)
+
+
+@st.composite
+def block_digraphs(draw):
+    """Digraphs of up to four blocks with no edge between blocks.
+
+    Blocks give several weak components; unpicked nodes stay isolated or
+    dangling, and mirrored pairs add 2-cycles.
+    """
+    n = draw(st.integers(min_value=1, max_value=60))
+    blocks = draw(st.integers(min_value=1, max_value=4))
+    block = draw(st.lists(st.integers(min_value=0, max_value=blocks - 1), min_size=n, max_size=n))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node, st.booleans()), max_size=4 * n))
+    edges = set()
+    for a, b, mirror in pairs:
+        if a != b and block[a] == block[b]:
+            edges.add((a, b))
+            if mirror:
+                edges.add((b, a))
+    return make_graph(n, sorted(edges))
+
+
+def disjoint_cliques(size, count):
+    return make_graph(size * count, [
+        (base + i, base + j)
+        for base in range(0, size * count, size)
+        for i in range(size) for j in range(size) if i != j
+    ])
+
+
+class TestMoveLoopOracle:
+    """The optimizer reproduces the scalar reference exactly, tie breaks included."""
+
+    @staticmethod
+    def assert_same_run(g, seed):
+        trace: list[float] = []
+        ref_trace: list[float] = []
+        partition = detect_communities(g, seed=seed, trace=trace)
+        ref_labels, ref_codelength = ref_detect_communities(g, seed, ref_trace)
+        assert partition.labels.tolist() == ref_labels.tolist()
+        assert partition.codelength == ref_codelength
+        assert trace == ref_trace
+
+    @given(block_digraphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_random_digraphs(self, g, seed):
+        self.assert_same_run(g, seed)
+
+    @pytest.mark.parametrize("g", [
+        disjoint_cliques(5, 2),
+        disjoint_cliques(3, 4),
+        two_cliques(6),
+        make_graph(9, [(i, (i + 1) % 9) for i in range(9)]),
+        make_graph(8, [(0, leaf) for leaf in range(1, 8)]),
+        make_graph(8, [(leaf, 0) for leaf in range(1, 8)]),
+        make_graph(7, [(0, leaf) for leaf in range(1, 7)] + [(leaf, 0) for leaf in range(1, 7)]),
+    ], ids=["two-5-cliques", "four-triangles", "bridged-cliques", "cycle", "out-star",
+            "in-star", "two-way-star"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tied_candidates(self, g, seed):
+        self.assert_same_run(g, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_aggregate_many_parallel_links(self, seed):
+        # thousands of edges between a few modules: each merged flow is a long
+        # sum whose value depends on the order of its terms
+        rng = np.random.default_rng(seed)
+        n, m = 400, 5000
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        keep = src != dst
+        w = 10.0 ** rng.uniform(-12, 0, m)
+        level = _Level(rng.random(n), rng.random(n), np.ones(n), src[keep], dst[keep], w[keep])
+        mod = rng.integers(0, 6, n) * 7
+        got, dense = _aggregate(level, mod)
+        want, want_dense = ref_aggregate(level, mod)
+        assert dense.tolist() == want_dense.tolist()
+        for name in ("s", "t", "size", "src", "dst", "w"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
