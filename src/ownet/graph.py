@@ -314,15 +314,15 @@ def build_graph(nodes, edges) -> OwnershipGraph:
 
     Duplicate node ids and edges referencing unknown nodes are rejected.
     """
-    ids = [rec.node_id for rec in nodes]
+    ids = [node.node_id for node in nodes]
     id_index = {node_id: i for i, node_id in enumerate(ids)}
     if len(id_index) != len(ids):
         raise GraphError("duplicate node ids")
-    labels = sorted({rec.jurisdiction for rec in nodes})
+    labels = sorted({node.jurisdiction for node in nodes})
     code = {label: i for i, label in enumerate(labels)}
-    columns = NodeColumns(ids, id_index, labels, [code[rec.jurisdiction] for rec in nodes],
-                          [rec.nace_section for rec in nodes], [rec.name for rec in nodes],
-                          [rec.is_hq for rec in nodes])
+    columns = NodeColumns(ids, id_index, labels, [code[node.jurisdiction] for node in nodes],
+                          [node.nace_section for node in nodes], [node.name for node in nodes],
+                          [node.is_hq for node in nodes])
     try:
         rows = [(id_index[edge.subsidiary], id_index[edge.shareholder], edge.pct) for edge in edges]
     except KeyError as exc:

@@ -29,13 +29,14 @@ TABLE_ROWS = 5  # jurisdictions listed per chain and HQ table
 
 PROFILE_HEADER = ["code", "gdp", "gdp_year", "statutory_rate", "wtc"]
 
-TALLY_DIMENSIONS = ("hq", "holding", "hc", "conduit", "affiliates")
-
-_DIMENSION_ROLE = {
+# the tag of each key role in tally, chain and regression file names
+ROLE_TAGS = {
     "holding": Role.HOLDING,
     "hc": Role.HOLDING_AND_CONDUIT,
     "conduit": Role.CONDUIT,
 }
+
+TALLY_DIMENSIONS = ("hq", *ROLE_TAGS, "affiliates")
 
 
 @dataclass(frozen=True)
@@ -251,32 +252,32 @@ def _ranked_jurisdictions(g, nodes, table: bool = False) -> list[tuple[str, int,
     return [(code, cnt, 100.0 * cnt / total) for code, cnt in rows]
 
 
+def _hq_nodes(report: ClassificationReport) -> list[int]:
+    """The HQ of every classified MNC whose HQ is known."""
+    return [cls.hq_index for cls in report.classifications if cls.hq_index >= 0]
+
+
 def tally_by_jurisdiction(report: ClassificationReport, dimension: str) -> list[tuple[str, int, float]]:
     """Ranked (code, count, percent) rows for one tally dimension."""
     if dimension not in TALLY_DIMENSIONS:
         raise ValueError(f"dimension must be one of {TALLY_DIMENSIONS}, got {dimension!r}")
     if dimension == "hq":
-        nodes = [cls.hq_index for cls in report.classifications if cls.hq_index >= 0]
-    elif dimension == "affiliates":
-        nodes = [rec.index for cls in report.classifications for rec in cls.records]
-    else:
-        role = _DIMENSION_ROLE[dimension]
-        nodes = [rec.index for cls in report.classifications for rec in cls.records if rec.role == role]
-    return _ranked_jurisdictions(report.graph, nodes)
+        return _ranked_jurisdictions(report.graph, _hq_nodes(report))
+    _, firms, roles = report.affiliate_roles()
+    if dimension != "affiliates":
+        firms = firms[roles == ROLE_TAGS[dimension]]
+    return _ranked_jurisdictions(report.graph, firms)
 
 
 def tally_by_bowtie(report: ClassificationReport, bowtie: BowTie) -> dict[str, dict[str, int]]:
     """Bow-tie region counts for headquarters and each key-company role."""
-    nodes: dict[str, list[int]] = {}
-    for cls in report.classifications:
-        if cls.hq_index >= 0:
-            nodes.setdefault("hq", []).append(cls.hq_index)
-        for rec in cls.records:
-            if rec.role != Role.NONE:
-                nodes.setdefault(ROLE_NAMES[rec.role], []).append(rec.index)
+    _, firms, roles = report.affiliate_roles()
+    nodes = {ROLE_NAMES[role]: firms[roles == role] for role in ROLE_TAGS.values()}
+    nodes["hq"] = _hq_nodes(report)
     return {
         category: {REGION_NAMES[r]: c for r, c in value_counts(bowtie.region[members]).items()}
         for category, members in nodes.items()
+        if len(members)
     }
 
 
@@ -300,15 +301,11 @@ def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: s
     if role == Role.NONE:
         raise ValueError("role must be Holding, Conduit, or HoldingAndConduit")
     g = view.graph
-    firms: set[int] = set()
-    for cls in report.classifications:
-        for rec in cls.records:
-            if rec.role == role and g.jurisdiction_of(rec.index) == jurisdiction:
-                firms.add(rec.index)
-
-    firms_arr = np.fromiter(firms, dtype=np.int64, count=len(firms))
-    subsidiaries = view.in_sources[neighbor_positions(view.in_indptr, firms_arr)]
-    shareholders = view.dst[neighbor_positions(view.out_indptr, firms_arr)]
+    _, firms, roles = report.affiliate_roles()
+    in_jurisdiction = np.array([label == jurisdiction for label in g.jurisdiction_labels])
+    firms = np.unique(firms[(roles == role) & in_jurisdiction[g.jurisdiction_index[firms]]])
+    subsidiaries = view.in_sources[neighbor_positions(view.in_indptr, firms)]
+    shareholders = view.dst[neighbor_positions(view.out_indptr, firms)]
     return ChainTable(
         role=ROLE_NAMES[role],
         jurisdiction=jurisdiction,
@@ -327,22 +324,21 @@ class HqTables:
 
 def hq_tables(report: ClassificationReport) -> HqTables:
     g = report.graph
-    hqs: dict[str, list[int]] = {}  # role -> the HQ of each key firm
-    firms: dict[tuple[str, str], list[int]] = {}  # (HQ jurisdiction, role) -> key firms
-    for cls in report.classifications:
-        if cls.hq_index < 0:
+    hqs, firms, roles = report.affiliate_roles()
+    known = hqs >= 0
+    hqs, firms, roles = hqs[known], firms[known], roles[known]
+    hq_jur = g.jurisdiction_index[hqs]
+    by_role = {}  # role -> the HQ of each key firm
+    locations = {}  # (HQ jurisdiction, role) -> key firms
+    for role in ROLE_TAGS.values():
+        has_role = roles == role
+        if not has_role.any():
             continue
-        hq_jur = g.jurisdiction_of(cls.hq_index)
-        for rec in cls.records:
-            if rec.role == Role.NONE:
-                continue
-            role_name = ROLE_NAMES[rec.role]
-            hqs.setdefault(role_name, []).append(cls.hq_index)
-            firms.setdefault((hq_jur, role_name), []).append(rec.index)
-    return HqTables(
-        by_role={r: _ranked_jurisdictions(g, nodes, table=True) for r, nodes in sorted(hqs.items())},
-        locations={k: _ranked_jurisdictions(g, nodes, table=True) for k, nodes in sorted(firms.items())},
-    )
+        by_role[ROLE_NAMES[role]] = _ranked_jurisdictions(g, hqs[has_role], table=True)
+        for j in np.unique(hq_jur[has_role]):
+            locations[(g.jurisdiction_labels[j], ROLE_NAMES[role])] = _ranked_jurisdictions(
+                g, firms[has_role & (hq_jur == j)], table=True)
+    return HqTables(by_role=dict(sorted(by_role.items())), locations=dict(sorted(locations.items())))
 
 
 # -- regression ------------------------------------------------------------

@@ -34,25 +34,13 @@ class Role(enum.IntFlag):
 
 KEYFIRMS_HEADER = ["mnc", "affiliate_id", "layer", "k_in", "k_out", "H", "T", "third_country", "role"]
 
+# NONE, then the key roles in tally order
 ROLE_NAMES = {
     Role.NONE: "None",
     Role.HOLDING: "Holding",
-    Role.CONDUIT: "Conduit",
     Role.HOLDING_AND_CONDUIT: "HoldingAndConduit",
+    Role.CONDUIT: "Conduit",
 }
-
-
-@dataclass(frozen=True)
-class CentralityRecord:
-    affiliate: str
-    index: int
-    layer: int
-    k_in: int
-    k_out: int
-    holding: float | None
-    conduit: float | None
-    third_country: bool
-    role: Role
 
 
 def _as_given(affiliate, values):
@@ -119,28 +107,29 @@ def third_country(subtree: MncSubtree, affiliate):
     return _as_given(affiliate, differ(jur[pos], jur[-1]) & foreign_sub[pos])
 
 
-def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
+def hierarchical_identify(subtree: MncSubtree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Assign None/Holding/Conduit/HoldingAndConduit roles to all affiliates.
 
-    Strict thresholds (> 0) throughout; each affiliate is expanded at most
-    once, so cross-shareholding cycles terminate. Conduit-centrality values
-    for first-layer affiliates are recorded as diagnostics but never create
-    a conduit role without an identified holding parent. On subtrees with a
-    zero centrality denominator no role can be assigned. H and T are
-    reported only for the affiliates the role search evaluated.
+    Returns (holding, conduit, third_country, roles) aligned with
+    ``subtree.affiliates``: the two centralities as float64, the condition
+    as bool and the roles as int8 :class:`Role` values. Strict thresholds
+    (> 0) throughout; each affiliate is expanded at most once, so
+    cross-shareholding cycles terminate. Conduit-centrality values for
+    first-layer affiliates are recorded as diagnostics but never create a
+    conduit role without an identified holding parent. On subtrees with a
+    zero centrality denominator no role can be assigned. H and T are NaN
+    except for the affiliates the role search evaluated.
     """
-    g = subtree.view.graph
     affiliates = subtree.affiliates
     n_aff = subtree.n_affiliates
-    if n_aff == 0:
-        return []
-
     degenerate_h = subtree.sum_k_in <= 0
     degenerate_t = subtree.sum_k_product <= 0
-    h = holding_centrality(subtree, affiliates).tolist() if not degenerate_h else None
-    t = conduit_centrality(subtree, affiliates).tolist() if not degenerate_t else None
+    holding = holding_centrality(subtree, affiliates) if not degenerate_h else np.full(n_aff, np.nan)
+    conduit = conduit_centrality(subtree, affiliates) if not degenerate_t else np.full(n_aff, np.nan)
     tc = third_country(subtree, affiliates)
 
+    h = holding.tolist()
+    t = conduit.tolist()
     sub_ptr = subtree.sub_indptr.tolist()
     sub_pos = subtree.subsidiaries.tolist()
     tc_list = tc.tolist()
@@ -172,36 +161,33 @@ def hierarchical_identify(subtree: MncSubtree) -> list[CentralityRecord]:
         if found_conduit:
             roles[x] |= Role.HOLDING
 
-    if not degenerate_t:
-        t_seen[subtree.layers == 1] = True
+    t_seen[subtree.layers == 1] = True
 
     # post hoc: a role without the third-country condition is a logic bug
     if np.any((roles != Role.NONE) & ~tc):
         raise InvariantError("a key firm fails the third-country condition")
 
-    return [
-        CentralityRecord(g.ids[aff], aff, layer, k_in, k_out, hv, tv, third, Role(role))
-        for aff, layer, k_in, k_out, hv, tv, third, role in zip(
-            affiliates.tolist(), subtree.layers.tolist(), subtree.k_in.tolist(), subtree.k_out.tolist(),
-            _where_seen(h, h_seen), _where_seen(t, t_seen), tc_list, roles.tolist())
-    ]
-
-
-def _where_seen(values: list[float] | None, seen: np.ndarray) -> list[float | None]:
-    """``values`` where ``seen`` is set, None elsewhere (everywhere without values)."""
-    if values is None:
-        return [None] * seen.shape[0]
-    return [v if shown else None for v, shown in zip(values, seen.tolist())]
+    return np.where(h_seen, holding, np.nan), np.where(t_seen, conduit, np.nan), tc, roles
 
 
 @dataclass
 class MncClassification:
+    """One MNC's identification results, as columns aligned with its affiliates.
+
+    ``holding`` and ``conduit`` are NaN where the role search did not
+    evaluate them; ``roles`` holds int8 :class:`Role` values.
+    """
+
     mnc: str
-    hq_id: str
     hq_index: int
-    records: list[CentralityRecord]
-    # the subtree the records came from; None when rebuilt from keyfirms.csv
-    subtree: MncSubtree | None = field(default=None, repr=False, compare=False)
+    affiliates: np.ndarray
+    layers: np.ndarray
+    k_in: np.ndarray
+    k_out: np.ndarray
+    holding: np.ndarray
+    conduit: np.ndarray
+    third_country: np.ndarray
+    roles: np.ndarray
 
 
 @dataclass
@@ -212,18 +198,26 @@ class ClassificationReport:
     classifications: list[MncClassification] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)
 
+    def affiliate_roles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(HQ index, firm index, role) of every classified affiliate, MNC by MNC.
+
+        A firm under several MNCs appears once per MNC.
+        """
+        classes = self.classifications
+        sizes = [cls.affiliates.shape[0] for cls in classes]
+        hq = np.repeat(np.array([cls.hq_index for cls in classes], dtype=np.int64), sizes)
+        firms = np.concatenate([np.zeros(0, dtype=np.int64)] + [cls.affiliates for cls in classes])
+        roles = np.concatenate([np.zeros(0, dtype=np.int8)] + [cls.roles for cls in classes])
+        return hq, firms, roles
+
     @property
     def tallies(self) -> dict[str, int]:
-        counts = {"Holding": 0, "HoldingAndConduit": 0, "Conduit": 0}
-        for cls in self.classifications:
-            for rec in cls.records:
-                if rec.role != Role.NONE:
-                    counts[ROLE_NAMES[rec.role]] += 1
-        return counts
+        counts = np.bincount(self.affiliate_roles()[2], minlength=len(ROLE_NAMES))
+        return {name: int(counts[role]) for role, name in ROLE_NAMES.items() if role != Role.NONE}
 
     @property
     def n_affiliates(self) -> int:
-        return sum(len(cls.records) for cls in self.classifications)
+        return sum(cls.affiliates.shape[0] for cls in self.classifications)
 
 
 def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> ClassificationReport:
@@ -231,59 +225,63 @@ def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> Clas
 
     ``hq_map`` (mnc name -> hq node id) restores the headquarters link;
     without it HQ-based tables are unavailable (hq_index stays -1). A row
-    with an unknown id or role, a malformed number or a third_country
-    other than 0/1 fails with its line.
+    with an unknown id or role, a malformed number, a third_country other
+    than 0/1, or an (mnc, affiliate_id) pair seen before fails with its line.
     """
     path = Path(path)
     name_to_role = {v: k for k, v in ROLE_NAMES.items()}
-    by_mnc: dict[str, MncClassification] = {}
+    hq_of: dict[str, int] = {}
+    fields: dict[str, dict[str, tuple]] = {}  # mnc -> affiliate id -> its values in column order
     for line, row in data_rows(path, KEYFIRMS_HEADER):
         mnc, aff, layer, k_in, k_out, h, t, tc, role = row
         if role not in name_to_role:
             raise LoadError(f"unknown role {role!r}", path, line)
         if tc not in ("0", "1"):
             raise LoadError(f"third_country must be 0 or 1, got {tc!r}", path, line)
+        rows = fields.setdefault(mnc, {})
+        if aff in rows:
+            raise LoadError(f"duplicate affiliate {aff!r} of mnc {mnc!r}", path, line)
         try:
-            if mnc not in by_mnc:
+            if mnc not in hq_of:
                 hq_id = hq_map.get(mnc, "") if hq_map else ""
-                hq_index = graph.index_of(hq_id) if hq_id else -1
-                by_mnc[mnc] = MncClassification(mnc=mnc, hq_id=hq_id, hq_index=hq_index, records=[])
+                hq_of[mnc] = graph.index_of(hq_id) if hq_id else -1
             index = graph.index_of(aff)
         except GraphError as exc:
             raise LoadError(str(exc), path, line) from None
-        by_mnc[mnc].records.append(
-            CentralityRecord(
-                affiliate=aff,
-                index=index,
-                layer=parse_number(layer, int, "layer", path, line),
-                k_in=parse_number(k_in, int, "k_in", path, line),
-                k_out=parse_number(k_out, int, "k_out", path, line),
-                holding=parse_number(h, float, "H", path, line) if h else None,
-                conduit=parse_number(t, float, "T", path, line) if t else None,
-                third_country=tc == "1",
-                role=name_to_role[role],
-            )
+        rows[aff] = (
+            index,
+            parse_number(layer, int, "layer", path, line),
+            parse_number(k_in, int, "k_in", path, line),
+            parse_number(k_out, int, "k_out", path, line),
+            parse_number(h, float, "H", path, line) if h else np.nan,
+            parse_number(t, float, "T", path, line) if t else np.nan,
+            tc == "1",
+            name_to_role[role],
         )
-    return ClassificationReport(graph=graph, classifications=list(by_mnc.values()))
+    dtypes = (np.int64, np.int32, np.int64, np.int64, np.float64, np.float64, bool, np.int8)
+    return ClassificationReport(graph=graph, classifications=[
+        MncClassification(mnc, hq_of[mnc], *(np.array(c, dtype=d) for c, d in zip(zip(*rows.values()), dtypes)))
+        for mnc, rows in fields.items()
+    ])
 
 
 def classify_all(view: SubstantialView, hq_list) -> ClassificationReport:
     """Extract, layer, and identify every MNC in the HQ list.
 
     ``hq_list`` yields (hq_node_id, mnc_name) pairs. Each subtree is built
-    once and kept on its classification. Per-MNC failures are collected
-    and the run continues; classifications keep list order.
+    once. Per-MNC failures are collected and the run continues;
+    classifications keep list order.
     """
     report = ClassificationReport(graph=view.graph)
     for hq_id, name in hq_list:
         try:
             hq_index = view.graph.index_of(hq_id)
             subtree = build_subtree(view, hq_index)
-            records = hierarchical_identify(subtree)
+            identified = hierarchical_identify(subtree)
         except (GraphError, DegenerateSubtreeError) as exc:
             report.failures.append((name, str(exc)))
             continue
-        report.classifications.append(
-            MncClassification(mnc=name, hq_id=hq_id, hq_index=hq_index, records=records, subtree=subtree)
-        )
+        report.classifications.append(MncClassification(
+            name, hq_index, subtree.affiliates, subtree.layers, subtree.k_in, subtree.k_out, *identified
+        ))
     return report

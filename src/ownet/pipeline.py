@@ -11,7 +11,9 @@ emit the same bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -315,34 +317,27 @@ def write_mnc_csvs(report, mnc_dir: Path) -> list[Path]:
     ids = report.graph.ids
     paths = []
     for cls in report.classifications:
-        subtree = cls.subtree
         path = mnc_dir / mnc_file_name(cls.mnc)
-        rows = [
-            (ids[int(a)], int(subtree.layers[i]), int(subtree.k_in[i]), int(subtree.k_out[i]))
-            for i, a in enumerate(subtree.affiliates)
-        ]
+        rows = zip([ids[a] for a in cls.affiliates.tolist()], cls.layers.tolist(), cls.k_in.tolist(),
+                   cls.k_out.tolist())
         write_csv_rows(path, ["node_id", "layer", "k_in", "k_out"], rows)
         paths.append(path)
     return paths
 
 
+def _fmt_or_blank(values: np.ndarray) -> list[str]:
+    return ["" if math.isnan(v) else _fmt(v) for v in values.tolist()]
+
+
 def write_keyfirms_csv(report, path) -> None:
     """``keyfirms.csv``: centralities and role of every classified affiliate."""
-    rows = [
-        (
-            cls.mnc,
-            rec.affiliate,
-            rec.layer,
-            rec.k_in,
-            rec.k_out,
-            _fmt(rec.holding) if rec.holding is not None else "",
-            _fmt(rec.conduit) if rec.conduit is not None else "",
-            "1" if rec.third_country else "0",
-            ROLE_NAMES[rec.role],
-        )
-        for cls in report.classifications
-        for rec in cls.records
-    ]
+    ids = report.graph.ids
+    rows = []
+    for cls in report.classifications:
+        rows += zip(repeat(cls.mnc), [ids[a] for a in cls.affiliates.tolist()], cls.layers.tolist(),
+                    cls.k_in.tolist(), cls.k_out.tolist(), _fmt_or_blank(cls.holding),
+                    _fmt_or_blank(cls.conduit), cls.third_country.astype(int).tolist(),
+                    [ROLE_NAMES[role] for role in cls.roles.tolist()])
     write_csv_rows(path, KEYFIRMS_HEADER, rows)
 
 
@@ -362,12 +357,9 @@ def _stage_identify(config, outdir, manifest, state):
     path = outdir / "mnc_summary.csv"
     rows = []
     for cls in report.classifications:
-        counts = {Role.HOLDING: 0, Role.HOLDING_AND_CONDUIT: 0, Role.CONDUIT: 0}
-        for rec in cls.records:
-            if rec.role != Role.NONE:
-                counts[rec.role] += 1
+        counts = np.bincount(cls.roles, minlength=len(ROLE_NAMES))
         rows.append(
-            (cls.mnc, graph.jurisdiction_of(cls.hq_index), len(cls.records),
+            (cls.mnc, graph.jurisdiction_of(cls.hq_index), cls.affiliates.shape[0],
              counts[Role.HOLDING], counts[Role.HOLDING_AND_CONDUIT], counts[Role.CONDUIT])
         )
     write_csv_rows(
@@ -433,7 +425,7 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
         write_csv_rows(path, ["category", "region", "count"], rows)
         paths.append(path)
 
-    for role, tag in ((Role.HOLDING, "holding"), (Role.HOLDING_AND_CONDUIT, "hc"), (Role.CONDUIT, "conduit")):
+    for tag, role in jur.ROLE_TAGS.items():
         for code, _, _ in tallies[tag][:3]:
             table = jur.chain_tables(report, view, role, code)
             path = reports_dir / "chains" / f"{tag}_{code}.csv"
@@ -460,7 +452,7 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
     # withholding-tax regressions per role
     regressions = {}
     wtc = {code: p.wtc for code, p in profiles.items() if p.wtc is not None}
-    for tag in ("holding", "hc", "conduit"):
+    for tag in jur.ROLE_TAGS:
         counts = {c: n for c, n, _ in tallies[tag]}
         codes = sorted(wtc)
         x = [wtc[c] for c in codes]

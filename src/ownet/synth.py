@@ -38,6 +38,7 @@ from .graph import (
     write_json,
 )
 from .jurisdiction import PROFILE_HEADER
+from .mnc import HQ_HEADER
 
 JURISDICTION_POOL = [
     "US", "GB", "NL", "JP", "DE", "FR", "IE", "HK", "CN", "ES",
@@ -46,6 +47,10 @@ JURISDICTION_POOL = [
 NACE_POOL = list("CKGJMHBF")
 
 _SURVIVAL_TABLE_SIZE = 1 << 20
+_RETRY_FACTOR = 100  # stub swaps allowed per edge before the wiring is re-drawn
+_P_HOME = 0.35  # chance that a template affiliate sits in the HQ's jurisdiction
+_P_EXTRA_PARENT = 0.15  # chance that it gets a second owner
+_P_CYCLE = 0.1  # chance that a link between two affiliates is also reversed
 _table_cache: dict[tuple[float, int], np.ndarray] = {}
 
 
@@ -105,13 +110,13 @@ def _degree_sequence(rng, n: int, gamma: float, target_sum: int | None) -> np.nd
     return k
 
 
-def _wire_stubs(rng, k_out: np.ndarray, k_in: np.ndarray, retry_factor: int = 100):
+def _wire_stubs(rng, k_out: np.ndarray, k_in: np.ndarray):
     n = k_out.shape[0]
     m = int(k_out.sum())
     src = np.repeat(np.arange(n, dtype=np.int64), k_out)
     dst = np.repeat(np.arange(n, dtype=np.int64), k_in)
     rng.shuffle(dst)
-    budget = retry_factor * max(m, 1)
+    budget = _RETRY_FACTOR * max(m, 1)
     spent = 0
     n64 = np.int64(n)
     while True:
@@ -293,10 +298,7 @@ def evaluate_template_roles(template: MncTemplate) -> dict[str, str]:
 
 def random_mnc_template(rng: np.random.Generator, name: str,
                         n_affiliates: tuple[int, int] = (5, 30),
-                        pool: list[str] | None = None,
-                        p_extra_parent: float = 0.15,
-                        p_cycle: float = 0.1,
-                        p_home: float = 0.35) -> MncTemplate:
+                        pool: list[str] | None = None) -> MncTemplate:
     """Random layered ownership tree plus optional multi-parent/cycle edges."""
     pool = pool or JURISDICTION_POOL
     count = int(rng.integers(n_affiliates[0], n_affiliates[1] + 1))
@@ -317,7 +319,7 @@ def random_mnc_template(rng: np.random.Generator, name: str,
             parent = prev_layer[int(rng.integers(0, len(prev_layer)))]
             pct = round(float(rng.uniform(20.0, 100.0)), 2)
             edges.append((local, parent, pct))
-            if rng.random() < p_home:
+            if rng.random() < _P_HOME:
                 jurisdictions[local] = hq_jur
             else:
                 jurisdictions[local] = pool[int(rng.integers(0, len(pool)))]
@@ -328,7 +330,7 @@ def random_mnc_template(rng: np.random.Generator, name: str,
     edge_set = {(c, p) for c, p, _ in edges}
     # multi-parent affiliates: an extra owner drawn from anywhere in the tree
     for local in locals_:
-        if rng.random() < p_extra_parent:
+        if rng.random() < _P_EXTRA_PARENT:
             other = (["HQ"] + locals_)[int(rng.integers(0, len(locals_) + 1))]
             if other != local and (local, other) not in edge_set:
                 pct = round(float(rng.uniform(20.0, 100.0)), 2)
@@ -336,7 +338,7 @@ def random_mnc_template(rng: np.random.Generator, name: str,
                 edge_set.add((local, other))
     # cross-shareholding: reverse an existing link between affiliates
     for child, parent, _ in list(edges):
-        if parent != "HQ" and child != "HQ" and rng.random() < p_cycle:
+        if parent != "HQ" and child != "HQ" and rng.random() < _P_CYCLE:
             if (parent, child) not in edge_set:
                 pct = round(float(rng.uniform(20.0, 100.0)), 2)
                 edges.append((parent, child, pct))
@@ -532,7 +534,7 @@ def write_corpus(bundle: CorpusBundle, outdir) -> dict[str, Path]:
     }
     write_csv_rows(paths["nodes"], NODE_HEADER, bundle.node_rows)
     write_csv_rows(paths["edges"], EDGE_HEADER, bundle.edge_rows)
-    write_csv_rows(paths["hqs"], ["hq_node_id", "mnc_name"], bundle.hq_rows)
+    write_csv_rows(paths["hqs"], HQ_HEADER, bundle.hq_rows)
     write_csv_rows(paths["profiles"], PROFILE_HEADER, bundle.profile_rows)
     write_json(paths["truth"], {"target_region": bundle.target_region, "roles": bundle.truth})
     return paths

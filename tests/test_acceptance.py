@@ -48,9 +48,8 @@ def announce(number: int, description: str) -> None:
 def test_01_worked_example_reproduction(m1_graph, m1_view):
     start = time.perf_counter()
     subtree = build_subtree(m1_view, m1_graph.index_of("M1:HQ"))
-    records = {r.affiliate.split(":")[1]: r for r in hierarchical_identify(subtree)}
-
-    roles = {k: r.role for k, r in records.items() if r.role != Role.NONE}
+    local = [m1_graph.ids[a].split(":")[1] for a in subtree.affiliates.tolist()]
+    roles = {k: r for k, r in zip(local, hierarchical_identify(subtree)[3].tolist()) if r != Role.NONE}
     assert roles == {
         "a": Role.HOLDING,
         "b": Role.HOLDING_AND_CONDUIT,
@@ -238,7 +237,8 @@ def test_08_planted_corpus_end_to_end(tmp_path):
             planted[role] += 1
     assert report.tallies == planted
     for cls in report.classifications:
-        got = {r.affiliate: ROLE_NAMES[r.role] for r in cls.records if r.role != Role.NONE}
+        got = {graph.ids[a]: ROLE_NAMES[r] for a, r in zip(cls.affiliates.tolist(), cls.roles.tolist())
+               if r != Role.NONE}
         assert got == bundle.truth[cls.mnc], cls.mnc
 
     bowtie = comp.bowtie_decompose(graph)

@@ -22,8 +22,16 @@ from ownet.jurisdiction import (
     tally_by_jurisdiction,
     with_pass_flows,
 )
-from ownet.keyfirms import Role, classify_all
+from ownet.keyfirms import ClassificationReport, MncClassification, Role, classify_all
 from ownet.synth import template_graph, toy_m1_template
+
+
+def classified(mnc, hq_index, firms, roles):
+    """A classification of layer-1 third-country ``firms`` with the given roles."""
+    n = len(firms)
+    return MncClassification(mnc, hq_index, np.array(firms, dtype=np.int64), np.ones(n, dtype=np.int32),
+                             np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.full(n, np.nan),
+                             np.full(n, np.nan), np.ones(n, dtype=bool), np.array(roles, dtype=np.int8))
 
 
 def profiles_of(gdps):
@@ -151,16 +159,10 @@ class TestTallies:
 
     def test_counts_two_thirds(self):
         # toy corpus: key firms in {NL, NL, GB}
-        from ownet.keyfirms import CentralityRecord, ClassificationReport, MncClassification
-
         g = make_graph(3, [], jurisdictions={0: "NL", 1: "NL", 2: "GB"})
-        recs = [
-            CentralityRecord(f"n{i}", i, 1, 1, 0, None, None, True, Role.HOLDING)
-            for i in range(3)
-        ]
         report = ClassificationReport(
             graph=g,
-            classifications=[MncClassification("X", "n0", 0, recs)],
+            classifications=[classified("X", 0, [0, 1, 2], [Role.HOLDING] * 3)],
         )
         rows = tally_by_jurisdiction(report, "holding")
         assert rows[0] == ("NL", 2, pytest.approx(66.6667, abs=1e-3))
@@ -183,14 +185,8 @@ class TestBowTieTally:
         juris = {i: c for i, c in enumerate(["US", "US", "NL", "JP", "GB"])}
         g = make_graph(5, [(0, 1), (1, 0), (2, 0), (3, 2)], jurisdictions=juris)
         bowtie = comp.bowtie_decompose(g)
-        from ownet.keyfirms import CentralityRecord, ClassificationReport, MncClassification
-
-        recs = [
-            CentralityRecord("n2", 2, 1, 1, 1, 1.0, None, True, Role.HOLDING),
-            CentralityRecord("n4", 4, 1, 1, 1, 1.0, None, True, Role.CONDUIT),
-        ]
         report = ClassificationReport(
-            graph=g, classifications=[MncClassification("X", "n3", 3, recs)]
+            graph=g, classifications=[classified("X", 3, [2, 4], [Role.HOLDING, Role.CONDUIT])]
         )
         out = tally_by_bowtie(report, bowtie)
         assert out["Holding"] == {"IN": 1}
@@ -229,19 +225,13 @@ class TestHqTables:
             assert rows == [("JP", 1, 100.0)]
 
     def test_share_split(self):
-        from ownet.keyfirms import CentralityRecord, ClassificationReport, MncClassification
-
         juris = {0: "US", 1: "JP", 2: "NL", 3: "NL", 4: "NL", 5: "GB"}
         g = make_graph(6, [], jurisdictions=juris)
-
-        def rec(i):
-            return CentralityRecord(f"n{i}", i, 1, 1, 0, 1.0, None, True, Role.HOLDING)
-
         report = ClassificationReport(
             graph=g,
             classifications=[
-                MncClassification("A", "n0", 0, [rec(2), rec(3), rec(4)]),
-                MncClassification("B", "n1", 1, [rec(5)]),
+                classified("A", 0, [2, 3, 4], [Role.HOLDING] * 3),
+                classified("B", 1, [5], [Role.HOLDING]),
             ],
         )
         rows = hq_tables(report).by_role["Holding"]

@@ -10,7 +10,6 @@ from conftest import make_graph
 from ownet.errors import DegenerateSubtreeError, GraphError, LoadError
 from ownet.graph import substantial_view
 from ownet.keyfirms import (
-    ROLE_NAMES,
     Role,
     classify_all,
     conduit_centrality,
@@ -25,6 +24,12 @@ from ownet.synth import random_mnc_template, template_graph, toy_m1_template
 
 def idx(graph, local, mnc="M1"):
     return graph.index_of(f"{mnc}:{local}")
+
+
+def by_id(subtree, values):
+    """{affiliate id: value} for an array aligned with the subtree's affiliates."""
+    ids = subtree.view.graph.ids
+    return {ids[a]: v for a, v in zip(subtree.affiliates.tolist(), values.tolist())}
 
 
 class TestCentralities:
@@ -120,8 +125,8 @@ class TestThirdCountry:
 
 class TestHierarchicalIdentify:
     def test_toy_roles(self, m1_subtree, m1_graph):
-        records = hierarchical_identify(m1_subtree)
-        roles = {r.affiliate.split(":")[1]: r.role for r in records}
+        roles = by_id(m1_subtree, hierarchical_identify(m1_subtree)[3])
+        roles = {aff.split(":")[1]: r for aff, r in roles.items()}
         assert roles["a"] == Role.HOLDING
         assert roles["b"] == Role.HOLDING_AND_CONDUIT
         assert roles["e"] == Role.CONDUIT
@@ -129,19 +134,20 @@ class TestHierarchicalIdentify:
             assert roles[other] == Role.NONE
 
     def test_records_carry_diagnostics(self, m1_subtree):
-        records = {r.affiliate: r for r in hierarchical_identify(m1_subtree)}
+        holding, conduit, _, _ = hierarchical_identify(m1_subtree)
+        holding, conduit = by_id(m1_subtree, holding), by_id(m1_subtree, conduit)
         # layer-1 conduit centralities are recorded even without a role
-        assert records["M1:h"].conduit is not None
-        assert records["M1:h"].holding is not None
-        assert records["M1:g"].holding is None
+        assert not np.isnan(conduit["M1:h"])
+        assert not np.isnan(holding["M1:h"])
+        assert np.isnan(holding["M1:g"])
 
     def test_single_jurisdiction_no_keys(self):
         template = toy_m1_template()
         template.jurisdictions = {k: "JP" for k in template.jurisdictions}
         g = template_graph(template)
         subtree = build_subtree(substantial_view(g, 10.0), g.index_of("M1:HQ"))
-        records = hierarchical_identify(subtree)
-        assert all(r.role == Role.NONE for r in records)
+        roles = hierarchical_identify(subtree)[3]
+        assert all(r == Role.NONE for r in roles.tolist())
 
     def test_no_conduit_without_holding_parent(self):
         rng = np.random.default_rng(3)
@@ -150,12 +156,12 @@ class TestHierarchicalIdentify:
             g = template_graph(template)
             view = substantial_view(g, 10.0)
             subtree = build_subtree(view, g.index_of(template.global_id("HQ")))
-            records = {r.index: r for r in hierarchical_identify(subtree)}
+            roles = dict(zip(subtree.affiliates.tolist(), hierarchical_identify(subtree)[3].tolist()))
             holders = {
-                i for i, r in records.items() if r.role in (Role.HOLDING, Role.HOLDING_AND_CONDUIT)
+                i for i, r in roles.items() if r in (Role.HOLDING, Role.HOLDING_AND_CONDUIT)
             }
-            for i, rec in records.items():
-                if rec.role in (Role.CONDUIT, Role.HOLDING_AND_CONDUIT):
+            for i, role in roles.items():
+                if role in (Role.CONDUIT, Role.HOLDING_AND_CONDUIT):
                     parents = {int(p) for p in view.out_neighbors(i)}
                     assert parents & holders
 
@@ -165,9 +171,10 @@ class TestHierarchicalIdentify:
             template = random_mnc_template(rng, f"Q{i}")
             g = template_graph(template)
             subtree = build_subtree(substantial_view(g, 10.0), g.index_of(template.global_id("HQ")))
-            for rec in hierarchical_identify(subtree):
-                if rec.role != Role.NONE:
-                    assert rec.third_country
+            _, _, tc, roles = hierarchical_identify(subtree)
+            for third, role in zip(tc.tolist(), roles.tolist()):
+                if role != Role.NONE:
+                    assert third
 
     def test_sibling_order_independence(self, m1_template):
         rng = np.random.default_rng(5)
@@ -179,7 +186,7 @@ class TestHierarchicalIdentify:
             template.edges = shuffled
             g = template_graph(template)
             subtree = build_subtree(substantial_view(g, 10.0), g.index_of("M1:HQ"))
-            roles = {r.affiliate: r.role for r in hierarchical_identify(subtree)}
+            roles = by_id(subtree, hierarchical_identify(subtree)[3])
             if base is None:
                 base = roles
             assert roles == base
@@ -190,7 +197,7 @@ class TestHierarchicalIdentify:
         assert subtree.n_affiliates == 1  # n0 owned by n1
         g2 = make_graph(2, [(0, 1)])
         subtree2 = build_subtree(substantial_view(g2, 10.0), 0)
-        assert hierarchical_identify(subtree2) == []
+        assert [a.shape for a in hierarchical_identify(subtree2)] == [(0,)] * 4
 
 
 class TestSignLaw:
@@ -240,41 +247,26 @@ class TestClassifyAll:
         assert [name for name, _ in report.failures] == ["Ghost"]
         assert len(report.classifications) == 1
 
-    def test_subtree_kept_on_classification(self, tmp_path, m1_view, m1_graph):
+    def test_keyfirms_csv_roundtrip(self, tmp_path):
         from ownet.pipeline import write_keyfirms_csv
 
-        report = classify_all(m1_view, [("M1:HQ", "M1")])
-        (cls,) = report.classifications
-        assert cls.subtree.hq == m1_graph.index_of("M1:HQ")
-        assert [rec.index for rec in cls.records] == cls.subtree.affiliates.tolist()
+        view = self._two_copies_view()
+        hqs = {"M1": "M1:HQ", "M2": "M2:HQ", "A": "M1:a"}
+        report = classify_all(view, [(hq, mnc) for mnc, hq in hqs.items()])
         path = tmp_path / "keyfirms.csv"
         write_keyfirms_csv(report, path)
-        assert load_keyfirms_csv(path, m1_graph).classifications[0].subtree is None
-
-    def test_keyfirms_csv_roundtrip(self, tmp_path, m1_view):
-        report = classify_all(m1_view, [("M1:HQ", "M1")])
-        from ownet.graph import write_csv_rows
-
-        rows = []
-        for cls in report.classifications:
-            for rec in cls.records:
-                rows.append(
-                    (cls.mnc, rec.affiliate, rec.layer, rec.k_in, rec.k_out,
-                     repr(rec.holding) if rec.holding is not None else "",
-                     repr(rec.conduit) if rec.conduit is not None else "",
-                     "1" if rec.third_country else "0", ROLE_NAMES[rec.role])
-                )
-        path = tmp_path / "keyfirms.csv"
-        write_csv_rows(
-            path, ["mnc", "affiliate_id", "layer", "k_in", "k_out", "H", "T", "third_country", "role"], rows
-        )
-        back = load_keyfirms_csv(path, m1_view.graph, {"M1": "M1:HQ"})
-        orig = report.classifications[0]
-        loaded = back.classifications[0]
-        assert loaded.hq_index == orig.hq_index
-        assert [(r.affiliate, r.role, r.layer) for r in loaded.records] == [
-            (r.affiliate, r.role, r.layer) for r in orig.records
-        ]
+        back = load_keyfirms_csv(path, view.graph, hqs)
+        assert [cls.mnc for cls in back.classifications] == ["M1", "M2", "A"]
+        for orig, loaded in zip(report.classifications, back.classifications, strict=True):
+            assert loaded.hq_index == orig.hq_index
+            for column in ("affiliates", "layers", "k_in", "k_out", "holding", "conduit",
+                           "third_country", "roles"):
+                want, got = getattr(orig, column), getattr(loaded, column)
+                assert got.dtype == want.dtype, column
+                np.testing.assert_array_equal(got, want, err_msg=column)  # NaN matches NaN
+        # blank H and T cells are covered
+        assert all(np.isnan(cls.holding).any() and np.isnan(cls.conduit).any()
+                   for cls in report.classifications[:2])
 
 
 _GOOD_ROW = "M1,M1:a,1,3,1,1.1666666666666665,1.75,1,Holding"
@@ -291,13 +283,15 @@ class TestKeyfirmsLoaderErrors:
         (1, "M1:ghost", None, "unknown"),
         (0, "M1", {"M1": "ghost"}, "unknown"),
         (7, "yes", None, "third_country"),
+        (0, "M0", None, "duplicate"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, m1_graph, field, value, hq_map, message):
         bad = _GOOD_ROW.split(",")
         bad[field] = value
         path = tmp_path / "keyfirms.csv"
         header = "mnc,affiliate_id,layer,k_in,k_out,H,T,third_country,role"
-        first = "M0,M1:h,1,0,1,,,0,None"  # another MNC, so an hq_map miss shows on line 3
+        # another MNC, so an hq_map miss shows on line 3, and its affiliate, so does a repeated row
+        first = "M0,M1:a,1,0,1,,,0,None"
         path.write_text("\n".join([header, first, ",".join(bad)]) + "\n", encoding="utf-8")
         with pytest.raises(LoadError, match=message) as info:
             load_keyfirms_csv(path, m1_graph, hq_map)
@@ -415,9 +409,17 @@ def ownership_views(draw):
     return make_graph(n, edges, dict(enumerate(jurisdictions))), hqs
 
 
-def _fields(rec):
-    return (rec.affiliate, rec.index, rec.layer, rec.k_in, rec.k_out, rec.holding, rec.conduit,
-            rec.third_country, rec.role)
+def _fields(subtree, identified):
+    """The reference's per-affiliate fields read from the subtree and the identification arrays."""
+    holding, conduit, tc, roles = identified
+    assert (holding.dtype, conduit.dtype, tc.dtype, roles.dtype) == (np.float64, np.float64, bool, np.int8)
+    ids = subtree.view.graph.ids
+    return [
+        (ids[a], a, layer, k_in, k_out, None if np.isnan(h) else h, None if np.isnan(t) else t, third, Role(role))
+        for a, layer, k_in, k_out, h, t, third, role in zip(
+            subtree.affiliates.tolist(), subtree.layers.tolist(), subtree.k_in.tolist(), subtree.k_out.tolist(),
+            holding.tolist(), conduit.tolist(), tc.tolist(), roles.tolist())
+    ]
 
 
 class TestArrayIdentificationOracle:
@@ -446,7 +448,7 @@ class TestArrayIdentificationOracle:
             if zero_product:
                 subtree.sum_k_product = 0
             expected = ref_hierarchical_identify(subtree)
-            got = [_fields(rec) for rec in hierarchical_identify(subtree)]
+            got = _fields(subtree, hierarchical_identify(subtree))
             # repr tells a Python float from a numpy one and compares floats exactly
             assert repr(got) == repr(expected)
 

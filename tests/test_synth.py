@@ -89,9 +89,9 @@ class TestTemplates:
             view = substantial_view(graph, 10.0)
             subtree = build_subtree(view, graph.index_of(template.global_id("HQ")))
             got = {
-                rec.affiliate.split(":", 1)[1]: ROLE_NAMES[rec.role]
-                for rec in hierarchical_identify(subtree)
-                if rec.role != Role.NONE
+                graph.ids[a].split(":", 1)[1]: ROLE_NAMES[r]
+                for a, r in zip(subtree.affiliates.tolist(), hierarchical_identify(subtree)[3].tolist())
+                if r != Role.NONE
             }
             assert got == template.roles, f"template {i} diverged"
 
@@ -121,7 +121,8 @@ class TestCorpus:
         report = classify_all(view, bundle.hq_rows)
         assert report.failures == []
         for cls in report.classifications:
-            got = {r.affiliate: ROLE_NAMES[r.role] for r in cls.records if r.role != Role.NONE}
+            got = {graph.ids[a]: ROLE_NAMES[r] for a, r in zip(cls.affiliates.tolist(), cls.roles.tolist())
+                   if r != Role.NONE}
             assert got == bundle.truth[cls.mnc]
 
     def test_te_targeting(self, tmp_path):
