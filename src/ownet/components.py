@@ -40,10 +40,17 @@ class ComponentLabeling:
 def rank_by_first_member(raw: np.ndarray) -> np.ndarray:
     """Renumber the group ids in ``raw`` 0, 1, ... in order of each group's
     first (smallest-index) member."""
-    uniq, first = np.unique(raw, return_index=True)
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(uniq.shape[0])
-    return rank[np.searchsorted(uniq, raw)]
+    order = np.argsort(raw, kind="stable")
+    ordered = raw[order]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    # the stable sort puts each group's smallest member index first
+    starts = order[first]
+    rank = np.empty(starts.shape[0], dtype=np.int64)
+    rank[np.argsort(starts)] = np.arange(starts.shape[0])
+    labels = np.empty(raw.shape[0], dtype=np.int64)
+    labels[order] = rank[np.cumsum(first) - 1]
+    return labels
 
 
 def _relabel_by_first_member(raw: np.ndarray) -> ComponentLabeling:

@@ -303,10 +303,6 @@ class SubstantialView(_Adjacency):
         keep = graph.pct >= threshold
         self.pct = self._index_edges(graph.n_nodes, graph.src[keep], graph.dst[keep], graph.pct[keep])
 
-    @property
-    def n_excluded(self) -> int:
-        return self.graph.n_edges - self.n_edges
-
 
 def build_graph(nodes, edges) -> OwnershipGraph:
     """Assemble the immutable graph from in-memory :class:`NodeRecord` and

@@ -253,9 +253,6 @@ class StatCurve:
     values: np.ndarray
     counts: np.ndarray
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(k): float(v) for k, v in zip(self.degrees, self.values)}
-
 
 def _group_by_degree(deg: np.ndarray, values: np.ndarray, keep: np.ndarray) -> StatCurve:
     deg = deg[keep]

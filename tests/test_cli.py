@@ -393,12 +393,12 @@ class TestCliMatchesPipeline:
 PINNED_DIGESTS = {
     "bowtie.csv": "a0a78bb0afd7e578f1f45f826488c4ff1c669a89d7ff072e85259bd24b8a3854",
     "bowtie_summary.csv": "3a4843d241e64e521a7ee946143d639f92b8c7a67cc22beaea87774df23e011a",
-    "communities.csv": "4b0df513d4ab1f192156258c4fae48ebfa923bbd522b1107b6d02a6ce923a6b5",
-    "communities_summary.json": "72aa77a6015937a15083b49e1f66190046cb616592f0b416075d25be3162365f",
+    "communities.csv": "283be2e34c4c4e0b629e586f15614acde26b5be410b93ffdba4204ff724be48b",
+    "communities_summary.json": "d8b136815052529adb0ccb03f8d05f2ef80e3fe366210e78b8cf0aaf3026762d",
     "component_sizes.csv": "5aaa253e5454eab45e566dcf8849b2b12111162602adb73179d9ea758bf81514",
     "distances_in.csv": "f83538d2c65f83033189b3601baf58d7a259f050b24a0bd179ec0a386be22d3c",
     "distances_out.csv": "50978c97e89b344421a603c34db54bca113c3490a34b8bfc10685a2fc4774328",
-    "dsizes.csv": "d8a22080d783bcd5aa6f518c16adfade32f7edd1866fc40836ee445a6f6d62b5",
+    "dsizes.csv": "fdcec3c81ce8eecdb32a81fd56d98a01edf7b53fc64e0af2f92ae1dec6a07367",
     "graph.npz": "521fa8c6bafcfe42ea9c110f65980599bbc68acdd4334d4140d4b70b49ce5b31",
     "identify_summary.json": "6c38717c6520c1b12201738f520d34870effd33ab3f7d81cd733b1b1c6ebc2a1",
     "ingest_summary.json": "1dd5304970c5915d3ab63bc682cfe0bbffce57f425c29c764421945b440f271d",

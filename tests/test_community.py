@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
@@ -29,6 +29,27 @@ def two_cliques(size=10):
                     edges.append((base + i, base + j))
     edges.append((0, size))
     return make_graph(2 * size, edges)
+
+
+@st.composite
+def block_digraphs(draw):
+    """Digraphs of up to four blocks with no edge between blocks.
+
+    Blocks give several weak components; unpicked nodes stay isolated or
+    dangling, and mirrored pairs add 2-cycles.
+    """
+    n = draw(st.integers(min_value=1, max_value=60))
+    blocks = draw(st.integers(min_value=1, max_value=4))
+    block = draw(st.lists(st.integers(min_value=0, max_value=blocks - 1), min_size=n, max_size=n))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node, st.booleans()), max_size=4 * n))
+    edges = set()
+    for a, b, mirror in pairs:
+        if a != b and block[a] == block[b]:
+            edges.add((a, b))
+            if mirror:
+                edges.add((b, a))
+    return make_graph(n, sorted(edges))
 
 
 class TestStationaryFlow:
@@ -142,10 +163,12 @@ class TestDetect:
         assert partition.labels.size == 0
         assert partition.codelength == 0.0
 
-    def test_deterministic_per_seed(self):
-        g = two_cliques(6)
-        a = detect_communities(g, seed=5)
-        b = detect_communities(g, seed=5)
+    @given(block_digraphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(two_cliques(6), 5)
+    @settings(max_examples=50, deadline=None)
+    def test_deterministic_per_seed(self, g, seed):
+        a = detect_communities(g, seed=seed)
+        b = detect_communities(g, seed=seed)
         assert np.array_equal(a.labels, b.labels)
         assert a.codelength == b.codelength
 
@@ -335,6 +358,33 @@ class RefOptimizer:
         return True
 
     def run_passes(self, rng):
+        lv = self.lv
+        active = [True] * lv.n
+        moved_total = 0
+        while True:
+            moved = 0
+            for v in rng.permutation(lv.n):
+                v = int(v)
+                if not active[v]:
+                    continue
+                active[v] = False
+                if not self._try_move(v):
+                    continue
+                moved += 1
+                j = int(self.mod[v])
+                neighbours = np.concatenate([
+                    lv.dst[lv.out_indptr[v]:lv.out_indptr[v + 1]],
+                    lv.in_sources[lv.in_indptr[v]:lv.in_indptr[v + 1]],
+                ])
+                for nb in neighbours:
+                    if int(self.mod[nb]) != j:
+                        active[int(nb)] = True
+            moved_total += moved
+            if moved == 0:
+                return moved_total
+
+    def sweep_passes(self, rng):
+        """The full-sweep schedule the active set replaced: every node in every pass."""
         moved_total = 0
         while True:
             moved = 0
@@ -373,13 +423,15 @@ def ref_aggregate(level, mod):
     return _Level(s, t, size, e_src, e_dst, agg_w), dense
 
 
-def ref_detect_communities(g, seed, trace):
+def ref_detect_communities(g, seed, trace=None, sweep=False):
+    """Two active-set trials, the better kept; ``sweep`` runs the earlier
+    algorithm instead: one trial of full sweeps."""
     n = g.n_nodes
     flow = stationary_flow(g)
     const_term = _plogp_arr(flow.rates)
     rng = np.random.default_rng(seed)
 
-    level = _Level(
+    level0 = _Level(
         flow.rates.astype(np.float64),
         flow.teleport.astype(np.float64),
         np.ones(n, dtype=np.float64),
@@ -387,48 +439,34 @@ def ref_detect_communities(g, seed, trace):
         g.dst.astype(np.int64),
         flow.edge_flows.astype(np.float64),
     )
-    assign = np.arange(n, dtype=np.int64)
-    current_len = None
+    trials = []
+    for _ in range(1 if sweep else 2):
+        moves = []
+        level = level0
+        assign = np.arange(n, dtype=np.int64)
+        current_len = None
+        while True:
+            opt = RefOptimizer(level, n, const_term, trace=moves)
+            if current_len is None:
+                current_len = opt.codelength()
+            moved = opt.sweep_passes(rng) if sweep else opt.run_passes(rng)
+            new_len = opt.codelength()
+            if moved == 0 or current_len - new_len < MIN_CODELENGTH_GAIN:
+                break
+            current_len = new_len
+            level, dense = ref_aggregate(level, opt.mod)
+            assign = dense[assign]
+            if level.n <= 1:
+                break
+        labels = rank_by_first_member(assign)
+        trials.append((map_equation(labels, flow), labels, moves))
 
-    while True:
-        opt = RefOptimizer(level, n, const_term, trace=trace)
-        if current_len is None:
-            current_len = opt.codelength()
-        moved = opt.run_passes(rng)
-        new_len = opt.codelength()
-        if moved == 0 or current_len - new_len < MIN_CODELENGTH_GAIN:
-            break
-        current_len = new_len
-        level, dense = ref_aggregate(level, opt.mod)
-        assign = dense[assign]
-        if level.n <= 1:
-            break
-
-    labels = rank_by_first_member(assign)
-    if map_equation(np.zeros(n, dtype=np.int64), flow) < map_equation(labels, flow):
+    codelength, labels, moves = min(trials, key=lambda trial: trial[0])  # ties: the first
+    if trace is not None:
+        trace.extend(moves)
+    if map_equation(np.zeros(n, dtype=np.int64), flow) < codelength:
         labels = np.zeros(n, dtype=np.int64)
     return labels, map_equation(labels, flow)
-
-
-@st.composite
-def block_digraphs(draw):
-    """Digraphs of up to four blocks with no edge between blocks.
-
-    Blocks give several weak components; unpicked nodes stay isolated or
-    dangling, and mirrored pairs add 2-cycles.
-    """
-    n = draw(st.integers(min_value=1, max_value=60))
-    blocks = draw(st.integers(min_value=1, max_value=4))
-    block = draw(st.lists(st.integers(min_value=0, max_value=blocks - 1), min_size=n, max_size=n))
-    node = st.integers(min_value=0, max_value=n - 1)
-    pairs = draw(st.lists(st.tuples(node, node, st.booleans()), max_size=4 * n))
-    edges = set()
-    for a, b, mirror in pairs:
-        if a != b and block[a] == block[b]:
-            edges.add((a, b))
-            if mirror:
-                edges.add((b, a))
-    return make_graph(n, sorted(edges))
 
 
 def disjoint_cliques(size, count):
@@ -487,3 +525,46 @@ class TestMoveLoopOracle:
         assert dense.tolist() == want_dense.tolist()
         for name in ("s", "t", "size", "src", "dst", "w"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+
+@pytest.fixture(scope="module")
+def determinism_gwcc(tmp_path_factory):
+    """The GWCC of the acceptance test 10 corpus (838 nodes)."""
+    from ownet.graph import load_graph
+    from ownet.pipeline import community_scope
+    from ownet.synth import SynthSpec, build_corpus, write_corpus
+
+    spec = SynthSpec(seed=20_10, n_noise=800, noise_edges=1000, n_mncs=8, core_size=40, out_chain=8)
+    paths = write_corpus(build_corpus(spec), tmp_path_factory.mktemp("corpus10"))
+    return community_scope(load_graph(paths["nodes"], paths["edges"]), "gwcc")
+
+
+def counting_try_move(monkeypatch, cls):
+    """Wrap ``cls._try_move`` to count calls; returns the one-element counter."""
+    calls = [0]
+    original = cls._try_move
+
+    def counted(self, v):
+        calls[0] += 1
+        return original(self, v)
+
+    monkeypatch.setattr(cls, "_try_move", counted)
+    return calls
+
+
+def test_schedule_beats_full_sweep(determinism_gwcc, monkeypatch):
+    # two active-set trials: no worse on average than one trial of full
+    # sweeps, and fewer move attempts at every seed
+    from ownet.community import _Optimizer
+
+    g = determinism_gwcc
+    assert g.n_nodes == 838
+    opt_calls = counting_try_move(monkeypatch, _Optimizer)
+    ref_calls = counting_try_move(monkeypatch, RefOptimizer)
+    lengths, sweep_lengths = [], []
+    for seed in range(16):
+        opt_calls[0] = ref_calls[0] = 0
+        lengths.append(detect_communities(g, seed=seed).codelength)
+        sweep_lengths.append(ref_detect_communities(g, seed, sweep=True)[1])
+        assert opt_calls[0] < ref_calls[0], seed
+    assert np.mean(lengths) <= np.mean(sweep_lengths)

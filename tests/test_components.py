@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
 from ownet import components as comp
@@ -236,3 +238,22 @@ class TestDistances:
         hist = comp.distance_distribution(bowtie, "in", reverse_orientation=True)
         # against flipped edges the IN chain is unreachable from the GSCC
         assert hist.unreachable == 3
+
+
+def unique_rank_by_first_member(raw):
+    """The np.unique form of the first-member relabel (oracle)."""
+    uniq, first = np.unique(raw, return_index=True)
+    rank = np.empty(uniq.shape[0], dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(uniq.shape[0])
+    return rank[np.searchsorted(uniq, raw)]
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=2**40), max_size=60),
+       st.sampled_from([np.int32, np.int64]))
+@settings(max_examples=200, deadline=None)
+def test_rank_by_first_member_matches_unique(values, dtype):
+    raw = np.array(values, dtype=np.int64).astype(dtype)
+    got = comp.rank_by_first_member(raw)
+    want = unique_rank_by_first_member(raw)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
