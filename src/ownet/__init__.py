@@ -2,7 +2,6 @@
 
 from .errors import (
     ConvergenceError,
-    DegenerateSubtreeError,
     FitError,
     GraphError,
     InvariantError,
@@ -43,7 +42,7 @@ from .community import (
     map_equation,
     stationary_flow,
 )
-from .mnc import build_subtree, extract_mnc, mnc_degrees
+from .mnc import SubtreeTable, subtree_table
 from .keyfirms import (
     Role,
     classify_all,

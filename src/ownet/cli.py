@@ -33,11 +33,8 @@ def _load(graph_path: str):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for seeded subcommands.")
-@click.pass_context
-def main(ctx, seed):
+def main():
     """Ownership-network analytics pipeline."""
-    ctx.obj = {"seed": seed}
 
 
 @main.command()
@@ -100,16 +97,14 @@ def stats(graph_path, outdir, bin_ratio):
 
 @main.command()
 @click.option("--graph", "graph_path", required=True)
-@click.option("--seed", type=int, default=None, help="Override the global seed.")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="communities.csv", show_default=True)
 @click.option("--scope", type=click.Choice(["gwcc", "full"]), default="gwcc", show_default=True)
 @click.option("--damping", default=0.85, show_default=True)
-@click.pass_context
-def communities(ctx, graph_path, seed, out, scope, damping):
+def communities(graph_path, seed, out, scope, damping):
     """Two-level map-equation communities and their size distribution."""
     graph = pl.community_scope(_load(graph_path), scope)
-    use_seed = seed if seed is not None else ctx.obj["seed"]
-    partition = detect_communities(graph, seed=use_seed, damping=damping)
+    partition = detect_communities(graph, seed=seed, damping=damping)
     pl.write_community_csvs(graph, partition, out, Path(out).parent / "dsizes.csv")
     click.echo(f"{partition.n_communities} communities, codelength {partition.codelength:.6f} bits")
 

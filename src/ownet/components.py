@@ -169,12 +169,9 @@ def bowtie_decompose(g) -> BowTie:
     )
 
 
-def component_size_histogram(labeling: ComponentLabeling, exclude_largest: bool = False) -> dict[int, int]:
+def component_size_histogram(labeling: ComponentLabeling) -> dict[int, int]:
     """Mapping component size -> number of components of that size."""
-    sizes = labeling.sizes
-    if exclude_largest and sizes.size:
-        sizes = np.delete(sizes, labeling.largest)
-    return value_counts(sizes)
+    return value_counts(labeling.sizes)
 
 
 @dataclass(frozen=True)

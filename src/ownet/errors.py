@@ -34,10 +34,6 @@ class ConvergenceError(OwnetError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class DegenerateSubtreeError(OwnetError):
-    """A centrality denominator over a subtree is zero."""
-
-
 class PipelineError(OwnetError):
     """A pipeline stage could not run or failed."""
 

@@ -243,12 +243,6 @@ class _Adjacency:
         """Per-node number of subsidiaries owned (capital entering)."""
         return np.diff(self.in_indptr).astype(np.int64)
 
-    def out_neighbors(self, u: int) -> np.ndarray:
-        return self.dst[self.out_indptr[u] : self.out_indptr[u + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_sources[self.in_indptr[v] : self.in_indptr[v + 1]]
-
 
 class OwnershipGraph(_Adjacency):
     """Immutable directed shareholding graph with node metadata.

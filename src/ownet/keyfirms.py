@@ -14,15 +14,15 @@ relabeled holding-and-conduit and expanded in turn.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateSubtreeError, GraphError, InvariantError, LoadError
+from ._csr import neighbor_positions
+from .errors import GraphError, InvariantError, LoadError
 from .graph import SubstantialView, data_rows, parse_number
-from .mnc import MncSubtree, build_subtree
+from .mnc import SubtreeTable, subtree_table
 
 
 class Role(enum.IntFlag):
@@ -43,125 +43,104 @@ ROLE_NAMES = {
 }
 
 
-def _as_given(affiliate, values):
-    """``values`` as an array for an array of affiliates, else as one Python scalar."""
-    return values if np.ndim(affiliate) else values.item()
+def _mnc_totals(table: SubtreeTable, values: np.ndarray) -> np.ndarray:
+    """Per affiliate row, the sum of ``values`` over its MNC's affiliates.
+
+    NaN for an MNC whose k_in sum is zero, the one degenerate denominator:
+    every affiliate has an internal out-edge toward its HQ, so k_out >= 1,
+    and a positive k_in sum makes the k_in * k_out sum positive too.
+    """
+    totals = np.where(table.mnc_sums(table.k_in) > 0, table.mnc_sums(values), np.nan)
+    return totals[table.row_mnc]
 
 
-def _degrees_of(subtree: MncSubtree, affiliate) -> tuple[np.ndarray, np.ndarray]:
-    """Within-subtree (k_in, k_out) of the affiliate(s); rejects isolated ones."""
-    pos = subtree.position(affiliate)
-    k_in, k_out = subtree.k_in[pos], subtree.k_out[pos]
-    isolated = np.flatnonzero(np.atleast_1d(k_in + k_out) == 0)
-    if isolated.size:
-        node = np.atleast_1d(affiliate)[isolated[0]]
-        raise DegenerateSubtreeError(f"affiliate {node} is isolated in the subtree")
-    return k_in, k_out
-
-
-def holding_centrality(subtree: MncSubtree, affiliate):
-    """Normalised surplus of capital entering the affiliate(s).
+def holding_centrality(table: SubtreeTable) -> np.ndarray:
+    """Normalised surplus of capital entering each affiliate row.
 
     Positive exactly when the affiliate owns more substantial links than it
-    grants, relative to the whole subtree. Takes one affiliate index (gives
-    a float) or an array of them (gives an array). Undefined (raises) for
-    isolated affiliates and for subtrees whose total in-degree is zero.
+    grants, relative to its whole subtree. NaN on the rows of an MNC whose
+    total in-degree is zero.
     """
-    k_in, k_out = _degrees_of(subtree, affiliate)
-    if subtree.sum_k_in <= 0:
-        raise DegenerateSubtreeError("subtree in-degree sum is zero; holding centrality undefined")
-    return _as_given(affiliate, (k_in - k_out) / subtree.sum_k_in * (subtree.sum_k_total / (k_in + k_out)))
+    k_in, k_out = table.k_in, table.k_out
+    return (k_in - k_out) / _mnc_totals(table, k_in) * (_mnc_totals(table, k_in + k_out) / (k_in + k_out))
 
 
-def conduit_centrality(subtree: MncSubtree, affiliate):
-    """Normalised pass-through volume of the affiliate(s); scalar or array like
+def conduit_centrality(table: SubtreeTable) -> np.ndarray:
+    """Normalised pass-through volume of each affiliate row; NaN like
     :func:`holding_centrality`."""
-    k_in, k_out = _degrees_of(subtree, affiliate)
-    if subtree.sum_k_product <= 0:
-        raise DegenerateSubtreeError("subtree in*out degree sum is zero; conduit centrality undefined")
-    return _as_given(affiliate, k_in / subtree.sum_k_product * (subtree.sum_k_total / (k_in + k_out)))
+    k_in, k_out = table.k_in, table.k_out
+    return k_in / _mnc_totals(table, k_in * k_out) * (_mnc_totals(table, k_in + k_out) / (k_in + k_out))
 
 
-def third_country(subtree: MncSubtree, affiliate):
+def third_country(table: SubtreeTable) -> np.ndarray:
     """Located outside the HQ's jurisdiction with a foreign direct subsidiary.
 
-    True iff the affiliate's jurisdiction differs from the HQ's and at least
-    one direct subsidiary inside the subtree (the HQ included) sits in a
-    jurisdiction different from the affiliate's own. The "n.a." sentinel
-    never equals any code, itself included. Scalar or array like
-    :func:`holding_centrality`.
+    True for an affiliate row iff its jurisdiction differs from its HQ's
+    and at least one direct subsidiary inside the subtree (the HQ included)
+    sits in a jurisdiction different from the affiliate's own. The "n.a."
+    sentinel never equals any code, itself included.
     """
-    pos = subtree.position(affiliate)
-    g = subtree.view.graph
+    g = table.view.graph
     na = g.na_jurisdiction
-    # jurisdictions by local position, the HQ last
-    jur = g.jurisdiction_index[np.append(subtree.affiliates, subtree.hq)]
+    # jurisdictions by row, the HQs last
+    jur = g.jurisdiction_index[np.concatenate((table.affiliates, table.hqs))]
 
     def differ(a, b):
         return (a != b) | (a == na) | (b == na)
 
-    n_members = subtree.n_affiliates + 1
-    owner = np.repeat(np.arange(n_members), np.diff(subtree.sub_indptr))
-    foreign_sub = np.zeros(n_members, dtype=bool)
-    foreign_sub[owner[differ(jur[subtree.subsidiaries], jur[owner])]] = True
-    return _as_given(affiliate, differ(jur[pos], jur[-1]) & foreign_sub[pos])
+    n_aff = table.n_affiliates
+    owner = np.repeat(np.arange(jur.shape[0]), np.diff(table.sub_indptr))
+    foreign_sub = np.zeros(jur.shape[0], dtype=bool)
+    foreign_sub[owner[differ(jur[table.subsidiaries], jur[owner])]] = True
+    return differ(jur[:n_aff], jur[n_aff + table.row_mnc]) & foreign_sub[:n_aff]
 
 
-def hierarchical_identify(subtree: MncSubtree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assign None/Holding/Conduit/HoldingAndConduit roles to all affiliates.
+def hierarchical_identify(table: SubtreeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Assign None/Holding/Conduit/HoldingAndConduit roles to all affiliate rows.
 
     Returns (holding, conduit, third_country, roles) aligned with
-    ``subtree.affiliates``: the two centralities as float64, the condition
+    ``table.affiliates``: the two centralities as float64, the condition
     as bool and the roles as int8 :class:`Role` values. Strict thresholds
-    (> 0) throughout; each affiliate is expanded at most once, so
-    cross-shareholding cycles terminate. Conduit-centrality values for
+    (> 0) throughout. The walk advances one frontier per round across all
+    MNCs and expands each affiliate at most once, so cross-shareholding
+    cycles terminate; the expanded set is a closure, so the order of
+    expansion does not change any result. Conduit-centrality values for
     first-layer affiliates are recorded as diagnostics but never create a
-    conduit role without an identified holding parent. On subtrees with a
-    zero centrality denominator no role can be assigned. H and T are NaN
-    except for the affiliates the role search evaluated.
+    conduit role without an identified holding parent. An MNC whose k_in
+    sum is zero gets no role. H and T are NaN except for the affiliates the
+    role search evaluated.
     """
-    affiliates = subtree.affiliates
-    n_aff = subtree.n_affiliates
-    degenerate_h = subtree.sum_k_in <= 0
-    degenerate_t = subtree.sum_k_product <= 0
-    holding = holding_centrality(subtree, affiliates) if not degenerate_h else np.full(n_aff, np.nan)
-    conduit = conduit_centrality(subtree, affiliates) if not degenerate_t else np.full(n_aff, np.nan)
-    tc = third_country(subtree, affiliates)
+    n_aff = table.n_affiliates
+    holding = holding_centrality(table)
+    conduit = conduit_centrality(table)
+    tc = third_country(table)
+    positive_h = holding > 0.0
+    key_conduit = (conduit > 0.0) & tc
+    sub_counts = np.diff(table.sub_indptr)
 
-    h = holding.tolist()
-    t = conduit.tolist()
-    sub_ptr = subtree.sub_indptr.tolist()
-    sub_pos = subtree.subsidiaries.tolist()
-    tc_list = tc.tolist()
     h_seen = np.zeros(n_aff, dtype=bool)
     t_seen = np.zeros(n_aff, dtype=bool)
     roles = np.zeros(n_aff, dtype=np.int8)
     expanded = np.zeros(n_aff, dtype=bool)
-    pending = deque(np.flatnonzero(subtree.layers == 1).tolist())
+    frontier = np.flatnonzero(table.layers == 1)
+    while frontier.size:
+        expanded[frontier] = h_seen[frontier] = True
+        holders = frontier[positive_h[frontier] & tc[frontier]]
+        owners = np.repeat(holders, sub_counts[holders])
+        subs = table.subsidiaries[neighbor_positions(table.sub_indptr, holders)]
+        inside = subs < n_aff  # not the HQ, a subsidiary in a cross-shareholding cycle
+        owners, subs = owners[inside], subs[inside]
+        t_seen[subs] = True
+        found = key_conduit[subs]
+        conduits = subs[found]
+        roles[conduits] |= Role.CONDUIT
+        roles[owners[found]] |= Role.HOLDING
+        h_seen[conduits] = True
+        both = conduits[positive_h[conduits]]
+        roles[both] |= Role.HOLDING
+        frontier = both[~expanded[both]]  # a repeat is harmless: every update is idempotent
 
-    while pending and not degenerate_h:
-        x = pending.popleft()
-        if expanded[x]:
-            continue
-        expanded[x] = h_seen[x] = True
-        if not (h[x] > 0.0 and tc_list[x]) or degenerate_t:
-            continue
-        found_conduit = False
-        for s in sub_pos[sub_ptr[x]:sub_ptr[x + 1]]:
-            if s == n_aff:  # the HQ, a subsidiary in a cross-shareholding cycle
-                continue
-            t_seen[s] = True
-            if t[s] > 0.0 and tc_list[s]:
-                found_conduit = True
-                roles[s] |= Role.CONDUIT
-                h_seen[s] = True
-                if h[s] > 0.0:
-                    roles[s] |= Role.HOLDING
-                    pending.append(s)
-        if found_conduit:
-            roles[x] |= Role.HOLDING
-
-    t_seen[subtree.layers == 1] = True
+    t_seen[table.layers == 1] = True
 
     # post hoc: a role without the third-country condition is a logic bug
     if np.any((roles != Role.NONE) & ~tc):
@@ -268,20 +247,22 @@ def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> Clas
 def classify_all(view: SubstantialView, hq_list) -> ClassificationReport:
     """Extract, layer, and identify every MNC in the HQ list.
 
-    ``hq_list`` yields (hq_node_id, mnc_name) pairs. Each subtree is built
-    once. Per-MNC failures are collected and the run continues;
-    classifications keep list order.
+    ``hq_list`` yields (hq_node_id, mnc_name) pairs. An unknown HQ id is
+    collected as a failure and the run continues. All subtrees are built
+    and identified in one pass; classifications keep list order.
     """
     report = ClassificationReport(graph=view.graph)
+    known: list[tuple[str, int]] = []
     for hq_id, name in hq_list:
         try:
-            hq_index = view.graph.index_of(hq_id)
-            subtree = build_subtree(view, hq_index)
-            identified = hierarchical_identify(subtree)
-        except (GraphError, DegenerateSubtreeError) as exc:
+            known.append((name, view.graph.index_of(hq_id)))
+        except GraphError as exc:
             report.failures.append((name, str(exc)))
-            continue
-        report.classifications.append(MncClassification(
-            name, hq_index, subtree.affiliates, subtree.layers, subtree.k_in, subtree.k_out, *identified
-        ))
+    table = subtree_table(view, [hq for _, hq in known])
+    columns = (table.affiliates, table.layers, table.k_in, table.k_out, *hierarchical_identify(table))
+    bounds = table.bounds.tolist()
+    report.classifications = [
+        MncClassification(name, hq, *(column[bounds[m]:bounds[m + 1]] for column in columns))
+        for m, (name, hq) in enumerate(known)
+    ]
     return report

@@ -1,13 +1,14 @@
-"""Per-corporation subtrees over substantial ownership links.
+"""Per-corporation subtrees over substantial ownership links, all MNCs at once.
 
 An affiliate of a headquarters is any node with a directed substantial
 path to it (capital-flow orientation), found by reverse BFS from the HQ.
 Layer numbers are the BFS hop counts, so direct affiliates sit in layer 1
 and cross-shareholding cycles get the minimum consistent layer. Degrees
 for the centrality sums are counted inside the subgraph induced by the
-affiliates plus the HQ, with the sums running over affiliates only. That
-subgraph's edges are gathered once per subtree into a table of direct
-subsidiaries per owner, which key-firm identification reads.
+affiliates plus the HQ, with the sums running over affiliates only. One
+BFS over (MNC, node) pairs serves every HQ, and the subgraphs' edges are
+gathered once into one table of direct subsidiaries per member, which
+key-firm identification reads.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csr import multi_source_bfs, neighbor_positions
+from ._csr import neighbor_positions
 from .errors import GraphError, InvariantError, LoadError
 from .graph import SubstantialView, data_rows
 
@@ -55,102 +56,108 @@ def load_hq_list(path) -> list[tuple[str, str]]:
 
 
 @dataclass
-class MncSubtree:
+class SubtreeTable:
+    """Every MNC's subtree as one flat table of affiliate rows.
+
+    Affiliates are grouped by MNC and sorted by node index within each;
+    MNC ``m`` owns rows ``bounds[m]:bounds[m + 1]``, and row
+    ``n_affiliates + m`` stands for its HQ. The direct subsidiaries of row
+    ``r`` inside its subtree are rows
+    ``subsidiaries[sub_indptr[r]:sub_indptr[r + 1]]``.
+    """
+
     view: SubstantialView = field(repr=False)
-    hq: int
+    hqs: np.ndarray
+    bounds: np.ndarray
     affiliates: np.ndarray
     layers: np.ndarray
-    k_in: np.ndarray | None = None
-    k_out: np.ndarray | None = None
-    sum_k_in: int | None = None
-    sum_k_total: int | None = None
-    sum_k_product: int | None = None
-    # internal edges grouped by owner: the direct subsidiaries of the member
-    # at local position p are subsidiaries[sub_indptr[p]:sub_indptr[p + 1]];
-    # local positions index the affiliates, and n_affiliates is the HQ
-    sub_indptr: np.ndarray | None = None
-    subsidiaries: np.ndarray | None = None
+    sub_indptr: np.ndarray
+    subsidiaries: np.ndarray
+    k_in: np.ndarray
+    k_out: np.ndarray
 
     @property
     def n_affiliates(self) -> int:
         return int(self.affiliates.shape[0])
 
-    def position(self, node):
-        """Index of ``node`` (one node index or an array of them) inside the
-        sorted affiliate array; raises for any node that is not an affiliate."""
-        found = _member_mask_lookup(self.affiliates, node)
-        if not np.all(found):
-            bad = np.atleast_1d(node)[~np.atleast_1d(found)][0]
-            raise GraphError(f"node {bad} is not an affiliate of this subtree")
-        pos = np.searchsorted(self.affiliates, node)
-        return int(pos) if np.ndim(node) == 0 else pos
+    @property
+    def row_mnc(self) -> np.ndarray:
+        """The MNC of each affiliate row."""
+        return np.repeat(np.arange(self.hqs.shape[0]), np.diff(self.bounds))
+
+    def mnc_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per MNC, the sum of ``values`` (one per affiliate row) over its affiliates."""
+        totals = np.concatenate(([0], np.cumsum(values)))
+        return totals[self.bounds[1:]] - totals[self.bounds[:-1]]
 
 
-def extract_mnc(view: SubstantialView, hq) -> MncSubtree:
-    """All nodes with a directed substantial path to ``hq``, with layers.
+def _affiliate_pairs(view: SubstantialView, hqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ``mnc * n + node`` keys of every (MNC, affiliate) pair, with layers.
 
-    ``hq`` may be a node id string or a dense index. Cycle-safe: the BFS
-    visits every node at most once.
+    One reverse BFS from all HQs at once, each frontier entry labelled with
+    its MNC, so overlapping subtrees and a repeated HQ stay apart. Every
+    pair is visited at most once, so cycles are safe. Sets are kept as
+    sorted arrays: numpy's hash-based ``unique`` is far slower here.
     """
-    hq_idx = view.graph.index_of(hq) if isinstance(hq, str) else int(hq)
-    if not 0 <= hq_idx < view.n_nodes:
-        raise GraphError(f"node index {hq_idx} out of range")
-    dist = multi_source_bfs(view.in_indptr, view.in_sources, np.array([hq_idx]), view.n_nodes)
-    affiliates = np.flatnonzero(dist > 0).astype(np.int64)
-    return MncSubtree(
-        view=view,
-        hq=hq_idx,
-        affiliates=affiliates,
-        layers=dist[affiliates].astype(np.int32),
-    )
+    n = view.n_nodes
+    seen = hqs + n * np.arange(hqs.shape[0], dtype=np.int64)
+    frontier = seen
+    keys, layers = [], []
+    while frontier.size:
+        nodes = frontier % n
+        counts = view.in_indptr[nodes + 1] - view.in_indptr[nodes]
+        reached = np.sort(np.repeat(frontier - nodes, counts)
+                          + view.in_sources[neighbor_positions(view.in_indptr, nodes)])
+        first = np.concatenate(([True], reached[1:] != reached[:-1]))
+        known = np.append(seen, -1)[np.searchsorted(seen, reached)] == reached
+        frontier = reached[first & ~known]
+        seen = np.sort(np.concatenate((seen, frontier)))
+        keys.append(frontier)
+        layers.append(np.full(frontier.shape[0], len(layers) + 1, dtype=np.int32))
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + keys)
+    order = np.argsort(keys)
+    return keys[order], np.concatenate([np.zeros(0, dtype=np.int32)] + layers)[order]
 
 
-def _member_mask_lookup(members: np.ndarray, nodes) -> np.ndarray:
-    """Whether each of ``nodes`` occurs in the sorted array ``members``."""
-    if members.shape[0] == 0:
-        return np.zeros(np.shape(nodes), dtype=bool)
-    pos = np.searchsorted(members, nodes)
-    pos_clipped = np.minimum(pos, members.shape[0] - 1)
-    return (pos < members.shape[0]) & (members[pos_clipped] == nodes)
+def subtree_table(view: SubstantialView, hqs) -> SubtreeTable:
+    """The subtrees of all HQs (dense node indexes, one MNC each) as one table.
 
-
-def mnc_degrees(subtree: MncSubtree) -> tuple[np.ndarray, np.ndarray]:
-    """In/out degrees of each affiliate, plus the three centrality sums.
-
-    Degrees are counted inside the subgraph induced by the affiliates plus
-    the HQ, so links leaving the corporation are ignored; the sums run over
-    the affiliates. Also stores that subgraph's edges on the subtree as its
-    subsidiary table. Returns (k_in, k_out) aligned with ``subtree.affiliates``.
+    An affiliate is any node with a directed substantial path to its HQ
+    (capital-flow orientation), and its layer is the hop count. Degrees
+    are counted inside the subgraph induced by the MNC's affiliates plus
+    its HQ, from the table's internal edges.
     """
-    view = subtree.view
-    n_aff = subtree.n_affiliates
-    owners = np.append(subtree.affiliates, subtree.hq)
+    n = view.n_nodes
+    hqs = np.asarray(hqs, dtype=np.int64)
+    if np.any((hqs < 0) | (hqs >= n)):
+        raise GraphError(f"HQ index out of range for {n} nodes")
+    keys, layers = _affiliate_pairs(view, hqs)
+    n_aff, n_mncs = keys.shape[0], hqs.shape[0]
+    mnc = keys // n
+    affiliates = keys - mnc * n
+
     # every in-edge of a member starts at a member, because its subsidiary
     # reaches the HQ through that member: the in-edges are the internal edges
+    owners = np.concatenate((affiliates, hqs))
+    counts = view.in_indptr[owners + 1] - view.in_indptr[owners]
     subs = view.in_sources[neighbor_positions(view.in_indptr, owners)]
-    is_hq = subs == subtree.hq
-    outside = ~(is_hq | _member_mask_lookup(subtree.affiliates, subs))
+    sub_mnc = np.repeat(np.concatenate((mnc, np.arange(n_mncs))), counts)
+    sub_keys = sub_mnc * n + subs
+    rows = np.searchsorted(keys, sub_keys)
+    is_hq = subs == hqs[sub_mnc]
+    outside = ~is_hq & (np.append(keys, -1)[rows] != sub_keys)
     if np.any(outside):
         raise InvariantError(f"node {subs[outside][0]} is a direct subsidiary of a member but not one itself")
-    local = np.searchsorted(subtree.affiliates, subs)
-    local[is_hq] = n_aff
+    rows[is_hq] = n_aff + sub_mnc[is_hq]
 
-    counts = view.in_indptr[owners + 1] - view.in_indptr[owners]
-    subtree.sub_indptr = np.concatenate(([0], np.cumsum(counts)))
-    subtree.subsidiaries = local
-    k_in = counts[:n_aff]
-    k_out = np.bincount(local, minlength=n_aff + 1)[:n_aff]
-
-    subtree.k_in = k_in
-    subtree.k_out = k_out
-    subtree.sum_k_in = int(k_in.sum())
-    subtree.sum_k_total = int((k_in + k_out).sum())
-    subtree.sum_k_product = int((k_in * k_out).sum())
-    return k_in, k_out
-
-
-def build_subtree(view: SubstantialView, hq) -> MncSubtree:
-    """Extract, layer, and degree a subtree in one call."""
-    subtree = extract_mnc(view, hq)
-    mnc_degrees(subtree)
-    return subtree
+    return SubtreeTable(
+        view=view,
+        hqs=hqs,
+        bounds=np.searchsorted(mnc, np.arange(n_mncs + 1)),
+        affiliates=affiliates,
+        layers=layers,
+        sub_indptr=np.concatenate(([0], np.cumsum(counts))),
+        subsidiaries=rows,
+        k_in=counts[:n_aff],
+        k_out=np.bincount(rows, minlength=n_aff + n_mncs)[:n_aff],
+    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,6 @@ from .graph import (
     NA_JURISDICTION,
     EDGE_HEADER,
     NODE_HEADER,
-    OwnershipGraph,
-    build_graph,
-    NodeRecord,
-    OwnershipEdge,
     write_csv_rows,
     write_json,
 )
@@ -349,19 +345,6 @@ def random_mnc_template(rng: np.random.Generator, name: str,
     return template
 
 
-def template_graph(template: MncTemplate) -> OwnershipGraph:
-    """Standalone graph of one template (global ids), for direct analysis."""
-    nodes = [
-        NodeRecord(template.global_id(local), jur, "C", "", local == template.hq)
-        for local, jur in sorted(template.jurisdictions.items())
-    ]
-    edges = [
-        OwnershipEdge(template.global_id(c), template.global_id(p), pct)
-        for c, p, pct in template.edges
-    ]
-    return build_graph(nodes, edges)
-
-
 # -- corpus assembly -------------------------------------------------------
 
 @dataclass
@@ -394,9 +377,6 @@ class SynthSpec:
         if spec.target_region not in ("IN", "TE"):
             raise ValueError(f"target_region must be IN or TE, got {spec.target_region!r}")
         return spec
-
-    def to_json(self, path) -> None:
-        write_json(path, asdict(self))
 
 
 @dataclass

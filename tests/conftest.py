@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ownet.graph import NodeRecord, OwnershipEdge, build_graph, substantial_view
-from ownet.mnc import build_subtree
-from ownet.synth import template_graph, toy_m1_template
+from ownet.graph import NodeRecord, OwnershipEdge, build_graph, substantial_view, write_json
+from ownet.mnc import subtree_table
+from ownet.synth import toy_m1_template
 
 
 def make_graph(n, edges, jurisdictions=None, pct=50.0):
@@ -15,6 +17,38 @@ def make_graph(n, edges, jurisdictions=None, pct=50.0):
         p = e[2] if len(e) > 2 else pct
         rows.append(OwnershipEdge(f"n{e[0]}", f"n{e[1]}", p))
     return build_graph(nodes, rows)
+
+
+def template_graph(template):
+    """Standalone graph of one template (global ids)."""
+    nodes = [
+        NodeRecord(template.global_id(local), jur, "C", "", local == template.hq)
+        for local, jur in sorted(template.jurisdictions.items())
+    ]
+    edges = [OwnershipEdge(template.global_id(c), template.global_id(p), pct) for c, p, pct in template.edges]
+    return build_graph(nodes, edges)
+
+
+def spec_to_json(spec, path):
+    write_json(path, dataclasses.asdict(spec))
+
+
+def out_neighbors(adjacency, u):
+    """Shareholders of node ``u``."""
+    return adjacency.dst[adjacency.out_indptr[u]:adjacency.out_indptr[u + 1]]
+
+
+def in_neighbors(adjacency, v):
+    """Direct subsidiaries of node ``v``."""
+    return adjacency.in_sources[adjacency.in_indptr[v]:adjacency.in_indptr[v + 1]]
+
+
+def row_of(table, node, mnc=0):
+    """The table row of affiliate ``node`` of MNC ``mnc``."""
+    lo, hi = table.bounds[mnc], table.bounds[mnc + 1]
+    row = lo + int(np.searchsorted(table.affiliates[lo:hi], node))
+    assert row < hi and table.affiliates[row] == node, f"node {node} is not an affiliate of MNC {mnc}"
+    return row
 
 
 def random_digraph(rng, n, p=0.08):
@@ -40,8 +74,8 @@ def m1_view(m1_graph):
 
 
 @pytest.fixture()
-def m1_subtree(m1_graph, m1_view):
-    return build_subtree(m1_view, m1_graph.index_of("M1:HQ"))
+def m1_table(m1_graph, m1_view):
+    return subtree_table(m1_view, [m1_graph.index_of("M1:HQ")])
 
 
 def m1_index(graph, local):

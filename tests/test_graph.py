@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import in_neighbors, make_graph, out_neighbors
 from ownet.errors import GraphError, LoadError
 from ownet.graph import (
     NodeRecord,
@@ -129,8 +129,8 @@ class TestBuildGraph:
     def test_adjacency_indexes_consistent(self):
         g = make_graph(4, [(0, 1), (2, 1), (1, 3)])
         for u in range(4):
-            for v in g.out_neighbors(u):
-                assert u in g.in_neighbors(int(v))
+            for v in out_neighbors(g, u):
+                assert u in in_neighbors(g, int(v))
         assert g.in_degrees().sum() == g.out_degrees().sum() == g.n_edges
 
     def test_immutable(self):

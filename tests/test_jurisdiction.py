@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from conftest import make_graph, template_graph
 from ownet import components as comp
 from ownet.errors import LoadError
 from ownet.graph import substantial_view
@@ -23,7 +23,7 @@ from ownet.jurisdiction import (
     with_pass_flows,
 )
 from ownet.keyfirms import ClassificationReport, MncClassification, Role, classify_all
-from ownet.synth import template_graph, toy_m1_template
+from ownet.synth import toy_m1_template
 
 
 def classified(mnc, hq_index, firms, roles):

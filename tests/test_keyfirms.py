@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
-from ownet.errors import DegenerateSubtreeError, GraphError, LoadError
+from conftest import in_neighbors, make_graph, out_neighbors, row_of, template_graph
+from mnc_reference import ref_classify_all, ref_subtree
+from ownet.errors import LoadError
 from ownet.graph import substantial_view
 from ownet.keyfirms import (
     Role,
@@ -18,18 +19,23 @@ from ownet.keyfirms import (
     load_keyfirms_csv,
     third_country,
 )
-from ownet.mnc import MncSubtree, build_subtree
-from ownet.synth import random_mnc_template, template_graph, toy_m1_template
+from ownet.mnc import subtree_table
+from ownet.synth import random_mnc_template, toy_m1_template
 
 
 def idx(graph, local, mnc="M1"):
     return graph.index_of(f"{mnc}:{local}")
 
 
-def by_id(subtree, values):
-    """{affiliate id: value} for an array aligned with the subtree's affiliates."""
-    ids = subtree.view.graph.ids
-    return {ids[a]: v for a, v in zip(subtree.affiliates.tolist(), values.tolist())}
+def by_id(table, values):
+    """{affiliate id: value} for an array aligned with the table's affiliates."""
+    ids = table.view.graph.ids
+    return {ids[a]: v for a, v in zip(table.affiliates.tolist(), values.tolist())}
+
+
+def template_table(template):
+    g = template_graph(template)
+    return subtree_table(substantial_view(g, 10.0), [g.index_of(template.global_id("HQ"))])
 
 
 class TestCentralities:
@@ -37,42 +43,32 @@ class TestCentralities:
         "local,expect",
         [("a", Fraction(7, 6)), ("b", Fraction(7, 9)), ("e", Fraction(0)), ("h", Fraction(-7, 3))],
     )
-    def test_holding_exact(self, m1_subtree, m1_graph, local, expect):
-        got = holding_centrality(m1_subtree, idx(m1_graph, local))
+    def test_holding_exact(self, m1_table, m1_graph, local, expect):
+        got = holding_centrality(m1_table)[row_of(m1_table, idx(m1_graph, local))]
         assert abs(got - float(expect)) < 1e-12
 
     @pytest.mark.parametrize(
         "local,expect",
         [("b", Fraction(14, 9)), ("e", Fraction(7, 6)), ("c", Fraction(0))],
     )
-    def test_conduit_exact(self, m1_subtree, m1_graph, local, expect):
-        got = conduit_centrality(m1_subtree, idx(m1_graph, local))
+    def test_conduit_exact(self, m1_table, m1_graph, local, expect):
+        got = conduit_centrality(m1_table)[row_of(m1_table, idx(m1_graph, local))]
         assert abs(got - float(expect)) < 1e-12
 
-    def test_degenerate_subtree_signaled(self):
+    def test_degenerate_subtree_signaled(self, m1_view, m1_graph):
+        # sum k_in = 0 under HQ n0: NaN there, while M1 in the same table is scored
         g = make_graph(2, [(1, 0)])
-        subtree = build_subtree(substantial_view(g, 10.0), 0)
-        with pytest.raises(DegenerateSubtreeError):
-            holding_centrality(subtree, 1)  # sum k_in = 0
+        table = subtree_table(substantial_view(g, 10.0), [0])
+        assert np.isnan(holding_centrality(table)).all()
+        assert np.isnan(conduit_centrality(table)).all()
+        table = subtree_table(m1_view, [idx(m1_graph, "HQ"), idx(m1_graph, "g")])
+        assert table.bounds.tolist() == [0, 8, 8]
+        assert not np.isnan(holding_centrality(table)).any()
 
-    def test_isolated_affiliate_signaled(self, m1_view):
-        subtree = MncSubtree(
-            view=m1_view, hq=0,
-            affiliates=np.array([1], dtype=np.int64), layers=np.array([1], dtype=np.int32),
-            k_in=np.array([0]), k_out=np.array([0]),
-            sum_k_in=5, sum_k_total=10, sum_k_product=2,
-        )
-        with pytest.raises(DegenerateSubtreeError, match="isolated"):
-            holding_centrality(subtree, 1)
-        with pytest.raises(DegenerateSubtreeError, match="isolated"):
-            conduit_centrality(subtree, 1)
-
-    def test_sign_matches_degree_balance(self, m1_subtree):
-        for pos, aff in enumerate(m1_subtree.affiliates):
-            h = holding_centrality(m1_subtree, int(aff))
-            k_in, k_out = int(m1_subtree.k_in[pos]), int(m1_subtree.k_out[pos])
-            assert (h > 0) == (k_in > k_out)
-            assert (h == 0) == (k_in == k_out)
+    def test_sign_matches_degree_balance(self, m1_table):
+        h = holding_centrality(m1_table)
+        assert ((h > 0) == (m1_table.k_in > m1_table.k_out)).all()
+        assert ((h == 0) == (m1_table.k_in == m1_table.k_out)).all()
 
     @given(
         st.integers(min_value=0, max_value=30),
@@ -94,38 +90,34 @@ class TestCentralities:
         assert (t1 > 0) == (t2 > 0)
 
 
+def third_country_of(n, edges, juris, affiliate):
+    table = subtree_table(substantial_view(make_graph(n, edges, jurisdictions=juris), 10.0), [0])
+    return third_country(table)[row_of(table, affiliate)]
+
+
 class TestThirdCountry:
-    def test_toy_a_true(self, m1_subtree, m1_graph):
-        assert third_country(m1_subtree, idx(m1_graph, "a"))
+    def test_toy_a_true(self, m1_table, m1_graph):
+        assert third_country(m1_table)[row_of(m1_table, idx(m1_graph, "a"))]
 
     def test_home_jurisdiction_false(self):
         # affiliate in HQ's jurisdiction fails the first clause
-        juris = {0: "JP", 1: "JP", 2: "GB"}
-        g = make_graph(3, [(1, 0), (2, 1)], jurisdictions=juris)
-        subtree = build_subtree(substantial_view(g, 10.0), 0)
-        assert not third_country(subtree, 1)
+        assert not third_country_of(3, [(1, 0), (2, 1)], {0: "JP", 1: "JP", 2: "GB"}, 1)
 
-    def test_no_subsidiaries_false(self, m1_subtree, m1_graph):
-        assert not third_country(m1_subtree, idx(m1_graph, "g"))
+    def test_no_subsidiaries_false(self, m1_table, m1_graph):
+        assert not third_country(m1_table)[row_of(m1_table, idx(m1_graph, "g"))]
 
     def test_sentinel_never_equal(self):
-        juris = {0: "JP", 1: "n.a.", 2: "n.a."}
-        g = make_graph(3, [(1, 0), (2, 1)], jurisdictions=juris)
-        subtree = build_subtree(substantial_view(g, 10.0), 0)
         # n.a. differs from everything, including itself
-        assert third_country(subtree, 1)
+        assert third_country_of(3, [(1, 0), (2, 1)], {0: "JP", 1: "n.a.", 2: "n.a."}, 1)
 
     def test_subsidiary_outside_subtree_ignored(self):
         # n1's only foreign subsidiary has no path to HQ (edge direction)
-        juris = {0: "JP", 1: "NL", 2: "NL", 3: "GB"}
-        g = make_graph(4, [(1, 0), (2, 1), (1, 3)], jurisdictions=juris)
-        subtree = build_subtree(substantial_view(g, 10.0), 0)
-        assert not third_country(subtree, 1)
+        assert not third_country_of(4, [(1, 0), (2, 1), (1, 3)], {0: "JP", 1: "NL", 2: "NL", 3: "GB"}, 1)
 
 
 class TestHierarchicalIdentify:
-    def test_toy_roles(self, m1_subtree, m1_graph):
-        roles = by_id(m1_subtree, hierarchical_identify(m1_subtree)[3])
+    def test_toy_roles(self, m1_table):
+        roles = by_id(m1_table, hierarchical_identify(m1_table)[3])
         roles = {aff.split(":")[1]: r for aff, r in roles.items()}
         assert roles["a"] == Role.HOLDING
         assert roles["b"] == Role.HOLDING_AND_CONDUIT
@@ -133,9 +125,9 @@ class TestHierarchicalIdentify:
         for other in "cdfgh":
             assert roles[other] == Role.NONE
 
-    def test_records_carry_diagnostics(self, m1_subtree):
-        holding, conduit, _, _ = hierarchical_identify(m1_subtree)
-        holding, conduit = by_id(m1_subtree, holding), by_id(m1_subtree, conduit)
+    def test_records_carry_diagnostics(self, m1_table):
+        holding, conduit, _, _ = hierarchical_identify(m1_table)
+        holding, conduit = by_id(m1_table, holding), by_id(m1_table, conduit)
         # layer-1 conduit centralities are recorded even without a role
         assert not np.isnan(conduit["M1:h"])
         assert not np.isnan(holding["M1:h"])
@@ -144,34 +136,26 @@ class TestHierarchicalIdentify:
     def test_single_jurisdiction_no_keys(self):
         template = toy_m1_template()
         template.jurisdictions = {k: "JP" for k in template.jurisdictions}
-        g = template_graph(template)
-        subtree = build_subtree(substantial_view(g, 10.0), g.index_of("M1:HQ"))
-        roles = hierarchical_identify(subtree)[3]
+        roles = hierarchical_identify(template_table(template))[3]
         assert all(r == Role.NONE for r in roles.tolist())
 
     def test_no_conduit_without_holding_parent(self):
         rng = np.random.default_rng(3)
         for i in range(50):
-            template = random_mnc_template(rng, f"P{i}")
-            g = template_graph(template)
-            view = substantial_view(g, 10.0)
-            subtree = build_subtree(view, g.index_of(template.global_id("HQ")))
-            roles = dict(zip(subtree.affiliates.tolist(), hierarchical_identify(subtree)[3].tolist()))
+            table = template_table(random_mnc_template(rng, f"P{i}"))
+            roles = dict(zip(table.affiliates.tolist(), hierarchical_identify(table)[3].tolist()))
             holders = {
                 i for i, r in roles.items() if r in (Role.HOLDING, Role.HOLDING_AND_CONDUIT)
             }
             for i, role in roles.items():
                 if role in (Role.CONDUIT, Role.HOLDING_AND_CONDUIT):
-                    parents = {int(p) for p in view.out_neighbors(i)}
+                    parents = {int(p) for p in out_neighbors(table.view, i)}
                     assert parents & holders
 
     def test_every_key_firm_is_third_country(self):
         rng = np.random.default_rng(4)
         for i in range(50):
-            template = random_mnc_template(rng, f"Q{i}")
-            g = template_graph(template)
-            subtree = build_subtree(substantial_view(g, 10.0), g.index_of(template.global_id("HQ")))
-            _, _, tc, roles = hierarchical_identify(subtree)
+            _, _, tc, roles = hierarchical_identify(template_table(random_mnc_template(rng, f"Q{i}")))
             for third, role in zip(tc.tolist(), roles.tolist()):
                 if role != Role.NONE:
                     assert third
@@ -184,20 +168,18 @@ class TestHierarchicalIdentify:
             shuffled = list(template.edges)
             rng.shuffle(shuffled)
             template.edges = shuffled
-            g = template_graph(template)
-            subtree = build_subtree(substantial_view(g, 10.0), g.index_of("M1:HQ"))
-            roles = by_id(subtree, hierarchical_identify(subtree)[3])
+            table = template_table(template)
+            roles = by_id(table, hierarchical_identify(table)[3])
             if base is None:
                 base = roles
             assert roles == base
 
     def test_empty_subtree(self):
         g = make_graph(2, [(0, 1)])
-        subtree = build_subtree(substantial_view(g, 10.0), 1)
-        assert subtree.n_affiliates == 1  # n0 owned by n1
-        g2 = make_graph(2, [(0, 1)])
-        subtree2 = build_subtree(substantial_view(g2, 10.0), 0)
-        assert [a.shape for a in hierarchical_identify(subtree2)] == [(0,)] * 4
+        view = substantial_view(g, 10.0)
+        assert subtree_table(view, [1]).n_affiliates == 1  # n0 owned by n1
+        assert [a.shape for a in hierarchical_identify(subtree_table(view, [0]))] == [(0,)] * 4
+        assert [a.shape for a in hierarchical_identify(subtree_table(view, []))] == [(0,)] * 4
 
 
 class TestSignLaw:
@@ -205,14 +187,12 @@ class TestSignLaw:
         rng = np.random.default_rng(6)
         checked = 0
         for i in range(100):
-            template = random_mnc_template(rng, f"S{i}", n_affiliates=(3, 40))
-            g = template_graph(template)
-            subtree = build_subtree(substantial_view(g, 10.0), g.index_of(template.global_id("HQ")))
-            if subtree.sum_k_in <= 0:
+            table = template_table(random_mnc_template(rng, f"S{i}", n_affiliates=(3, 40)))
+            if table.mnc_sums(table.k_in)[0] <= 0:
                 continue
-            for pos, aff in enumerate(subtree.affiliates):
-                h = holding_centrality(subtree, int(aff))
-                assert (h > 0) == (subtree.k_in[pos] > subtree.k_out[pos])
+            h = holding_centrality(table)
+            for pos in range(table.n_affiliates):
+                assert (h[pos] > 0) == (table.k_in[pos] > table.k_out[pos])
                 checked += 1
         assert checked > 500
 
@@ -321,10 +301,9 @@ def _ref_jurisdictions_differ(g, a, b):
 
 
 def _ref_direct_subsidiaries(subtree, affiliate):
-    nbrs = subtree.view.in_neighbors(affiliate)
     members = subtree.affiliates
     out = []
-    for s in np.unique(nbrs):
+    for s in np.unique(in_neighbors(subtree.view, affiliate)):
         pos = int(np.searchsorted(members, s))
         if pos < members.shape[0] and members[pos] == s:
             out.append(int(s))
@@ -336,7 +315,7 @@ def ref_third_country(subtree, affiliate):
     if not _ref_jurisdictions_differ(g, affiliate, subtree.hq):
         return False
     member_set = {int(a) for a in subtree.affiliates} | {subtree.hq}
-    for s in subtree.view.in_neighbors(affiliate):
+    for s in in_neighbors(subtree.view, affiliate):
         if int(s) in member_set and _ref_jurisdictions_differ(g, int(s), affiliate):
             return True
     return False
@@ -409,72 +388,114 @@ def ownership_views(draw):
     return make_graph(n, edges, dict(enumerate(jurisdictions))), hqs
 
 
-def _fields(subtree, identified):
-    """The reference's per-affiliate fields read from the subtree and the identification arrays."""
-    holding, conduit, tc, roles = identified
-    assert (holding.dtype, conduit.dtype, tc.dtype, roles.dtype) == (np.float64, np.float64, bool, np.int8)
-    ids = subtree.view.graph.ids
+def _fields(table, m, identified):
+    """The reference's per-affiliate fields of MNC ``m``, read from the table and the identification arrays."""
+    assert tuple(a.dtype for a in identified) == (np.float64, np.float64, bool, np.int8)
+    rows = slice(table.bounds[m], table.bounds[m + 1])
+    ids = table.view.graph.ids
     return [
         (ids[a], a, layer, k_in, k_out, None if np.isnan(h) else h, None if np.isnan(t) else t, third, Role(role))
         for a, layer, k_in, k_out, h, t, third, role in zip(
-            subtree.affiliates.tolist(), subtree.layers.tolist(), subtree.k_in.tolist(), subtree.k_out.tolist(),
-            holding.tolist(), conduit.tolist(), tc.tolist(), roles.tolist())
+            *(column[rows].tolist() for column in (table.affiliates, table.layers, table.k_in, table.k_out)),
+            *(column[rows].tolist() for column in identified))
     ]
 
 
 class TestArrayIdentificationOracle:
-    """The array identification against the scalar reference above."""
+    """The batched identification against the scalar reference above."""
 
-    @given(ownership_views(), st.booleans())
+    @given(ownership_views())
     @settings(max_examples=300, deadline=None)
     # a cross-shareholding 2-cycle {2, 3} under a foreign holding 1
     @example((make_graph(4, [(1, 0), (2, 1), (3, 1), (2, 3), (3, 2)],
-                         {0: "US", 1: "NL", 2: "GB", 3: "NL"}), [0]), False)
+                         {0: "US", 1: "NL", 2: "GB", 3: "NL"}), [0]))
     # a cycle through the HQ: HQ 0 is a subsidiary of its holding candidate 1
     @example((make_graph(4, [(1, 0), (2, 1), (3, 1), (0, 1)],
-                         {0: "US", 1: "NL", 2: "GB", 3: "US"}), [0]), False)
+                         {0: "US", 1: "NL", 2: "GB", 3: "US"}), [0]))
     # affiliates 2 and 3 shared by the MNCs of HQs 0 and 4, "n.a." jurisdictions
     @example((make_graph(5, [(1, 0), (2, 1), (3, 2), (1, 4), (3, 4)],
-                         {0: "US", 1: "n.a.", 2: "n.a.", 3: "GB", 4: "n.a."}), [0, 4]), False)
+                         {0: "US", 1: "n.a.", 2: "n.a.", 3: "GB", 4: "n.a."}), [0, 4]))
     # sum k_in == 0 == sum k_product: a star of direct affiliates
-    @example((make_graph(4, [(1, 0), (2, 0), (3, 0)], {0: "US", 1: "NL", 2: "GB", 3: "n.a."}), [0]), False)
-    # sum k_product forced to 0 while sum k_in > 0
-    @example((make_graph(4, [(1, 0), (2, 1), (3, 2)], {0: "US", 1: "NL", 2: "GB", 3: "NL"}), [0]), True)
-    def test_records_equal_reference(self, case, zero_product):
+    @example((make_graph(4, [(1, 0), (2, 0), (3, 0)], {0: "US", 1: "NL", 2: "GB", 3: "n.a."}), [0]))
+    def test_records_equal_reference(self, case):
         g, hqs = case
         view = substantial_view(g, 10.0)
-        for hq in hqs:
-            subtree = build_subtree(view, hq)
-            if zero_product:
-                subtree.sum_k_product = 0
-            expected = ref_hierarchical_identify(subtree)
-            got = _fields(subtree, hierarchical_identify(subtree))
+        table = subtree_table(view, hqs)
+        identified = hierarchical_identify(table)
+        columns = {"holding": holding_centrality(table), "conduit": conduit_centrality(table),
+                   "third_country": third_country(table)}
+        assert columns["third_country"].dtype == bool
+        for m, hq in enumerate(hqs):
+            subtree = ref_subtree(view, hq)
             # repr tells a Python float from a numpy one and compares floats exactly
-            assert repr(got) == repr(expected)
+            assert repr(_fields(table, m, identified)) == repr(ref_hierarchical_identify(subtree))
 
-            affiliates = subtree.affiliates
-            if affiliates.size == 0:
-                continue
-            tc = third_country(subtree, affiliates)
-            assert tc.dtype == bool
-            assert tc.tolist() == [third_country(subtree, int(a)) for a in affiliates]
-            assert tc.tolist() == [ref_third_country(subtree, int(a)) for a in affiliates]
-            for fn, ref, total in ((holding_centrality, _ref_holding, subtree.sum_k_in),
-                                   (conduit_centrality, _ref_conduit, subtree.sum_k_product)):
-                if total > 0:
-                    values = fn(subtree, affiliates).tolist()
-                    assert values == [fn(subtree, int(a)) for a in affiliates]
-                    assert values == [ref(subtree, int(a)) for a in affiliates]
+            rows = slice(table.bounds[m], table.bounds[m + 1])
+            affiliates = subtree.affiliates.tolist()
+            assert columns["third_country"][rows].tolist() == [ref_third_country(subtree, a) for a in affiliates]
+            for name, ref in (("holding", _ref_holding), ("conduit", _ref_conduit)):
+                values = columns[name][rows].tolist()
+                if subtree.sum_k_in > 0:
+                    assert values == [ref(subtree, a) for a in affiliates]
+                else:
+                    assert np.isnan(values).all()
 
-    def test_non_affiliate_rejected(self, m1_subtree):
-        for fn in (holding_centrality, conduit_centrality, third_country):
-            with pytest.raises(GraphError):
-                fn(m1_subtree, m1_subtree.hq)
-            with pytest.raises(GraphError):
-                fn(m1_subtree, np.append(m1_subtree.affiliates, m1_subtree.hq))
+    @given(ownership_views())
+    @settings(max_examples=300, deadline=None)
+    def test_every_affiliate_has_an_out_edge(self, case):
+        # each affiliate owns a share of its BFS parent inside the subtree, so
+        # k_out >= 1, and a positive k_in sum makes the k_in * k_out sum positive:
+        # "sum k_in == 0" is the only degenerate denominator
+        g, hqs = case
+        table = subtree_table(substantial_view(g, 10.0), hqs)
+        assert (table.k_out >= 1).all()
+        positive_in = table.mnc_sums(table.k_in) > 0
+        assert (table.mnc_sums(table.k_in * table.k_out)[positive_in] > 0).all()
 
-    def test_scalar_results_are_python_scalars(self, m1_subtree):
-        a = int(m1_subtree.affiliates[0])
-        assert type(holding_centrality(m1_subtree, a)) is float
-        assert type(conduit_centrality(m1_subtree, a)) is float
-        assert type(third_country(m1_subtree, a)) is bool
+
+_COLUMNS = ("affiliates", "layers", "k_in", "k_out", "holding", "conduit", "third_country", "roles")
+
+
+@st.composite
+def hq_lists(draw):
+    """An ownership view's graph and an HQ list that may repeat an HQ, hold an
+    unknown id, nest one HQ inside another's subtree, or be empty."""
+    g, _ = draw(ownership_views())
+    hq_ids = draw(st.lists(st.sampled_from(g.ids + ["ghost"]), max_size=4))
+    return g, [(hq, f"M{k}") for k, hq in enumerate(hq_ids)]
+
+
+_NESTED = make_graph(4, [(1, 0), (2, 1), (3, 1)], {0: "US", 1: "NL", 2: "GB", 3: "NL"})
+
+
+class TestBatchedClassifyOracle:
+    """``classify_all`` over one table against the per-MNC reference."""
+
+    @given(hq_lists())
+    @settings(max_examples=300, deadline=None)
+    # overlapping subtrees: affiliates 2 and 3 under HQs 0 and 4
+    @example((make_graph(5, [(1, 0), (2, 1), (3, 2), (1, 4), (3, 4)],
+                         {0: "US", 1: "NL", 2: "n.a.", 3: "GB", 4: "NL"}), [("n0", "A"), ("n4", "B")]))
+    # the same HQ id under two names
+    @example((_NESTED, [("n0", "A"), ("n0", "B")]))
+    # HQ n1 inside the subtree of HQ n0
+    @example((_NESTED, [("n0", "A"), ("n1", "B")]))
+    # a cycle through the HQ
+    @example((make_graph(4, [(1, 0), (2, 1), (3, 1), (0, 1)],
+                         {0: "US", 1: "NL", 2: "GB", 3: "US"}), [("n0", "A"), ("n1", "B")]))
+    # an unknown HQ, an empty list, an all-unknown list
+    @example((_NESTED, [("ghost", "G"), ("n0", "A")]))
+    @example((_NESTED, []))
+    @example((_NESTED, [("ghost", "G"), ("spook", "S")]))
+    def test_equals_per_mnc_reference(self, case):
+        g, hq_list = case
+        view = substantial_view(g, 10.0)
+        got, want = classify_all(view, hq_list), ref_classify_all(view, hq_list)
+        assert got.failures == want.failures
+        assert [(c.mnc, c.hq_index) for c in got.classifications] == [
+            (c.mnc, c.hq_index) for c in want.classifications]
+        for ours, theirs in zip(got.classifications, want.classifications):
+            for column in _COLUMNS:
+                a, b = getattr(ours, column), getattr(theirs, column)
+                assert a.dtype == b.dtype, column
+                assert repr(a.tolist()) == repr(b.tolist()), column

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from conftest import spec_to_json, template_graph
 from ownet.errors import GraphError
 from ownet.graph import load_graph, substantial_view
 from ownet.keyfirms import ROLE_NAMES, Role, classify_all, hierarchical_identify
-from ownet.mnc import build_subtree
+from ownet.mnc import subtree_table
 from ownet.netstats import fit_power_law
 from ownet.synth import (
     SynthSpec,
@@ -14,7 +15,6 @@ from ownet.synth import (
     generate_scale_free,
     random_mnc_template,
     sample_power_law,
-    template_graph,
     toy_m1_template,
     write_corpus,
 )
@@ -87,10 +87,10 @@ class TestTemplates:
             template = random_mnc_template(rng, f"R{i}")
             graph = template_graph(template)
             view = substantial_view(graph, 10.0)
-            subtree = build_subtree(view, graph.index_of(template.global_id("HQ")))
+            table = subtree_table(view, [graph.index_of(template.global_id("HQ"))])
             got = {
                 graph.ids[a].split(":", 1)[1]: ROLE_NAMES[r]
-                for a, r in zip(subtree.affiliates.tolist(), hierarchical_identify(subtree)[3].tolist())
+                for a, r in zip(table.affiliates.tolist(), hierarchical_identify(table)[3].tolist())
                 if r != Role.NONE
             }
             assert got == template.roles, f"template {i} diverged"
@@ -142,7 +142,7 @@ class TestCorpus:
     def test_spec_json_roundtrip(self, tmp_path):
         spec = self.spec(target_region="IN")
         path = tmp_path / "spec.json"
-        spec.to_json(path)
+        spec_to_json(spec, path)
         back = SynthSpec.from_json(path)
         assert back == spec
 
@@ -150,6 +150,6 @@ class TestCorpus:
         spec = self.spec()
         spec.target_region = "GSCC"
         path = tmp_path / "spec.json"
-        spec.to_json(path)
+        spec_to_json(spec, path)
         with pytest.raises(ValueError):
             SynthSpec.from_json(path)
