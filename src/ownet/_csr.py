@@ -10,9 +10,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def canonical_edge_order(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Permutation sorting edges by (src, dst)."""
-    return np.lexsort((dst, src))
+def canonical_edge_order(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Permutation sorting edges by (src, dst), nodes below ``n``; parallel
+    edges keep their input order (the ``np.lexsort`` order)."""
+    return np.argsort(src.astype(np.int64) * n + dst, kind="stable")
+
+
+def sorted_unique(values: np.ndarray, return_counts: bool = False):
+    """Sorted distinct values of an integer array (and how often each occurs),
+    as ``np.unique`` returns them.
+
+    A sort plus an adjacent diff: numpy's hash-based ``unique`` is many
+    times slower on integer arrays.
+    """
+    values = np.sort(values, axis=None)
+    first = np.ones(values.shape[0], dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    distinct = values[first]
+    if not return_counts:
+        return distinct
+    return distinct, np.diff(np.append(np.flatnonzero(first), values.shape[0]))
 
 
 def build_indptr(endpoints: np.ndarray, n: int) -> np.ndarray:
@@ -48,7 +65,7 @@ def multi_source_bfs(
     by ``indptr``. Sources themselves get distance 0.
     """
     dist = np.full(n, -1, dtype=np.int32)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    frontier = sorted_unique(np.asarray(sources, dtype=np.int64))
     if frontier.size == 0:
         return dist
     dist[frontier] = 0
@@ -62,7 +79,7 @@ def multi_source_bfs(
         nb = nb[dist[nb] < 0]
         if nb.size == 0:
             break
-        frontier = np.unique(nb)
+        frontier = sorted_unique(nb)
         dist[frontier] = d
     return dist
 

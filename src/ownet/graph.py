@@ -132,13 +132,14 @@ def data_rows(path: Path, header: list[str]):
             yield line, row
 
 
-def load_nodes(path) -> NodeColumns:
-    """Read a node CSV (``node_id,jurisdiction,nace_section,name,is_hq``) into columns.
+def _label(raw: str, missing: str) -> str:
+    """A jurisdiction or nace field: stripped, and ``missing`` if blank."""
+    return raw.strip() or missing
 
-    Empty and duplicate node ids and malformed rows are rejected with the
-    line number.
-    """
-    path = Path(path)
+
+def _row_nodes(path: Path) -> NodeColumns:
+    """:func:`load_nodes` one ``csv.reader`` row at a time: the definition of a
+    valid node file, and the path that reports the first bad line."""
     ids, nace, names, is_hq = [], [], [], []
     id_index: dict[str, int] = {}
     first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
@@ -151,25 +152,24 @@ def load_nodes(path) -> NodeColumns:
             raise LoadError(f"duplicate node_id {node_id!r}", path, line)
         id_index[node_id] = len(ids)
         ids.append(node_id)
-        codes.append(first_seen.setdefault(row[1].strip() or NA_JURISDICTION, len(first_seen)))
-        nace.append(row[2].strip() or NA_INDUSTRY)
+        codes.append(first_seen.setdefault(_label(row[1], NA_JURISDICTION), len(first_seen)))
+        nace.append(_label(row[2], NA_INDUSTRY))
         names.append(row[3])
         is_hq.append(_parse_bool(row[4], path, line))
+    return _node_columns(ids, id_index, first_seen, np.asarray(codes), nace, names, is_hq)
+
+
+def _node_columns(ids, id_index, first_seen, codes, nace, names, is_hq) -> NodeColumns:
+    """Node columns with jurisdictions renumbered from order of first use to sorted order."""
     labels = sorted(first_seen)
     rank = np.empty(len(labels), dtype=np.int32)
     rank[[first_seen[label] for label in labels]] = np.arange(len(labels))
-    return NodeColumns(ids, id_index, labels, rank[np.asarray(codes)], nace, names, is_hq)
+    return NodeColumns(ids, id_index, labels, rank[codes], nace, names, is_hq)
 
 
-def load_edges(path, id_index: dict[str, int]) -> EdgeLoadResult:
-    """Read an edge CSV (``subsidiary_id,shareholder_id,pct``) into index columns.
-
-    Endpoints are mapped through ``id_index`` (see :func:`load_nodes`); an
-    unknown id is rejected with the line number. Self-loops are dropped and
-    counted rather than rejected. A blank pct is ingested as 0.0 (never
-    substantial) and counted.
-    """
-    path = Path(path)
+def _row_edges(path: Path, id_index: dict[str, int]) -> EdgeLoadResult:
+    """:func:`load_edges` one ``csv.reader`` row at a time: the definition of a
+    valid edge file, and the path that reports the first bad line."""
     src, dst, pct = array("i"), array("i"), array("d")
     self_loops = blank_pct = 0
     for line, row in data_rows(path, EDGE_HEADER):
@@ -203,6 +203,191 @@ def load_edges(path, id_index: dict[str, int]) -> EdgeLoadResult:
     return EdgeLoadResult(edges=edges, self_loops_dropped=self_loops, blank_pct=blank_pct)
 
 
+# -- bulk parse: the same files as the row loops, a block of rows at a time ----
+
+BLOCK_BYTES = 1 << 22  # newline-aligned read size of the bulk parse
+
+
+class _Irregular(Exception):
+    """The bulk parse cannot take this file, or it fails a check; the row
+    loop re-reads it, so errors keep their message and line."""
+
+
+def _split_block(block: bytes, width: int) -> list[str]:
+    """The fields of every line of ``block`` (newline-terminated), row after row.
+
+    Only plain lines are split: no quote, CR or NUL byte, exactly
+    ``width - 1`` commas each (so no blank line), and no field longer than
+    the csv module accepts. ``csv.reader`` splits such a line at its commas
+    alone, so both parses agree; anything else raises :class:`_Irregular`.
+    """
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        raise _Irregular
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.shape[0] != ends.shape[0] * (width - 1):
+        raise _Irregular
+    # row i's separators in position order: its line start, width - 1 commas, its newline
+    bounds = np.column_stack((np.concatenate(([-1], ends[:-1])), commas.reshape(-1, width - 1), ends))
+    gaps = np.diff(bounds, axis=1)
+    if gaps.size and (gaps.min() < 1 or gaps.max() > csv.field_size_limit() + 1):
+        raise _Irregular
+    try:
+        fields = block.decode("utf-8").replace(",", "\n").split("\n")
+    except UnicodeDecodeError:
+        raise _Irregular from None
+    fields.pop()  # the empty string after the last newline
+    return fields
+
+
+def _bulk_blocks(path: Path, header: list[str]):
+    """Per block of data rows, their fields as one flat row-major list.
+
+    The file must be plain throughout (see :func:`_split_block`) and start
+    with ``header``; otherwise, and if it cannot be read, this raises
+    :class:`_Irregular`.
+    """
+    width = len(header)
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        raise _Irregular from None
+    with handle:
+        tail, first = b"", True
+        while True:
+            try:
+                chunk = handle.read(BLOCK_BYTES)
+            except OSError:
+                raise _Irregular from None
+            block = tail + chunk
+            if chunk:
+                cut = block.rfind(b"\n") + 1
+                block, tail = block[:cut], block[cut:]
+            elif block:
+                block += b"\n"  # the last line, which has no newline
+            if block:
+                fields = _split_block(block, width)
+                if first:
+                    if [name.strip() for name in fields[:width]] != header:
+                        raise _Irregular
+                    del fields[:width]
+                    first = False
+                if fields:
+                    yield fields
+                    fields.clear()  # free this block's strings before the next block makes its own
+            if not chunk:
+                break
+        if first:  # an empty file: no header
+            raise _Irregular
+
+
+def _mapped(column: list[str], table: dict, value_of):
+    """``table[raw]`` for every raw field, lazily; ``value_of`` adds the
+    values not yet in ``table``, one call per distinct raw field."""
+    for raw in set(column).difference(table):
+        table[raw] = value_of(raw)
+    return map(table.__getitem__, column)
+
+
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _fresh_copies(strings) -> list[str]:
+    """New objects equal to ``strings`` (at least one; none holds a newline).
+
+    The strings a node block keeps are copied, together, out of the block's
+    split, so the allocator pools that held the whole split empty out once
+    the block is done with, rather than staying pinned by the kept ones.
+    """
+    return "\n".join(strings).split("\n")
+
+
+def _bulk_nodes(path: Path) -> NodeColumns:
+    width = len(NODE_HEADER)
+    ids, nace, names, is_hq = [], [], [], []
+    id_index: dict[str, int] = {}
+    first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
+    codes = array("i")
+
+    def jurisdiction_code(raw: str) -> int:
+        return first_seen.setdefault(_label(raw, NA_JURISDICTION), len(first_seen))
+
+    tables: tuple[dict, dict, dict] = ({}, {}, {})  # raw field -> value, per coded column
+    for fields in _bulk_blocks(path, NODE_HEADER):
+        block_ids = _fresh_copies(map(str.strip, fields[0::width]))
+        id_index.update(zip(block_ids, range(len(ids), len(ids) + len(block_ids))))
+        ids += block_ids
+        if len(id_index) != len(ids) or "" in id_index:
+            raise _Irregular
+        codes.extend(_mapped(fields[1::width], tables[0], jurisdiction_code))
+        nace += _mapped(fields[2::width], tables[1], lambda raw: _label(raw, NA_INDUSTRY))
+        names += _fresh_copies(fields[3::width])
+        is_hq += _mapped(fields[4::width], tables[2], lambda raw: _parse_bool(raw, path, None))
+    return _node_columns(ids, id_index, first_seen, np.asarray(codes), nace, names, is_hq)
+
+
+def _bulk_edges(path: Path, id_index: dict[str, int]) -> EdgeLoadResult:
+    width = len(EDGE_HEADER)
+    src, dst, pct = [], [], []
+    self_loops = blank_pct = 0
+    for fields in _bulk_blocks(path, EDGE_HEADER):
+        rows = len(fields) // width
+        try:
+            s = np.fromiter(map(id_index.__getitem__, map(str.strip, fields[0::width])), np.int32, rows)
+            d = np.fromiter(map(id_index.__getitem__, map(str.strip, fields[1::width])), np.int32, rows)
+        except KeyError:
+            raise _Irregular from None
+        raw = list(map(str.strip, fields[2::width]))
+        blank_pct += raw.count("")
+        try:  # a blank pct reads as 0.0: {"": "0"}.get(x, x) is "0" for "" and x otherwise
+            value = np.fromiter(map(float, map({"": "0"}.get, raw, raw)), np.float64, rows)
+        except ValueError:
+            raise _Irregular from None
+        if not ((value >= 0.0) & (value <= 100.0)).all():
+            raise _Irregular
+        keep = s != d
+        self_loops += rows - int(keep.sum())
+        src.append(s[keep])
+        dst.append(d[keep])
+        pct.append(value[keep])
+    edges = EdgeColumns(_joined(src, np.int32), _joined(dst, np.int32), _joined(pct, np.float64))
+    return EdgeLoadResult(edges=edges, self_loops_dropped=self_loops, blank_pct=blank_pct)
+
+
+def load_nodes(path) -> NodeColumns:
+    """Read a node CSV (``node_id,jurisdiction,nace_section,name,is_hq``) into columns.
+
+    Empty and duplicate node ids and malformed rows are rejected with the
+    line number. A plain file (no quoting, LF line ends) is parsed a block
+    at a time; any other file, or one that fails a check, is read row by row.
+    """
+    path = Path(path)
+    try:
+        return _bulk_nodes(path)
+    except (_Irregular, LoadError):  # a bad bool: the row loop reports it with its line
+        return _row_nodes(path)
+
+
+def load_edges(path, id_index: dict[str, int]) -> EdgeLoadResult:
+    """Read an edge CSV (``subsidiary_id,shareholder_id,pct``) into index columns.
+
+    Endpoints are mapped through ``id_index`` (see :func:`load_nodes`); an
+    unknown id is rejected with the line number. Self-loops are dropped and
+    counted rather than rejected. A blank pct is ingested as 0.0 (never
+    substantial) and counted. Plain files take the bulk parse, as in
+    :func:`load_nodes`.
+    """
+    path = Path(path)
+    try:
+        if "" in id_index:  # the row loop rejects an empty endpoint before the lookup
+            raise _Irregular
+        return _bulk_edges(path, id_index)
+    except _Irregular:
+        return _row_edges(path, id_index)
+
+
 class _Adjacency:
     """Shared read API over canonical edge arrays.
 
@@ -221,12 +406,12 @@ class _Adjacency:
 
     def _index_edges(self, n: int, src: np.ndarray, dst: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Store and index the edges; returns ``values`` in the same order."""
-        order = canonical_edge_order(src, dst)
+        order = canonical_edge_order(src, dst, n)
         self.n_nodes = n
         self.src = freeze(src[order])
         self.dst = freeze(dst[order])
         self.out_indptr = freeze(build_indptr(self.src, n))
-        self.in_order = freeze(np.lexsort((self.src, self.dst)))
+        self.in_order = freeze(canonical_edge_order(self.dst, self.src, n))
         self.in_indptr = freeze(build_indptr(self.dst[self.in_order], n))
         self.in_sources = freeze(self.src[self.in_order])
         return freeze(values[order])
@@ -379,6 +564,26 @@ def write_csv_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+EMIT_ROWS = 1 << 16  # rows per formatted chunk of write_id_value_csv
+
+
+def write_id_value_csv(path, header, ids: list, values: list) -> None:
+    """Rows ``(ids[i], values[i])`` of str or int fields, byte for byte as
+    :func:`write_csv_rows` writes them. Each chunk of rows is formatted as
+    one string, and handed to ``csv.writer`` only if a field needs quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, len(ids), EMIT_ROWS):
+            chunk_ids, chunk_values = ids[start:start + EMIT_ROWS], values[start:start + EMIT_ROWS]
+            text = "".join(map("{},{}\n".format, chunk_ids, chunk_values))
+            rows = len(chunk_ids)
+            if text.count(",") == rows and text.count("\n") == rows and not ('"' in text or "\r" in text):
+                handle.write(text)
+            else:
+                writer.writerows(zip(chunk_ids, chunk_values))
+
+
 def write_json(path, data) -> None:
     """Write ``data`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -389,16 +594,32 @@ def write_json(path, data) -> None:
 # -- binary cache --------------------------------------------------------
 
 def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
-    encoded = [s.encode("utf-8") for s in strings]
-    lengths = np.fromiter((len(b) for b in encoded), dtype=np.int64, count=len(encoded))
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    """The utf-8 bytes of all ``strings`` back to back, and the offsets of each."""
+    joined = "".join(strings)
+    if joined.isascii():  # one byte per character: lengths and bytes in bulk
+        lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+        data = joined.encode("ascii")
+    else:
+        encoded = [s.encode("utf-8") for s in strings]
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        data = b"".join(encoded)
+    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8).copy()
-    return blob, offsets
+    return np.frombuffer(data, dtype=np.uint8).copy(), offsets
 
 
-def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
-    raw, bounds = blob.tobytes(), offsets.tolist()
+def _unpack_strings(blob: np.ndarray, offsets: np.ndarray, field: str, path) -> list[str]:
+    """The strings :func:`_pack_strings` packed for cache field ``field``;
+    ``offsets`` must run from 0 to the blob's end without decreasing."""
+    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != blob.size \
+            or (offsets[1:] < offsets[:-1]).any():
+        raise LoadError(f"cache field {field!r} has offsets that do not delimit its {blob.size}-byte blob",
+                        path)
+    raw = blob.tobytes()
+    if len(offsets) > 1 and raw.isascii() and b"\n" not in raw:
+        # one newline between strings, then one decode and one split
+        return np.insert(blob, offsets[1:-1], ord("\n")).tobytes().decode("ascii").split("\n")
+    bounds = offsets.tolist()
     return [raw[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
@@ -452,10 +673,10 @@ def load_cache(path) -> OwnershipGraph:
         version = int(data["version"])
         if version != CACHE_VERSION:
             raise LoadError(f"cache version {version} unsupported (expected {CACHE_VERSION})", path)
-        ids = _unpack_strings(data["ids_blob"], data["ids_off"])
-        labels = _unpack_strings(data["jur_blob"], data["jur_off"])
+        ids = _unpack_strings(data["ids_blob"], data["ids_off"], "ids", path)
+        labels = _unpack_strings(data["jur_blob"], data["jur_off"], "jur", path)
         fields = {key: data[key] for key in ("jur_index", "nace", "is_hq", "src", "dst", "pct")}
-        fields["names"] = _unpack_strings(data["names_blob"], data["names_off"])
+        fields["names"] = _unpack_strings(data["names_blob"], data["names_off"], "names", path)
         counters = {key: int(data[key]) for key in ("self_loops_dropped", "blank_pct")}
 
     n, m = len(ids), len(fields["src"])
@@ -469,14 +690,14 @@ def load_cache(path) -> OwnershipGraph:
             raise LoadError(f"cache field {field!r} holds values outside [0, {bound})", path)
     if not np.all((fields["pct"] >= 0.0) & (fields["pct"] <= 100.0)):
         raise LoadError("cache field 'pct' holds values outside [0, 100]", path)
-    id_index = {node_id: i for i, node_id in enumerate(ids)}
+    id_index = dict(zip(ids, range(n)))
     if len(id_index) != n:
         raise LoadError("cache field 'ids' holds duplicate node ids", path)
 
     nodes = NodeColumns(ids, id_index, labels, fields["jur_index"], fields["nace"], fields["names"],
                         fields["is_hq"])
-    src, dst = fields["src"].astype(np.int32), fields["dst"].astype(np.int32)
-    edges = EdgeColumns(src, dst, fields["pct"].astype(np.float64))
+    src, dst = fields["src"].astype(np.int32, copy=False), fields["dst"].astype(np.int32, copy=False)
+    edges = EdgeColumns(src, dst, fields["pct"].astype(np.float64, copy=False))
     return OwnershipGraph(nodes, edges, counters)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from ._csr import neighbor_positions
+from ._csr import neighbor_positions, sorted_unique
 from .components import REGION_NAMES, BowTie
 from .errors import GraphError, LoadError
 from .graph import data_rows, parse_number
@@ -303,7 +303,7 @@ def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: s
     g = view.graph
     _, firms, roles = report.affiliate_roles()
     in_jurisdiction = np.array([label == jurisdiction for label in g.jurisdiction_labels])
-    firms = np.unique(firms[(roles == role) & in_jurisdiction[g.jurisdiction_index[firms]]])
+    firms = sorted_unique(firms[(roles == role) & in_jurisdiction[g.jurisdiction_index[firms]]])
     subsidiaries = view.in_sources[neighbor_positions(view.in_indptr, firms)]
     shareholders = view.dst[neighbor_positions(view.out_indptr, firms)]
     return ChainTable(
@@ -335,7 +335,7 @@ def hq_tables(report: ClassificationReport) -> HqTables:
         if not has_role.any():
             continue
         by_role[ROLE_NAMES[role]] = _ranked_jurisdictions(g, hqs[has_role], table=True)
-        for j in np.unique(hq_jur[has_role]):
+        for j in sorted_unique(hq_jur[has_role]):
             locations[(g.jurisdiction_labels[j], ROLE_NAMES[role])] = _ranked_jurisdictions(
                 g, firms[has_role & (hq_jur == j)], table=True)
     return HqTables(by_role=dict(sorted(by_role.items())), locations=dict(sorted(locations.items())))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csr import neighbor_positions
+from ._csr import neighbor_positions, sorted_unique
 from .errors import GraphError, InvariantError, LoadError
 from .graph import SubstantialView, data_rows
 
@@ -97,7 +97,7 @@ def _affiliate_pairs(view: SubstantialView, hqs: np.ndarray) -> tuple[np.ndarray
     One reverse BFS from all HQs at once, each frontier entry labelled with
     its MNC, so overlapping subtrees and a repeated HQ stay apart. Every
     pair is visited at most once, so cycles are safe. Sets are kept as
-    sorted arrays: numpy's hash-based ``unique`` is far slower here.
+    sorted arrays.
     """
     n = view.n_nodes
     seen = hqs + n * np.arange(hqs.shape[0], dtype=np.int64)
@@ -106,11 +106,10 @@ def _affiliate_pairs(view: SubstantialView, hqs: np.ndarray) -> tuple[np.ndarray
     while frontier.size:
         nodes = frontier % n
         counts = view.in_indptr[nodes + 1] - view.in_indptr[nodes]
-        reached = np.sort(np.repeat(frontier - nodes, counts)
-                          + view.in_sources[neighbor_positions(view.in_indptr, nodes)])
-        first = np.concatenate(([True], reached[1:] != reached[:-1]))
+        reached = sorted_unique(np.repeat(frontier - nodes, counts)
+                                + view.in_sources[neighbor_positions(view.in_indptr, nodes)])
         known = np.append(seen, -1)[np.searchsorted(seen, reached)] == reached
-        frontier = reached[first & ~known]
+        frontier = reached[~known]
         seen = np.sort(np.concatenate((seen, frontier)))
         keys.append(frontier)
         layers.append(np.full(frontier.shape[0], len(layers) + 1, dtype=np.int32))

@@ -20,6 +20,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.special import zeta
 
+from ._csr import sorted_unique
 from .errors import FitError
 
 _GAMMA_LO = 1.000001
@@ -132,7 +133,7 @@ def _mle_gamma(tail: np.ndarray, x_min: int) -> tuple[float, float]:
 
 
 def _ks_statistic(tail: np.ndarray, gamma: float, x_min: int) -> float:
-    values, counts = np.unique(tail, return_counts=True)
+    values, counts = sorted_unique(tail, return_counts=True)
     ecdf = np.cumsum(counts) / tail.size
     mcdf = 1.0 - zeta(gamma, values + 1) / zeta(gamma, x_min)
     return float(np.abs(ecdf - mcdf).max())
@@ -159,7 +160,7 @@ def fit_power_law(samples, x_min: int | None = 1) -> PowerLawFit:
         gamma, loglik = _mle_gamma(tail, int(x_min))
         return PowerLawFit(gamma, int(x_min), int(tail.size), loglik, _ks_statistic(tail, gamma, int(x_min)))
 
-    candidates = np.unique(data)
+    candidates = sorted_unique(data)
     candidates = candidates[: _MAX_XMIN_CANDIDATES]
     best: PowerLawFit | None = None
     for cand in candidates:
@@ -213,6 +214,18 @@ def undirected_simple_csr(g) -> tuple[np.ndarray, np.ndarray]:
     return s.indptr.astype(np.int64), s.indices.astype(np.int64)
 
 
+def _lower_to_higher_rank(indptr: np.ndarray, nbrs: np.ndarray) -> csr_matrix:
+    """L of :func:`triangle_counts`, in a function of its own so that its
+    edge-length temporaries are freed before the products."""
+    n = indptr.shape[0] - 1
+    deg = np.diff(indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    row = np.repeat(np.arange(n), deg)
+    up = rank[row] < rank[nbrs]
+    return csr_matrix((np.ones(int(up.sum()), dtype=np.int64), (row[up], nbrs[up])), shape=(n, n))
+
+
 def triangle_counts(indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Per-node triangle counts on a sorted undirected CSR.
 
@@ -222,13 +235,7 @@ def triangle_counts(indptr: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     and the (b, c) entry of (L.T@L)*L below a. L@L.T is never formed: it
     pairs up the lower-ranked neighbours of hubs.
     """
-    n = indptr.shape[0] - 1
-    deg = np.diff(indptr)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
-    row = np.repeat(np.arange(n), deg)
-    up = rank[row] < rank[nbrs]
-    low = csr_matrix((np.ones(int(up.sum()), dtype=np.int64), (row[up], nbrs[up])), shape=(n, n))
+    low = _lower_to_higher_rank(indptr, nbrs)
     closed = (low @ low).multiply(low)
     below = (low.T @ low).multiply(low)
     tri = closed.sum(axis=1) + closed.sum(axis=0).T + below.sum(axis=1)

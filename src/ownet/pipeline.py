@@ -31,6 +31,7 @@ from .graph import (
     save_cache,
     substantial_view,
     write_csv_rows,
+    write_id_value_csv,
     write_json,
 )
 from .keyfirms import KEYFIRMS_HEADER, ROLE_NAMES, Role, classify_all
@@ -174,11 +175,8 @@ def _stage_ingest(config, outdir, manifest, state):
 
 def write_bowtie_csv(graph: OwnershipGraph, bowtie, path) -> None:
     """``bowtie.csv``: the bow-tie region of every node."""
-    region = bowtie.region
-    write_csv_rows(
-        path, ["node_id", "region"],
-        ((graph.ids[i], comp.REGION_NAMES[int(region[i])]) for i in range(graph.n_nodes)),
-    )
+    names = list(map(comp.REGION_NAMES.__getitem__, bowtie.region.tolist()))
+    write_id_value_csv(path, ["node_id", "region"], graph.ids, names)
 
 
 def write_distances_csv(hist, path) -> None:
@@ -277,10 +275,7 @@ def community_scope(graph: OwnershipGraph, scope: str) -> OwnershipGraph:
 
 def write_community_csvs(scope: OwnershipGraph, partition, path, dsizes_path, bin_ratio: float = 2.0) -> None:
     """``communities.csv`` (node -> community) and ``dsizes.csv`` (log-binned sizes)."""
-    write_csv_rows(
-        path, ["node_id", "community_id"],
-        ((scope.ids[i], int(partition.labels[i])) for i in range(scope.n_nodes)),
-    )
+    write_id_value_csv(path, ["node_id", "community_id"], scope.ids, partition.labels.tolist())
     hist = community_size_histogram(partition, bin_ratio=bin_ratio)
     write_csv_rows(dsizes_path, ["size_lo", "size_hi", "count", "density"], _fmt_bins(hist))
 

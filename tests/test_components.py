@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
 from ownet import components as comp
+from ownet._csr import canonical_edge_order, sorted_unique
 from ownet.errors import GraphError
 
 
@@ -260,3 +261,41 @@ def test_rank_by_first_member_matches_unique(values, dtype):
     want = unique_rank_by_first_member(raw)
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=2**40), max_size=60),
+       st.sampled_from([np.int32, np.int64]))
+@example([], np.int64)
+@example([5, 5, 5], np.int32)
+@settings(max_examples=200, deadline=None)
+def test_sorted_unique_matches_unique(values, dtype):
+    raw = np.array(values, dtype=np.int64).astype(dtype)
+    got, got_counts = sorted_unique(raw, return_counts=True)
+    want, want_counts = np.unique(raw, return_counts=True)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got_counts.dtype == want_counts.dtype and got_counts.tolist() == want_counts.tolist()
+    assert sorted_unique(raw).tolist() == want.tolist()
+
+
+@st.composite
+def edge_lists(draw):
+    """``(src, dst, n)`` with repeated pairs likely, sorted input sometimes."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    if draw(st.booleans()):
+        pairs.sort()
+    src = np.array([p[0] for p in pairs], dtype=np.int32)
+    dst = np.array([p[1] for p in pairs], dtype=np.int32)
+    return src, dst, n
+
+
+@given(edge_lists())
+@example((np.zeros(0, np.int32), np.zeros(0, np.int32), 1))
+@example((np.array([1, 0, 1, 0], np.int32), np.array([2, 2, 2, 2], np.int32), 3))
+@settings(max_examples=300, deadline=None)
+def test_canonical_edge_order_matches_lexsort(edges):
+    src, dst, n = edges
+    for a, b in ((src, dst), (dst, src)):
+        got = canonical_edge_order(a, b, n)
+        want = np.lexsort((b, a))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()

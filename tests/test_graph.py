@@ -1,10 +1,13 @@
 import csv
+import dataclasses
+import io
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ownet.graph as graph_module
 from conftest import in_neighbors, make_graph, out_neighbors
 from ownet.errors import GraphError, LoadError
 from ownet.graph import (
@@ -20,10 +23,14 @@ from ownet.graph import (
     save_cache,
     substantial_view,
     write_csv_rows,
+    write_id_value_csv,
     EDGE_HEADER,
     NODE_HEADER,
+    _pack_strings,
     _parse_bool,
+    _unpack_strings,
 )
+from ownet.synth import SynthSpec, build_corpus, write_corpus
 
 
 def write(tmp_path, name, text):
@@ -272,6 +279,43 @@ class TestCache:
             load_cache(path)
 
 
+class TestPackedStrings:
+    IDS = ["Zürich-1", "株式会社", "n3", "", "Ω"]
+    NAMES = ["Société Générale", "", "Acme", "名前", "x"]
+
+    def test_non_ascii_cache_roundtrip(self, tmp_path):
+        nodes = [NodeRecord(node_id, "CH", "K", name) for node_id, name in zip(self.IDS, self.NAMES)]
+        g = build_graph(nodes, [OwnershipEdge("Zürich-1", "株式会社", 50.0)])
+        save_cache(g, tmp_path / "g.npz")
+        back = load_cache(tmp_path / "g.npz")
+        assert (back.ids, back.names, back.id_index) == (self.IDS, self.NAMES, g.id_index)
+
+    @given(st.lists(st.text(max_size=6), max_size=20))
+    @example(IDS)
+    @example(["n0", "n1", ""])
+    def test_blob_is_the_utf8_of_each_string(self, strings):
+        blob, offsets = _pack_strings(strings)
+        encoded = [text.encode("utf-8") for text in strings]
+        assert blob.dtype == np.uint8 and blob.tobytes() == b"".join(encoded)
+        assert offsets.dtype == np.int64
+        assert offsets.tolist() == [0, *np.cumsum([len(b) for b in encoded], dtype=np.int64).tolist()]
+        assert _unpack_strings(blob, offsets, "ids", None) == strings
+
+
+class TestIdValueCsv:
+    @given(st.lists(st.tuples(st.text(max_size=5), st.integers(-3, 10**6) | st.text(max_size=3)), max_size=12))
+    @example([("n,1", "IN"), ("n2", "GSCC"), ('q"', 3), ("cr\r", "OUT"), ("é", "TE"), ("", "")])
+    @settings(deadline=None)
+    def test_bytes_equal_write_csv_rows(self, tmp_path_factory, rows):
+        tmp = tmp_path_factory.mktemp("emit")
+        ids, values = [row[0] for row in rows], [row[1] for row in rows]
+        write_csv_rows(tmp / "want.csv", ["node_id", "value"], rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "EMIT_ROWS", 3)  # several chunks, quoted and plain
+            write_id_value_csv(tmp / "got.csv", ["node_id", "value"], ids, values)
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
 class TestCsvRoundTrip:
     def test_nodes_parse_emit_byte_equal(self, tmp_path):
         src = write(tmp_path, "nodes.csv", NODES_2)
@@ -353,6 +397,12 @@ class TestCacheValidation:
             pytest.param("src", lambda d: d["src"].__setitem__(0, 9), id="src-past-n"),
             pytest.param("dst", lambda d: d["dst"].__setitem__(0, -1), id="dst-negative"),
             pytest.param("jur_index", lambda d: d["jur_index"].__setitem__(0, 99), id="jur_index-past-end"),
+            # string offsets that do not tile their blob
+            pytest.param("ids", lambda d: d["ids_off"].__setitem__(-1, d["ids_off"][-1] + 1), id="ids_off-past-blob"),
+            pytest.param("ids", lambda d: d["ids_off"].__setitem__(0, 1), id="ids_off-start"),
+            pytest.param("names", lambda d: d["names_off"].__setitem__(1, d["names_off"][-1] + 5),
+                         id="names_off-decreasing"),
+            pytest.param("jur", lambda d: d.update(jur_blob=d["jur_blob"][:-1]), id="jur_blob-short"),
         ],
     )
     def test_corrupt_field_named(self, tmp_path, m1_graph, field, corrupt):
@@ -443,49 +493,107 @@ def outcome(load):
         return ("error", type(exc), str(exc), exc.line)
 
 
+@dataclasses.dataclass(frozen=True)
+class Layout:
+    """How :func:`write_rows` lays rows out in a file."""
+
+    raw: bool = False  # fields joined by bare commas, with no csv quoting
+    eol: str = "\n"
+    blank_after: frozenset = frozenset()  # row positions followed by a blank line
+    final_newline: bool = True
+    header: str = "as is"  # or "padded" (spaces around each name), or "renamed" (a wrong name)
+
+
+PLAIN = Layout()
+
+
+def write_rows(path, header, rows, layout):
+    """Write ``header`` and ``rows`` as ``layout`` says."""
+    if layout.header == "padded":
+        header = [f" {name} " for name in header]
+    elif layout.header == "renamed":
+        header = [header[0].upper(), *header[1:]]
+    lines = []
+    for position, row in enumerate([header, *rows]):
+        if layout.raw:
+            lines.append(",".join(row))
+        else:
+            text = io.StringIO()
+            csv.writer(text, lineterminator="").writerow(row)
+            lines.append(text.getvalue())
+        if position in layout.blank_after:
+            lines.append("")
+    text = layout.eol.join(lines) + (layout.eol if layout.final_newline else "")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
 @st.composite
 def csv_inputs(draw):
-    """Node and edge rows over ids n0..n{k}, with every anomaly the loader checks.
+    """Node and edge rows over ids n0..n{k}, with every anomaly the loader
+    checks, and the file layout both files are written in.
 
     About one row in ten is broken, and a broken row breaks each of its
     checks with even odds: most files load, and a failing row often fails
-    several checks at once, which pins down the order of the checks.
+    several checks at once, which pins down the order of the checks. Fields
+    may carry tabs and spaces around ids and pcts, NUL bytes, non-ASCII
+    text and quotes; files may be written with bare fields (so quotes are
+    stray), CRLF line ends, blank lines mid-file and no final newline.
     """
 
     def field(common, faults, broken):
         return draw(st.sampled_from(faults)) if broken and draw(st.booleans()) else common
 
     def shaped(row, broken):
-        if draw(st.integers(0, 19)) == 0:
+        if draw(st.integers(0, 63)) == 0:  # a blank line; Layout.blank_after adds more
             return []
         if broken and draw(st.integers(0, 3)) == 0:
             return row[:-1] if draw(st.booleans()) else row + ["extra"]
         return row
+
+    def padded(text):
+        return draw(PADDING) + text + draw(PADDING)
+
+    def rarely(value, otherwise, odds=4):  # most files are plain, as real dumps are
+        return value if draw(st.integers(1, odds)) == 1 else otherwise
 
     ids = [f"n{k}" for k in range(draw(st.integers(0, 8)))]
     node_rows = []
     for node_id in ids:
         broken = draw(st.integers(0, 9)) == 0
         row = [
-            field(node_id, [f" {node_id} ", "n0", ""], broken),
-            draw(st.sampled_from(["US", "NL", "", " KY ", "n.a."])),
-            draw(st.sampled_from(["C", "K", "", "AB"])),
-            draw(st.sampled_from(["", "Acme", "Acme, Inc.", 'He said "hi"', "x\ny"])),
+            field(padded(node_id), [f" {node_id} ", "n0", ""], broken),
+            draw(st.sampled_from(["US", "NL", "", " KY ", "n.a.", "ÅX"])),
+            draw(st.sampled_from(["C", "K", "", "AB", "\tC"])),
+            # a name that needs csv quoting or is irregular in a bare file, about once in 32 rows
+            rarely(draw(st.sampled_from(["Acme, Inc.", 'He said "hi"', "x\ny", '"Acme', "a\x00b", "cr\rlf"])),
+                   draw(st.sampled_from(["", "Acme", "Société Générale", "株式会社", "line\u2028sep"])), odds=32),
             field(draw(st.sampled_from(["0", "1", "true", " No ", "", "y"])), ["maybe"], broken),
         ]
         node_rows.append(shaped(row, broken))
     endpoint = st.sampled_from(ids or ["n0"])
-    pct = st.sampled_from(["", " ", "100", "1e2", " 50 ", "0", "12.5"]) | st.floats(0, 100).map(repr)
+    pct = (st.sampled_from(["", " ", "100", "1e2", " 50 ", "0", "12.5", "\t12.5 "])
+           | st.floats(0, 100).map(repr))
     edge_rows = []
     for _ in range(draw(st.integers(0, 10))):
         broken = draw(st.integers(0, 9)) == 0
         row = [
-            field(draw(endpoint), ["zz", "", " n1"], broken),
-            field(draw(endpoint), ["zz", ""], broken),
-            field(draw(pct), ["abc", "nan", "inf", "-1", "100.5", "1e3"], broken),
+            field(padded(draw(endpoint)), ["zz", "", " n1"], broken),
+            field(padded(draw(endpoint)), ["zz", ""], broken),
+            field(padded(draw(pct)), ["abc", "nan", "inf", "-1", "100.5", "1e3"], broken),
         ]
         edge_rows.append(shaped(row, broken))
-    return node_rows, edge_rows
+    layout = Layout(
+        raw=rarely(True, False),
+        eol=rarely("\r\n", "\n", odds=8),
+        blank_after=rarely(frozenset(draw(st.sets(st.integers(0, 10), max_size=2))), frozenset(), odds=8),
+        final_newline=rarely(False, True),
+        header=rarely(draw(st.sampled_from(["padded", "renamed"])), "as is"),
+    )
+    return node_rows, edge_rows, layout
+
+
+PADDING = st.sampled_from(["", "", "", " ", "\t", " \t"])
 
 
 def assert_same_graph(got, want, want_counters):
@@ -501,26 +609,99 @@ def assert_same_graph(got, want, want_counters):
     assert got.ingest_counters == want_counters
 
 
+def loads_like_reference(tmp_path_factory, rows):
+    """Write the drawn files, then load them with both loaders: the same error
+    (type, message and line), or equal graphs and counters."""
+    node_rows, edge_rows, layout = rows
+    tmp = tmp_path_factory.mktemp("oracle")
+    nodes, edges = tmp / "nodes.csv", tmp / "edges.csv"
+    write_rows(nodes, NODE_HEADER, node_rows, layout)
+    write_rows(edges, EDGE_HEADER, edge_rows, layout)
+    got = outcome(lambda: load_graph(nodes, edges))
+    want = outcome(lambda: reference_load_graph(nodes, edges))
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert got[0] == "ok", got
+        assert_same_graph(got[1], *want[1])
+
+
 class TestLoaderOracle:
     @given(csv_inputs())
     # rows that fail two checks at once: the earlier check must win
-    @example(([["n0", "US", "C", "", "0"], ["n0", "NL", "K", "", "maybe"]], []))
-    @example(([["n0", "US", "C", "", "0"]], [["zz", "yy", "abc"]]))
-    @example(([["n0", "US", "C", "", "0"]], [["n0", "zz", "150"]]))
+    @example(([["n0", "US", "C", "", "0"], ["n0", "NL", "K", "", "maybe"]], [], PLAIN))
+    @example(([["n0", "US", "C", "", "0"]], [["zz", "yy", "abc"]], PLAIN))
+    @example(([["n0", "US", "C", "", "0"]], [["n0", "zz", "150"]], PLAIN))
+    # plain files but for one anomaly each
+    @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "1"]], [["n0", "n1", "5"]],
+              Layout(eol="\r\n", final_newline=False)))
+    @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "1"]], [["n0", "n1", "5"]],
+              Layout(final_newline=False)))
+    @example(([["n0", "US", "C", "", "0"]], [], Layout(header="renamed")))
+    @example(([["n0", "US", "C", "", "0", "extra"], ["n1", "US", "C", ""]], [], PLAIN))
+    @example(([["n0", "US", "C", "", "0"], ["", "US", "C", "", "0"]], [], PLAIN))
+    @example(([["n0", "US", "C", "cr\rlf", "0"]], [], PLAIN))
+    @example(([["n0", "US", "AB", "", "0"], ["n1", " KY ", " Cx ", "Acme", "y"]], [["n0", "n1", "50"]], PLAIN))
     @settings(max_examples=300, deadline=None)
     def test_matches_row_by_row_reference(self, tmp_path_factory, rows):
-        node_rows, edge_rows = rows
-        tmp = tmp_path_factory.mktemp("oracle")
-        nodes, edges = tmp / "nodes.csv", tmp / "edges.csv"
-        write_csv_rows(nodes, NODE_HEADER, node_rows)
-        write_csv_rows(edges, EDGE_HEADER, edge_rows)
-        got = outcome(lambda: load_graph(nodes, edges))
-        want = outcome(lambda: reference_load_graph(nodes, edges))
+        loads_like_reference(tmp_path_factory, rows)
+
+    @given(csv_inputs())
+    @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "0"], ["n0", "US", "C", "", "0"]], [], PLAIN))
+    @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "0"]],
+              [["n0", "n1", "5"], ["n1", "n0", "5"], ["n1", "n2", "5"]], PLAIN))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_in_small_blocks(self, tmp_path_factory, rows):
+        """The same oracle with blocks of a few bytes: rows straddle blocks, and
+        a duplicate or unknown id can first appear in a later block."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "BLOCK_BYTES", 5)
+            loads_like_reference(tmp_path_factory, rows)
+
+    @given(csv_inputs(), st.sampled_from([graph_module.BLOCK_BYTES, 5]))
+    @example(([["n0", "US", "AB", "", "0"], ["n1", "", "", "", "1"], ["n2", "US", " Cx ", "", "y"]], [], PLAIN),
+             graph_module.BLOCK_BYTES)
+    @settings(max_examples=200, deadline=None)
+    def test_node_columns_equal_row_loop(self, tmp_path_factory, rows, block_bytes):
+        """``load_nodes`` returns the row loop's columns, values and types alike,
+        whichever parse reads the file (multi-letter nace labels included)."""
+        node_rows, _, layout = rows
+        path = tmp_path_factory.mktemp("nodes") / "nodes.csv"
+        write_rows(path, NODE_HEADER, node_rows, layout)
+        want = outcome(lambda: graph_module._row_nodes(path))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "BLOCK_BYTES", block_bytes)
+            got = outcome(lambda: load_nodes(path))
         if want[0] == "error":
             assert got == want
-        else:
-            assert got[0] == "ok", got
-            assert_same_graph(got[1], *want[1])
+            return
+        assert got[0] == "ok", got
+        for column in dataclasses.fields(want[1]):
+            a, b = getattr(got[1], column.name), getattr(want[1], column.name)
+            assert type(a) is type(b), column.name
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), column.name
+            else:
+                assert [type(x) for x in a] == [type(x) for x in b] and a == b, column.name
+
+    @pytest.mark.parametrize("block_bytes, final_newline", [(graph_module.BLOCK_BYTES, True), (512, False)])
+    def test_clean_corpus_never_reads_row_by_row(self, tmp_path, monkeypatch, block_bytes, final_newline):
+        """A plain synth corpus loads through the bulk parse alone, also without
+        its final newlines: a silent fallback to the row loop would hide a slowdown."""
+        spec = SynthSpec(seed=9, n_noise=400, noise_edges=500, n_mncs=5, core_size=25, out_chain=5)
+        paths = write_corpus(build_corpus(spec), tmp_path)
+        if not final_newline:
+            for path in (paths["nodes"], paths["edges"]):
+                path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+        want = reference_load_graph(paths["nodes"], paths["edges"])
+
+        def row_loop(*args):
+            raise AssertionError("the row loop ran on a plain file")
+
+        monkeypatch.setattr(graph_module, "_row_nodes", row_loop)
+        monkeypatch.setattr(graph_module, "_row_edges", row_loop)
+        monkeypatch.setattr(graph_module, "BLOCK_BYTES", block_bytes)
+        assert_same_graph(load_graph(paths["nodes"], paths["edges"]), *want)
 
     def test_first_bad_line_wins(self, tmp_path):
         text = ("node_id,jurisdiction,nace_section,name,is_hq\n"
@@ -548,3 +729,4 @@ class TestLoaderOracle:
         g = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
         assert g.id_index is parsed[0].id_index
         assert g.id_index == {"n1": 0, "n2": 1}
+
