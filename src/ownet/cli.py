@@ -144,7 +144,7 @@ def identify(graph_path, hqs, threshold, out):
 @click.option("--keyfirms", "keyfirms_path", required=True, type=click.Path(exists=True))
 @click.option("--profiles", required=True, type=click.Path(exists=True))
 @click.option("--hqs", default=None, type=click.Path(exists=True),
-              help="HQ list; enables the headquarters tables.")
+              help="HQ list; enables the headquarters tables, which count every listed MNC with a known HQ.")
 @click.option("--values", "values_path", default=None, type=click.Path(exists=True),
               help="Per-edge value CSV; switches flows from link counts to value mode.")
 @click.option("--threshold", default=10.0, show_default=True)

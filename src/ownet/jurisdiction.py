@@ -252,28 +252,22 @@ def _ranked_jurisdictions(g, nodes, table: bool = False) -> list[tuple[str, int,
     return [(code, cnt, 100.0 * cnt / total) for code, cnt in rows]
 
 
-def _hq_nodes(report: ClassificationReport) -> list[int]:
-    """The HQ of every classified MNC whose HQ is known."""
-    return [cls.hq_index for cls in report.classifications if cls.hq_index >= 0]
-
-
 def tally_by_jurisdiction(report: ClassificationReport, dimension: str) -> list[tuple[str, int, float]]:
     """Ranked (code, count, percent) rows for one tally dimension."""
     if dimension not in TALLY_DIMENSIONS:
         raise ValueError(f"dimension must be one of {TALLY_DIMENSIONS}, got {dimension!r}")
     if dimension == "hq":
-        return _ranked_jurisdictions(report.graph, _hq_nodes(report))
-    _, firms, roles = report.affiliate_roles()
+        return _ranked_jurisdictions(report.graph, report.hqs[report.hqs >= 0])
+    firms = report.affiliates
     if dimension != "affiliates":
-        firms = firms[roles == ROLE_TAGS[dimension]]
+        firms = firms[report.roles == ROLE_TAGS[dimension]]
     return _ranked_jurisdictions(report.graph, firms)
 
 
 def tally_by_bowtie(report: ClassificationReport, bowtie: BowTie) -> dict[str, dict[str, int]]:
     """Bow-tie region counts for headquarters and each key-company role."""
-    _, firms, roles = report.affiliate_roles()
-    nodes = {ROLE_NAMES[role]: firms[roles == role] for role in ROLE_TAGS.values()}
-    nodes["hq"] = _hq_nodes(report)
+    nodes = {ROLE_NAMES[role]: report.affiliates[report.roles == role] for role in ROLE_TAGS.values()}
+    nodes["hq"] = report.hqs[report.hqs >= 0]
     return {
         category: {REGION_NAMES[r]: c for r, c in value_counts(bowtie.region[members]).items()}
         for category, members in nodes.items()
@@ -301,9 +295,9 @@ def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: s
     if role == Role.NONE:
         raise ValueError("role must be Holding, Conduit, or HoldingAndConduit")
     g = view.graph
-    _, firms, roles = report.affiliate_roles()
+    firms = report.affiliates
     in_jurisdiction = np.array([label == jurisdiction for label in g.jurisdiction_labels])
-    firms = sorted_unique(firms[(roles == role) & in_jurisdiction[g.jurisdiction_index[firms]]])
+    firms = sorted_unique(firms[(report.roles == role) & in_jurisdiction[g.jurisdiction_index[firms]]])
     subsidiaries = view.in_sources[neighbor_positions(view.in_indptr, firms)]
     shareholders = view.dst[neighbor_positions(view.out_indptr, firms)]
     return ChainTable(
@@ -324,9 +318,9 @@ class HqTables:
 
 def hq_tables(report: ClassificationReport) -> HqTables:
     g = report.graph
-    hqs, firms, roles = report.affiliate_roles()
+    hqs = report.hqs[report.row_mnc]  # the HQ of each row
     known = hqs >= 0
-    hqs, firms, roles = hqs[known], firms[known], roles[known]
+    hqs, firms, roles = hqs[known], report.affiliates[known], report.roles[known]
     hq_jur = g.jurisdiction_index[hqs]
     by_role = {}  # role -> the HQ of each key firm
     locations = {}  # (HQ jurisdiction, role) -> key firms

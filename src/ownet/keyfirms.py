@@ -22,7 +22,7 @@ import numpy as np
 from ._csr import neighbor_positions
 from .errors import GraphError, InvariantError, LoadError
 from .graph import SubstantialView, data_rows, parse_number
-from .mnc import SubtreeTable, subtree_table
+from .mnc import SubtreeTable, row_mnc, subtree_table
 
 
 class Role(enum.IntFlag):
@@ -150,15 +150,20 @@ def hierarchical_identify(table: SubtreeTable) -> tuple[np.ndarray, np.ndarray, 
 
 
 @dataclass
-class MncClassification:
-    """One MNC's identification results, as columns aligned with its affiliates.
+class ClassificationReport:
+    """Every classified MNC's affiliates as one flat table of key-firm rows.
 
-    ``holding`` and ``conduit`` are NaN where the role search did not
-    evaluate them; ``roles`` holds int8 :class:`Role` values.
+    MNC ``m`` is ``mncs[m]`` with HQ node ``hqs[m]`` (-1 if unknown) and
+    owns rows ``bounds[m]:bounds[m + 1]``; the columns from ``affiliates``
+    to ``roles`` hold one value per row. ``holding`` and ``conduit`` are
+    NaN where the role search did not evaluate them; ``roles`` holds int8
+    :class:`Role` values. A firm under several MNCs has one row per MNC.
     """
 
-    mnc: str
-    hq_index: int
+    graph: object = field(repr=False)
+    mncs: list[str]
+    hqs: np.ndarray
+    bounds: np.ndarray
     affiliates: np.ndarray
     layers: np.ndarray
     k_in: np.ndarray
@@ -167,67 +172,59 @@ class MncClassification:
     conduit: np.ndarray
     third_country: np.ndarray
     roles: np.ndarray
-
-
-@dataclass
-class ClassificationReport:
-    """Per-MNC role assignments plus global tallies."""
-
-    graph: object = field(repr=False, default=None)
-    classifications: list[MncClassification] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)
 
-    def affiliate_roles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(HQ index, firm index, role) of every classified affiliate, MNC by MNC.
-
-        A firm under several MNCs appears once per MNC.
-        """
-        classes = self.classifications
-        sizes = [cls.affiliates.shape[0] for cls in classes]
-        hq = np.repeat(np.array([cls.hq_index for cls in classes], dtype=np.int64), sizes)
-        firms = np.concatenate([np.zeros(0, dtype=np.int64)] + [cls.affiliates for cls in classes])
-        roles = np.concatenate([np.zeros(0, dtype=np.int8)] + [cls.roles for cls in classes])
-        return hq, firms, roles
+    @property
+    def row_mnc(self) -> np.ndarray:
+        return row_mnc(self.bounds)
 
     @property
     def tallies(self) -> dict[str, int]:
-        counts = np.bincount(self.affiliate_roles()[2], minlength=len(ROLE_NAMES))
+        counts = np.bincount(self.roles, minlength=len(ROLE_NAMES))
         return {name: int(counts[role]) for role, name in ROLE_NAMES.items() if role != Role.NONE}
 
     @property
     def n_affiliates(self) -> int:
-        return sum(cls.affiliates.shape[0] for cls in self.classifications)
+        return int(self.affiliates.shape[0])
 
 
 def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> ClassificationReport:
     """Rebuild a classification report from an emitted keyfirms.csv.
 
-    ``hq_map`` (mnc name -> hq node id) restores the headquarters link;
-    without it HQ-based tables are unavailable (hq_index stays -1). A row
-    with an unknown id or role, a malformed number, a third_country other
-    than 0/1, or an (mnc, affiliate_id) pair seen before fails with its line.
+    ``hq_map`` (mnc name -> hq node id) restores the HQ links. Its MNCs
+    come first, in list order and with or without rows, as ``classify_all``
+    reports them; one whose HQ is unknown fails at its first row and is
+    skipped if it has none. Other MNCs follow in order of first appearance,
+    with HQ -1. Each MNC's rows keep their file order. A row with an
+    unknown id or role, a malformed number, a third_country other than
+    0/1, or an (mnc, affiliate_id) pair seen before fails with its line.
     """
     path = Path(path)
+    hq_map = hq_map or {}
     name_to_role = {v: k for k, v in ROLE_NAMES.items()}
-    hq_of: dict[str, int] = {}
-    fields: dict[str, dict[str, tuple]] = {}  # mnc -> affiliate id -> its values in column order
+    # mnc -> hq index, in report order; an unknown listed HQ fails at its MNC's first row
+    hq_of = {name: graph.id_index[hq_id] for name, hq_id in hq_map.items() if hq_id in graph.id_index}
+    row_mncs: list[str] = []
+    seen: set[tuple[str, str]] = set()
+    dtypes = (np.int64, np.int32, np.int64, np.int64, np.float64, np.float64, bool, np.int8)
+    columns: tuple[list, ...] = tuple([] for _ in dtypes)
     for line, row in data_rows(path, KEYFIRMS_HEADER):
         mnc, aff, layer, k_in, k_out, h, t, tc, role = row
         if role not in name_to_role:
             raise LoadError(f"unknown role {role!r}", path, line)
         if tc not in ("0", "1"):
             raise LoadError(f"third_country must be 0 or 1, got {tc!r}", path, line)
-        rows = fields.setdefault(mnc, {})
-        if aff in rows:
+        if (mnc, aff) in seen:
             raise LoadError(f"duplicate affiliate {aff!r} of mnc {mnc!r}", path, line)
+        seen.add((mnc, aff))
         try:
             if mnc not in hq_of:
-                hq_id = hq_map.get(mnc, "") if hq_map else ""
-                hq_of[mnc] = graph.index_of(hq_id) if hq_id else -1
+                hq_of[mnc] = graph.index_of(hq_map[mnc]) if mnc in hq_map else -1
             index = graph.index_of(aff)
         except GraphError as exc:
             raise LoadError(str(exc), path, line) from None
-        rows[aff] = (
+        row_mncs.append(mnc)
+        values = (
             index,
             parse_number(layer, int, "layer", path, line),
             parse_number(k_in, int, "k_in", path, line),
@@ -237,11 +234,16 @@ def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> Clas
             tc == "1",
             name_to_role[role],
         )
-    dtypes = (np.int64, np.int32, np.int64, np.int64, np.float64, np.float64, bool, np.int8)
-    return ClassificationReport(graph=graph, classifications=[
-        MncClassification(mnc, hq_of[mnc], *(np.array(c, dtype=d) for c, d in zip(zip(*rows.values()), dtypes)))
-        for mnc, rows in fields.items()
-    ])
+        for column, value in zip(columns, values):
+            column.append(value)
+    code_of = {name: m for m, name in enumerate(hq_of)}
+    codes = np.array([code_of[name] for name in row_mncs], dtype=np.int64)
+    order = np.argsort(codes, kind="stable")
+    return ClassificationReport(
+        graph, list(hq_of), np.array(list(hq_of.values()), dtype=np.int64),
+        np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=len(hq_of))))),
+        *(np.array(column, dtype=dtype)[order] for column, dtype in zip(columns, dtypes)),
+    )
 
 
 def classify_all(view: SubstantialView, hq_list) -> ClassificationReport:
@@ -249,20 +251,16 @@ def classify_all(view: SubstantialView, hq_list) -> ClassificationReport:
 
     ``hq_list`` yields (hq_node_id, mnc_name) pairs. An unknown HQ id is
     collected as a failure and the run continues. All subtrees are built
-    and identified in one pass; classifications keep list order.
+    and identified in one pass; MNCs keep list order.
     """
-    report = ClassificationReport(graph=view.graph)
-    known: list[tuple[str, int]] = []
+    names, hqs, failures = [], [], []
     for hq_id, name in hq_list:
         try:
-            known.append((name, view.graph.index_of(hq_id)))
+            hqs.append(view.graph.index_of(hq_id))
         except GraphError as exc:
-            report.failures.append((name, str(exc)))
-    table = subtree_table(view, [hq for _, hq in known])
-    columns = (table.affiliates, table.layers, table.k_in, table.k_out, *hierarchical_identify(table))
-    bounds = table.bounds.tolist()
-    report.classifications = [
-        MncClassification(name, hq, *(column[bounds[m]:bounds[m + 1]] for column in columns))
-        for m, (name, hq) in enumerate(known)
-    ]
-    return report
+            failures.append((name, str(exc)))
+            continue
+        names.append(name)
+    table = subtree_table(view, hqs)
+    return ClassificationReport(view.graph, names, table.hqs, table.bounds, table.affiliates, table.layers,
+                                table.k_in, table.k_out, *hierarchical_identify(table), failures=failures)

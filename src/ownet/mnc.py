@@ -55,6 +55,11 @@ def load_hq_list(path) -> list[tuple[str, str]]:
     return rows
 
 
+def row_mnc(bounds: np.ndarray) -> np.ndarray:
+    """The MNC of each row of a table where MNC ``m`` owns rows ``bounds[m]:bounds[m + 1]``."""
+    return np.repeat(np.arange(bounds.shape[0] - 1), np.diff(bounds))
+
+
 @dataclass
 class SubtreeTable:
     """Every MNC's subtree as one flat table of affiliate rows.
@@ -82,8 +87,7 @@ class SubtreeTable:
 
     @property
     def row_mnc(self) -> np.ndarray:
-        """The MNC of each affiliate row."""
-        return np.repeat(np.arange(self.hqs.shape[0]), np.diff(self.bounds))
+        return row_mnc(self.bounds)
 
     def mnc_sums(self, values: np.ndarray) -> np.ndarray:
         """Per MNC, the sum of ``values`` (one per affiliate row) over its affiliates."""

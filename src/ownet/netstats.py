@@ -163,8 +163,9 @@ def fit_power_law(samples, x_min: int | None = 1) -> PowerLawFit:
     candidates = sorted_unique(data)
     candidates = candidates[: _MAX_XMIN_CANDIDATES]
     best: PowerLawFit | None = None
+    tail = data
     for cand in candidates:
-        tail = data[data >= cand]
+        tail = tail[tail >= cand]  # candidates ascend: each tail is a subset of the last
         if tail.size < _MIN_TAIL:
             break
         if int(tail.min()) == int(tail.max()):

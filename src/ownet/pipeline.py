@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -310,12 +309,13 @@ def write_mnc_csvs(report, mnc_dir: Path) -> list[Path]:
     """One affiliate file (node_id, layer, within-MNC degrees) per classified MNC."""
     mnc_dir.mkdir(parents=True, exist_ok=True)
     ids = report.graph.ids
+    rows = list(zip([ids[a] for a in report.affiliates.tolist()], report.layers.tolist(),
+                    report.k_in.tolist(), report.k_out.tolist()))
+    bounds = report.bounds.tolist()
     paths = []
-    for cls in report.classifications:
-        path = mnc_dir / mnc_file_name(cls.mnc)
-        rows = zip([ids[a] for a in cls.affiliates.tolist()], cls.layers.tolist(), cls.k_in.tolist(),
-                   cls.k_out.tolist())
-        write_csv_rows(path, ["node_id", "layer", "k_in", "k_out"], rows)
+    for name, lo, hi in zip(report.mncs, bounds, bounds[1:]):
+        path = mnc_dir / mnc_file_name(name)
+        write_csv_rows(path, ["node_id", "layer", "k_in", "k_out"], rows[lo:hi])
         paths.append(path)
     return paths
 
@@ -327,13 +327,12 @@ def _fmt_or_blank(values: np.ndarray) -> list[str]:
 def write_keyfirms_csv(report, path) -> None:
     """``keyfirms.csv``: centralities and role of every classified affiliate."""
     ids = report.graph.ids
-    rows = []
-    for cls in report.classifications:
-        rows += zip(repeat(cls.mnc), [ids[a] for a in cls.affiliates.tolist()], cls.layers.tolist(),
-                    cls.k_in.tolist(), cls.k_out.tolist(), _fmt_or_blank(cls.holding),
-                    _fmt_or_blank(cls.conduit), cls.third_country.astype(int).tolist(),
-                    [ROLE_NAMES[role] for role in cls.roles.tolist()])
-    write_csv_rows(path, KEYFIRMS_HEADER, rows)
+    write_csv_rows(path, KEYFIRMS_HEADER, zip(
+        [report.mncs[m] for m in report.row_mnc.tolist()], [ids[a] for a in report.affiliates.tolist()],
+        report.layers.tolist(), report.k_in.tolist(), report.k_out.tolist(), _fmt_or_blank(report.holding),
+        _fmt_or_blank(report.conduit), report.third_country.astype(int).tolist(),
+        [ROLE_NAMES[role] for role in report.roles.tolist()],
+    ))
 
 
 def _stage_extract(config, outdir, manifest, state):
@@ -343,20 +342,18 @@ def _stage_extract(config, outdir, manifest, state):
 
 def _stage_identify(config, outdir, manifest, state):
     report = _get_report(config, state)
-    graph = report.graph
 
     path = outdir / "keyfirms.csv"
     write_keyfirms_csv(report, path)
     manifest.add("identify", path)
 
     path = outdir / "mnc_summary.csv"
-    rows = []
-    for cls in report.classifications:
-        counts = np.bincount(cls.roles, minlength=len(ROLE_NAMES))
-        rows.append(
-            (cls.mnc, graph.jurisdiction_of(cls.hq_index), cls.affiliates.shape[0],
-             counts[Role.HOLDING], counts[Role.HOLDING_AND_CONDUIT], counts[Role.CONDUIT])
-        )
+    n_roles = len(ROLE_NAMES)
+    counts = np.bincount(report.row_mnc * n_roles + report.roles,
+                         minlength=len(report.mncs) * n_roles).reshape(-1, n_roles)
+    key_roles = [Role.HOLDING, Role.HOLDING_AND_CONDUIT, Role.CONDUIT]
+    rows = zip(report.mncs, [report.graph.jurisdiction_of(hq) for hq in report.hqs.tolist()],
+               np.diff(report.bounds).tolist(), *counts[:, key_roles].T.tolist())
     write_csv_rows(
         path, ["mnc", "hq_jurisdiction", "affiliates", "holding", "holding_and_conduit", "conduit"], rows
     )

@@ -14,7 +14,7 @@ import numpy as np
 from ownet._csr import multi_source_bfs, neighbor_positions
 from ownet.errors import GraphError, InvariantError
 from ownet.graph import SubstantialView
-from ownet.keyfirms import ClassificationReport, MncClassification, Role
+from ownet.keyfirms import ClassificationReport, Role
 
 
 @dataclass
@@ -133,15 +133,20 @@ def ref_identify(subtree: RefSubtree):
 
 
 def ref_classify_all(view, hq_list) -> ClassificationReport:
-    report = ClassificationReport(graph=view.graph)
+    names, hqs, failures, columns = [], [], [], []
     for hq_id, name in hq_list:
         try:
             hq_index = view.graph.index_of(hq_id)
         except GraphError as exc:
-            report.failures.append((name, str(exc)))
+            failures.append((name, str(exc)))
             continue
         subtree = ref_subtree(view, hq_index)
-        report.classifications.append(MncClassification(
-            name, hq_index, subtree.affiliates, subtree.layers, subtree.k_in, subtree.k_out, *ref_identify(subtree)
-        ))
-    return report
+        names.append(name)
+        hqs.append(hq_index)
+        columns.append((subtree.affiliates, subtree.layers, subtree.k_in, subtree.k_out, *ref_identify(subtree)))
+    bounds = np.cumsum([0] + [mnc[0].shape[0] for mnc in columns])
+    if not columns:
+        columns = [tuple(np.zeros(0, dtype) for dtype in (np.int64, np.int32, np.int64, np.int64, np.float64,
+                                                         np.float64, bool, np.int8))]
+    return ClassificationReport(view.graph, names, np.array(hqs, dtype=np.int64), bounds,
+                                *(np.concatenate(column) for column in zip(*columns)), failures=failures)

@@ -229,17 +229,17 @@ def test_08_planted_corpus_end_to_end(tmp_path):
     view = substantial_view(graph, 10.0)
     report = classify_all(view, bundle.hq_rows)
     assert report.failures == []
-    assert len(report.classifications) == 50
+    assert len(report.mncs) == 50
 
     planted = {"Holding": 0, "HoldingAndConduit": 0, "Conduit": 0}
     for roles in bundle.truth.values():
         for role in roles.values():
             planted[role] += 1
     assert report.tallies == planted
-    for cls in report.classifications:
-        got = {graph.ids[a]: ROLE_NAMES[r] for a, r in zip(cls.affiliates.tolist(), cls.roles.tolist())
-               if r != Role.NONE}
-        assert got == bundle.truth[cls.mnc], cls.mnc
+    for name, lo, hi in zip(report.mncs, report.bounds, report.bounds[1:]):
+        got = {graph.ids[a]: ROLE_NAMES[r] for a, r in zip(report.affiliates[lo:hi].tolist(),
+                                                           report.roles[lo:hi].tolist()) if r != Role.NONE}
+        assert got == bundle.truth[name], name
 
     bowtie = comp.bowtie_decompose(graph)
     regions = tally_by_bowtie(report, bowtie)

@@ -1,13 +1,14 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import spec_to_json
 from ownet.cli import main
 from ownet.errors import PipelineError
-from ownet.graph import load_cache, load_graph
+from ownet.graph import load_cache, load_graph, substantial_view
 from ownet.pipeline import RunConfig, run_pipeline, verify_manifest, write_report
 from ownet.synth import SynthSpec, build_corpus, write_corpus
 
@@ -28,6 +29,12 @@ def config_for(paths, outdir, **kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def lonely_node(paths):
+    """A node with no substantial subsidiary: an HQ without affiliates."""
+    graph = load_graph(paths["nodes"], paths["edges"])
+    return graph.ids[int(np.flatnonzero(np.diff(substantial_view(graph, 10.0).in_indptr) == 0)[0])]
 
 
 class TestPipeline:
@@ -92,6 +99,22 @@ class TestPipeline:
         assert config.seed == 3
         data = verify_manifest(run_pipeline(config))
         assert "identify" in data["stages"]
+
+    def test_mnc_without_affiliates(self, corpus, tmp_path):
+        _, paths, _ = corpus
+        rows = paths["hqs"].read_text(encoding="utf-8").splitlines()
+        middle = len(rows) // 2
+        lonely = lonely_node(paths)
+        rows.insert(middle + 1, f"{lonely},Lonely")
+        hqs = tmp_path / "hqs.csv"
+        hqs.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        run_pipeline(config_for(paths, out, hqs=hqs, stages=("extract", "identify")))
+        graph = load_graph(paths["nodes"], paths["edges"])
+        summary = (out / "mnc_summary.csv").read_text(encoding="utf-8").splitlines()
+        assert len(summary) == len(rows)
+        assert summary[middle + 1] == f"Lonely,{graph.jurisdiction_of(graph.index_of(lonely))},0,0,0,0"
+        assert (out / "mnc" / "Lonely.csv").read_text(encoding="utf-8") == "node_id,layer,k_in,k_out\n"
 
     def test_one_subtree_per_mnc(self, corpus, tmp_path, monkeypatch):
         import ownet.mnc
@@ -352,14 +375,14 @@ class TestCli:
 class TestCliMatchesPipeline:
     def test_artifacts_byte_identical(self, corpus, tmp_path):
         bundle, paths, _ = corpus
-        # one unknown HQ: the pipeline and the CLI must skip the same MNC
+        # one unknown HQ: the pipeline and the CLI must skip the same MNC;
+        # one MNC with no affiliates: both must count its HQ
         hqs = tmp_path / "hqs.csv"
-        hqs.write_text(paths["hqs"].read_text(encoding="utf-8") + "ghost,Ghost\n", encoding="utf-8")
+        hqs.write_text(paths["hqs"].read_text(encoding="utf-8") + f"{lonely_node(paths)},Lonely\nghost,Ghost\n",
+                       encoding="utf-8")
         out = tmp_path / "out"
-        config = config_for(paths, out, hqs=hqs,
-                            stages=("ingest", "bowtie", "stats", "communities", "extract", "identify"))
-        data = verify_manifest(run_pipeline(config))
-        assert len(data["stages"]["extract"]["artifacts"]) == len(bundle.hq_rows)
+        data = verify_manifest(run_pipeline(config_for(paths, out, hqs=hqs)))
+        assert len(data["stages"]["extract"]["artifacts"]) == len(bundle.hq_rows) + 1
 
         runner = CliRunner()
         graph = str(out / "graph.npz")
@@ -367,6 +390,8 @@ class TestCliMatchesPipeline:
         commands = [
             ["extract", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "mnc")],
             ["identify", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "keyfirms.csv")],
+            ["jurisdiction", "--graph", graph, "--keyfirms", str(cli / "keyfirms.csv"),
+             "--profiles", str(paths["profiles"]), "--hqs", str(hqs), "--out", str(cli)],
             ["bowtie", "--graph", graph, "--out", str(cli / "bowtie.csv"),
              "--summary", str(cli / "bowtie_summary.csv")],
             ["distances", "--graph", graph, "--direction", "in", "--out", str(cli / "distances_in.csv")],
@@ -382,11 +407,15 @@ class TestCliMatchesPipeline:
 
         names = sorted(p.name for p in (out / "mnc").iterdir())
         assert names == sorted(p.name for p in (cli / "mnc").iterdir())
-        assert len(names) == len(bundle.hq_rows)
+        assert len(names) == len(bundle.hq_rows) + 1
+        # every report but the bow-tie region tally: the CLI has no bow-tie to tally over
+        reports = [str(p.relative_to(out)) for p in (out / "reports").rglob("*") if p.is_file()]
+        reports.remove("reports/tallies/bowtie_regions.csv")
+        assert sorted(reports) == sorted(str(p.relative_to(cli)) for p in (cli / "reports").rglob("*") if p.is_file())
         compared = [f"mnc/{name}" for name in names] + [
             "keyfirms.csv", "bowtie.csv", "bowtie_summary.csv", "distances_in.csv",
             "communities.csv", "dsizes.csv",
-        ] + [f"stats/{name}" for name in ("pk_in.csv", "pk_out.csv", "ck.csv", "knn.csv", "fits.json")]
+        ] + [f"stats/{name}" for name in ("pk_in.csv", "pk_out.csv", "ck.csv", "knn.csv", "fits.json")] + reports
         for rel in compared:
             assert (cli / rel).read_bytes() == (out / rel).read_bytes(), rel
 

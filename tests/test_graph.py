@@ -335,7 +335,7 @@ class TestCsvRoundTrip:
 def _load_keyfirms(path, g):
     from ownet.keyfirms import load_keyfirms_csv
 
-    return load_keyfirms_csv(path, g).classifications
+    return load_keyfirms_csv(path, g).mncs
 
 
 def _load_values(path, g):

@@ -22,16 +22,20 @@ from ownet.jurisdiction import (
     tally_by_jurisdiction,
     with_pass_flows,
 )
-from ownet.keyfirms import ClassificationReport, MncClassification, Role, classify_all
+from ownet.keyfirms import ClassificationReport, Role, classify_all
 from ownet.synth import toy_m1_template
 
 
-def classified(mnc, hq_index, firms, roles):
-    """A classification of layer-1 third-country ``firms`` with the given roles."""
+def classified(graph, *mncs):
+    """A report of layer-1 third-country firms; ``mncs`` are (name, hq_index, firms, roles)."""
+    firms = [firm for _, _, group, _ in mncs for firm in group]
     n = len(firms)
-    return MncClassification(mnc, hq_index, np.array(firms, dtype=np.int64), np.ones(n, dtype=np.int32),
-                             np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.full(n, np.nan),
-                             np.full(n, np.nan), np.ones(n, dtype=bool), np.array(roles, dtype=np.int8))
+    return ClassificationReport(
+        graph, [name for name, _, _, _ in mncs], np.array([hq for _, hq, _, _ in mncs], dtype=np.int64),
+        np.cumsum([0] + [len(group) for _, _, group, _ in mncs]), np.array(firms, dtype=np.int64),
+        np.ones(n, dtype=np.int32), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.full(n, np.nan),
+        np.full(n, np.nan), np.ones(n, dtype=bool), np.array([r for *_, roles in mncs for r in roles], dtype=np.int8),
+    )
 
 
 def profiles_of(gdps):
@@ -160,17 +164,14 @@ class TestTallies:
     def test_counts_two_thirds(self):
         # toy corpus: key firms in {NL, NL, GB}
         g = make_graph(3, [], jurisdictions={0: "NL", 1: "NL", 2: "GB"})
-        report = ClassificationReport(
-            graph=g,
-            classifications=[classified("X", 0, [0, 1, 2], [Role.HOLDING] * 3)],
-        )
+        report = classified(g, ("X", 0, [0, 1, 2], [Role.HOLDING] * 3))
         rows = tally_by_jurisdiction(report, "holding")
         assert rows[0] == ("NL", 2, pytest.approx(66.6667, abs=1e-3))
         assert rows[1] == ("GB", 1, pytest.approx(33.3333, abs=1e-3))
 
     def test_empty(self):
-        g, view, report = self._report()
-        report.classifications = []
+        g, view, _ = self._report()
+        report = classified(g)
         assert tally_by_jurisdiction(report, "conduit") == []
 
     def test_invalid_dimension(self):
@@ -185,9 +186,7 @@ class TestBowTieTally:
         juris = {i: c for i, c in enumerate(["US", "US", "NL", "JP", "GB"])}
         g = make_graph(5, [(0, 1), (1, 0), (2, 0), (3, 2)], jurisdictions=juris)
         bowtie = comp.bowtie_decompose(g)
-        report = ClassificationReport(
-            graph=g, classifications=[classified("X", 3, [2, 4], [Role.HOLDING, Role.CONDUIT])]
-        )
+        report = classified(g, ("X", 3, [2, 4], [Role.HOLDING, Role.CONDUIT]))
         out = tally_by_bowtie(report, bowtie)
         assert out["Holding"] == {"IN": 1}
         assert out["Conduit"] == {"REST": 1}
@@ -227,13 +226,7 @@ class TestHqTables:
     def test_share_split(self):
         juris = {0: "US", 1: "JP", 2: "NL", 3: "NL", 4: "NL", 5: "GB"}
         g = make_graph(6, [], jurisdictions=juris)
-        report = ClassificationReport(
-            graph=g,
-            classifications=[
-                classified("A", 0, [2, 3, 4], [Role.HOLDING] * 3),
-                classified("B", 1, [5], [Role.HOLDING]),
-            ],
-        )
+        report = classified(g, ("A", 0, [2, 3, 4], [Role.HOLDING] * 3), ("B", 1, [5], [Role.HOLDING]))
         rows = hq_tables(report).by_role["Holding"]
         assert rows[0] == ("US", 3, 75.0)
         assert rows[1] == ("JP", 1, 25.0)

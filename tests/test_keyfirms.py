@@ -220,12 +220,12 @@ class TestClassifyAll:
     def test_empty_hq_list(self, m1_view):
         report = classify_all(m1_view, [])
         assert report.tallies == {"Holding": 0, "HoldingAndConduit": 0, "Conduit": 0}
-        assert report.classifications == []
+        assert report.mncs == []
 
     def test_failures_collected_run_continues(self, m1_view):
         report = classify_all(m1_view, [("ghost", "Ghost"), ("M1:HQ", "M1")])
         assert [name for name, _ in report.failures] == ["Ghost"]
-        assert len(report.classifications) == 1
+        assert len(report.mncs) == 1
 
     def test_keyfirms_csv_roundtrip(self, tmp_path):
         from ownet.pipeline import write_keyfirms_csv
@@ -236,17 +236,60 @@ class TestClassifyAll:
         path = tmp_path / "keyfirms.csv"
         write_keyfirms_csv(report, path)
         back = load_keyfirms_csv(path, view.graph, hqs)
-        assert [cls.mnc for cls in back.classifications] == ["M1", "M2", "A"]
-        for orig, loaded in zip(report.classifications, back.classifications, strict=True):
-            assert loaded.hq_index == orig.hq_index
-            for column in ("affiliates", "layers", "k_in", "k_out", "holding", "conduit",
-                           "third_country", "roles"):
-                want, got = getattr(orig, column), getattr(loaded, column)
-                assert got.dtype == want.dtype, column
-                np.testing.assert_array_equal(got, want, err_msg=column)  # NaN matches NaN
+        assert back.mncs == ["M1", "M2", "A"]
+        assert_same_table(back, report)
         # blank H and T cells are covered
-        assert all(np.isnan(cls.holding).any() and np.isnan(cls.conduit).any()
-                   for cls in report.classifications[:2])
+        bounds = report.bounds.tolist()
+        assert all(np.isnan(report.holding[lo:hi]).any() and np.isnan(report.conduit[lo:hi]).any()
+                   for lo, hi in zip(bounds[:2], bounds[1:3]))
+        again = tmp_path / "again.csv"
+        write_keyfirms_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_interleaved_rows_load_grouped(self, tmp_path):
+        from ownet.pipeline import write_keyfirms_csv
+
+        view = self._two_copies_view()
+        hqs = {"M1": "M1:HQ", "M2": "M2:HQ"}
+        grouped = tmp_path / "grouped.csv"
+        write_keyfirms_csv(classify_all(view, [(hq, mnc) for mnc, hq in hqs.items()]), grouped)
+        header, *rows = grouped.read_text(encoding="utf-8").splitlines()
+        m1 = [row for row in rows if row.startswith("M1,")]
+        m2 = [row for row in rows if row.startswith("M2,")]
+        # M1, M2, M1, ...: each MNC's rows stay in their order
+        mixed = [row for pair in zip(m1, m2) for row in pair]
+        assert len(mixed) == len(rows)
+        interleaved = tmp_path / "interleaved.csv"
+        interleaved.write_text("\n".join([header, *mixed]) + "\n", encoding="utf-8")
+        for hq_map in (hqs, None):
+            got = load_keyfirms_csv(interleaved, view.graph, hq_map)
+            want = load_keyfirms_csv(grouped, view.graph, hq_map)
+            assert got.mncs == want.mncs == ["M1", "M2"]
+            assert_same_table(got, want)
+
+    def test_listed_mnc_without_rows(self, tmp_path, m1_graph):
+        path = tmp_path / "keyfirms.csv"
+        path.write_text("mnc,affiliate_id,layer,k_in,k_out,H,T,third_country,role\n" + _GOOD_ROW + "\n",
+                        encoding="utf-8")
+        # listed with a known HQ and no rows: reported, in list order, with no rows;
+        # listed with an unknown HQ and no rows: skipped; unlisted: after the list
+        hq_map = {"Lonely": "M1:e", "Ghost": "ghost", "M1": "M1:HQ"}
+        report = load_keyfirms_csv(path, m1_graph, hq_map)
+        assert report.mncs == ["Lonely", "M1"]
+        assert report.hqs.tolist() == [m1_graph.index_of("M1:e"), m1_graph.index_of("M1:HQ")]
+        assert report.bounds.tolist() == [0, 0, 1]
+        report = load_keyfirms_csv(path, m1_graph, {"Lonely": "M1:e"})
+        assert report.mncs == ["Lonely", "M1"]
+        assert report.hqs.tolist() == [m1_graph.index_of("M1:e"), -1]
+
+
+def assert_same_table(got, want):
+    """Equal MNC lists, HQs, bounds and row columns, dtypes included."""
+    assert got.mncs == want.mncs
+    for column in ("hqs", "bounds") + _COLUMNS:
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype, column
+        np.testing.assert_array_equal(a, b, err_msg=column)  # NaN matches NaN
 
 
 _GOOD_ROW = "M1,M1:a,1,3,1,1.1666666666666665,1.75,1,Holding"
@@ -492,10 +535,8 @@ class TestBatchedClassifyOracle:
         view = substantial_view(g, 10.0)
         got, want = classify_all(view, hq_list), ref_classify_all(view, hq_list)
         assert got.failures == want.failures
-        assert [(c.mnc, c.hq_index) for c in got.classifications] == [
-            (c.mnc, c.hq_index) for c in want.classifications]
-        for ours, theirs in zip(got.classifications, want.classifications):
-            for column in _COLUMNS:
-                a, b = getattr(ours, column), getattr(theirs, column)
-                assert a.dtype == b.dtype, column
-                assert repr(a.tolist()) == repr(b.tolist()), column
+        assert got.mncs == want.mncs
+        for column in ("hqs", "bounds") + _COLUMNS:
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype, column
+            assert repr(a.tolist()) == repr(b.tolist()), column

@@ -1,3 +1,5 @@
+import re
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -57,6 +59,26 @@ class TestDegreeHistogram:
             netstats.binned_fit_slope([1, 2, 3, 4], bin_ratio=1.0)
 
 
+def rescan_fit_power_law(samples):
+    """Reference: the KS cutoff search with every candidate's tail rescanned from all the data."""
+    data = np.asarray(samples)
+    data = data[data > 0].astype(np.int64)
+    best = None
+    for cand in np.unique(data)[: netstats._MAX_XMIN_CANDIDATES]:
+        tail = data[data >= cand]
+        if tail.size < netstats._MIN_TAIL:
+            break
+        if int(tail.min()) == int(tail.max()):
+            continue
+        gamma, loglik = netstats._mle_gamma(tail, int(cand))
+        ks = netstats._ks_statistic(tail, gamma, int(cand))
+        if best is None or ks < best.ks:
+            best = netstats.PowerLawFit(gamma, int(cand), int(tail.size), loglik, ks)
+    if best is None:
+        raise FitError("no viable x_min candidate (too few or degenerate samples)")
+    return best
+
+
 class TestPowerLawFit:
     def test_recovery(self):
         rng = np.random.default_rng(1)
@@ -94,6 +116,19 @@ class TestPowerLawFit:
         fit = netstats.fit_power_law(np.concatenate([tail, noise]), x_min=None)
         assert fit.x_min >= 4
         assert abs(fit.gamma - 2.5) < 0.15
+
+    @given(st.lists(st.integers(0, 12), max_size=400), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    @example([1] * 30 + [2] * 30 + [5] * 30, 0)  # a degenerate tail is skipped, not fitted
+    def test_cutoff_scan_matches_rescan(self, samples, spread):
+        samples = np.array(samples, dtype=np.int64) ** (spread + 1)
+        try:
+            got = netstats.fit_power_law(samples, x_min=None)
+        except FitError as exc:
+            with pytest.raises(FitError, match=re.escape(str(exc))):
+                rescan_fit_power_law(samples)
+        else:
+            assert got == rescan_fit_power_law(samples)
 
     def test_binned_slope_tracks_exponent(self):
         rng = np.random.default_rng(5)

@@ -120,10 +120,10 @@ class TestCorpus:
         view = substantial_view(graph, 10.0)
         report = classify_all(view, bundle.hq_rows)
         assert report.failures == []
-        for cls in report.classifications:
-            got = {graph.ids[a]: ROLE_NAMES[r] for a, r in zip(cls.affiliates.tolist(), cls.roles.tolist())
-                   if r != Role.NONE}
-            assert got == bundle.truth[cls.mnc]
+        for name, lo, hi in zip(report.mncs, report.bounds, report.bounds[1:]):
+            got = {graph.ids[a]: ROLE_NAMES[r] for a, r in zip(report.affiliates[lo:hi].tolist(),
+                                                               report.roles[lo:hi].tolist()) if r != Role.NONE}
+            assert got == bundle.truth[name]
 
     def test_te_targeting(self, tmp_path):
         from ownet import components as comp
