@@ -32,6 +32,16 @@ def sorted_unique(values: np.ndarray, return_counts: bool = False):
     return distinct, np.diff(np.append(np.flatnonzero(first), values.shape[0]))
 
 
+def dense_relabel(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for integers in ``[0, n)``:
+    the sorted distinct values and each entry's rank among them, from a
+    presence mask and its running count rather than numpy's hash path."""
+    present = np.zeros(n, dtype=bool)
+    present[values] = True
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present), rank[values]
+
+
 def build_indptr(endpoints: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointer for edges grouped by ``endpoints`` (must be sorted)."""
     counts = np.bincount(endpoints, minlength=n)

@@ -12,7 +12,7 @@ from . import components as comp
 from . import pipeline as pl
 from .community import detect_communities
 from .errors import OwnetError
-from .graph import load_cache, load_or_build, save_cache, substantial_view, write_csv_rows
+from .graph import load_cache, load_or_build, save_cache, substantial_view
 from .jurisdiction import load_edge_values, load_profiles
 from .keyfirms import classify_all, load_keyfirms_csv
 from .mnc import load_hq_list
@@ -66,7 +66,7 @@ def bowtie(graph_path, out, summary):
     for name, count, ratio in result.summary_rows():
         click.echo(f"{name:>5}  {count:>12}  {ratio}")
     if summary:
-        write_csv_rows(summary, ["component", "companies", "ratio"], result.summary_rows())
+        pl.write_bowtie_summary_csv(result, summary)
 
 
 @main.command()

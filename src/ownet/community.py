@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from ._csr import dense_relabel
 from .components import rank_by_first_member
 from .errors import ConvergenceError, GraphError
 from .graph import _Adjacency
@@ -294,11 +295,8 @@ class _Optimizer:
 
 
 def _aggregate(level: _Level, mod: np.ndarray) -> tuple[_Level, np.ndarray]:
-    present = np.zeros(level.n, dtype=bool)
-    present[mod] = True
-    remap = np.cumsum(present) - 1
-    n_comm = int(remap[-1]) + 1
-    dense = remap[mod]
+    modules, dense = dense_relabel(mod, level.n)
+    n_comm = len(modules)
 
     s = np.bincount(dense, weights=level.s, minlength=n_comm)
     t = np.bincount(dense, weights=level.t, minlength=n_comm)

@@ -21,17 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csr import build_indptr, canonical_edge_order, freeze
+from ._csr import build_indptr, canonical_edge_order, dense_relabel, freeze
 from .errors import GraphError, LoadError
 
 NA_JURISDICTION = "n.a."
-NA_INDUSTRY = "V"
 
 NODE_HEADER = ["node_id", "jurisdiction", "nace_section", "name", "is_hq"]
 EDGE_HEADER = ["subsidiary_id", "shareholder_id", "pct"]
 
-# version 2 adds the sha256 digests of the two input CSVs
-CACHE_VERSION = 2
+# 2: the sha256 digests of the two input CSVs; 3: no name, NACE or HQ-flag column
+CACHE_VERSION = 3
 
 _TRUE = {"1", "true", "t", "yes", "y"}
 _FALSE = {"0", "false", "f", "no", "n", ""}
@@ -41,9 +40,6 @@ _FALSE = {"0", "false", "f", "no", "n", ""}
 class NodeRecord:
     node_id: str
     jurisdiction: str = NA_JURISDICTION
-    nace_section: str = NA_INDUSTRY
-    name: str = ""
-    is_hq: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,16 +51,13 @@ class OwnershipEdge:
 
 @dataclass(frozen=True)
 class NodeColumns:
-    """Node metadata as parallel columns; ``id_index`` maps each id to its
-    position and ``jurisdiction_index`` points into the sorted labels."""
+    """Node ids and jurisdictions as parallel columns; ``id_index`` maps each
+    id to its position and ``jurisdiction_index`` points into the sorted labels."""
 
     ids: list[str]
     id_index: dict[str, int]
     jurisdiction_labels: list[str]
     jurisdiction_index: np.ndarray
-    nace: list[str] | np.ndarray
-    names: list[str]
-    is_hq: list[bool] | np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -132,15 +125,15 @@ def data_rows(path: Path, header: list[str]):
             yield line, row
 
 
-def _label(raw: str, missing: str) -> str:
-    """A jurisdiction or nace field: stripped, and ``missing`` if blank."""
-    return raw.strip() or missing
+def _jurisdiction(raw: str) -> str:
+    """A jurisdiction field: stripped, and ``NA_JURISDICTION`` if blank."""
+    return raw.strip() or NA_JURISDICTION
 
 
 def _row_nodes(path: Path) -> NodeColumns:
     """:func:`load_nodes` one ``csv.reader`` row at a time: the definition of a
     valid node file, and the path that reports the first bad line."""
-    ids, nace, names, is_hq = [], [], [], []
+    ids = []
     id_index: dict[str, int] = {}
     first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
     codes = array("i")
@@ -152,19 +145,17 @@ def _row_nodes(path: Path) -> NodeColumns:
             raise LoadError(f"duplicate node_id {node_id!r}", path, line)
         id_index[node_id] = len(ids)
         ids.append(node_id)
-        codes.append(first_seen.setdefault(_label(row[1], NA_JURISDICTION), len(first_seen)))
-        nace.append(_label(row[2], NA_INDUSTRY))
-        names.append(row[3])
-        is_hq.append(_parse_bool(row[4], path, line))
-    return _node_columns(ids, id_index, first_seen, np.asarray(codes), nace, names, is_hq)
+        codes.append(first_seen.setdefault(_jurisdiction(row[1]), len(first_seen)))
+        _parse_bool(row[4], path, line)  # validated, not kept
+    return _node_columns(ids, id_index, first_seen, np.asarray(codes))
 
 
-def _node_columns(ids, id_index, first_seen, codes, nace, names, is_hq) -> NodeColumns:
+def _node_columns(ids, id_index, first_seen, codes) -> NodeColumns:
     """Node columns with jurisdictions renumbered from order of first use to sorted order."""
     labels = sorted(first_seen)
     rank = np.empty(len(labels), dtype=np.int32)
     rank[[first_seen[label] for label in labels]] = np.arange(len(labels))
-    return NodeColumns(ids, id_index, labels, rank[codes], nace, names, is_hq)
+    return NodeColumns(ids, id_index, labels, rank[codes])
 
 
 def _row_edges(path: Path, id_index: dict[str, int]) -> EdgeLoadResult:
@@ -306,26 +297,27 @@ def _fresh_copies(strings) -> list[str]:
 
 def _bulk_nodes(path: Path) -> NodeColumns:
     width = len(NODE_HEADER)
-    ids, nace, names, is_hq = [], [], [], []
+    ids = []
     id_index: dict[str, int] = {}
     first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
     codes = array("i")
 
     def jurisdiction_code(raw: str) -> int:
-        return first_seen.setdefault(_label(raw, NA_JURISDICTION), len(first_seen))
+        return first_seen.setdefault(_jurisdiction(raw), len(first_seen))
 
-    tables: tuple[dict, dict, dict] = ({}, {}, {})  # raw field -> value, per coded column
+    code_of: dict[str, int] = {}  # raw jurisdiction field -> code
+    valid_flags: set[str] = set()  # raw is_hq fields that parse
     for fields in _bulk_blocks(path, NODE_HEADER):
         block_ids = _fresh_copies(map(str.strip, fields[0::width]))
         id_index.update(zip(block_ids, range(len(ids), len(ids) + len(block_ids))))
         ids += block_ids
         if len(id_index) != len(ids) or "" in id_index:
             raise _Irregular
-        codes.extend(_mapped(fields[1::width], tables[0], jurisdiction_code))
-        nace += _mapped(fields[2::width], tables[1], lambda raw: _label(raw, NA_INDUSTRY))
-        names += _fresh_copies(fields[3::width])
-        is_hq += _mapped(fields[4::width], tables[2], lambda raw: _parse_bool(raw, path, None))
-    return _node_columns(ids, id_index, first_seen, np.asarray(codes), nace, names, is_hq)
+        codes.extend(_mapped(fields[1::width], code_of, jurisdiction_code))
+        for raw in set(fields[4::width]).difference(valid_flags):  # validated, not kept
+            _parse_bool(raw, path, None)
+            valid_flags.add(raw)
+    return _node_columns(ids, id_index, first_seen, np.asarray(codes))
 
 
 def _bulk_edges(path: Path, id_index: dict[str, int]) -> EdgeLoadResult:
@@ -357,11 +349,13 @@ def _bulk_edges(path: Path, id_index: dict[str, int]) -> EdgeLoadResult:
 
 
 def load_nodes(path) -> NodeColumns:
-    """Read a node CSV (``node_id,jurisdiction,nace_section,name,is_hq``) into columns.
+    """Read a node CSV (``node_id,jurisdiction,nace_section,name,is_hq``) into
+    id and jurisdiction columns; the last three fields are validated, not kept.
 
-    Empty and duplicate node ids and malformed rows are rejected with the
-    line number. A plain file (no quoting, LF line ends) is parsed a block
-    at a time; any other file, or one that fails a check, is read row by row.
+    Empty and duplicate node ids and malformed rows, a bad ``is_hq`` too, are
+    rejected with the line number. A plain file (no quoting, LF line ends) is
+    parsed a block at a time; any other file, or one that fails a check, is
+    read row by row.
     """
     path = Path(path)
     try:
@@ -445,9 +439,6 @@ class OwnershipGraph(_Adjacency):
         self.jurisdiction_labels: list[str] = labels
         self.jurisdiction_index = freeze(np.asarray(nodes.jurisdiction_index, dtype=np.int32))
         self.na_jurisdiction = labels.index(NA_JURISDICTION) if NA_JURISDICTION in labels else -1
-        self.nace = freeze(np.asarray(nodes.nace, dtype="U1"))
-        self.names: list[str] = nodes.names
-        self.is_hq = freeze(np.asarray(nodes.is_hq, dtype=bool))
         self.ingest_counters: dict[str, int] = dict(counters)
         self.pct = self._index_edges(len(nodes), edges.src, edges.dst, edges.pct)
 
@@ -495,9 +486,7 @@ def build_graph(nodes, edges) -> OwnershipGraph:
         raise GraphError("duplicate node ids")
     labels = sorted({node.jurisdiction for node in nodes})
     code = {label: i for i, label in enumerate(labels)}
-    columns = NodeColumns(ids, id_index, labels, [code[node.jurisdiction] for node in nodes],
-                          [node.nace_section for node in nodes], [node.name for node in nodes],
-                          [node.is_hq for node in nodes])
+    columns = NodeColumns(ids, id_index, labels, [code[node.jurisdiction] for node in nodes])
     try:
         rows = [(id_index[edge.subsidiary], id_index[edge.shareholder], edge.pct) for edge in edges]
     except KeyError as exc:
@@ -534,8 +523,8 @@ def reciprocal_link_ratio(g: _Adjacency) -> float:
 def induced_subgraph(graph: OwnershipGraph, node_ids) -> OwnershipGraph:
     """Subgraph on the given node ids with exactly the internal edges.
 
-    Metadata is preserved; kept nodes retain their relative order, and only
-    the jurisdiction labels they use are kept. Unknown ids are rejected.
+    Kept nodes retain their ids, jurisdictions and relative order; only the
+    jurisdiction labels they use are kept. Unknown ids are rejected.
     """
     indexes = np.array(sorted({graph.index_of(node_id) for node_id in node_ids}), dtype=np.int64)
     keep = np.zeros(graph.n_nodes, dtype=bool)
@@ -544,10 +533,10 @@ def induced_subgraph(graph: OwnershipGraph, node_ids) -> OwnershipGraph:
     remap[indexes] = np.arange(len(indexes))
 
     ids = [graph.ids[i] for i in indexes]
-    used, jurisdiction_index = np.unique(graph.jurisdiction_index[indexes], return_inverse=True)
+    labels = graph.jurisdiction_labels
+    used, jurisdiction_index = dense_relabel(graph.jurisdiction_index[indexes], len(labels))
     nodes = NodeColumns(ids, {node_id: i for i, node_id in enumerate(ids)},
-                        [graph.jurisdiction_labels[u] for u in used], jurisdiction_index,
-                        graph.nace[indexes], [graph.names[i] for i in indexes], graph.is_hq[indexes])
+                        [labels[u] for u in used], jurisdiction_index)
     mask = keep[graph.src] & keep[graph.dst]
     edges = EdgeColumns(remap[graph.src[mask]].astype(np.int32), remap[graph.dst[mask]].astype(np.int32),
                         graph.pct[mask])
@@ -635,7 +624,6 @@ def save_cache(graph: OwnershipGraph, path, digests: tuple[str, str] = ("", ""))
     """Persist the built graph to a versioned npz cache, keyed on ``digests``:
     the sha256 of the node and edge CSVs it was parsed from (default: none)."""
     ids_blob, ids_off = _pack_strings(graph.ids)
-    names_blob, names_off = _pack_strings(graph.names)
     jur_blob, jur_off = _pack_strings(graph.jurisdiction_labels)
     np.savez(
         path,
@@ -644,13 +632,9 @@ def save_cache(graph: OwnershipGraph, path, digests: tuple[str, str] = ("", ""))
         edges_sha256=np.array(digests[1]),
         ids_blob=ids_blob,
         ids_off=ids_off,
-        names_blob=names_blob,
-        names_off=names_off,
         jur_blob=jur_blob,
         jur_off=jur_off,
         jur_index=graph.jurisdiction_index,
-        nace=graph.nace,
-        is_hq=graph.is_hq,
         src=graph.src,
         dst=graph.dst,
         pct=graph.pct,
@@ -675,12 +659,11 @@ def load_cache(path) -> OwnershipGraph:
             raise LoadError(f"cache version {version} unsupported (expected {CACHE_VERSION})", path)
         ids = _unpack_strings(data["ids_blob"], data["ids_off"], "ids", path)
         labels = _unpack_strings(data["jur_blob"], data["jur_off"], "jur", path)
-        fields = {key: data[key] for key in ("jur_index", "nace", "is_hq", "src", "dst", "pct")}
-        fields["names"] = _unpack_strings(data["names_blob"], data["names_off"], "names", path)
+        fields = {key: data[key] for key in ("jur_index", "src", "dst", "pct")}
         counters = {key: int(data[key]) for key in ("self_loops_dropped", "blank_pct")}
 
     n, m = len(ids), len(fields["src"])
-    for field in ("names", "nace", "is_hq", "jur_index", "dst", "pct"):
+    for field in ("jur_index", "dst", "pct"):
         expected = m if field in ("dst", "pct") else n
         if len(fields[field]) != expected:
             raise LoadError(f"cache field {field!r} has {len(fields[field])} entries, not {expected}", path)
@@ -694,8 +677,7 @@ def load_cache(path) -> OwnershipGraph:
     if len(id_index) != n:
         raise LoadError("cache field 'ids' holds duplicate node ids", path)
 
-    nodes = NodeColumns(ids, id_index, labels, fields["jur_index"], fields["nace"], fields["names"],
-                        fields["is_hq"])
+    nodes = NodeColumns(ids, id_index, labels, fields["jur_index"])
     src, dst = fields["src"].astype(np.int32, copy=False), fields["dst"].astype(np.int32, copy=False)
     edges = EdgeColumns(src, dst, fields["pct"].astype(np.float64, copy=False))
     return OwnershipGraph(nodes, edges, counters)

@@ -178,6 +178,11 @@ def write_bowtie_csv(graph: OwnershipGraph, bowtie, path) -> None:
     write_id_value_csv(path, ["node_id", "region"], graph.ids, names)
 
 
+def write_bowtie_summary_csv(bowtie, path) -> None:
+    """``bowtie_summary.csv``: the size and share of every bow-tie region."""
+    write_csv_rows(path, ["component", "companies", "ratio"], bowtie.summary_rows())
+
+
 def write_distances_csv(hist, path) -> None:
     """``distances_<direction>.csv``: hop counts between a region and the GSCC."""
     write_csv_rows(
@@ -196,7 +201,7 @@ def _stage_bowtie(config, outdir, manifest, state):
     manifest.add("bowtie", path)
 
     path = outdir / "bowtie_summary.csv"
-    write_csv_rows(path, ["component", "companies", "ratio"], bowtie.summary_rows())
+    write_bowtie_summary_csv(bowtie, path)
     manifest.add("bowtie", path)
 
     for direction in ("in", "out"):

@@ -22,7 +22,7 @@ def make_graph(n, edges, jurisdictions=None, pct=50.0):
 def template_graph(template):
     """Standalone graph of one template (global ids)."""
     nodes = [
-        NodeRecord(template.global_id(local), jur, "C", "", local == template.hq)
+        NodeRecord(template.global_id(local), jur)
         for local, jur in sorted(template.jurisdictions.items())
     ]
     edges = [OwnershipEdge(template.global_id(c), template.global_id(p), pct) for c, p, pct in template.edges]

@@ -7,8 +7,8 @@ from click.testing import CliRunner
 
 from conftest import spec_to_json
 from ownet.cli import main
-from ownet.errors import PipelineError
-from ownet.graph import load_cache, load_graph, substantial_view
+from ownet.errors import LoadError, PipelineError
+from ownet.graph import CACHE_VERSION, load_cache, load_graph, substantial_view
 from ownet.pipeline import RunConfig, run_pipeline, verify_manifest, write_report
 from ownet.synth import SynthSpec, build_corpus, write_corpus
 
@@ -180,6 +180,36 @@ class TestPipeline:
         monkeypatch.setattr(ownet.pipeline, "save_cache", lambda *args: saves.append(args))
         assert verify_manifest(run_pipeline(config))["status"] == "ok"
         assert saves == []
+
+    def test_older_cache_version_rebuilt(self, corpus, tmp_path, monkeypatch):
+        import ownet.graph
+
+        _, paths, _ = corpus
+        config = config_for(paths, tmp_path / "out", stages=("ingest",))
+        run_pipeline(config)
+        cache = tmp_path / "out" / "graph.npz"
+        with np.load(cache) as saved:
+            data = dict(saved)
+            digests = (saved["nodes_sha256"].item(), saved["edges_sha256"].item())
+        data["version"] = np.int64(2)  # an older format, saved from the same inputs
+        np.savez(cache, **data)
+        old = tmp_path / "old.npz"
+        old.write_bytes(cache.read_bytes())
+
+        with pytest.raises(LoadError, match="cache version 2 unsupported"):
+            load_cache(old)
+        result = CliRunner().invoke(main, ["bowtie", "--graph", str(old), "--out", str(tmp_path / "b.csv")])
+        assert result.exit_code != 0
+
+        parses = []
+        real = ownet.graph.load_graph
+        monkeypatch.setattr(ownet.graph, "load_graph", lambda *args: parses.append(args) or real(*args))
+        assert verify_manifest(run_pipeline(config))["status"] == "ok"
+        assert parses == [(paths["nodes"], paths["edges"])]
+        with np.load(cache) as saved:
+            assert int(saved["version"]) == CACHE_VERSION == 3
+            assert (saved["nodes_sha256"].item(), saved["edges_sha256"].item()) == digests
+        assert load_cache(cache).n_edges == load_graph(paths["nodes"], paths["edges"]).n_edges
 
     def test_rebuild_cache_option_rejected(self, corpus, tmp_path):
         _, paths, _ = corpus
@@ -431,7 +461,7 @@ PINNED_DIGESTS = {
     "distances_in.csv": "f83538d2c65f83033189b3601baf58d7a259f050b24a0bd179ec0a386be22d3c",
     "distances_out.csv": "50978c97e89b344421a603c34db54bca113c3490a34b8bfc10685a2fc4774328",
     "dsizes.csv": "fdcec3c81ce8eecdb32a81fd56d98a01edf7b53fc64e0af2f92ae1dec6a07367",
-    "graph.npz": "521fa8c6bafcfe42ea9c110f65980599bbc68acdd4334d4140d4b70b49ce5b31",
+    "graph.npz": "6bad101e286b0284b9c07bb89d9d1813c1f8d9ee7e4336622d1a2a9bb9c940cd",
     "identify_summary.json": "6c38717c6520c1b12201738f520d34870effd33ab3f7d81cd733b1b1c6ebc2a1",
     "ingest_summary.json": "1dd5304970c5915d3ab63bc682cfe0bbffce57f425c29c764421945b440f271d",
     "keyfirms.csv": "9d892366b402702a603ef6807827987fdcb1acc856442ae8415d860bb6fc522c",

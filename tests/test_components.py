@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
 from ownet import components as comp
-from ownet._csr import canonical_edge_order, sorted_unique
+from ownet._csr import canonical_edge_order, dense_relabel, sorted_unique
 from ownet.errors import GraphError
 
 
@@ -275,6 +275,20 @@ def test_sorted_unique_matches_unique(values, dtype):
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert got_counts.dtype == want_counts.dtype and got_counts.tolist() == want_counts.tolist()
     assert sorted_unique(raw).tolist() == want.tolist()
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=40))),
+       st.sampled_from([np.int32, np.int64]))
+@example((0, []), np.int32)
+@example((6, [5, 0, 5, 2]), np.int32)
+@settings(max_examples=200, deadline=None)
+def test_dense_relabel_matches_unique_inverse(bounded, dtype):
+    n, values = bounded
+    raw = np.array(values, dtype=dtype)
+    used, codes = dense_relabel(raw, n)
+    want_used, want_codes = np.unique(raw, return_inverse=True)
+    assert used.tolist() == want_used.tolist()
+    assert codes.dtype == want_codes.dtype and codes.tolist() == want_codes.tolist()
 
 
 @st.composite

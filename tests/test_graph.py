@@ -46,10 +46,8 @@ IDS_2 = {"n1": 0, "n2": 1}
 def node_records(columns):
     """The node columns from ``load_nodes`` as one record per row."""
     return [
-        NodeRecord(node_id, columns.jurisdiction_labels[code], nace, name, bool(hq))
-        for node_id, code, nace, name, hq in zip(
-            columns.ids, columns.jurisdiction_index, columns.nace, columns.names, columns.is_hq
-        )
+        NodeRecord(node_id, columns.jurisdiction_labels[code])
+        for node_id, code in zip(columns.ids, columns.jurisdiction_index)
     ]
 
 
@@ -64,9 +62,19 @@ def edge_records(edges, ids):
 class TestLoadNodes:
     def test_two_rows(self, tmp_path):
         recs = node_records(load_nodes(write(tmp_path, "n.csv", NODES_2)))
-        assert len(recs) == 2
-        assert recs[0] == NodeRecord("n1", "US", "C", "Acme", False)
-        assert recs[1].is_hq
+        assert recs == [NodeRecord("n1", "US"), NodeRecord("n2", "NL")]
+
+    def test_unkept_fields_validated_not_stored(self, tmp_path):
+        """Names and NACE sections leave no trace in the columns; a bad
+        ``is_hq`` in a plain file still fails with its line."""
+        header = "node_id,jurisdiction,nace_section,name,is_hq\n"
+        full = write(tmp_path, "full.csv", header + "n1,US,AB,Société Générale,1\nn2,NL,K,株式会社,no\n")
+        blank = write(tmp_path, "blank.csv", header + "n1,US,,,0\nn2,NL,,,0\n")
+        assert node_records(load_nodes(full)) == node_records(load_nodes(blank))
+        bad = write(tmp_path, "bad.csv", header + "n1,US,C,,0\nn2,NL,K,,maybe\n")
+        with pytest.raises(LoadError, match="cannot parse boolean field 'maybe'") as err:
+            load_nodes(bad)
+        assert err.value.line == 3
 
     def test_duplicate_id_rejected(self, tmp_path):
         text = "node_id,jurisdiction,nace_section,name,is_hq\nn1,US,C,,0\nn1,NL,K,,0\n"
@@ -90,7 +98,6 @@ class TestLoadNodes:
         text = "node_id,jurisdiction,nace_section,name,is_hq\nn1,,,,0\n"
         rec = node_records(load_nodes(write(tmp_path, "n.csv", text)))[0]
         assert rec.jurisdiction == "n.a."
-        assert rec.nace_section == "V"
 
 
 class TestLoadEdges:
@@ -251,7 +258,8 @@ class TestInducedSubgraph:
     def test_metadata_preserved(self, m1_graph):
         sub = induced_subgraph(m1_graph, ["M1:HQ", "M1:a"])
         assert sub.jurisdiction_of(sub.index_of("M1:a")) == "NL"
-        assert bool(sub.is_hq[sub.index_of("M1:HQ")])
+        kept = {m1_graph.jurisdiction_of(m1_graph.index_of(node_id)) for node_id in sub.ids}
+        assert sub.jurisdiction_labels == sorted(kept)
 
 
 class TestCache:
@@ -284,14 +292,15 @@ class TestPackedStrings:
     NAMES = ["Société Générale", "", "Acme", "名前", "x"]
 
     def test_non_ascii_cache_roundtrip(self, tmp_path):
-        nodes = [NodeRecord(node_id, "CH", "K", name) for node_id, name in zip(self.IDS, self.NAMES)]
+        nodes = [NodeRecord(node_id, "CH") for node_id in self.IDS]
         g = build_graph(nodes, [OwnershipEdge("Zürich-1", "株式会社", 50.0)])
         save_cache(g, tmp_path / "g.npz")
         back = load_cache(tmp_path / "g.npz")
-        assert (back.ids, back.names, back.id_index) == (self.IDS, self.NAMES, g.id_index)
+        assert (back.ids, back.id_index) == (self.IDS, g.id_index)
 
     @given(st.lists(st.text(max_size=6), max_size=20))
     @example(IDS)
+    @example(NAMES)
     @example(["n0", "n1", ""])
     def test_blob_is_the_utf8_of_each_string(self, strings):
         blob, offsets = _pack_strings(strings)
@@ -317,14 +326,6 @@ class TestIdValueCsv:
 
 
 class TestCsvRoundTrip:
-    def test_nodes_parse_emit_byte_equal(self, tmp_path):
-        src = write(tmp_path, "nodes.csv", NODES_2)
-        records = node_records(load_nodes(src))
-        out = tmp_path / "out.csv"
-        rows = ((r.node_id, r.jurisdiction, r.nace_section, r.name, "1" if r.is_hq else "0") for r in records)
-        write_csv_rows(out, NODE_HEADER, rows)
-        assert out.read_bytes() == src.read_bytes()
-
     def test_graph_load_convenience(self, tmp_path):
         write(tmp_path, "nodes.csv", NODES_2)
         write(tmp_path, "edges.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,55.00\n")
@@ -388,10 +389,7 @@ class TestCacheValidation:
         [
             pytest.param("pct", lambda d: d["pct"].__setitem__(0, 150.0), id="pct-150"),
             pytest.param("pct", lambda d: d["pct"].__setitem__(0, np.nan), id="pct-nan"),
-            pytest.param("is_hq", lambda d: d.update(is_hq=d["is_hq"][:-1]), id="is_hq-short"),
-            pytest.param("nace", lambda d: d.update(nace=d["nace"][:-1]), id="nace-short"),
             pytest.param("jur_index", lambda d: d.update(jur_index=d["jur_index"][1:]), id="jur_index-short"),
-            pytest.param("names", lambda d: d.update(names_off=d["names_off"][:-1]), id="names-short"),
             pytest.param("dst", lambda d: d.update(dst=d["dst"][:-1]), id="dst-short"),
             pytest.param("pct", lambda d: d.update(pct=d["pct"][:-1]), id="pct-short"),
             pytest.param("src", lambda d: d["src"].__setitem__(0, 9), id="src-past-n"),
@@ -400,8 +398,8 @@ class TestCacheValidation:
             # string offsets that do not tile their blob
             pytest.param("ids", lambda d: d["ids_off"].__setitem__(-1, d["ids_off"][-1] + 1), id="ids_off-past-blob"),
             pytest.param("ids", lambda d: d["ids_off"].__setitem__(0, 1), id="ids_off-start"),
-            pytest.param("names", lambda d: d["names_off"].__setitem__(1, d["names_off"][-1] + 5),
-                         id="names_off-decreasing"),
+            pytest.param("ids", lambda d: d["ids_off"].__setitem__(1, d["ids_off"][-1] + 5),
+                         id="ids_off-decreasing"),
             pytest.param("jur", lambda d: d.update(jur_blob=d["jur_blob"][:-1]), id="jur_blob-short"),
         ],
     )
@@ -437,8 +435,8 @@ def reference_load_nodes(path):
             if node_id in seen:
                 raise LoadError(f"duplicate node_id {node_id!r}", path, line)
             seen.add(node_id)
-            records.append(NodeRecord(node_id, row[1].strip() or "n.a.", row[2].strip() or "V",
-                                      row[3], _parse_bool(row[4], path, line)))
+            _parse_bool(row[4], path, line)
+            records.append(NodeRecord(node_id, row[1].strip() or "n.a."))
     return records
 
 
@@ -599,11 +597,9 @@ PADDING = st.sampled_from(["", "", "", " ", "\t", " \t"])
 def assert_same_graph(got, want, want_counters):
     assert got.ids == want.ids
     assert got.id_index == want.id_index
-    assert got.names == want.names
     assert got.jurisdiction_labels == want.jurisdiction_labels
     assert got.na_jurisdiction == want.na_jurisdiction
-    for name in ("jurisdiction_index", "nace", "is_hq", "src", "dst", "pct", "out_indptr",
-                 "in_indptr", "in_order"):
+    for name in ("jurisdiction_index", "src", "dst", "pct", "out_indptr", "in_indptr", "in_order"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.ingest_counters == want_counters
@@ -642,6 +638,9 @@ class TestLoaderOracle:
     @example(([["n0", "US", "C", "", "0"], ["", "US", "C", "", "0"]], [], PLAIN))
     @example(([["n0", "US", "C", "cr\rlf", "0"]], [], PLAIN))
     @example(([["n0", "US", "AB", "", "0"], ["n1", " KY ", " Cx ", "Acme", "y"]], [["n0", "n1", "50"]], PLAIN))
+    # names and NACE sections that load to the graph of blank ones
+    @example(([["n0", "ÅX", "AB", "Société Générale", "1"], ["n1", "US", "K", "株式会社", "no"]],
+              [["n1", "n0", "50"]], PLAIN))
     @settings(max_examples=300, deadline=None)
     def test_matches_row_by_row_reference(self, tmp_path_factory, rows):
         loads_like_reference(tmp_path_factory, rows)
@@ -664,7 +663,7 @@ class TestLoaderOracle:
     @settings(max_examples=200, deadline=None)
     def test_node_columns_equal_row_loop(self, tmp_path_factory, rows, block_bytes):
         """``load_nodes`` returns the row loop's columns, values and types alike,
-        whichever parse reads the file (multi-letter nace labels included)."""
+        whichever parse reads the file."""
         node_rows, _, layout = rows
         path = tmp_path_factory.mktemp("nodes") / "nodes.csv"
         write_rows(path, NODE_HEADER, node_rows, layout)

@@ -207,7 +207,7 @@ class TestClassifyAll:
         nodes, edges = [], []
         for t in (t1, t2):
             for local, jur in sorted(t.jurisdictions.items()):
-                nodes.append(NodeRecord(t.global_id(local), jur, "C", "", local == "HQ"))
+                nodes.append(NodeRecord(t.global_id(local), jur))
             for c, p, pct in t.edges:
                 edges.append(OwnershipEdge(t.global_id(c), t.global_id(p), pct))
         return substantial_view(build_graph(nodes, edges), 10.0)
