@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import sys
 from pathlib import Path
 
 import click
@@ -32,7 +31,18 @@ def _load(graph_path: str):
     return load_cache(path)
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends a subcommand that raises :class:`OwnetError` with one ``<command> failed: <reason>`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OwnetError as exc:
+            click.echo(f"{ctx.invoked_subcommand} failed: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Group)
 def main():
     """Ownership-network analytics pipeline."""
 
@@ -113,15 +123,14 @@ def communities(graph_path, seed, out, scope, damping):
 @click.option("--graph", "graph_path", required=True)
 @click.option("--hqs", required=True, type=click.Path(exists=True))
 @click.option("--threshold", default=10.0, show_default=True)
-@click.option("--out", "outdir", default="mnc", show_default=True)
-def extract(graph_path, hqs, threshold, outdir):
-    """Per-MNC affiliate files (node_id, layer, within-MNC degrees)."""
+@click.option("--out", default="affiliates.csv", show_default=True)
+def extract(graph_path, hqs, threshold, out):
+    """Affiliates of every listed MNC (layer, within-MNC degrees) in one CSV."""
     report = classify_all(substantial_view(_load(graph_path), threshold), load_hq_list(hqs))
     for name, reason in report.failures:
         click.echo(f"skipping {name}: {reason}", err=True)
-    outpath = Path(outdir)
-    pl.write_mnc_csvs(report, outpath)
-    click.echo(f"affiliate files under {outpath}")
+    pl.write_affiliates_csv(report, out)
+    click.echo(f"{out}: {report.n_affiliates} affiliates of {len(report.mncs)} MNCs")
 
 
 @main.command()
@@ -181,12 +190,7 @@ def synth(spec_path, outdir):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def run(config_path):
     """Run the full pipeline from a JSON config."""
-    config = pl.RunConfig.from_json(config_path)
-    try:
-        manifest = pl.run_pipeline(config)
-    except OwnetError as exc:
-        click.echo(f"pipeline failed: {exc}", err=True)
-        sys.exit(1)
+    manifest = pl.run_pipeline(pl.RunConfig.from_json(config_path))
     click.echo(f"manifest: {manifest}")
 
 
@@ -195,11 +199,7 @@ def run(config_path):
 @click.option("--out", "outdir", default=None, help="Report directory (default: <outdir>/report).")
 def report(manifest_path, outdir):
     """Verify artifact hashes and write the human-readable summary."""
-    try:
-        target = pl.write_report(manifest_path, outdir)
-    except OwnetError as exc:
-        click.echo(f"report failed: {exc}", err=True)
-        sys.exit(1)
+    target = pl.write_report(manifest_path, outdir)
     click.echo(target.read_text(), nl=False)
     click.echo(f"summary: {target}")
 

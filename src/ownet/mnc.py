@@ -25,32 +25,18 @@ from .graph import SubstantialView, data_rows
 HQ_HEADER = ["hq_node_id", "mnc_name"]
 
 
-def mnc_file_name(name: str) -> str:
-    """File name of an MNC's affiliate artifact (``/`` would split the path)."""
-    return f"{name.replace('/', '_')}.csv"
-
-
 def load_hq_list(path) -> list[tuple[str, str]]:
-    """Read ``hq_node_id,mnc_name`` rows.
-
-    Duplicate MNC names are rejected, and so are distinct names that map to
-    the same artifact file name (``a/b`` and ``a_b``).
-    """
+    """Read ``hq_node_id,mnc_name`` rows; a repeated MNC name fails with its line."""
     path = Path(path)
     rows: list[tuple[str, str]] = []
-    names_by_file: dict[str, str] = {}
+    names: set[str] = set()
     for line, row in data_rows(path, HQ_HEADER):
         hq_id, name = row[0].strip(), row[1].strip()
         if not hq_id or not name:
             raise LoadError("empty field", path, line)
-        file_name = mnc_file_name(name)
-        other = names_by_file.get(file_name)
-        if other == name:
+        if name in names:
             raise LoadError(f"duplicate mnc_name {name!r}", path, line)
-        if other is not None:
-            raise LoadError(f"mnc_name {name!r} and {other!r} share the file name {file_name!r}",
-                            path, line)
-        names_by_file[file_name] = name
+        names.add(name)
         rows.append((hq_id, name))
     return rows
 

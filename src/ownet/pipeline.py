@@ -34,7 +34,7 @@ from .graph import (
     write_json,
 )
 from .keyfirms import KEYFIRMS_HEADER, ROLE_NAMES, Role, classify_all
-from .mnc import load_hq_list, mnc_file_name
+from .mnc import load_hq_list
 
 STAGES = ("ingest", "bowtie", "stats", "communities", "extract", "identify", "jurisdiction")
 
@@ -310,19 +310,16 @@ def _get_report(config, state):
     return state["report"]
 
 
-def write_mnc_csvs(report, mnc_dir: Path) -> list[Path]:
-    """One affiliate file (node_id, layer, within-MNC degrees) per classified MNC."""
-    mnc_dir.mkdir(parents=True, exist_ok=True)
+def _affiliate_columns(report) -> list[list]:
+    """MNC name, affiliate id, layer and within-MNC degrees of every report row."""
     ids = report.graph.ids
-    rows = list(zip([ids[a] for a in report.affiliates.tolist()], report.layers.tolist(),
-                    report.k_in.tolist(), report.k_out.tolist()))
-    bounds = report.bounds.tolist()
-    paths = []
-    for name, lo, hi in zip(report.mncs, bounds, bounds[1:]):
-        path = mnc_dir / mnc_file_name(name)
-        write_csv_rows(path, ["node_id", "layer", "k_in", "k_out"], rows[lo:hi])
-        paths.append(path)
-    return paths
+    return [[report.mncs[m] for m in report.row_mnc.tolist()], [ids[a] for a in report.affiliates.tolist()],
+            report.layers.tolist(), report.k_in.tolist(), report.k_out.tolist()]
+
+
+def write_affiliates_csv(report, path) -> None:
+    """``affiliates.csv``: the affiliate columns of ``keyfirms.csv``, one row per (MNC, affiliate)."""
+    write_csv_rows(path, KEYFIRMS_HEADER[:5], zip(*_affiliate_columns(report)))
 
 
 def _fmt_or_blank(values: np.ndarray) -> list[str]:
@@ -330,19 +327,17 @@ def _fmt_or_blank(values: np.ndarray) -> list[str]:
 
 
 def write_keyfirms_csv(report, path) -> None:
-    """``keyfirms.csv``: centralities and role of every classified affiliate."""
-    ids = report.graph.ids
+    """``keyfirms.csv``: the affiliate columns, centralities and role of every classified affiliate."""
     write_csv_rows(path, KEYFIRMS_HEADER, zip(
-        [report.mncs[m] for m in report.row_mnc.tolist()], [ids[a] for a in report.affiliates.tolist()],
-        report.layers.tolist(), report.k_in.tolist(), report.k_out.tolist(), _fmt_or_blank(report.holding),
-        _fmt_or_blank(report.conduit), report.third_country.astype(int).tolist(),
-        [ROLE_NAMES[role] for role in report.roles.tolist()],
+        *_affiliate_columns(report), _fmt_or_blank(report.holding), _fmt_or_blank(report.conduit),
+        report.third_country.astype(int).tolist(), [ROLE_NAMES[role] for role in report.roles.tolist()],
     ))
 
 
 def _stage_extract(config, outdir, manifest, state):
-    for path in write_mnc_csvs(_get_report(config, state), outdir / "mnc"):
-        manifest.add("extract", path)
+    path = outdir / "affiliates.csv"
+    write_affiliates_csv(_get_report(config, state), path)
+    manifest.add("extract", path)
 
 
 def _stage_identify(config, outdir, manifest, state):

@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 
@@ -35,6 +36,11 @@ def lonely_node(paths):
     """A node with no substantial subsidiary: an HQ without affiliates."""
     graph = load_graph(paths["nodes"], paths["edges"])
     return graph.ids[int(np.flatnonzero(np.diff(substantial_view(graph, 10.0).in_indptr) == 0)[0])]
+
+
+def csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
 
 
 class TestPipeline:
@@ -114,7 +120,7 @@ class TestPipeline:
         summary = (out / "mnc_summary.csv").read_text(encoding="utf-8").splitlines()
         assert len(summary) == len(rows)
         assert summary[middle + 1] == f"Lonely,{graph.jurisdiction_of(graph.index_of(lonely))},0,0,0,0"
-        assert (out / "mnc" / "Lonely.csv").read_text(encoding="utf-8") == "node_id,layer,k_in,k_out\n"
+        assert "Lonely" not in {row[0] for row in csv_rows(out / "affiliates.csv")}
 
     def test_one_subtree_per_mnc(self, corpus, tmp_path, monkeypatch):
         import ownet.mnc
@@ -199,7 +205,9 @@ class TestPipeline:
         with pytest.raises(LoadError, match="cache version 2 unsupported"):
             load_cache(old)
         result = CliRunner().invoke(main, ["bowtie", "--graph", str(old), "--out", str(tmp_path / "b.csv")])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert result.stderr == f"bowtie failed: {old}: cache version 2 unsupported (expected 3)\n"
+        assert "Traceback" not in result.output
 
         parses = []
         real = ownet.graph.load_graph
@@ -412,13 +420,13 @@ class TestCliMatchesPipeline:
                        encoding="utf-8")
         out = tmp_path / "out"
         data = verify_manifest(run_pipeline(config_for(paths, out, hqs=hqs)))
-        assert len(data["stages"]["extract"]["artifacts"]) == len(bundle.hq_rows) + 1
+        assert list(data["stages"]["extract"]["artifacts"]) == ["affiliates.csv"]
 
         runner = CliRunner()
         graph = str(out / "graph.npz")
         cli = tmp_path / "cli"
         commands = [
-            ["extract", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "mnc")],
+            ["extract", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "affiliates.csv")],
             ["identify", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "keyfirms.csv")],
             ["jurisdiction", "--graph", graph, "--keyfirms", str(cli / "keyfirms.csv"),
              "--profiles", str(paths["profiles"]), "--hqs", str(hqs), "--out", str(cli)],
@@ -435,15 +443,18 @@ class TestCliMatchesPipeline:
             assert result.exit_code == 0, result.output
             assert skipped.get(args[0], "") in result.stderr
 
-        names = sorted(p.name for p in (out / "mnc").iterdir())
-        assert names == sorted(p.name for p in (cli / "mnc").iterdir())
-        assert len(names) == len(bundle.hq_rows) + 1
+        # affiliates.csv is the first five columns of keyfirms.csv, row for row; the unknown
+        # Ghost gets no row, and neither does Lonely, which has no affiliates
+        affiliates, keyfirms = csv_rows(out / "affiliates.csv"), csv_rows(out / "keyfirms.csv")
+        assert affiliates == [row[:5] for row in keyfirms]
+        assert affiliates[0] == ["mnc", "affiliate_id", "layer", "k_in", "k_out"]
+        assert {row[0] for row in affiliates[1:]} == {name for _, name in bundle.hq_rows}
         # every report but the bow-tie region tally: the CLI has no bow-tie to tally over
         reports = [str(p.relative_to(out)) for p in (out / "reports").rglob("*") if p.is_file()]
         reports.remove("reports/tallies/bowtie_regions.csv")
         assert sorted(reports) == sorted(str(p.relative_to(cli)) for p in (cli / "reports").rglob("*") if p.is_file())
-        compared = [f"mnc/{name}" for name in names] + [
-            "keyfirms.csv", "bowtie.csv", "bowtie_summary.csv", "distances_in.csv",
+        compared = [
+            "affiliates.csv", "keyfirms.csv", "bowtie.csv", "bowtie_summary.csv", "distances_in.csv",
             "communities.csv", "dsizes.csv",
         ] + [f"stats/{name}" for name in ("pk_in.csv", "pk_out.csv", "ck.csv", "knn.csv", "fits.json")] + reports
         for rel in compared:
@@ -453,6 +464,7 @@ class TestCliMatchesPipeline:
 # sha256 of every artifact of the test-10 corpus run (seed 7), taken with numpy 2.4.6
 # and scipy 1.17.1. A declared behaviour change updates these and says so in CHANGES.md.
 PINNED_DIGESTS = {
+    "affiliates.csv": "047db8324369774dbb70c638a4107a39f88ebba06bf67bc6b21f6672345b7873",
     "bowtie.csv": "a0a78bb0afd7e578f1f45f826488c4ff1c669a89d7ff072e85259bd24b8a3854",
     "bowtie_summary.csv": "3a4843d241e64e521a7ee946143d639f92b8c7a67cc22beaea87774df23e011a",
     "communities.csv": "283be2e34c4c4e0b629e586f15614acde26b5be410b93ffdba4204ff724be48b",
@@ -465,14 +477,6 @@ PINNED_DIGESTS = {
     "identify_summary.json": "6c38717c6520c1b12201738f520d34870effd33ab3f7d81cd733b1b1c6ebc2a1",
     "ingest_summary.json": "1dd5304970c5915d3ab63bc682cfe0bbffce57f425c29c764421945b440f271d",
     "keyfirms.csv": "9d892366b402702a603ef6807827987fdcb1acc856442ae8415d860bb6fc522c",
-    "mnc/M1.csv": "163c0117396c90087e23ed7dd2e834777e26623b1fd1033f5417676b84402d55",
-    "mnc/MNC000.csv": "c778e07be0dea31e3a2bb48970432be213c734a43fae5da98adaeb210f88ca3d",
-    "mnc/MNC001.csv": "c95fef4ee377f052d95dc2619563c9b977b19443b53ee641cbbe5d09f1c36b7c",
-    "mnc/MNC002.csv": "44d59df7b88dd58e61d71501691c8060b07b32887c1c6e14f6f3f472f9b2feda",
-    "mnc/MNC003.csv": "d12e07d8d7446b1987d831fedb5dd9db1008cdf18836b036171fa103f3a4a428",
-    "mnc/MNC004.csv": "e3518eca4ec75c11b85ec2951748387ad07def42a9fc86ff98b4ad212546be16",
-    "mnc/MNC005.csv": "52e64f1fad02cb2453029650e07356d1643063262eb22574a10287a71aaea4a9",
-    "mnc/MNC006.csv": "b90d541cb782ecc3d64cc13555bd7d3a43d884ad13b61c77967d1fe5ad38158d",
     "mnc_summary.csv": "313453cb8e7a3bbcbff0851e7aeea9851ea749df27e9402ee664f5fb12541051",
     "reports/chains/conduit_CH.csv": "9ae831f2bbc2ea9dc9287c1ee0577062ff4ffdac1b73f8a852822c76e220a6c2",
     "reports/chains/conduit_CN.csv": "3758f9c50da3a0d02bcda121ea37538fa491b9ceb48fd1a66c2eed0bd9ed3a86",

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ import ownet.mnc
 from conftest import make_graph, out_neighbors, template_graph
 from ownet.errors import GraphError, InvariantError, LoadError
 from ownet.graph import substantial_view
-from ownet.mnc import load_hq_list, subtree_table
+from ownet.keyfirms import classify_all
+from ownet.mnc import HQ_HEADER, load_hq_list, subtree_table
+from ownet.pipeline import write_affiliates_csv, write_keyfirms_csv
 from ownet.synth import random_mnc_template
 from test_keyfirms import ownership_views
 
@@ -209,10 +213,18 @@ class TestHqList:
         with pytest.raises(LoadError, match="duplicate"):
             load_hq_list(path)
 
-    def test_names_sharing_a_file_name(self, tmp_path):
-        # "a/b" and "a_b" would both be written to mnc/a_b.csv
+    def test_names_kept_whole(self, tmp_path):
+        # no artifact is named after an MNC: "a/b" and "a_b" stay apart, "," and '"' are quoted
+        names = ["a/b", "a_b", 'x,"y"']
         path = tmp_path / "hqs.csv"
-        path.write_text("hq_node_id,mnc_name\nn1,a/b\nn2,a_b\n", encoding="utf-8")
-        with pytest.raises(LoadError, match="share the file name") as info:
-            load_hq_list(path)
-        assert info.value.line == 3
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([HQ_HEADER] + [[f"n{i}", name] for i, name in enumerate(names)])
+        hqs = load_hq_list(path)
+        assert hqs == [(f"n{i}", name) for i, name in enumerate(names)]
+
+        report = classify_all(view_of(6, [(3, 0), (4, 1), (5, 2)]), hqs)
+        for writer, file_name in ((write_affiliates_csv, "affiliates.csv"), (write_keyfirms_csv, "keyfirms.csv")):
+            writer(report, tmp_path / file_name)
+            with open(tmp_path / file_name, encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+            assert [row[:2] for row in rows] == [[name, f"n{i + 3}"] for i, name in enumerate(names)], file_name
