@@ -9,11 +9,10 @@ import click
 
 from . import components as comp
 from . import pipeline as pl
-from .community import detect_communities
 from .errors import OwnetError
 from .graph import load_cache, load_or_build, save_cache, substantial_view
-from .jurisdiction import load_edge_values, load_profiles
-from .keyfirms import classify_all, load_keyfirms_csv
+from .jurisdiction import load_edge_values
+from .keyfirms import load_keyfirms_csv
 from .mnc import load_hq_list
 from .synth import SynthSpec, build_corpus, write_corpus
 
@@ -64,19 +63,25 @@ def ingest(nodes, edges, out):
     click.echo(f"cache written: {target}")
 
 
+def _stage_inputs(graph_path: str, outdir: str, **params):
+    """The config and state of one stage subcommand: its options, and ``--graph`` loaded as the graph."""
+    config = pl.RunConfig(nodes=None, edges=None, outdir=Path(outdir), **params)
+    return config, {"graph": _load(graph_path)}
+
+
+_OUT = click.option("--out", "outdir", default=".", show_default=True,
+                    help="Directory that receives the stage's files, as `ownet run` writes them.")
+
+
 @main.command()
 @click.option("--graph", "graph_path", required=True)
-@click.option("--out", default="bowtie.csv", show_default=True)
-@click.option("--summary", default=None, help="Also write the region-size summary CSV here.")
-def bowtie(graph_path, out, summary):
+@_OUT
+def bowtie(graph_path, outdir):
     """Bow-tie decomposition of the giant weakly connected component."""
-    graph = _load(graph_path)
-    result = comp.bowtie_decompose(graph)
-    pl.write_bowtie_csv(graph, result, out)
-    for name, count, ratio in result.summary_rows():
+    config, state = _stage_inputs(graph_path, outdir)
+    pl.run_stage("bowtie", config, state)
+    for name, count, ratio in state["bowtie"].summary_rows():
         click.echo(f"{name:>5}  {count:>12}  {ratio}")
-    if summary:
-        pl.write_bowtie_summary_csv(result, summary)
 
 
 @main.command()
@@ -96,26 +101,26 @@ def distances(graph_path, direction, out, reverse_orientation):
 
 @main.command()
 @click.option("--graph", "graph_path", required=True)
-@click.option("--out", "outdir", default="stats", show_default=True)
+@_OUT
 @click.option("--bin-ratio", default=2.0, show_default=True)
 def stats(graph_path, outdir, bin_ratio):
     """Degree distributions, exponent fits, clustering, and k_nn curves."""
-    stats_dir = Path(outdir) / "stats"
-    pl.write_stats(_load(graph_path), stats_dir, bin_ratio)
-    click.echo(f"stats written under {stats_dir}")
+    config, state = _stage_inputs(graph_path, outdir, bin_ratio=bin_ratio)
+    pl.run_stage("stats", config, state)
+    click.echo(f"stats written under {Path(outdir) / 'stats'}")
 
 
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="communities.csv", show_default=True)
-@click.option("--scope", type=click.Choice(["gwcc", "full"]), default="gwcc", show_default=True)
+@_OUT
+@click.option("--scope", type=click.Choice(pl.COMMUNITY_SCOPES), default="gwcc", show_default=True)
 @click.option("--damping", default=0.85, show_default=True)
-def communities(graph_path, seed, out, scope, damping):
+def communities(graph_path, seed, outdir, scope, damping):
     """Two-level map-equation communities and their size distribution."""
-    graph = pl.community_scope(_load(graph_path), scope)
-    partition = detect_communities(graph, seed=seed, damping=damping)
-    pl.write_community_csvs(graph, partition, out, Path(out).parent / "dsizes.csv")
+    config, state = _stage_inputs(graph_path, outdir, seed=seed, communities_scope=scope, damping=damping)
+    pl.run_stage("communities", config, state)
+    partition = state["partition"]
     click.echo(f"{partition.n_communities} communities, codelength {partition.codelength:.6f} bits")
 
 
@@ -123,26 +128,27 @@ def communities(graph_path, seed, out, scope, damping):
 @click.option("--graph", "graph_path", required=True)
 @click.option("--hqs", required=True, type=click.Path(exists=True))
 @click.option("--threshold", default=10.0, show_default=True)
-@click.option("--out", default="affiliates.csv", show_default=True)
-def extract(graph_path, hqs, threshold, out):
+@_OUT
+def extract(graph_path, hqs, threshold, outdir):
     """Affiliates of every listed MNC (layer, within-MNC degrees) in one CSV."""
-    report = classify_all(substantial_view(_load(graph_path), threshold), load_hq_list(hqs))
+    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, threshold=threshold)
+    [path] = pl.run_stage("extract", config, state)
+    report = state["report"]
     for name, reason in report.failures:
         click.echo(f"skipping {name}: {reason}", err=True)
-    pl.write_affiliates_csv(report, out)
-    click.echo(f"{out}: {report.n_affiliates} affiliates of {len(report.mncs)} MNCs")
+    click.echo(f"{path}: {report.n_affiliates} affiliates of {len(report.mncs)} MNCs")
 
 
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @click.option("--hqs", required=True, type=click.Path(exists=True))
 @click.option("--threshold", default=10.0, show_default=True)
-@click.option("--out", default="keyfirms.csv", show_default=True)
-def identify(graph_path, hqs, threshold, out):
+@_OUT
+def identify(graph_path, hqs, threshold, outdir):
     """Hierarchical key-company identification for every listed MNC."""
-    view = substantial_view(_load(graph_path), threshold)
-    report = classify_all(view, load_hq_list(hqs))
-    pl.write_keyfirms_csv(report, out)
+    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, threshold=threshold)
+    pl.run_stage("identify", config, state)
+    report = state["report"]
     click.echo(f"tallies: {report.tallies}")
     for name, reason in report.failures:
         click.echo(f"failed {name}: {reason}", err=True)
@@ -157,17 +163,18 @@ def identify(graph_path, hqs, threshold, out):
 @click.option("--values", "values_path", default=None, type=click.Path(exists=True),
               help="Per-edge value CSV; switches flows from link counts to value mode.")
 @click.option("--threshold", default=10.0, show_default=True)
-@click.option("--out", "outdir", default="reports", show_default=True)
+@_OUT
 def jurisdiction(graph_path, keyfirms_path, profiles, hqs, values_path, threshold, outdir):
     """Jurisdiction centralities, tallies, chains, and regressions."""
-    graph = _load(graph_path)
-    view = substantial_view(graph, threshold)
+    config, state = _stage_inputs(graph_path, outdir, profiles=profiles, threshold=threshold)
+    graph = state["graph"]
     hq_map = dict((name, hq) for hq, name in load_hq_list(hqs)) if hqs else None
-    report = load_keyfirms_csv(keyfirms_path, graph, hq_map)
-    edge_values = load_edge_values(values_path, view) if values_path else None
-    reports_dir = Path(outdir) / "reports"
-    pl.write_jurisdiction_reports(view, report, load_profiles(profiles), reports_dir, edge_values, None)
-    click.echo(f"jurisdiction reports under {reports_dir}")
+    state["report"] = load_keyfirms_csv(keyfirms_path, graph, hq_map)
+    if values_path:
+        state["view"] = substantial_view(graph, threshold)
+        state["edge_values"] = load_edge_values(values_path, state["view"])
+    pl.run_stage("jurisdiction", config, state)
+    click.echo(f"jurisdiction reports under {Path(outdir) / 'reports'}")
 
 
 @main.command()
@@ -200,7 +207,7 @@ def run(config_path):
 def report(manifest_path, outdir):
     """Verify artifact hashes and write the human-readable summary."""
     target = pl.write_report(manifest_path, outdir)
-    click.echo(target.read_text(), nl=False)
+    click.echo(target.read_text(encoding="utf-8"), nl=False)
     click.echo(f"summary: {target}")
 
 

@@ -159,7 +159,6 @@ class CentralityScores:
     scores: dict[str, float]
     flagged: list[str]
     skipped: list[str]
-    threshold: float
 
 
 def _gdp_normalised(values: dict[str, float], total: float, profiles: dict[str, JurisdictionProfile],
@@ -179,7 +178,7 @@ def _gdp_normalised(values: dict[str, float], total: float, profiles: dict[str, 
             continue
         scores[code] = values[code] / total * (gdp_sum / gdp[code])
     flagged = [c for c, s in scores.items() if s > threshold]
-    return CentralityScores(scores, flagged, skipped, threshold)
+    return CentralityScores(scores, flagged, skipped)
 
 
 def sink_centrality(flows: FlowAggregate, profiles: dict[str, JurisdictionProfile]) -> CentralityScores:

@@ -3,9 +3,10 @@
 Stages run in dependency order and write their artifacts under the output
 directory; ``manifest.json`` records every artifact with a sha256 content
 hash. Outputs carry no timestamps, so identical inputs and seeds reproduce
-identical bytes. The CLI subcommands call the same public helpers
-(``community_scope`` and the ``write_*`` functions) as the stages, so both
-emit the same bytes.
+identical bytes. Each stage function computes and writes all of its
+artifacts and returns their paths in manifest order; ``run_stage`` runs one,
+for ``run_pipeline`` and for the CLI's stage subcommands alike, so both emit
+the same files with the same bytes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ STAGES = ("ingest", "bowtie", "stats", "communities", "extract", "identify", "ju
 
 MANIFEST_VERSION = 1
 
+COMMUNITY_SCOPES = ("gwcc", "full")
+
 
 @dataclass
 class RunConfig:
@@ -58,21 +61,36 @@ class RunConfig:
     communities_scope: str = "gwcc"
     cache: Path | None = None
 
+    def __post_init__(self):
+        """Reject a parameter no stage can use, so a bad value fails before any stage runs."""
+        rules = (
+            ("threshold", 0 < self.threshold <= 100, "in (0, 100]"),
+            ("damping", 0 < self.damping < 1, "in (0, 1)"),
+            ("bin_ratio", self.bin_ratio > 1, "> 1"),
+            ("communities_scope", self.communities_scope in COMMUNITY_SCOPES, " or ".join(COMMUNITY_SCOPES)),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise PipelineError(f"bad parameter: {name} must be {rule}, got {getattr(self, name)!r}")
+
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+            raise PipelineError(f"bad config: {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise PipelineError(f"bad config: {path}: expected a JSON object, got {type(raw).__name__}")
         base = Path(path).parent
         paths = {}
-        for key in ("nodes", "edges", "outdir", "hqs", "profiles", "cache"):
-            if raw.get(key) is not None:
-                value = Path(raw.pop(key))
-                paths[key] = value if value.is_absolute() else base / value
-            elif key in raw:
-                raw.pop(key)
-        if "stages" in raw:
-            raw["stages"] = tuple(raw["stages"])
         try:
+            for key in ("nodes", "edges", "outdir", "hqs", "profiles", "cache"):
+                value = raw.pop(key, None)
+                if value is not None:
+                    paths[key] = base / value  # an absolute path replaces the base
+            if "stages" in raw:
+                raw["stages"] = tuple(raw["stages"])
             return cls(**raw, **paths)
         except TypeError as exc:
             raise PipelineError(f"bad config: {exc}") from exc
@@ -140,7 +158,8 @@ def run_pipeline(config: RunConfig) -> Path:
     try:
         for stage in STAGES:
             if stage in config.stages:
-                _STAGE_FUNCS[stage](config, outdir, manifest, state)
+                for path in run_stage(stage, config, state):
+                    manifest.add(stage, path)
     except OwnetError:
         manifest.finish("failed")
         raise
@@ -148,6 +167,17 @@ def run_pipeline(config: RunConfig) -> Path:
         manifest.finish("failed")
         raise PipelineError(f"stage failure: {exc}") from exc
     return manifest.finish("ok")
+
+
+def run_stage(stage: str, config: RunConfig, state: dict) -> list[Path]:
+    """Run one stage into ``config.outdir``; returns its artifacts' paths in manifest order.
+
+    A stage computes what ``state`` lacks (``graph``, ``view``, ``report``, ...)
+    and keeps it there for later stages; a caller may seed any of it instead.
+    """
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return _STAGE_FUNCS[stage](config, outdir, state)
 
 
 def _cache_path(config: RunConfig) -> Path:
@@ -160,27 +190,14 @@ def _get_graph(config: RunConfig, state: dict) -> OwnershipGraph:
     return state["graph"]
 
 
-def _stage_ingest(config, outdir, manifest, state):
+def _stage_ingest(config, outdir, state):
     graph = _get_graph(config, state)
     cache = _cache_path(config)
     if state["digests"] is not None:  # parsed from the CSVs: the cache was absent or stale
         save_cache(graph, cache, state["digests"])
-    if cache.is_relative_to(outdir):
-        manifest.add("ingest", cache)
     summary = outdir / "ingest_summary.json"
     write_json(summary, {"nodes": graph.n_nodes, "edges": graph.n_edges, "counters": graph.ingest_counters})
-    manifest.add("ingest", summary)
-
-
-def write_bowtie_csv(graph: OwnershipGraph, bowtie, path) -> None:
-    """``bowtie.csv``: the bow-tie region of every node."""
-    names = list(map(comp.REGION_NAMES.__getitem__, bowtie.region.tolist()))
-    write_id_value_csv(path, ["node_id", "region"], graph.ids, names)
-
-
-def write_bowtie_summary_csv(bowtie, path) -> None:
-    """``bowtie_summary.csv``: the size and share of every bow-tie region."""
-    write_csv_rows(path, ["component", "companies", "ratio"], bowtie.summary_rows())
+    return [cache, summary] if cache.is_relative_to(outdir) else [summary]
 
 
 def write_distances_csv(hist, path) -> None:
@@ -191,28 +208,20 @@ def write_distances_csv(hist, path) -> None:
     )
 
 
-def _stage_bowtie(config, outdir, manifest, state):
+def _stage_bowtie(config, outdir, state):
     graph = _get_graph(config, state)
-    bowtie = comp.bowtie_decompose(graph)
-    state["bowtie"] = bowtie
+    bowtie = state["bowtie"] = comp.bowtie_decompose(graph)
+    paths = [outdir / name for name in
+             ("bowtie.csv", "bowtie_summary.csv", "distances_in.csv", "distances_out.csv", "component_sizes.csv")]
+    regions, summary, dist_in, dist_out, sizes = paths
 
-    path = outdir / "bowtie.csv"
-    write_bowtie_csv(graph, bowtie, path)
-    manifest.add("bowtie", path)
-
-    path = outdir / "bowtie_summary.csv"
-    write_bowtie_summary_csv(bowtie, path)
-    manifest.add("bowtie", path)
-
-    for direction in ("in", "out"):
-        path = outdir / f"distances_{direction}.csv"
-        write_distances_csv(comp.distance_distribution(bowtie, direction), path)
-        manifest.add("bowtie", path)
-
-    hist = comp.component_size_histogram(bowtie.weak)
-    path = outdir / "component_sizes.csv"
-    write_csv_rows(path, ["size", "count"], sorted(hist.items()))
-    manifest.add("bowtie", path)
+    write_id_value_csv(regions, ["node_id", "region"], graph.ids,
+                       list(map(comp.REGION_NAMES.__getitem__, bowtie.region.tolist())))
+    write_csv_rows(summary, ["component", "companies", "ratio"], bowtie.summary_rows())
+    write_distances_csv(comp.distance_distribution(bowtie, "in"), dist_in)
+    write_distances_csv(comp.distance_distribution(bowtie, "out"), dist_out)
+    write_csv_rows(sizes, ["size", "count"], sorted(comp.component_size_histogram(bowtie.weak).items()))
+    return paths
 
 
 def _fmt_bins(hist) -> list[tuple[str, str, int, str]]:
@@ -223,13 +232,15 @@ def _fmt_curve(curve) -> list[tuple[int, str, int]]:
     return [(int(k), _fmt(v), int(c)) for k, v, c in zip(curve.degrees, curve.values, curve.counts)]
 
 
-def write_stats(graph: OwnershipGraph, stats_dir: Path, bin_ratio: float) -> list[Path]:
+def _stage_stats(config, outdir, state):
     """``stats/``: degree histograms, exponent fits, clustering and k_nn curves."""
-    stats_dir.mkdir(parents=True, exist_ok=True)
+    graph = _get_graph(config, state)
+    stats_dir = outdir / "stats"
+    stats_dir.mkdir(exist_ok=True)
     paths = []
     fits = {}
     for direction in ("in", "out"):
-        hist = netstats.degree_histogram(graph, direction, bin_ratio)
+        hist = netstats.degree_histogram(graph, direction, config.bin_ratio)
         path = stats_dir / f"pk_{direction}.csv"
         write_csv_rows(path, ["bin_lo", "bin_hi", "count", "density"], _fmt_bins(hist))
         paths.append(path)
@@ -243,7 +254,7 @@ def write_stats(graph: OwnershipGraph, stats_dir: Path, bin_ratio: float) -> lis
                 "n_tail": fit.n_tail,
                 "loglik": fit.loglik,
                 "ks": fit.ks,
-                "binned_slope": netstats.binned_fit_slope(deg, bin_ratio),
+                "binned_slope": netstats.binned_fit_slope(deg, config.bin_ratio),
             }
         except FitError as exc:
             fits[direction] = {"error": str(exc)}
@@ -263,39 +274,27 @@ def write_stats(graph: OwnershipGraph, stats_dir: Path, bin_ratio: float) -> lis
     return paths
 
 
-def _stage_stats(config, outdir, manifest, state):
-    for path in write_stats(_get_graph(config, state), outdir / "stats", config.bin_ratio):
-        manifest.add("stats", path)
-
-
 def community_scope(graph: OwnershipGraph, scope: str) -> OwnershipGraph:
-    """The graph communities are detected on: the GWCC for ``"gwcc"``, else all of it."""
-    if scope != "gwcc":
+    """The graph communities are detected on: the GWCC for ``"gwcc"``, all of it for ``"full"``."""
+    if scope == "full":
         return graph
     weak = comp.weak_components(graph)
     keep = np.flatnonzero(weak.labels == weak.largest)
     return induced_subgraph(graph, [graph.ids[i] for i in keep])
 
 
-def write_community_csvs(scope: OwnershipGraph, partition, path, dsizes_path, bin_ratio: float = 2.0) -> None:
-    """``communities.csv`` (node -> community) and ``dsizes.csv`` (log-binned sizes)."""
-    write_id_value_csv(path, ["node_id", "community_id"], scope.ids, partition.labels.tolist())
-    hist = community_size_histogram(partition, bin_ratio=bin_ratio)
-    write_csv_rows(dsizes_path, ["size_lo", "size_hi", "count", "density"], _fmt_bins(hist))
-
-
-def _stage_communities(config, outdir, manifest, state):
+def _stage_communities(config, outdir, state):
     scope = community_scope(_get_graph(config, state), config.communities_scope)
-    partition = detect_communities(scope, seed=config.seed, damping=config.damping)
-    path, dsizes = outdir / "communities.csv", outdir / "dsizes.csv"
-    write_community_csvs(scope, partition, path, dsizes, config.bin_ratio)
-    manifest.add("communities", path)
-    manifest.add("communities", dsizes)
+    partition = state["partition"] = detect_communities(scope, seed=config.seed, damping=config.damping)
+    paths = [outdir / "communities.csv", outdir / "dsizes.csv", outdir / "communities_summary.json"]
+    labels, dsizes, summary = paths
 
-    path = outdir / "communities_summary.json"
-    write_json(path, {"communities": partition.n_communities, "codelength": partition.codelength,
-                      "scope": config.communities_scope})
-    manifest.add("communities", path)
+    write_id_value_csv(labels, ["node_id", "community_id"], scope.ids, partition.labels.tolist())
+    hist = community_size_histogram(partition, bin_ratio=config.bin_ratio)
+    write_csv_rows(dsizes, ["size_lo", "size_hi", "count", "density"], _fmt_bins(hist))
+    write_json(summary, {"communities": partition.n_communities, "codelength": partition.codelength,
+                         "scope": config.communities_scope})
+    return paths
 
 
 def _get_view(config, state):
@@ -317,37 +316,28 @@ def _affiliate_columns(report) -> list[list]:
             report.layers.tolist(), report.k_in.tolist(), report.k_out.tolist()]
 
 
-def write_affiliates_csv(report, path) -> None:
+def _stage_extract(config, outdir, state):
     """``affiliates.csv``: the affiliate columns of ``keyfirms.csv``, one row per (MNC, affiliate)."""
-    write_csv_rows(path, KEYFIRMS_HEADER[:5], zip(*_affiliate_columns(report)))
+    path = outdir / "affiliates.csv"
+    write_csv_rows(path, KEYFIRMS_HEADER[:5], zip(*_affiliate_columns(_get_report(config, state))))
+    return [path]
 
 
 def _fmt_or_blank(values: np.ndarray) -> list[str]:
     return ["" if math.isnan(v) else _fmt(v) for v in values.tolist()]
 
 
-def write_keyfirms_csv(report, path) -> None:
-    """``keyfirms.csv``: the affiliate columns, centralities and role of every classified affiliate."""
-    write_csv_rows(path, KEYFIRMS_HEADER, zip(
+def _stage_identify(config, outdir, state):
+    report = _get_report(config, state)
+    paths = [outdir / "keyfirms.csv", outdir / "mnc_summary.csv", outdir / "identify_summary.json"]
+    keyfirms, mnc_summary, summary = paths
+
+    # the affiliate columns, centralities and role of every classified affiliate
+    write_csv_rows(keyfirms, KEYFIRMS_HEADER, zip(
         *_affiliate_columns(report), _fmt_or_blank(report.holding), _fmt_or_blank(report.conduit),
         report.third_country.astype(int).tolist(), [ROLE_NAMES[role] for role in report.roles.tolist()],
     ))
 
-
-def _stage_extract(config, outdir, manifest, state):
-    path = outdir / "affiliates.csv"
-    write_affiliates_csv(_get_report(config, state), path)
-    manifest.add("extract", path)
-
-
-def _stage_identify(config, outdir, manifest, state):
-    report = _get_report(config, state)
-
-    path = outdir / "keyfirms.csv"
-    write_keyfirms_csv(report, path)
-    manifest.add("identify", path)
-
-    path = outdir / "mnc_summary.csv"
     n_roles = len(ROLE_NAMES)
     counts = np.bincount(report.row_mnc * n_roles + report.roles,
                          minlength=len(report.mncs) * n_roles).reshape(-1, n_roles)
@@ -355,22 +345,24 @@ def _stage_identify(config, outdir, manifest, state):
     rows = zip(report.mncs, [report.graph.jurisdiction_of(hq) for hq in report.hqs.tolist()],
                np.diff(report.bounds).tolist(), *counts[:, key_roles].T.tolist())
     write_csv_rows(
-        path, ["mnc", "hq_jurisdiction", "affiliates", "holding", "holding_and_conduit", "conduit"], rows
+        mnc_summary, ["mnc", "hq_jurisdiction", "affiliates", "holding", "holding_and_conduit", "conduit"], rows
     )
-    manifest.add("identify", path)
 
-    path = outdir / "identify_summary.json"
-    write_json(path, {"tallies": report.tallies, "affiliates": report.n_affiliates,
-                      "failures": report.failures})
-    manifest.add("identify", path)
+    write_json(summary, {"tallies": report.tallies, "affiliates": report.n_affiliates,
+                         "failures": report.failures})
+    return paths
 
 
-def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_values, bowtie) -> list[Path]:
+def _stage_jurisdiction(config, outdir, state):
     """``reports/``: sink/conduit scores, tallies, chains, HQ tables, regressions.
 
-    ``edge_values`` switches flows to value mode; ``bowtie`` (may be None)
-    adds the bow-tie region tally.
+    ``state["edge_values"]`` (if set) switches flows to value mode; a bow-tie
+    computed in the same run adds the bow-tie region tally.
     """
+    view, report = _get_view(config, state), _get_report(config, state)
+    profiles = jur.load_profiles(config.profiles)
+    edge_values, bowtie = state.get("edge_values"), state.get("bowtie")
+    reports_dir = outdir / "reports"
     paths = []
     (reports_dir / "tallies").mkdir(parents=True, exist_ok=True)
     (reports_dir / "chains").mkdir(exist_ok=True)
@@ -466,15 +458,6 @@ def write_jurisdiction_reports(view, report, profiles, reports_dir: Path, edge_v
     return paths
 
 
-def _stage_jurisdiction(config, outdir, manifest, state):
-    paths = write_jurisdiction_reports(
-        _get_view(config, state), _get_report(config, state), jur.load_profiles(config.profiles),
-        outdir / "reports", None, state.get("bowtie"),
-    )
-    for path in paths:
-        manifest.add("jurisdiction", path)
-
-
 _STAGE_FUNCS = {
     "ingest": _stage_ingest,
     "bowtie": _stage_bowtie,
@@ -523,14 +506,14 @@ def write_report(manifest_path, report_dir=None) -> Path:
     summary = outdir / "bowtie_summary.csv"
     if summary.exists():
         lines.append("bow-tie structure (component, companies, ratio %):")
-        lines.extend("  " + line for line in summary.read_text().splitlines()[1:])
+        lines.extend("  " + line for line in summary.read_text(encoding="utf-8").splitlines()[1:])
         lines.append("")
         for direction in ("in", "out"):
             dist = outdir / f"distances_{direction}.csv"
             if dist.exists():
                 label = "IN -> GSCC" if direction == "in" else "GSCC -> OUT"
                 lines.append(f"shortest distances {label} (distance, count, ratio):")
-                lines.extend("  " + line for line in dist.read_text().splitlines()[1:])
+                lines.extend("  " + line for line in dist.read_text(encoding="utf-8").splitlines()[1:])
                 lines.append("")
 
     identify = outdir / "identify_summary.json"
@@ -546,7 +529,7 @@ def write_report(manifest_path, report_dir=None) -> Path:
     mnc_summary = outdir / "mnc_summary.csv"
     if mnc_summary.exists():
         lines.append("per-MNC key companies (mnc, hq, affiliates, holding, h&c, conduit):")
-        lines.extend("  " + line for line in mnc_summary.read_text().splitlines()[1:])
+        lines.extend("  " + line for line in mnc_summary.read_text(encoding="utf-8").splitlines()[1:])
         lines.append("")
 
     regression = outdir / "reports" / "regression.json"

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import zeta
 
-from .errors import GraphError
+from .errors import GraphError, LoadError
 from .graph import (
     NA_JURISDICTION,
     EDGE_HEADER,
@@ -368,14 +368,20 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        for key in ("affiliates_range", "noise_pct"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        spec = cls(**raw)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+            raise LoadError(f"bad spec: {exc}", path) from exc
+        try:
+            for key in ("affiliates_range", "noise_pct"):
+                if key in raw:
+                    raw[key] = tuple(raw[key])
+            spec = cls(**raw)
+        except TypeError as exc:  # an unknown key, a non-object or a non-list range
+            raise LoadError(f"bad spec: {exc}", path) from exc
         if spec.target_region not in ("IN", "TE"):
-            raise ValueError(f"target_region must be IN or TE, got {spec.target_region!r}")
+            raise LoadError(f"bad spec: target_region must be IN or TE, got {spec.target_region!r}", path)
         return spec
 
 
@@ -386,7 +392,6 @@ class CorpusBundle:
     hq_rows: list[tuple[str, str]]
     profile_rows: list[tuple[str, str, str, str, str]]
     truth: dict[str, dict[str, str]]
-    templates: list[MncTemplate]
     target_region: str
 
 
@@ -496,7 +501,6 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
         hq_rows=hq_rows,
         profile_rows=profile_rows,
         truth=truth,
-        templates=templates,
         target_region=spec.target_region,
     )
 

@@ -5,6 +5,7 @@ import pytest
 
 from ownet.graph import NodeRecord, OwnershipEdge, build_graph, substantial_view, write_json
 from ownet.mnc import subtree_table
+from ownet.pipeline import RunConfig, run_stage
 from ownet.synth import toy_m1_template
 
 
@@ -31,6 +32,11 @@ def template_graph(template):
 
 def spec_to_json(spec, path):
     write_json(path, dataclasses.asdict(spec))
+
+
+def run_report_stage(stage, report, outdir):
+    """Run the pipeline's ``stage`` on a given key-firm report; returns the paths it wrote."""
+    return run_stage(stage, RunConfig(nodes=None, edges=None, outdir=outdir), {"report": report})
 
 
 def out_neighbors(adjacency, u):

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ownet
 from conftest import spec_to_json
 from ownet.cli import main
 from ownet.errors import LoadError, PipelineError
@@ -204,7 +209,7 @@ class TestPipeline:
 
         with pytest.raises(LoadError, match="cache version 2 unsupported"):
             load_cache(old)
-        result = CliRunner().invoke(main, ["bowtie", "--graph", str(old), "--out", str(tmp_path / "b.csv")])
+        result = CliRunner().invoke(main, ["bowtie", "--graph", str(old), "--out", str(tmp_path / "b")])
         assert result.exit_code == 1
         assert result.stderr == f"bowtie failed: {old}: cache version 2 unsupported (expected 3)\n"
         assert "Traceback" not in result.output
@@ -331,13 +336,13 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
 
-        result = runner.invoke(
-            main,
-            ["bowtie", "--graph", str(tmp_path / "g.npz"), "--out", str(tmp_path / "bowtie.csv"),
-             "--summary", str(tmp_path / "summary.csv")],
-        )
+        bowtie = tmp_path / "bowtie"
+        result = runner.invoke(main, ["bowtie", "--graph", str(tmp_path / "g.npz"), "--out", str(bowtie)])
         assert result.exit_code == 0, result.output
-        header = (tmp_path / "bowtie.csv").read_text().splitlines()[0]
+        assert sorted(p.name for p in bowtie.iterdir()) == [
+            "bowtie.csv", "bowtie_summary.csv", "component_sizes.csv", "distances_in.csv", "distances_out.csv",
+        ]
+        header = (bowtie / "bowtie.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "node_id,region"
 
         result = runner.invoke(
@@ -346,7 +351,9 @@ class TestCli:
              "--out", str(tmp_path / "din.csv")],
         )
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "din.csv").read_text().splitlines()[0] == "distance,count,ratio"
+        assert (tmp_path / "din.csv").read_text(encoding="utf-8").splitlines()[0] == "distance,count,ratio"
+        # one writer: the distances subcommand emits the bow-tie stage's bytes
+        assert (tmp_path / "din.csv").read_bytes() == (bowtie / "distances_in.csv").read_bytes()
 
     def test_empty_keyfirms_emits_zero_row_tables(self, tmp_path):
         runner = CliRunner()
@@ -382,19 +389,39 @@ class TestCli:
         result = runner.invoke(
             main,
             ["identify", "--graph", str(tmp_path / "g.npz"), "--hqs", str(paths["hqs"]),
-             "--out", str(tmp_path / "keyfirms.csv")],
+             "--out", str(tmp_path / "id")],
         )
         assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (tmp_path / "id").iterdir()) == [
+            "identify_summary.json", "keyfirms.csv", "mnc_summary.csv",
+        ]
         result = runner.invoke(
             main,
             ["jurisdiction", "--graph", str(tmp_path / "g.npz"),
-             "--keyfirms", str(tmp_path / "keyfirms.csv"),
+             "--keyfirms", str(tmp_path / "id" / "keyfirms.csv"),
              "--profiles", str(paths["profiles"]), "--hqs", str(paths["hqs"]),
              "--out", str(tmp_path / "rep")],
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "rep" / "reports" / "sink.csv").exists()
         assert (tmp_path / "rep" / "reports" / "regression.json").exists()
+
+        # value mode: a value of 1 on every substantial edge gives the link-count scores, other values do not
+        view = substantial_view(load_graph(paths["nodes"], paths["edges"]), 10.0)
+        ids, edges = view.graph.ids, list(zip(view.src.tolist(), view.dst.tolist()))
+        for weights, same in ((lambda i: 1, True), (lambda i: 1 + 2 * (i % 2), False)):
+            values = tmp_path / "values.csv"
+            values.write_text("subsidiary_id,shareholder_id,value\n" + "".join(
+                f"{ids[s]},{ids[d]},{weights(i)}\n" for i, (s, d) in enumerate(edges)), encoding="utf-8")
+            result = runner.invoke(
+                main,
+                ["jurisdiction", "--graph", str(tmp_path / "g.npz"),
+                 "--keyfirms", str(tmp_path / "id" / "keyfirms.csv"), "--profiles", str(paths["profiles"]),
+                 "--values", str(values), "--out", str(tmp_path / "valued")],
+            )
+            assert result.exit_code == 0, result.output
+            valued = (tmp_path / "valued" / "reports" / "sink.csv").read_bytes()
+            assert (valued == (tmp_path / "rep" / "reports" / "sink.csv").read_bytes()) is same
 
 
     def test_global_degrees_flag_removed(self, corpus, tmp_path):
@@ -403,7 +430,7 @@ class TestCli:
         graph = str(tmp_path / "g.npz")
         assert runner.invoke(main, ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
                                     "--out", graph]).exit_code == 0
-        args = ["identify", "--graph", graph, "--hqs", str(paths["hqs"]), "--out", str(tmp_path / "k.csv")]
+        args = ["identify", "--graph", graph, "--hqs", str(paths["hqs"]), "--out", str(tmp_path / "k")]
         assert runner.invoke(main, args).exit_code == 0
         result = runner.invoke(main, args + ["--global-degrees"])
         assert result.exit_code == 2
@@ -424,24 +451,30 @@ class TestCliMatchesPipeline:
 
         runner = CliRunner()
         graph = str(out / "graph.npz")
-        cli = tmp_path / "cli"
-        commands = [
-            ["extract", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "affiliates.csv")],
-            ["identify", "--graph", graph, "--hqs", str(hqs), "--out", str(cli / "keyfirms.csv")],
-            ["jurisdiction", "--graph", graph, "--keyfirms", str(cli / "keyfirms.csv"),
-             "--profiles", str(paths["profiles"]), "--hqs", str(hqs), "--out", str(cli)],
-            ["bowtie", "--graph", graph, "--out", str(cli / "bowtie.csv"),
-             "--summary", str(cli / "bowtie_summary.csv")],
-            ["distances", "--graph", graph, "--direction", "in", "--out", str(cli / "distances_in.csv")],
-            ["communities", "--graph", graph, "--out", str(cli / "communities.csv")],
-            ["stats", "--graph", graph, "--out", str(cli)],
-        ]
+        # each subcommand writes into a fresh directory; jurisdiction reads identify's keyfirms.csv
+        options = {
+            "bowtie": [],
+            "stats": [],
+            "communities": [],
+            "extract": ["--hqs", str(hqs)],
+            "identify": ["--hqs", str(hqs)],
+            "jurisdiction": ["--keyfirms", str(tmp_path / "identify" / "keyfirms.csv"),
+                             "--profiles", str(paths["profiles"]), "--hqs", str(hqs)],
+        }
         skipped = {"extract": "skipping Ghost: ", "identify": "failed Ghost: "}
-        cli.mkdir()
-        for args in commands:
-            result = runner.invoke(main, args)
+        for stage, extra in options.items():
+            cli = tmp_path / stage
+            result = runner.invoke(main, [stage, "--graph", graph, *extra, "--out", str(cli)])
             assert result.exit_code == 0, result.output
-            assert skipped.get(args[0], "") in result.stderr
+            assert skipped.get(stage, "") in result.stderr
+            written = sorted(str(p.relative_to(cli)) for p in cli.rglob("*") if p.is_file())
+            expected = sorted(data["stages"][stage]["artifacts"])
+            if stage == "jurisdiction":
+                # the stage tallies bow-tie regions only over a bow-tie computed in the same run
+                expected.remove("reports/tallies/bowtie_regions.csv")
+            assert written == expected, stage
+            for rel in written:
+                assert (cli / rel).read_bytes() == (out / rel).read_bytes(), rel
 
         # affiliates.csv is the first five columns of keyfirms.csv, row for row; the unknown
         # Ghost gets no row, and neither does Lonely, which has no affiliates
@@ -449,16 +482,70 @@ class TestCliMatchesPipeline:
         assert affiliates == [row[:5] for row in keyfirms]
         assert affiliates[0] == ["mnc", "affiliate_id", "layer", "k_in", "k_out"]
         assert {row[0] for row in affiliates[1:]} == {name for _, name in bundle.hq_rows}
-        # every report but the bow-tie region tally: the CLI has no bow-tie to tally over
-        reports = [str(p.relative_to(out)) for p in (out / "reports").rglob("*") if p.is_file()]
-        reports.remove("reports/tallies/bowtie_regions.csv")
-        assert sorted(reports) == sorted(str(p.relative_to(cli)) for p in (cli / "reports").rglob("*") if p.is_file())
-        compared = [
-            "affiliates.csv", "keyfirms.csv", "bowtie.csv", "bowtie_summary.csv", "distances_in.csv",
-            "communities.csv", "dsizes.csv",
-        ] + [f"stats/{name}" for name in ("pk_in.csv", "pk_out.csv", "ck.csv", "knn.csv", "fits.json")] + reports
-        for rel in compared:
-            assert (cli / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("command, text, reason", [
+        ("run", '{"nodes": "n.csv",', "bad config: "),
+        ("run", '["nodes.csv"]', "bad config: .*expected a JSON object, got list"),
+        ("synth", '{"seed": 1, "n_nodes": 5}', "bad spec: .*n_nodes"),
+        ("synth", '{"target_region": "XX"}', "bad spec: target_region must be IN or TE, got 'XX'"),
+    ])
+    def test_bad_json_one_line(self, tmp_path, monkeypatch, command, text, reason):
+        monkeypatch.chdir(tmp_path)  # a default output directory, should one be made, lands here
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        option = "--config" if command == "run" else "--spec"
+        result = CliRunner().invoke(main, [command, option, str(path)])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{command} failed: "), result.stderr
+        assert re.search(reason, lines[0]), lines[0]
+
+    @pytest.mark.parametrize("key, value, rule, subcommand", [
+        ("threshold", 0.0, "in (0, 100]", ["identify", "--threshold", "0"]),
+        ("threshold", 100.5, "in (0, 100]", ["extract", "--threshold", "100.5"]),
+        ("damping", 1.5, "in (0, 1)", ["communities", "--damping", "1.5"]),
+        ("bin_ratio", 1.0, "> 1", ["stats", "--bin-ratio", "1.0"]),
+        ("communities_scope", "gwc", "gwcc or full", None),  # the subcommand offers only the valid scopes
+    ])
+    def test_parameters_checked_before_any_stage(self, corpus, tmp_path, key, value, rule, subcommand):
+        _, paths, _ = corpus
+        runner = CliRunner()
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "nodes": str(paths["nodes"]), "edges": str(paths["edges"]), "hqs": str(paths["hqs"]),
+            "profiles": str(paths["profiles"]), "outdir": str(out), key: value,
+        }), encoding="utf-8")
+        runs = [(["run", "--config", str(config_path)], out)]
+        if subcommand is not None:
+            graph = str(tmp_path / "g.npz")
+            assert runner.invoke(main, ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
+                                        "--out", graph]).exit_code == 0
+            hqs = ["--hqs", str(paths["hqs"])] if subcommand[0] in ("extract", "identify") else []
+            runs.append(([*subcommand, "--graph", graph, *hqs, "--out", str(tmp_path / "cli")], tmp_path / "cli"))
+        for args, outdir in runs:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert result.stderr == f"{args[0]} failed: bad parameter: {key} must be {rule}, got {value!r}\n"
+            assert not outdir.exists()
+
+
+def test_report_under_ascii_locale(corpus, tmp_path):
+    """`ownet report` reads and prints UTF-8 artifacts whatever the locale's encoding."""
+    _, paths, _ = corpus
+    rows = paths["hqs"].read_text(encoding="utf-8").splitlines()
+    hqs = tmp_path / "hqs.csv"
+    hqs.write_text("\n".join([rows[0], rows[1].split(",")[0] + ",Zürich", *rows[2:]]) + "\n", encoding="utf-8")
+    manifest = run_pipeline(config_for(paths, tmp_path / "out", hqs=hqs, stages=("bowtie", "extract", "identify")))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(ownet.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "ownet.cli", "report", "--manifest", str(manifest)],
+                            env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+    assert "Zürich" in (tmp_path / "out" / "report" / "summary.txt").read_text(encoding="utf-8")
 
 
 # sha256 of every artifact of the test-10 corpus run (seed 7), taken with numpy 2.4.6

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import in_neighbors, make_graph, out_neighbors, row_of, template_graph
+from conftest import in_neighbors, make_graph, out_neighbors, row_of, run_report_stage, template_graph
 from mnc_reference import ref_classify_all, ref_subtree
 from ownet.errors import LoadError
 from ownet.graph import substantial_view
@@ -228,13 +228,11 @@ class TestClassifyAll:
         assert len(report.mncs) == 1
 
     def test_keyfirms_csv_roundtrip(self, tmp_path):
-        from ownet.pipeline import write_keyfirms_csv
-
         view = self._two_copies_view()
         hqs = {"M1": "M1:HQ", "M2": "M2:HQ", "A": "M1:a"}
         report = classify_all(view, [(hq, mnc) for mnc, hq in hqs.items()])
-        path = tmp_path / "keyfirms.csv"
-        write_keyfirms_csv(report, path)
+        path = run_report_stage("identify", report, tmp_path)[0]
+        assert path == tmp_path / "keyfirms.csv"
         back = load_keyfirms_csv(path, view.graph, hqs)
         assert back.mncs == ["M1", "M2", "A"]
         assert_same_table(back, report)
@@ -242,17 +240,13 @@ class TestClassifyAll:
         bounds = report.bounds.tolist()
         assert all(np.isnan(report.holding[lo:hi]).any() and np.isnan(report.conduit[lo:hi]).any()
                    for lo, hi in zip(bounds[:2], bounds[1:3]))
-        again = tmp_path / "again.csv"
-        write_keyfirms_csv(back, again)
+        again = run_report_stage("identify", back, tmp_path / "again")[0]
         assert again.read_bytes() == path.read_bytes()
 
     def test_interleaved_rows_load_grouped(self, tmp_path):
-        from ownet.pipeline import write_keyfirms_csv
-
         view = self._two_copies_view()
         hqs = {"M1": "M1:HQ", "M2": "M2:HQ"}
-        grouped = tmp_path / "grouped.csv"
-        write_keyfirms_csv(classify_all(view, [(hq, mnc) for mnc, hq in hqs.items()]), grouped)
+        grouped = run_report_stage("identify", classify_all(view, [(hq, mnc) for mnc, hq in hqs.items()]), tmp_path)[0]
         header, *rows = grouped.read_text(encoding="utf-8").splitlines()
         m1 = [row for row in rows if row.startswith("M1,")]
         m2 = [row for row in rows if row.startswith("M2,")]

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 import ownet.mnc
-from conftest import make_graph, out_neighbors, template_graph
+from conftest import make_graph, out_neighbors, run_report_stage, template_graph
 from ownet.errors import GraphError, InvariantError, LoadError
 from ownet.graph import substantial_view
 from ownet.keyfirms import classify_all
 from ownet.mnc import HQ_HEADER, load_hq_list, subtree_table
-from ownet.pipeline import write_affiliates_csv, write_keyfirms_csv
 from ownet.synth import random_mnc_template
 from test_keyfirms import ownership_views
 
@@ -223,8 +222,8 @@ class TestHqList:
         assert hqs == [(f"n{i}", name) for i, name in enumerate(names)]
 
         report = classify_all(view_of(6, [(3, 0), (4, 1), (5, 2)]), hqs)
-        for writer, file_name in ((write_affiliates_csv, "affiliates.csv"), (write_keyfirms_csv, "keyfirms.csv")):
-            writer(report, tmp_path / file_name)
-            with open(tmp_path / file_name, encoding="utf-8", newline="") as handle:
+        for stage in ("extract", "identify"):
+            path = run_report_stage(stage, report, tmp_path)[0]
+            with open(path, encoding="utf-8", newline="") as handle:
                 rows = list(csv.reader(handle))[1:]
-            assert [row[:2] for row in rows] == [[name, f"n{i + 3}"] for i, name in enumerate(names)], file_name
+            assert [row[:2] for row in rows] == [[name, f"n{i + 3}"] for i, name in enumerate(names)], path.name

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import zeta
 
 from conftest import spec_to_json, template_graph
-from ownet.errors import GraphError
+from ownet.errors import GraphError, LoadError
 from ownet.graph import load_graph, substantial_view
 from ownet.keyfirms import ROLE_NAMES, Role, classify_all, hierarchical_identify
 from ownet.mnc import subtree_table
@@ -151,5 +151,5 @@ class TestCorpus:
         spec.target_region = "GSCC"
         path = tmp_path / "spec.json"
         spec_to_json(spec, path)
-        with pytest.raises(ValueError):
+        with pytest.raises(LoadError, match="target_region must be IN or TE"):
             SynthSpec.from_json(path)
