@@ -7,10 +7,9 @@ from pathlib import Path
 
 import click
 
-from . import components as comp
 from . import pipeline as pl
 from .errors import OwnetError
-from .graph import load_cache, load_or_build, save_cache, substantial_view
+from .graph import load_cache, substantial_view
 from .jurisdiction import load_edge_values
 from .keyfirms import load_keyfirms_csv
 from .mnc import load_hq_list
@@ -49,16 +48,18 @@ def main():
 @main.command()
 @click.option("--nodes", required=True, type=click.Path(exists=True))
 @click.option("--edges", required=True, type=click.Path(exists=True))
-@click.option("--out", default=None, help="Cache path (default: $OWNET_CACHE_DIR/graph.npz).")
+@click.option("--out", default=None,
+              help="Cache path (default: $OWNET_CACHE_DIR/graph.npz); ingest_summary.json is written beside it.")
 def ingest(nodes, edges, out):
-    """Parse CSVs and write the binary graph cache, unless it is current."""
+    """Parse CSVs and write the binary graph cache, unless it is current, and the ingest summary."""
     target = Path(out) if out else _cache_dir() / "graph.npz"
-    graph, digests = load_or_build(nodes, edges, target)
-    if digests is None:
+    config = pl.RunConfig(nodes=Path(nodes), edges=Path(edges), outdir=target.parent, cache=target)
+    state = {}
+    pl.run_stage("ingest", config, state)
+    if state["digests"] is None:
         click.echo(f"cache exists: {target} (built from these inputs)")
         return
-    target.parent.mkdir(parents=True, exist_ok=True)
-    save_cache(graph, target, digests)
+    graph = state["graph"]
     click.echo(f"nodes={graph.n_nodes} edges={graph.n_edges} counters={graph.ingest_counters}")
     click.echo(f"cache written: {target}")
 
@@ -86,21 +87,6 @@ def bowtie(graph_path, outdir):
 
 @main.command()
 @click.option("--graph", "graph_path", required=True)
-@click.option("--direction", type=click.Choice(["in", "out"]), required=True)
-@click.option("--out", default=None, help="Output CSV (default: distances_<direction>.csv).")
-@click.option("--reverse-orientation", is_flag=True, help="Measure hops along flipped edges.")
-def distances(graph_path, direction, out, reverse_orientation):
-    """Shortest-distance distribution between bow-tie regions."""
-    graph = _load(graph_path)
-    result = comp.bowtie_decompose(graph)
-    hist = comp.distance_distribution(result, direction, reverse_orientation)
-    target = out or f"distances_{direction}.csv"
-    pl.write_distances_csv(hist, target)
-    click.echo(f"{target}: {len(hist.counts)} distance levels over {hist.total} nodes")
-
-
-@main.command()
-@click.option("--graph", "graph_path", required=True)
 @_OUT
 @click.option("--bin-ratio", default=2.0, show_default=True)
 def stats(graph_path, outdir, bin_ratio):
@@ -114,11 +100,10 @@ def stats(graph_path, outdir, bin_ratio):
 @click.option("--graph", "graph_path", required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_OUT
-@click.option("--scope", type=click.Choice(pl.COMMUNITY_SCOPES), default="gwcc", show_default=True)
 @click.option("--damping", default=0.85, show_default=True)
-def communities(graph_path, seed, outdir, scope, damping):
-    """Two-level map-equation communities and their size distribution."""
-    config, state = _stage_inputs(graph_path, outdir, seed=seed, communities_scope=scope, damping=damping)
+def communities(graph_path, seed, outdir, damping):
+    """Two-level map-equation communities of the GWCC, and their size distribution."""
+    config, state = _stage_inputs(graph_path, outdir, seed=seed, damping=damping)
     pl.run_stage("communities", config, state)
     partition = state["partition"]
     click.echo(f"{partition.n_communities} communities, codelength {partition.codelength:.6f} bits")

@@ -100,7 +100,6 @@ class BowTie:
     dist_to_gscc: np.ndarray = field(repr=False)
     dist_from_gscc: np.ndarray = field(repr=False)
     weak: ComponentLabeling = field(repr=False)
-    graph: object = field(repr=False, default=None)
 
     def size(self, region: int) -> int:
         return self.sizes.get(region, 0)
@@ -165,7 +164,6 @@ def bowtie_decompose(g) -> BowTie:
         dist_to_gscc=dist_to,
         dist_from_gscc=dist_from,
         weak=weak,
-        graph=g,
     )
 
 
@@ -174,45 +172,15 @@ def component_size_histogram(labeling: ComponentLabeling) -> dict[int, int]:
     return value_counts(labeling.sizes)
 
 
-@dataclass(frozen=True)
-class DistanceHistogram:
-    """Shortest-hop distribution between a bow-tie region and the GSCC."""
+def distance_distribution(bowtie: BowTie, direction: str) -> dict[int, int]:
+    """``{hops: nodes}`` IN -> GSCC (``direction="in"``) or GSCC -> OUT (``"out"``).
 
-    direction: str
-    counts: dict[int, int]
-    total: int
-    unreachable: int = 0
-
-    def rows(self) -> list[tuple[int, int, float]]:
-        return [(d, c, c / self.total) for d, c in sorted(self.counts.items())]
-
-
-def distance_distribution(bowtie: BowTie, direction: str, reverse_orientation: bool = False) -> DistanceHistogram:
-    """Distances IN -> GSCC (``direction="in"``) or GSCC -> OUT (``"out"``).
-
-    Distances are unweighted hops in stored capital-flow orientation;
-    ``reverse_orientation`` measures along flipped edges instead.
+    Distances are unweighted hops in stored capital-flow orientation. Every
+    IN node reaches the GSCC and the GSCC reaches every OUT node, so the
+    counts add up to the region's size.
     """
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    g = bowtie.graph
-    want = IN if direction == "in" else OUT
-
-    if not reverse_orientation:
-        dist = bowtie.dist_to_gscc if direction == "in" else bowtie.dist_from_gscc
-    else:
-        gscc_nodes = np.flatnonzero(bowtie.region == GSCC)
-        if direction == "in":
-            dist = multi_source_bfs(g.out_indptr, g.dst, gscc_nodes, g.n_nodes)
-        else:
-            dist = multi_source_bfs(g.in_indptr, g.in_sources, gscc_nodes, g.n_nodes)
-
-    member = bowtie.region == want
-    values = dist[member]
-    reached = values[values > 0]
-    return DistanceHistogram(
-        direction=direction,
-        counts=value_counts(reached),
-        total=int(member.sum()),
-        unreachable=int(member.sum() - reached.size),
-    )
+    if direction == "in":
+        return value_counts(bowtie.dist_to_gscc[bowtie.region == IN])
+    return value_counts(bowtie.dist_from_gscc[bowtie.region == OUT])

@@ -452,11 +452,6 @@ class OwnershipGraph(_Adjacency):
     def jurisdiction_of(self, i: int) -> str:
         return self.jurisdiction_labels[self.jurisdiction_index[i]]
 
-    @property
-    def graph(self) -> "OwnershipGraph":
-        # views expose .graph for metadata; self-reference keeps callers generic
-        return self
-
 
 class SubstantialView(_Adjacency):
     """Edge-filtered view keeping only shareholdings at or above a threshold.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,6 @@ STAGES = ("ingest", "bowtie", "stats", "communities", "extract", "identify", "ju
 
 MANIFEST_VERSION = 1
 
-COMMUNITY_SCOPES = ("gwcc", "full")
-
 
 @dataclass
 class RunConfig:
@@ -58,20 +56,33 @@ class RunConfig:
     stages: tuple[str, ...] = STAGES
     bin_ratio: float = 2.0
     damping: float = 0.85
-    communities_scope: str = "gwcc"
     cache: Path | None = None
 
     def __post_init__(self):
-        """Reject a parameter no stage can use, so a bad value fails before any stage runs."""
+        """Reject a parameter no stage can use, so a bad value fails before any stage runs.
+
+        Types are checked first, so a range rule only ever compares numbers.
+        """
+        def typed(*kinds):
+            return lambda value: isinstance(value, kinds) and not isinstance(value, bool)
+
+        number = typed(int, float)
         rules = (
-            ("threshold", 0 < self.threshold <= 100, "in (0, 100]"),
-            ("damping", 0 < self.damping < 1, "in (0, 1)"),
-            ("bin_ratio", self.bin_ratio > 1, "> 1"),
-            ("communities_scope", self.communities_scope in COMMUNITY_SCOPES, " or ".join(COMMUNITY_SCOPES)),
+            ("seed", typed(int), "an int"),
+            ("stages", lambda value: isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value),
+             "a list of stage names"),
+            ("threshold", number, "a real number"),
+            ("damping", number, "a real number"),
+            ("bin_ratio", number, "a real number"),
+            ("seed", lambda value: value >= 0, ">= 0"),
+            ("threshold", lambda value: 0 < value <= 100, "in (0, 100]"),
+            ("damping", lambda value: 0 < value < 1, "in (0, 1)"),
+            ("bin_ratio", lambda value: value > 1, "> 1"),
         )
         for name, ok, rule in rules:
-            if not ok:
+            if not ok(getattr(self, name)):
                 raise PipelineError(f"bad parameter: {name} must be {rule}, got {getattr(self, name)!r}")
+        self.stages = tuple(self.stages)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -89,8 +100,6 @@ class RunConfig:
                 value = raw.pop(key, None)
                 if value is not None:
                     paths[key] = base / value  # an absolute path replaces the base
-            if "stages" in raw:
-                raw["stages"] = tuple(raw["stages"])
             return cls(**raw, **paths)
         except TypeError as exc:
             raise PipelineError(f"bad config: {exc}") from exc
@@ -123,7 +132,6 @@ class _Manifest:
                 "stages": list(config.stages),
                 "bin_ratio": config.bin_ratio,
                 "damping": config.damping,
-                "communities_scope": config.communities_scope,
             },
             "stages": {},
             "status": "running",
@@ -200,14 +208,6 @@ def _stage_ingest(config, outdir, state):
     return [cache, summary] if cache.is_relative_to(outdir) else [summary]
 
 
-def write_distances_csv(hist, path) -> None:
-    """``distances_<direction>.csv``: hop counts between a region and the GSCC."""
-    write_csv_rows(
-        path, ["distance", "count", "ratio"],
-        ((d, c, _fmt(c / hist.total)) for d, c, _ in hist.rows()),
-    )
-
-
 def _stage_bowtie(config, outdir, state):
     graph = _get_graph(config, state)
     bowtie = state["bowtie"] = comp.bowtie_decompose(graph)
@@ -218,8 +218,11 @@ def _stage_bowtie(config, outdir, state):
     write_id_value_csv(regions, ["node_id", "region"], graph.ids,
                        list(map(comp.REGION_NAMES.__getitem__, bowtie.region.tolist())))
     write_csv_rows(summary, ["component", "companies", "ratio"], bowtie.summary_rows())
-    write_distances_csv(comp.distance_distribution(bowtie, "in"), dist_in)
-    write_distances_csv(comp.distance_distribution(bowtie, "out"), dist_out)
+    # hop counts IN -> GSCC and GSCC -> OUT, as shares of the region
+    for direction, region, path in (("in", comp.IN, dist_in), ("out", comp.OUT, dist_out)):
+        counts = comp.distance_distribution(bowtie, direction)
+        write_csv_rows(path, ["distance", "count", "ratio"],
+                       ((d, c, _fmt(c / bowtie.size(region))) for d, c in counts.items()))
     write_csv_rows(sizes, ["size", "count"], sorted(comp.component_size_histogram(bowtie.weak).items()))
     return paths
 
@@ -274,17 +277,15 @@ def _stage_stats(config, outdir, state):
     return paths
 
 
-def community_scope(graph: OwnershipGraph, scope: str) -> OwnershipGraph:
-    """The graph communities are detected on: the GWCC for ``"gwcc"``, all of it for ``"full"``."""
-    if scope == "full":
-        return graph
+def community_scope(graph: OwnershipGraph) -> OwnershipGraph:
+    """The graph communities are detected on: the GWCC."""
     weak = comp.weak_components(graph)
     keep = np.flatnonzero(weak.labels == weak.largest)
     return induced_subgraph(graph, [graph.ids[i] for i in keep])
 
 
 def _stage_communities(config, outdir, state):
-    scope = community_scope(_get_graph(config, state), config.communities_scope)
+    scope = community_scope(_get_graph(config, state))
     partition = state["partition"] = detect_communities(scope, seed=config.seed, damping=config.damping)
     paths = [outdir / "communities.csv", outdir / "dsizes.csv", outdir / "communities_summary.json"]
     labels, dsizes, summary = paths
@@ -293,7 +294,7 @@ def _stage_communities(config, outdir, state):
     hist = community_size_histogram(partition, bin_ratio=config.bin_ratio)
     write_csv_rows(dsizes, ["size_lo", "size_hi", "count", "density"], _fmt_bins(hist))
     write_json(summary, {"communities": partition.n_communities, "codelength": partition.codelength,
-                         "scope": config.communities_scope})
+                         "scope": "gwcc"})
     return paths
 
 
@@ -353,6 +354,11 @@ def _stage_identify(config, outdir, state):
     return paths
 
 
+def _score_rows(centrality) -> list[tuple[str, str, str]]:
+    """``(code, score, flagged)`` rows of ``sink.csv`` and ``conduit.csv``."""
+    return [(c, _fmt(s), "1" if c in centrality.flagged else "0") for c, s in sorted(centrality.scores.items())]
+
+
 def _stage_jurisdiction(config, outdir, state):
     """``reports/``: sink/conduit scores, tallies, chains, HQ tables, regressions.
 
@@ -369,25 +375,15 @@ def _stage_jurisdiction(config, outdir, state):
 
     flows = jur.link_flows(view, edge_values=edge_values)
     sink = jur.sink_centrality(flows, profiles)
-    path = reports_dir / "sink.csv"
-    write_csv_rows(
-        path, ["code", "score", "flagged"],
-        ((c, _fmt(s), "1" if c in sink.flagged else "0") for c, s in sorted(sink.scores.items())),
-    )
-    paths.append(path)
-
     flows = jur.with_pass_flows(flows, view, sink.flagged, edge_values=edge_values)
     try:
-        conduit = jur.conduit_outward_centrality(flows, profiles)
-        rows = [
-            (c, _fmt(s), "1" if c in conduit.flagged else "0")
-            for c, s in sorted(conduit.scores.items())
-        ]
-    except ValueError:
-        rows = []
-    path = reports_dir / "conduit.csv"
-    write_csv_rows(path, ["code", "score", "flagged"], rows)
-    paths.append(path)
+        conduit_rows = _score_rows(jur.conduit_outward_centrality(flows, profiles))
+    except ValueError:  # no pass-through flow: the table keeps only its header
+        conduit_rows = []
+    for name, rows in (("sink.csv", _score_rows(sink)), ("conduit.csv", conduit_rows)):
+        path = reports_dir / name
+        write_csv_rows(path, ["code", "score", "flagged"], rows)
+        paths.append(path)
 
     tallies = {d: jur.tally_by_jurisdiction(report, d) for d in jur.TALLY_DIMENSIONS}
     for dimension, rows in tallies.items():
@@ -442,14 +438,7 @@ def _stage_jurisdiction(config, outdir, state):
         x = [wtc[c] for c in codes]
         y = [counts.get(c, 0) for c in codes]
         try:
-            res = jur.ols_regression(x, y)
-            regressions[tag] = {
-                "intercept": res.intercept, "slope": res.slope,
-                "t_intercept": res.t_intercept, "t_slope": res.t_slope,
-                "p_intercept": res.p_intercept, "p_slope": res.p_slope,
-                "r_squared": res.r_squared, "adj_r_squared": res.adj_r_squared,
-                "n": res.n,
-            }
+            regressions[tag] = asdict(jur.ols_regression(x, y))
         except ValueError as exc:
             regressions[tag] = {"error": str(exc)}
     path = reports_dir / "regression.json"

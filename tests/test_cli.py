@@ -15,7 +15,7 @@ from conftest import spec_to_json
 from ownet.cli import main
 from ownet.errors import LoadError, PipelineError
 from ownet.graph import CACHE_VERSION, load_cache, load_graph, substantial_view
-from ownet.pipeline import RunConfig, run_pipeline, verify_manifest, write_report
+from ownet.pipeline import STAGES, RunConfig, run_pipeline, verify_manifest, write_report
 from ownet.synth import SynthSpec, build_corpus, write_corpus
 
 
@@ -224,6 +224,35 @@ class TestPipeline:
             assert (saved["nodes_sha256"].item(), saved["edges_sha256"].item()) == digests
         assert load_cache(cache).n_edges == load_graph(paths["nodes"], paths["edges"]).n_edges
 
+    def test_failed_stage_leaves_failed_manifest(self, corpus, tmp_path):
+        _, paths, _ = corpus
+        rows = paths["hqs"].read_text(encoding="utf-8").splitlines()
+        hqs = tmp_path / "hqs.csv"
+        hqs.write_text("\n".join([*rows, rows[1]]) + "\n", encoding="utf-8")  # the first MNC's name again
+        out = tmp_path / "out"
+        with pytest.raises(LoadError, match="duplicate mnc_name"):
+            run_pipeline(config_for(paths, out, hqs=hqs, stages=("ingest", "bowtie", "extract", "identify")))
+        data = verify_manifest(out / "manifest.json")
+        assert data["status"] == "failed"
+        assert sorted(data["stages"]) == ["bowtie", "ingest"]
+
+    def test_unexpected_error_is_stage_failure(self, corpus, tmp_path, monkeypatch):
+        import ownet.pipeline
+
+        _, paths, _ = corpus
+
+        def broken(config, outdir, state):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(ownet.pipeline._STAGE_FUNCS, "bowtie", broken)
+        out = tmp_path / "out"
+        with pytest.raises(PipelineError, match="^stage failure: disk on fire$") as info:
+            run_pipeline(config_for(paths, out, stages=("ingest", "bowtie", "stats")))
+        assert isinstance(info.value.__cause__, RuntimeError)
+        data = verify_manifest(out / "manifest.json")
+        assert data["status"] == "failed"
+        assert list(data["stages"]) == ["ingest"]
+
     def test_rebuild_cache_option_rejected(self, corpus, tmp_path):
         _, paths, _ = corpus
         config_path = tmp_path / "config.json"
@@ -344,16 +373,16 @@ class TestCli:
         ]
         header = (bowtie / "bowtie.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "node_id,region"
+        for direction in ("in", "out"):
+            header = (bowtie / f"distances_{direction}.csv").read_text(encoding="utf-8").splitlines()[0]
+            assert header == "distance,count,ratio"
 
-        result = runner.invoke(
-            main,
-            ["distances", "--graph", str(tmp_path / "g.npz"), "--direction", "in",
-             "--out", str(tmp_path / "din.csv")],
-        )
-        assert result.exit_code == 0, result.output
-        assert (tmp_path / "din.csv").read_text(encoding="utf-8").splitlines()[0] == "distance,count,ratio"
-        # one writer: the distances subcommand emits the bow-tie stage's bytes
-        assert (tmp_path / "din.csv").read_bytes() == (bowtie / "distances_in.csv").read_bytes()
+    def test_subcommands_are_stages(self):
+        # every subcommand but synth, run and report runs one pipeline stage
+        assert set(main.commands) == set(STAGES) | {"synth", "run", "report"}
+        result = CliRunner().invoke(main, ["distances", "--graph", "g.npz", "--direction", "in"])
+        assert result.exit_code == 2
+        assert "No such command" in result.output
 
     def test_empty_keyfirms_emits_zero_row_tables(self, tmp_path):
         runner = CliRunner()
@@ -450,21 +479,26 @@ class TestCliMatchesPipeline:
         assert list(data["stages"]["extract"]["artifacts"]) == ["affiliates.csv"]
 
         runner = CliRunner()
-        graph = str(out / "graph.npz")
+        graph = ["--graph", str(out / "graph.npz")]
         # each subcommand writes into a fresh directory; jurisdiction reads identify's keyfirms.csv
         options = {
-            "bowtie": [],
-            "stats": [],
-            "communities": [],
-            "extract": ["--hqs", str(hqs)],
-            "identify": ["--hqs", str(hqs)],
-            "jurisdiction": ["--keyfirms", str(tmp_path / "identify" / "keyfirms.csv"),
+            "ingest": ["--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
+                       "--out", str(tmp_path / "ingest" / "graph.npz")],
+            "bowtie": graph,
+            "stats": graph,
+            "communities": graph,
+            "extract": [*graph, "--hqs", str(hqs)],
+            "identify": [*graph, "--hqs", str(hqs)],
+            "jurisdiction": [*graph, "--keyfirms", str(tmp_path / "identify" / "keyfirms.csv"),
                              "--profiles", str(paths["profiles"]), "--hqs", str(hqs)],
         }
+        assert list(options) == list(STAGES)
         skipped = {"extract": "skipping Ghost: ", "identify": "failed Ghost: "}
-        for stage, extra in options.items():
+        for stage, args in options.items():
             cli = tmp_path / stage
-            result = runner.invoke(main, [stage, "--graph", graph, *extra, "--out", str(cli)])
+            if stage != "ingest":  # ingest's --out names the cache file
+                args = [*args, "--out", str(cli)]
+            result = runner.invoke(main, [stage, *args])
             assert result.exit_code == 0, result.output
             assert skipped.get(stage, "") in result.stderr
             written = sorted(str(p.relative_to(cli)) for p in cli.rglob("*") if p.is_file())
@@ -488,6 +522,8 @@ class TestBadInputs:
     @pytest.mark.parametrize("command, text, reason", [
         ("run", '{"nodes": "n.csv",', "bad config: "),
         ("run", '["nodes.csv"]', "bad config: .*expected a JSON object, got list"),
+        ("run", '{"nodes": "n.csv", "edges": "e.csv", "outdir": "out", "communities_scope": "gwcc"}',
+         "bad config: .*unexpected keyword argument 'communities_scope'"),
         ("synth", '{"seed": 1, "n_nodes": 5}', "bad spec: .*n_nodes"),
         ("synth", '{"target_region": "XX"}', "bad spec: target_region must be IN or TE, got 'XX'"),
     ])
@@ -508,7 +544,14 @@ class TestBadInputs:
         ("threshold", 100.5, "in (0, 100]", ["extract", "--threshold", "100.5"]),
         ("damping", 1.5, "in (0, 1)", ["communities", "--damping", "1.5"]),
         ("bin_ratio", 1.0, "> 1", ["stats", "--bin-ratio", "1.0"]),
-        ("communities_scope", "gwc", "gwcc or full", None),  # the subcommand offers only the valid scopes
+        ("seed", -1, ">= 0", ["communities", "--seed", "-1"]),
+        # the subcommands' option types reject these before a config is built
+        ("seed", "x", "an int", None),
+        ("seed", True, "an int", None),
+        ("stages", "ingest", "a list of stage names", None),
+        ("stages", ["ingest", 3], "a list of stage names", None),
+        ("threshold", "10", "a real number", None),
+        ("damping", None, "a real number", None),
     ])
     def test_parameters_checked_before_any_stage(self, corpus, tmp_path, key, value, rule, subcommand):
         _, paths, _ = corpus
@@ -531,6 +574,24 @@ class TestBadInputs:
             assert result.exit_code == 1, result.output
             assert result.stderr == f"{args[0]} failed: bad parameter: {key} must be {rule}, got {value!r}\n"
             assert not outdir.exists()
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"stages": ["ingest", "pagerank"]}, "unknown stages: ['pagerank']"),
+        ({"hqs": None}, "stage inputs incomplete: hqs file not configured"),
+        ({"profiles": None, "stages": ["jurisdiction"]}, "stage inputs incomplete: profiles file not configured"),
+    ])
+    def test_stages_checked_before_any_stage(self, corpus, tmp_path, change, reason):
+        _, paths, _ = corpus
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "nodes": str(paths["nodes"]), "edges": str(paths["edges"]), "hqs": str(paths["hqs"]),
+            "profiles": str(paths["profiles"]), "outdir": str(out), **change,
+        }), encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == f"run failed: {reason}\n"
+        assert not out.exists()
 
 
 def test_report_under_ascii_locale(corpus, tmp_path):

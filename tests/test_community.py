@@ -536,7 +536,7 @@ def determinism_gwcc(tmp_path_factory):
 
     spec = SynthSpec(seed=20_10, n_noise=800, noise_edges=1000, n_mncs=8, core_size=40, out_chain=8)
     paths = write_corpus(build_corpus(spec), tmp_path_factory.mktemp("corpus10"))
-    return community_scope(load_graph(paths["nodes"], paths["edges"]), "gwcc")
+    return community_scope(load_graph(paths["nodes"], paths["edges"]))
 
 
 def counting_try_move(monkeypatch, cls):

@@ -23,6 +23,7 @@ from ownet.jurisdiction import (
     with_pass_flows,
 )
 from ownet.keyfirms import ClassificationReport, Role, classify_all
+from ownet.pipeline import RunConfig, run_stage
 from ownet.synth import toy_m1_template
 
 
@@ -334,6 +335,27 @@ class TestProfiles:
         sink = sink_centrality(flows, p)
         flows = with_pass_flows(flows, view, sink.flagged)
         assert flows.v_pass is not None
+
+
+class TestScoreTables:
+    def test_sink_and_conduit_rows(self, tmp_path):
+        # JP -> NL -> KY: KY keeps the only net inflow and is flagged a sink, NL passes capital on to it
+        g = make_graph(3, [(0, 1), (1, 2)], jurisdictions={0: "JP", 1: "NL", 2: "KY"})
+        path = tmp_path / "profiles.csv"
+        path.write_text("code,gdp,gdp_year,statutory_rate,wtc\nJP,5.0,,,\nNL,1.0,,,\nKY,0.1,,,\n", encoding="utf-8")
+        config = RunConfig(nodes=None, edges=None, outdir=tmp_path / "out", profiles=path)
+        run_stage("jurisdiction", config, {"graph": g, "report": classified(g)})
+
+        view, profiles = substantial_view(g, 10.0), load_profiles(path)
+        flows = link_flows(view)
+        sink = sink_centrality(flows, profiles)
+        conduit = conduit_outward_centrality(with_pass_flows(flows, view, sink.flagged), profiles)
+        assert (sink.flagged, conduit.flagged) == (["KY"], ["NL"])
+        for name, scores in (("sink.csv", sink), ("conduit.csv", conduit)):
+            rows = (tmp_path / "out" / "reports" / name).read_text(encoding="utf-8").splitlines()
+            assert rows == ["code,score,flagged"] + [
+                f"{code},{score!r},{int(code in scores.flagged)}" for code, score in sorted(scores.scores.items())
+            ]
 
 
 class TestEdgeValues:
