@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import click
@@ -11,22 +10,7 @@ from . import pipeline as pl
 from .errors import OwnetError
 from .graph import load_cache, substantial_view
 from .jurisdiction import load_edge_values
-from .keyfirms import load_keyfirms_csv
-from .mnc import load_hq_list
 from .synth import SynthSpec, build_corpus, write_corpus
-
-
-def _cache_dir() -> Path:
-    return Path(os.environ.get("OWNET_CACHE_DIR", "."))
-
-
-def _load(graph_path: str):
-    path = Path(graph_path)
-    if not path.exists():
-        candidate = _cache_dir() / graph_path
-        if candidate.exists():
-            path = candidate
-    return load_cache(path)
 
 
 class _Group(click.Group):
@@ -48,26 +32,26 @@ def main():
 @main.command()
 @click.option("--nodes", required=True, type=click.Path(exists=True))
 @click.option("--edges", required=True, type=click.Path(exists=True))
-@click.option("--out", default=None,
-              help="Cache path (default: $OWNET_CACHE_DIR/graph.npz); ingest_summary.json is written beside it.")
-def ingest(nodes, edges, out):
+@click.option("--out", "cache", default="graph.npz", show_default=True,
+              help="Cache path; ingest_summary.json is written beside it.")
+def ingest(nodes, edges, cache):
     """Parse CSVs and write the binary graph cache, unless it is current, and the ingest summary."""
-    target = Path(out) if out else _cache_dir() / "graph.npz"
-    config = pl.RunConfig(nodes=Path(nodes), edges=Path(edges), outdir=target.parent, cache=target)
+    cache = Path(cache)
+    config = pl.RunConfig(nodes=Path(nodes), edges=Path(edges), outdir=cache.parent, cache=cache)
     state = {}
     pl.run_stage("ingest", config, state)
     if state["digests"] is None:
-        click.echo(f"cache exists: {target} (built from these inputs)")
+        click.echo(f"cache exists: {cache} (built from these inputs)")
         return
     graph = state["graph"]
     click.echo(f"nodes={graph.n_nodes} edges={graph.n_edges} counters={graph.ingest_counters}")
-    click.echo(f"cache written: {target}")
+    click.echo(f"cache written: {cache}")
 
 
 def _stage_inputs(graph_path: str, outdir: str, **params):
     """The config and state of one stage subcommand: its options, and ``--graph`` loaded as the graph."""
     config = pl.RunConfig(nodes=None, edges=None, outdir=Path(outdir), **params)
-    return config, {"graph": _load(graph_path)}
+    return config, {"graph": load_cache(graph_path)}
 
 
 _OUT = click.option("--out", "outdir", default=".", show_default=True,
@@ -141,24 +125,21 @@ def identify(graph_path, hqs, threshold, outdir):
 
 @main.command()
 @click.option("--graph", "graph_path", required=True)
-@click.option("--keyfirms", "keyfirms_path", required=True, type=click.Path(exists=True))
+@click.option("--hqs", required=True, type=click.Path(exists=True))
 @click.option("--profiles", required=True, type=click.Path(exists=True))
-@click.option("--hqs", default=None, type=click.Path(exists=True),
-              help="HQ list; enables the headquarters tables, which count every listed MNC with a known HQ.")
 @click.option("--values", "values_path", default=None, type=click.Path(exists=True),
               help="Per-edge value CSV; switches flows from link counts to value mode.")
 @click.option("--threshold", default=10.0, show_default=True)
 @_OUT
-def jurisdiction(graph_path, keyfirms_path, profiles, hqs, values_path, threshold, outdir):
-    """Jurisdiction centralities, tallies, chains, and regressions."""
-    config, state = _stage_inputs(graph_path, outdir, profiles=profiles, threshold=threshold)
-    graph = state["graph"]
-    hq_map = dict((name, hq) for hq, name in load_hq_list(hqs)) if hqs else None
-    state["report"] = load_keyfirms_csv(keyfirms_path, graph, hq_map)
+def jurisdiction(graph_path, hqs, profiles, values_path, threshold, outdir):
+    """Jurisdiction centralities, tallies, chains, and regressions of every listed MNC's key firms."""
+    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, profiles=profiles, threshold=threshold)
     if values_path:
-        state["view"] = substantial_view(graph, threshold)
+        state["view"] = substantial_view(state["graph"], threshold)
         state["edge_values"] = load_edge_values(values_path, state["view"])
     pl.run_stage("jurisdiction", config, state)
+    for name, reason in state["report"].failures:
+        click.echo(f"failed {name}: {reason}", err=True)
     click.echo(f"jurisdiction reports under {Path(outdir) / 'reports'}")
 
 

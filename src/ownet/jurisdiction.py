@@ -256,7 +256,7 @@ def tally_by_jurisdiction(report: ClassificationReport, dimension: str) -> list[
     if dimension not in TALLY_DIMENSIONS:
         raise ValueError(f"dimension must be one of {TALLY_DIMENSIONS}, got {dimension!r}")
     if dimension == "hq":
-        return _ranked_jurisdictions(report.graph, report.hqs[report.hqs >= 0])
+        return _ranked_jurisdictions(report.graph, report.hqs)
     firms = report.affiliates
     if dimension != "affiliates":
         firms = firms[report.roles == ROLE_TAGS[dimension]]
@@ -266,7 +266,7 @@ def tally_by_jurisdiction(report: ClassificationReport, dimension: str) -> list[
 def tally_by_bowtie(report: ClassificationReport, bowtie: BowTie) -> dict[str, dict[str, int]]:
     """Bow-tie region counts for headquarters and each key-company role."""
     nodes = {ROLE_NAMES[role]: report.affiliates[report.roles == role] for role in ROLE_TAGS.values()}
-    nodes["hq"] = report.hqs[report.hqs >= 0]
+    nodes["hq"] = report.hqs
     return {
         category: {REGION_NAMES[r]: c for r, c in value_counts(bowtie.region[members]).items()}
         for category, members in nodes.items()
@@ -318,8 +318,7 @@ class HqTables:
 def hq_tables(report: ClassificationReport) -> HqTables:
     g = report.graph
     hqs = report.hqs[report.row_mnc]  # the HQ of each row
-    known = hqs >= 0
-    hqs, firms, roles = hqs[known], report.affiliates[known], report.roles[known]
+    firms, roles = report.affiliates, report.roles
     hq_jur = g.jurisdiction_index[hqs]
     by_role = {}  # role -> the HQ of each key firm
     locations = {}  # (HQ jurisdiction, role) -> key firms

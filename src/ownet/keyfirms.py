@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ._csr import neighbor_positions
-from .errors import GraphError, InvariantError, LoadError
-from .graph import SubstantialView, data_rows, parse_number
+from .errors import GraphError, InvariantError
+from .graph import SubstantialView
 from .mnc import SubtreeTable, row_mnc, subtree_table
 
 
@@ -153,9 +152,10 @@ def hierarchical_identify(table: SubtreeTable) -> tuple[np.ndarray, np.ndarray, 
 class ClassificationReport:
     """Every classified MNC's affiliates as one flat table of key-firm rows.
 
-    MNC ``m`` is ``mncs[m]`` with HQ node ``hqs[m]`` (-1 if unknown) and
-    owns rows ``bounds[m]:bounds[m + 1]``; the columns from ``affiliates``
-    to ``roles`` hold one value per row. ``holding`` and ``conduit`` are
+    MNC ``m`` is ``mncs[m]`` with HQ node ``hqs[m]``, always a resolved
+    node (an MNC whose HQ is unknown is in ``failures`` instead), and owns
+    rows ``bounds[m]:bounds[m + 1]``; the columns from ``affiliates`` to
+    ``roles`` hold one value per row. ``holding`` and ``conduit`` are
     NaN where the role search did not evaluate them; ``roles`` holds int8
     :class:`Role` values. A firm under several MNCs has one row per MNC.
     """
@@ -186,64 +186,6 @@ class ClassificationReport:
     @property
     def n_affiliates(self) -> int:
         return int(self.affiliates.shape[0])
-
-
-def load_keyfirms_csv(path, graph, hq_map: dict[str, str] | None = None) -> ClassificationReport:
-    """Rebuild a classification report from an emitted keyfirms.csv.
-
-    ``hq_map`` (mnc name -> hq node id) restores the HQ links. Its MNCs
-    come first, in list order and with or without rows, as ``classify_all``
-    reports them; one whose HQ is unknown fails at its first row and is
-    skipped if it has none. Other MNCs follow in order of first appearance,
-    with HQ -1. Each MNC's rows keep their file order. A row with an
-    unknown id or role, a malformed number, a third_country other than
-    0/1, or an (mnc, affiliate_id) pair seen before fails with its line.
-    """
-    path = Path(path)
-    hq_map = hq_map or {}
-    name_to_role = {v: k for k, v in ROLE_NAMES.items()}
-    # mnc -> hq index, in report order; an unknown listed HQ fails at its MNC's first row
-    hq_of = {name: graph.id_index[hq_id] for name, hq_id in hq_map.items() if hq_id in graph.id_index}
-    row_mncs: list[str] = []
-    seen: set[tuple[str, str]] = set()
-    dtypes = (np.int64, np.int32, np.int64, np.int64, np.float64, np.float64, bool, np.int8)
-    columns: tuple[list, ...] = tuple([] for _ in dtypes)
-    for line, row in data_rows(path, KEYFIRMS_HEADER):
-        mnc, aff, layer, k_in, k_out, h, t, tc, role = row
-        if role not in name_to_role:
-            raise LoadError(f"unknown role {role!r}", path, line)
-        if tc not in ("0", "1"):
-            raise LoadError(f"third_country must be 0 or 1, got {tc!r}", path, line)
-        if (mnc, aff) in seen:
-            raise LoadError(f"duplicate affiliate {aff!r} of mnc {mnc!r}", path, line)
-        seen.add((mnc, aff))
-        try:
-            if mnc not in hq_of:
-                hq_of[mnc] = graph.index_of(hq_map[mnc]) if mnc in hq_map else -1
-            index = graph.index_of(aff)
-        except GraphError as exc:
-            raise LoadError(str(exc), path, line) from None
-        row_mncs.append(mnc)
-        values = (
-            index,
-            parse_number(layer, int, "layer", path, line),
-            parse_number(k_in, int, "k_in", path, line),
-            parse_number(k_out, int, "k_out", path, line),
-            parse_number(h, float, "H", path, line) if h else np.nan,
-            parse_number(t, float, "T", path, line) if t else np.nan,
-            tc == "1",
-            name_to_role[role],
-        )
-        for column, value in zip(columns, values):
-            column.append(value)
-    code_of = {name: m for m, name in enumerate(hq_of)}
-    codes = np.array([code_of[name] for name in row_mncs], dtype=np.int64)
-    order = np.argsort(codes, kind="stable")
-    return ClassificationReport(
-        graph, list(hq_of), np.array(list(hq_of.values()), dtype=np.int64),
-        np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=len(hq_of))))),
-        *(np.array(column, dtype=dtype)[order] for column, dtype in zip(columns, dtypes)),
-    )
 
 
 def classify_all(view: SubstantialView, hq_list) -> ClassificationReport:

@@ -373,16 +373,18 @@ def _stage_jurisdiction(config, outdir, state):
     (reports_dir / "tallies").mkdir(parents=True, exist_ok=True)
     (reports_dir / "chains").mkdir(exist_ok=True)
 
+    def scores(centrality, flows):
+        try:
+            return centrality(flows, profiles)
+        except ValueError:  # no cross-border or no pass-through flow: no score, a header-only table
+            return jur.CentralityScores({}, [], [])
+
     flows = jur.link_flows(view, edge_values=edge_values)
-    sink = jur.sink_centrality(flows, profiles)
+    sink = scores(jur.sink_centrality, flows)
     flows = jur.with_pass_flows(flows, view, sink.flagged, edge_values=edge_values)
-    try:
-        conduit_rows = _score_rows(jur.conduit_outward_centrality(flows, profiles))
-    except ValueError:  # no pass-through flow: the table keeps only its header
-        conduit_rows = []
-    for name, rows in (("sink.csv", _score_rows(sink)), ("conduit.csv", conduit_rows)):
+    for name, centrality in (("sink.csv", sink), ("conduit.csv", scores(jur.conduit_outward_centrality, flows))):
         path = reports_dir / name
-        write_csv_rows(path, ["code", "score", "flagged"], rows)
+        write_csv_rows(path, ["code", "score", "flagged"], _score_rows(centrality))
         paths.append(path)
 
     tallies = {d: jur.tally_by_jurisdiction(report, d) for d in jur.TALLY_DIMENSIONS}

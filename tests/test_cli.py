@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -304,23 +305,28 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "pipeline status: ok" in result.output
 
-    def test_cache_dir_env_default(self, tmp_path, monkeypatch):
+    def test_ingest_out_defaults_to_working_directory(self, tmp_path, monkeypatch):
         runner = CliRunner()
         spec = SynthSpec(seed=3, n_noise=100, noise_edges=120, n_mncs=2, core_size=10, out_chain=2)
         bundle = build_corpus(spec)
         paths = write_corpus(bundle, tmp_path / "data")
-        monkeypatch.setenv("OWNET_CACHE_DIR", str(tmp_path / "cache"))
-        (tmp_path / "cache").mkdir()
-        result = runner.invoke(
-            main, ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"])]
-        )
+        monkeypatch.chdir(tmp_path)
+        args = ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"])]
+        result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "cache" / "graph.npz").exists()
-        # second call without --rebuild leaves the cache alone
-        result = runner.invoke(
-            main, ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"])]
-        )
-        assert "cache exists" in result.output
+        assert (tmp_path / "graph.npz").exists() and (tmp_path / "ingest_summary.json").exists()
+        # a second call from the same inputs leaves the cache alone
+        result = runner.invoke(main, args)
+        assert "cache exists: graph.npz" in result.output
+        # --graph names the one file it reads: from another directory graph.npz is missing, and no
+        # directory named in the environment (as OWNET_CACHE_DIR once was) is searched for it
+        monkeypatch.chdir(tmp_path / "data")
+        monkeypatch.setenv("OWNET_CACHE_DIR", str(tmp_path))
+        result = runner.invoke(main, ["bowtie", "--graph", "graph.npz", "--out", "bt"])
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bowtie failed: graph.npz: "), result.stderr
+        assert not (tmp_path / "data" / "bt").exists()
 
     def test_ingest_rebuilds_stale_cache(self, corpus, tmp_path):
         _, paths, _ = corpus
@@ -384,7 +390,7 @@ class TestCli:
         assert result.exit_code == 2
         assert "No such command" in result.output
 
-    def test_empty_keyfirms_emits_zero_row_tables(self, tmp_path):
+    def test_empty_hq_list_emits_zero_row_tables(self, tmp_path):
         runner = CliRunner()
         spec = SynthSpec(seed=8, n_noise=120, noise_edges=150, n_mncs=2, core_size=12, out_chain=3)
         bundle = build_corpus(spec)
@@ -394,16 +400,19 @@ class TestCli:
             ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
              "--out", str(tmp_path / "g.npz")],
         )
-        empty = tmp_path / "keyfirms.csv"
-        empty.write_text("mnc,affiliate_id,layer,k_in,k_out,H,T,third_country,role\n", encoding="utf-8")
+        empty = tmp_path / "hqs.csv"
+        empty.write_text("hq_node_id,mnc_name\n", encoding="utf-8")
         result = runner.invoke(
             main,
-            ["jurisdiction", "--graph", str(tmp_path / "g.npz"), "--keyfirms", str(empty),
+            ["jurisdiction", "--graph", str(tmp_path / "g.npz"), "--hqs", str(empty),
              "--profiles", str(paths["profiles"]), "--out", str(tmp_path / "rep")],
         )
         assert result.exit_code == 0, result.output
-        holding = (tmp_path / "rep" / "reports" / "tallies" / "holding.csv").read_text()
-        assert holding.splitlines() == ["code,count,percent"]
+        for tally in ("hq", "holding", "affiliates"):
+            rows = (tmp_path / "rep" / "reports" / "tallies" / f"{tally}.csv").read_text(encoding="utf-8")
+            assert rows.splitlines() == ["code,count,percent"], tally
+        hq_tables = json.loads((tmp_path / "rep" / "reports" / "hq_tables.json").read_text(encoding="utf-8"))
+        assert hq_tables == {"by_role": {}, "locations": {}}
 
     def test_identify_then_jurisdiction(self, tmp_path):
         runner = CliRunner()
@@ -427,7 +436,6 @@ class TestCli:
         result = runner.invoke(
             main,
             ["jurisdiction", "--graph", str(tmp_path / "g.npz"),
-             "--keyfirms", str(tmp_path / "id" / "keyfirms.csv"),
              "--profiles", str(paths["profiles"]), "--hqs", str(paths["hqs"]),
              "--out", str(tmp_path / "rep")],
         )
@@ -445,7 +453,7 @@ class TestCli:
             result = runner.invoke(
                 main,
                 ["jurisdiction", "--graph", str(tmp_path / "g.npz"),
-                 "--keyfirms", str(tmp_path / "id" / "keyfirms.csv"), "--profiles", str(paths["profiles"]),
+                 "--hqs", str(paths["hqs"]), "--profiles", str(paths["profiles"]),
                  "--values", str(values), "--out", str(tmp_path / "valued")],
             )
             assert result.exit_code == 0, result.output
@@ -465,6 +473,26 @@ class TestCli:
         assert result.exit_code == 2
         assert "No such option '--global-degrees'" in result.output
 
+    def test_keyfirms_option_removed(self, corpus, tmp_path):
+        # the jurisdiction stage classifies from --hqs; it reads no keyfirms.csv
+        _, paths, _ = corpus
+        keyfirms = tmp_path / "keyfirms.csv"
+        keyfirms.write_text("mnc,affiliate_id,layer,k_in,k_out,H,T,third_country,role\n", encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "jurisdiction", "--graph", str(tmp_path / "g.npz"), "--keyfirms", str(keyfirms),
+            "--hqs", str(paths["hqs"]), "--profiles", str(paths["profiles"]), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert "No such option '--keyfirms'" in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_stage_options_are_config_inputs(self):
+        # a stage subcommand takes the cache, its output directory, the edge values, and
+        # RunConfig fields only: it has no input that `ownet run` lacks
+        allowed = {field.name for field in dataclasses.fields(RunConfig)} | {"graph_path", "outdir", "values_path"}
+        for stage in STAGES:
+            names = {param.name for param in main.commands[stage].params}
+            assert names <= allowed, (stage, sorted(names - allowed))
+
 
 class TestCliMatchesPipeline:
     def test_artifacts_byte_identical(self, corpus, tmp_path):
@@ -480,7 +508,7 @@ class TestCliMatchesPipeline:
 
         runner = CliRunner()
         graph = ["--graph", str(out / "graph.npz")]
-        # each subcommand writes into a fresh directory; jurisdiction reads identify's keyfirms.csv
+        # each subcommand writes into a fresh directory
         options = {
             "ingest": ["--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
                        "--out", str(tmp_path / "ingest" / "graph.npz")],
@@ -489,11 +517,10 @@ class TestCliMatchesPipeline:
             "communities": graph,
             "extract": [*graph, "--hqs", str(hqs)],
             "identify": [*graph, "--hqs", str(hqs)],
-            "jurisdiction": [*graph, "--keyfirms", str(tmp_path / "identify" / "keyfirms.csv"),
-                             "--profiles", str(paths["profiles"]), "--hqs", str(hqs)],
+            "jurisdiction": [*graph, "--hqs", str(hqs), "--profiles", str(paths["profiles"])],
         }
         assert list(options) == list(STAGES)
-        skipped = {"extract": "skipping Ghost: ", "identify": "failed Ghost: "}
+        skipped = {"extract": "skipping Ghost: ", "identify": "failed Ghost: ", "jurisdiction": "failed Ghost: "}
         for stage, args in options.items():
             cli = tmp_path / stage
             if stage != "ingest":  # ingest's --out names the cache file

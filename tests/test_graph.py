@@ -333,12 +333,6 @@ class TestCsvRoundTrip:
         assert (g.n_nodes, g.n_edges) == (2, 1)
 
 
-def _load_keyfirms(path, g):
-    from ownet.keyfirms import load_keyfirms_csv
-
-    return load_keyfirms_csv(path, g).mncs
-
-
 def _load_values(path, g):
     from ownet.jurisdiction import load_edge_values
 
@@ -347,22 +341,20 @@ def _load_values(path, g):
 
 def _small_loaders():
     from ownet.jurisdiction import PROFILE_HEADER, VALUE_HEADER, load_profiles
-    from ownet.keyfirms import KEYFIRMS_HEADER
     from ownet.mnc import HQ_HEADER, load_hq_list
 
     return {
         "hqs": (lambda path, g: load_hq_list(path), HQ_HEADER, []),
         "profiles": (lambda path, g: load_profiles(path), PROFILE_HEADER, {}),
         "values": (_load_values, VALUE_HEADER, [0.0]),
-        "keyfirms": (_load_keyfirms, KEYFIRMS_HEADER, []),
     }
 
 
 class TestDataRows:
-    """The HQ, profile, edge-value and keyfirms loaders read rows through
-    ``data_rows``: one set of file, header, blank-row and field-count checks."""
+    """The HQ, profile and edge-value loaders read rows through ``data_rows``:
+    one set of file, header, blank-row and field-count checks."""
 
-    @pytest.mark.parametrize("kind", ["hqs", "profiles", "values", "keyfirms"])
+    @pytest.mark.parametrize("kind", ["hqs", "profiles", "values"])
     def test_shared_row_checks(self, tmp_path, kind):
         load, header, empty = _small_loaders()[kind]
         g = make_graph(2, [(1, 0)])

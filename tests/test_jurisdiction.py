@@ -23,7 +23,7 @@ from ownet.jurisdiction import (
     with_pass_flows,
 )
 from ownet.keyfirms import ClassificationReport, Role, classify_all
-from ownet.pipeline import RunConfig, run_stage
+from ownet.pipeline import RunConfig, run_pipeline, run_stage, verify_manifest
 from ownet.synth import toy_m1_template
 
 
@@ -356,6 +356,28 @@ class TestScoreTables:
             assert rows == ["code,score,flagged"] + [
                 f"{code},{score!r},{int(code in scores.flagged)}" for code, score in sorted(scores.scores.items())
             ]
+
+    def test_no_cross_border_link_gives_header_only_tables(self, tmp_path):
+        # HQ <- a <- b, all in JP: no flow crosses a border, so no code is scored or flagged
+        # and the run still writes every jurisdiction table
+        files = {
+            "nodes": "node_id,jurisdiction,nace_section,name,is_hq\nHQ,JP,K,Hq,1\na,JP,K,A,0\nb,JP,K,B,0\n",
+            "edges": "subsidiary_id,shareholder_id,pct\na,HQ,60\nb,a,70\n",
+            "hqs": "hq_node_id,mnc_name\nHQ,M\n",
+            "profiles": "code,gdp,gdp_year,statutory_rate,wtc\nJP,5.0,,,10\nNL,1.0,,,0\nUS,20.0,,,5\n",
+        }
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text, encoding="utf-8")
+        data = verify_manifest(run_pipeline(RunConfig(outdir=tmp_path / "out", **paths)))
+        assert data["status"] == "ok"
+        reports = tmp_path / "out" / "reports"
+        for name in ("sink.csv", "conduit.csv"):
+            assert (reports / name).read_text(encoding="utf-8").splitlines() == ["code,score,flagged"], name
+        assert {"reports/tallies/hq.csv", "reports/hq_tables.json", "reports/regression.json"} <= set(
+            data["stages"]["jurisdiction"]["artifacts"])
+        assert (reports / "tallies" / "hq.csv").read_text(encoding="utf-8").splitlines()[1:] == ["JP,1,100.0"]
 
 
 class TestEdgeValues:

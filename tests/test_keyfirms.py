@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import in_neighbors, make_graph, out_neighbors, row_of, run_report_stage, template_graph
 from mnc_reference import ref_classify_all, ref_subtree
-from ownet.errors import LoadError
 from ownet.graph import substantial_view
 from ownet.keyfirms import (
     Role,
@@ -16,7 +15,6 @@ from ownet.keyfirms import (
     conduit_centrality,
     hierarchical_identify,
     holding_centrality,
-    load_keyfirms_csv,
     third_country,
 )
 from ownet.mnc import subtree_table
@@ -227,92 +225,19 @@ class TestClassifyAll:
         assert [name for name, _ in report.failures] == ["Ghost"]
         assert len(report.mncs) == 1
 
-    def test_keyfirms_csv_roundtrip(self, tmp_path):
+    def test_identify_stage_blanks_unevaluated_cells(self, tmp_path):
         view = self._two_copies_view()
-        hqs = {"M1": "M1:HQ", "M2": "M2:HQ", "A": "M1:a"}
-        report = classify_all(view, [(hq, mnc) for mnc, hq in hqs.items()])
+        report = classify_all(view, [("M1:HQ", "M1"), ("M2:HQ", "M2"), ("M1:a", "A")])
         path = run_report_stage("identify", report, tmp_path)[0]
         assert path == tmp_path / "keyfirms.csv"
-        back = load_keyfirms_csv(path, view.graph, hqs)
-        assert back.mncs == ["M1", "M2", "A"]
-        assert_same_table(back, report)
-        # blank H and T cells are covered
+        header, *rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        assert header[5:7] == ["H", "T"]
+        # an H or T cell is blank exactly where the role search left the value NaN, in both copies
+        assert [row[5] == "" for row in rows] == np.isnan(report.holding).tolist()
+        assert [row[6] == "" for row in rows] == np.isnan(report.conduit).tolist()
         bounds = report.bounds.tolist()
         assert all(np.isnan(report.holding[lo:hi]).any() and np.isnan(report.conduit[lo:hi]).any()
                    for lo, hi in zip(bounds[:2], bounds[1:3]))
-        again = run_report_stage("identify", back, tmp_path / "again")[0]
-        assert again.read_bytes() == path.read_bytes()
-
-    def test_interleaved_rows_load_grouped(self, tmp_path):
-        view = self._two_copies_view()
-        hqs = {"M1": "M1:HQ", "M2": "M2:HQ"}
-        grouped = run_report_stage("identify", classify_all(view, [(hq, mnc) for mnc, hq in hqs.items()]), tmp_path)[0]
-        header, *rows = grouped.read_text(encoding="utf-8").splitlines()
-        m1 = [row for row in rows if row.startswith("M1,")]
-        m2 = [row for row in rows if row.startswith("M2,")]
-        # M1, M2, M1, ...: each MNC's rows stay in their order
-        mixed = [row for pair in zip(m1, m2) for row in pair]
-        assert len(mixed) == len(rows)
-        interleaved = tmp_path / "interleaved.csv"
-        interleaved.write_text("\n".join([header, *mixed]) + "\n", encoding="utf-8")
-        for hq_map in (hqs, None):
-            got = load_keyfirms_csv(interleaved, view.graph, hq_map)
-            want = load_keyfirms_csv(grouped, view.graph, hq_map)
-            assert got.mncs == want.mncs == ["M1", "M2"]
-            assert_same_table(got, want)
-
-    def test_listed_mnc_without_rows(self, tmp_path, m1_graph):
-        path = tmp_path / "keyfirms.csv"
-        path.write_text("mnc,affiliate_id,layer,k_in,k_out,H,T,third_country,role\n" + _GOOD_ROW + "\n",
-                        encoding="utf-8")
-        # listed with a known HQ and no rows: reported, in list order, with no rows;
-        # listed with an unknown HQ and no rows: skipped; unlisted: after the list
-        hq_map = {"Lonely": "M1:e", "Ghost": "ghost", "M1": "M1:HQ"}
-        report = load_keyfirms_csv(path, m1_graph, hq_map)
-        assert report.mncs == ["Lonely", "M1"]
-        assert report.hqs.tolist() == [m1_graph.index_of("M1:e"), m1_graph.index_of("M1:HQ")]
-        assert report.bounds.tolist() == [0, 0, 1]
-        report = load_keyfirms_csv(path, m1_graph, {"Lonely": "M1:e"})
-        assert report.mncs == ["Lonely", "M1"]
-        assert report.hqs.tolist() == [m1_graph.index_of("M1:e"), -1]
-
-
-def assert_same_table(got, want):
-    """Equal MNC lists, HQs, bounds and row columns, dtypes included."""
-    assert got.mncs == want.mncs
-    for column in ("hqs", "bounds") + _COLUMNS:
-        a, b = getattr(got, column), getattr(want, column)
-        assert a.dtype == b.dtype, column
-        np.testing.assert_array_equal(a, b, err_msg=column)  # NaN matches NaN
-
-
-_GOOD_ROW = "M1,M1:a,1,3,1,1.1666666666666665,1.75,1,Holding"
-
-
-class TestKeyfirmsLoaderErrors:
-    @pytest.mark.parametrize("field, value, hq_map, message", [
-        (2, "one", None, "layer"),
-        (3, "x", None, "k_in"),
-        (4, "2.5", None, "k_out"),
-        (5, "abc", None, "H"),
-        (6, "high", None, "T"),
-        (8, "Boss", None, "role"),
-        (1, "M1:ghost", None, "unknown"),
-        (0, "M1", {"M1": "ghost"}, "unknown"),
-        (7, "yes", None, "third_country"),
-        (0, "M0", None, "duplicate"),
-    ])
-    def test_bad_row_names_file_and_line(self, tmp_path, m1_graph, field, value, hq_map, message):
-        bad = _GOOD_ROW.split(",")
-        bad[field] = value
-        path = tmp_path / "keyfirms.csv"
-        header = "mnc,affiliate_id,layer,k_in,k_out,H,T,third_country,role"
-        # another MNC, so an hq_map miss shows on line 3, and its affiliate, so does a repeated row
-        first = "M0,M1:a,1,0,1,,,0,None"
-        path.write_text("\n".join([header, first, ",".join(bad)]) + "\n", encoding="utf-8")
-        with pytest.raises(LoadError, match=message) as info:
-            load_keyfirms_csv(path, m1_graph, hq_map)
-        assert (info.value.path, info.value.line) == (path, 3)
 
 
 # -- reference: the scalar, one-affiliate-at-a-time identification ----------
