@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from ._csr import neighbor_positions, sorted_unique
 from .components import REGION_NAMES, BowTie
@@ -383,7 +383,7 @@ def ols_regression(x, y) -> RegressionResult:
             return (math.inf if coef > 0 else (-math.inf if coef < 0 else 0.0),
                     0.0 if coef != 0 else 1.0)
         t = coef / se
-        return t, 2.0 * float(stats.t.sf(abs(t), df))
+        return t, 2.0 * float(stdtr(df, -abs(t)))
 
     t_int, p_int = t_and_p(intercept, se_intercept)
     t_slo, p_slo = t_and_p(slope, se_slope)

@@ -4,7 +4,8 @@ Degree histograms use geometric (logarithmic) binning. Exponents are fitted
 by exact discrete maximum likelihood through the Hurwitz zeta function,
 with an optional Kolmogorov-Smirnov scan for the lower cutoff; a log-log
 regression slope on the binned densities is available separately for
-comparison with straight-line fits.
+comparison with straight-line fits. Only the likelihood fit needs
+``scipy.optimize``, so ``_mle_gamma`` imports it: other stages skip the load.
 
 The clustering and k_nn curves take one undirected simple CSR, built once
 per caller by ``undirected_simple_csr``. Triangles are counted per node by
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.special import zeta
 
@@ -119,6 +119,8 @@ def _nll(gamma: float, n: int, sum_log: float, x_min: int) -> float:
 
 
 def _mle_gamma(tail: np.ndarray, x_min: int) -> tuple[float, float]:
+    # Deferred: importing scipy.optimize costs ~0.15 s, and no other stage needs it.
+    from scipy.optimize import minimize_scalar
     n = tail.size
     sum_log = float(np.log(tail).sum())
     res = minimize_scalar(

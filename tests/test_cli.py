@@ -636,6 +636,40 @@ def test_report_under_ascii_locale(corpus, tmp_path):
     assert "Zürich" in (tmp_path / "out" / "report" / "summary.txt").read_text(encoding="utf-8")
 
 
+_IMPORT_BUDGET = """
+import sys
+from pathlib import Path
+
+
+def heavy():
+    return sorted(name for name in ("scipy.stats", "scipy.optimize") if name in sys.modules)
+
+
+import ownet.cli
+assert heavy() == [], f"import ownet.cli loads {heavy()}"
+from ownet.pipeline import STAGES, RunConfig, run_pipeline
+nodes, edges, hqs, profiles, out = map(Path, sys.argv[1:])
+inputs = dict(nodes=nodes, edges=edges, hqs=hqs, profiles=profiles)
+run_pipeline(RunConfig(outdir=out / "no_stats", stages=tuple(s for s in STAGES if s != "stats"), **inputs))
+assert heavy() == [], f"a run without the stats stage loads {heavy()}"
+run_pipeline(RunConfig(outdir=out / "all", **inputs))
+assert heavy() == ["scipy.optimize"], f"a run with the stats stage loads {heavy()}"
+"""
+
+
+def test_import_budget(corpus, tmp_path):
+    """scipy.stats is never loaded, and scipy.optimize only by the stats stage's power-law fit.
+
+    A fresh interpreter is needed: other tests have already imported both in this one.
+    """
+    _, paths, _ = corpus
+    env = dict(os.environ, PYTHONPATH=str(Path(ownet.__file__).parents[1]))
+    args = [str(paths[key]) for key in ("nodes", "edges", "hqs", "profiles")] + [str(tmp_path)]
+    result = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, *args],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 # sha256 of every artifact of the test-10 corpus run (seed 7), taken with numpy 2.4.6
 # and scipy 1.17.1. A declared behaviour change updates these and says so in CHANGES.md.
 PINNED_DIGESTS = {

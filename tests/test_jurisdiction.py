@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, template_graph
 from ownet import components as comp
@@ -274,6 +276,23 @@ class TestOls:
         sst = ((y - y.mean()) ** 2).sum()
         r2 = 1 - (resid**2).sum() / sst
         assert res.adj_r_squared == pytest.approx(1 - (1 - r2) * (n - 1) / (n - 2), abs=1e-10)
+
+    @given(st.integers(3, 300), st.integers(0, 2**32 - 1), st.floats(-16.0, 1.0))
+    @example(3, 0, 0.0)  # df = 1
+    @example(300, 1, -16.0)  # near-perfect fit: |t| ~ 1e17, both p underflow to 0.0
+    @settings(max_examples=200, deadline=None)
+    def test_p_values_match_scipy_stats(self, n, seed, log_noise):
+        """Both p-values equal scipy.stats' two-sided t tail bit for bit, underflow included."""
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        y = 1.5 + 0.7 * x + 10.0**log_noise * rng.normal(size=n)
+        res = ols_regression(x, y)
+        assert res.p_slope == 2 * sps.t.sf(abs(res.t_slope), n - 2)
+        assert res.p_intercept == 2 * sps.t.sf(abs(res.t_intercept), n - 2)
+        if (n, seed, log_noise) == (300, 1, -16.0):
+            assert res.p_slope == res.p_intercept == 0.0 and math.isfinite(res.t_slope)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(0)
