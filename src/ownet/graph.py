@@ -5,7 +5,8 @@ by shareholder v" becomes the directed edge u -> v, so dividends travel
 along edge direction and a node's in-degree counts the subsidiaries it
 owns. All node ids are opaque strings mapped to dense integer indexes at
 build time; every analysis module works on the indexes and joins back
-through ``ids``.
+through ``ids``, one packed :class:`IdColumn`: the graph holds no Python
+object per node.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import zipfile
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,13 +52,186 @@ class OwnershipEdge:
     pct: float
 
 
+# -- node ids: one packed column with a sorted 64-bit key index ----------------
+
+EMIT_ROWS = 1 << 16  # ids per chunk of IdColumn work: key mixing, gathering, decoding and writing
+
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)  # the low r bytes of a word
+
+
+def _padded(data) -> np.ndarray:
+    """The bytes of ``data`` (bytes or a uint8 array) and 8 zero bytes, as a uint8 array."""
+    out = np.zeros(len(data) + 8, dtype=np.uint8)
+    out[:len(data)] = np.frombuffer(data, dtype=np.uint8)
+    return out
+
+
+def _word_reader(padded: np.ndarray) -> np.ndarray:
+    """``reader[p]``: bytes ``p`` to ``p + 8`` of ``padded`` (see :func:`_padded`)
+    as one little-endian uint64, for every ``p`` up to the end of its data."""
+    return np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+
+
+def _n_words(lengths: np.ndarray) -> int:
+    return (int(lengths.max()) + 7) // 8 if lengths.size else 0
+
+
+def _word(reader: np.ndarray, starts: np.ndarray, lengths: np.ndarray, w: int) -> np.ndarray:
+    """Word ``w`` of every id (``lengths[i]`` bytes from ``starts[i]``), zero-padded; 0 past its end."""
+    rest = np.clip(lengths - 8 * w, 0, 8)
+    return reader[np.minimum(starts + 8 * w, len(reader) - 1)] & _LOW_BYTES[rest]
+
+
+def _mix(reader: np.ndarray, starts: np.ndarray, lengths: np.ndarray, multiplier: np.uint64) -> np.ndarray:
+    """One uint64 key per id: its words mixed in order, then its length.
+
+    Equal ids get equal keys under every multiplier; two different ids share
+    a key only by chance, which a different multiplier undoes.
+    """
+    key = np.zeros(len(starts), dtype=np.uint64)
+    for w in range(_n_words(lengths)):
+        step = (key ^ _word(reader, starts, lengths, w)) * multiplier
+        step ^= step >> np.uint64(29)
+        key = np.where(lengths > 8 * w, step, key)
+    return (key ^ lengths.astype(np.uint64)) * multiplier
+
+
+def _multiplier(attempt: int) -> np.uint64:
+    """The odd multiplier of key-mixing attempt ``attempt`` (0, 1, ...)."""
+    return np.uint64(0x9E3779B97F4A7C15 * (2 * attempt + 1) % (1 << 64))
+
+
+def _keys(reader: np.ndarray, starts: np.ndarray, lengths: np.ndarray, multiplier: np.uint64) -> np.ndarray:
+    """:func:`_mix` over ``EMIT_ROWS`` ids at a time, so its temporaries stay small."""
+    parts = [_mix(reader, starts[i:i + EMIT_ROWS], lengths[i:i + EMIT_ROWS], multiplier)
+             for i in range(0, len(starts), EMIT_ROWS)]
+    return _joined(parts, np.uint64)
+
+
+def _spans(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``data[starts[i]:starts[i] + lengths[i]]`` for every i, back to back."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return data[np.arange(total) + np.repeat(starts - (ends - lengths), lengths)]
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+class IdColumn(Sequence):
+    """Node ids as one read-only column of str, with no Python object per id.
+
+    The ids' UTF-8 bytes lie back to back in ``blob``; id ``i`` is
+    ``blob[offsets[i]:offsets[i + 1]]``, as :func:`save_cache` stores it.
+    Lookups search a sorted array of one uint64 key per id (:func:`_mix`),
+    and every hit is confirmed by comparing lengths and words. When two ids
+    share a key, all keys are mixed again with the next multiplier.
+    Duplicate ids raise :class:`GraphError`.
+    """
+
+    def __init__(self, blob: np.ndarray, offsets: np.ndarray, keys: np.ndarray | None = None):
+        """``keys``, if given, are the ids' keys under the first multiplier."""
+        self._bytes = _padded(blob)
+        self._reader = _word_reader(self._bytes)
+        self.blob = freeze(self._bytes[:-8])
+        self.offsets = freeze(np.asarray(offsets, dtype=np.int64))
+        starts, lengths = self.offsets[:-1], np.diff(self.offsets)
+        attempt = 0
+        while True:
+            self._multiplier = _multiplier(attempt)
+            if keys is None:
+                keys = _keys(self._reader, starts, lengths, self._multiplier)
+            order = np.argsort(keys)
+            sorted_keys = keys[order]
+            tied = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+            if tied.size == 0:
+                break
+            second = order[tied + 1]
+            if self._matches(order[tied], self._reader, starts[second], lengths[second]).any():
+                raise GraphError("duplicate node ids")
+            attempt, keys = attempt + 1, None  # only key collisions: mix again
+        self._sorted_keys = freeze(sorted_keys)
+        self._order = freeze(order)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i) -> str:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("node index out of range")
+        return self.blob[self.offsets[i]:self.offsets[i + 1]].tobytes().decode("utf-8")
+
+    def __iter__(self):
+        for start in range(0, len(self), EMIT_ROWS):
+            yield from self.take(np.arange(start, min(start + EMIT_ROWS, len(self))))
+
+    def take(self, indexes) -> list[str]:
+        """The ids at ``indexes`` (a chunk of them), in that order: one gather,
+        one decode and one split."""
+        indexes = np.asarray(indexes, dtype=np.int64)
+        if indexes.size and (indexes.min() < 0 or indexes.max() >= len(self)):
+            raise IndexError("node index out of range")
+        starts = self.offsets[indexes]
+        lengths = self.offsets[indexes + 1] - starts + 1  # each id and the byte after it, made a newline
+        joined = _spans(self._bytes, starts, lengths)
+        joined[np.cumsum(lengths) - 1] = ord("\n")
+        parts = joined.tobytes().decode("utf-8").split("\n")
+        parts.pop()
+        if len(parts) != len(indexes):  # some id holds a newline
+            return [self[i] for i in indexes.tolist()]
+        return parts
+
+    def subset(self, indexes: np.ndarray) -> IdColumn:
+        """The column of the (distinct) ids at ``indexes``, in that order."""
+        starts = self.offsets[indexes]
+        lengths = self.offsets[indexes + 1] - starts
+        parts = [_spans(self._bytes, starts[i:i + EMIT_ROWS], lengths[i:i + EMIT_ROWS])
+                 for i in range(0, len(starts), EMIT_ROWS)]
+        return IdColumn(_joined(parts, np.uint8), _offsets(lengths))
+
+    def indexes_of(self, ids) -> np.ndarray:
+        """The index of every id in ``ids`` (an iterable of str); -1 for one that is no node id."""
+        blob, offsets = _pack_strings(list(ids))
+        return self._find(_word_reader(_padded(blob)), offsets[:-1], np.diff(offsets))
+
+    def _find(self, reader: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The index of every query id (``lengths[i]`` bytes from ``starts[i]`` of
+        ``reader``), -1 where there is none: the keys are sorted, searched with
+        one ``searchsorted``, and every hit confirmed."""
+        found = np.full(len(starts), -1, dtype=np.int64)
+        if len(self) == 0 or len(starts) == 0:
+            return found
+        keys = _keys(reader, starts, lengths, self._multiplier)
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
+        index = self._order[pos]
+        hit = self._sorted_keys[pos] == keys
+        hit &= self._matches(index, reader, starts[by_key], lengths[by_key])
+        found[by_key[hit]] = index[hit]
+        return found
+
+    def _matches(self, index: np.ndarray, reader: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Whether id ``index[i]`` has the bytes of query ``i`` (as in :meth:`_find`)."""
+        own = self.offsets[index]
+        same = self.offsets[index + 1] - own == lengths
+        for w in range(_n_words(lengths)):
+            same &= _word(self._reader, own, lengths, w) == _word(reader, starts, lengths, w)
+        return same
+
+
 @dataclass(frozen=True)
 class NodeColumns:
-    """Node ids and jurisdictions as parallel columns; ``id_index`` maps each
-    id to its position and ``jurisdiction_index`` points into the sorted labels."""
+    """Node ids and jurisdictions as parallel columns; ``jurisdiction_index``
+    points into the sorted labels."""
 
-    ids: list[str]
-    id_index: dict[str, int]
+    ids: IdColumn
     jurisdiction_labels: list[str]
     jurisdiction_index: np.ndarray
 
@@ -134,43 +310,44 @@ def _row_nodes(path: Path) -> NodeColumns:
     """:func:`load_nodes` one ``csv.reader`` row at a time: the definition of a
     valid node file, and the path that reports the first bad line."""
     ids = []
-    id_index: dict[str, int] = {}
+    seen: set[str] = set()
     first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
     codes = array("i")
     for line, row in data_rows(path, NODE_HEADER):
         node_id = row[0].strip()
         if not node_id:
             raise LoadError("empty node_id", path, line)
-        if node_id in id_index:
+        if node_id in seen:
             raise LoadError(f"duplicate node_id {node_id!r}", path, line)
-        id_index[node_id] = len(ids)
+        seen.add(node_id)
         ids.append(node_id)
         codes.append(first_seen.setdefault(_jurisdiction(row[1]), len(first_seen)))
         _parse_bool(row[4], path, line)  # validated, not kept
-    return _node_columns(ids, id_index, first_seen, np.asarray(codes))
+    return _node_columns(IdColumn(*_pack_strings(ids)), first_seen, np.asarray(codes))
 
 
-def _node_columns(ids, id_index, first_seen, codes) -> NodeColumns:
+def _node_columns(ids: IdColumn, first_seen, codes) -> NodeColumns:
     """Node columns with jurisdictions renumbered from order of first use to sorted order."""
     labels = sorted(first_seen)
     rank = np.empty(len(labels), dtype=np.int32)
     rank[[first_seen[label] for label in labels]] = np.arange(len(labels))
-    return NodeColumns(ids, id_index, labels, rank[codes])
+    return NodeColumns(ids, labels, rank[codes])
 
 
-def _row_edges(path: Path, id_index: dict[str, int]) -> EdgeLoadResult:
+def _row_edges(path: Path, ids: IdColumn) -> EdgeLoadResult:
     """:func:`load_edges` one ``csv.reader`` row at a time: the definition of a
     valid edge file, and the path that reports the first bad line."""
+    position = dict(zip(ids, range(len(ids))))
     src, dst, pct = array("i"), array("i"), array("d")
     self_loops = blank_pct = 0
     for line, row in data_rows(path, EDGE_HEADER):
         sub, sh = row[0].strip(), row[1].strip()
         if not sub or not sh:
             raise LoadError("empty endpoint id", path, line)
-        s = id_index.get(sub)
+        s = position.get(sub)
         if s is None:
             raise LoadError(f"unknown node_id {sub!r}", path, line)
-        d = id_index.get(sh)
+        d = position.get(sh)
         if d is None:
             raise LoadError(f"unknown node_id {sh!r}", path, line)
         raw_pct = row[2].strip()
@@ -204,13 +381,15 @@ class _Irregular(Exception):
     loop re-reads it, so errors keep their message and line."""
 
 
-def _split_block(block: bytes, width: int) -> list[str]:
-    """The fields of every line of ``block`` (newline-terminated), row after row.
+def _split_block(block: bytes, width: int) -> np.ndarray:
+    """The field bounds of every line of ``block`` (newline-terminated): field
+    ``j`` of row ``i`` is ``block[bounds[i, j] + 1:bounds[i, j + 1]]``.
 
     Only plain lines are split: no quote, CR or NUL byte, exactly
     ``width - 1`` commas each (so no blank line), and no field longer than
     the csv module accepts. ``csv.reader`` splits such a line at its commas
-    alone, so both parses agree; anything else raises :class:`_Irregular`.
+    alone, so both parses agree; anything else, and a block that is not
+    UTF-8, raises :class:`_Irregular`.
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
         raise _Irregular
@@ -224,16 +403,17 @@ def _split_block(block: bytes, width: int) -> list[str]:
     gaps = np.diff(bounds, axis=1)
     if gaps.size and (gaps.min() < 1 or gaps.max() > csv.field_size_limit() + 1):
         raise _Irregular
-    try:
-        fields = block.decode("utf-8").replace(",", "\n").split("\n")
-    except UnicodeDecodeError:
-        raise _Irregular from None
-    fields.pop()  # the empty string after the last newline
-    return fields
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Irregular from None
+    return bounds
 
 
 def _bulk_blocks(path: Path, header: list[str]):
-    """Per block of data rows, their fields as one flat row-major list.
+    """Per block of data rows, its bytes (:func:`_padded`) and field bounds
+    (:func:`_split_block`).
 
     The file must be plain throughout (see :func:`_split_block`) and start
     with ``header``; otherwise, and if it cannot be read, this raises
@@ -258,19 +438,57 @@ def _bulk_blocks(path: Path, header: list[str]):
             elif block:
                 block += b"\n"  # the last line, which has no newline
             if block:
-                fields = _split_block(block, width)
+                bounds = _split_block(block, width)
                 if first:
-                    if [name.strip() for name in fields[:width]] != header:
+                    names = [block[bounds[0, j] + 1:bounds[0, j + 1]].decode("utf-8").strip() for j in range(width)]
+                    if names != header:
                         raise _Irregular
-                    del fields[:width]
+                    bounds = bounds[1:]
                     first = False
-                if fields:
-                    yield fields
-                    fields.clear()  # free this block's strings before the next block makes its own
+                if bounds.size:
+                    yield _padded(block), bounds
             if not chunk:
                 break
         if first:  # an empty file: no header
             raise _Irregular
+
+
+_ASCII_SPACE = np.array([b < 128 and chr(b).isspace() for b in range(256)])  # bytes that str.strip removes
+# the UTF-8 of every other character that str.strip removes; U+3000 is the last
+_WIDE_SPACES = tuple(c.encode("utf-8") for c in map(chr, range(128, 0x3001)) if c.isspace())
+
+
+def _id_spans(buf: np.ndarray, bounds: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of field ``j`` of every row, as ``str.strip`` leaves it.
+
+    An id left empty, or with non-ASCII white space at either end, raises
+    :class:`_Irregular`: the row loop reads such a file.
+    """
+    lo, hi = bounds[:, j] + 1, bounds[:, j + 1].copy()
+    moving = np.flatnonzero(_ASCII_SPACE[buf[lo]] & (lo < hi))
+    while moving.size:
+        lo[moving] += 1
+        moving = moving[_ASCII_SPACE[buf[lo[moving]]] & (lo[moving] < hi[moving])]
+    moving = np.flatnonzero(_ASCII_SPACE[buf[hi - 1]] & (lo < hi))
+    while moving.size:
+        hi[moving] -= 1
+        moving = moving[_ASCII_SPACE[buf[hi[moving] - 1]] & (lo[moving] < hi[moving])]
+    if (lo == hi).any():
+        raise _Irregular
+    for i in np.flatnonzero((buf[lo] >= 0x80) | (buf[hi - 1] >= 0x80)).tolist():
+        field = buf[lo[i]:hi[i]].tobytes()
+        if field.startswith(_WIDE_SPACES) or field.endswith(_WIDE_SPACES):
+            raise _Irregular
+    return lo, hi - lo
+
+
+def _text_column(buf: np.ndarray, bounds: np.ndarray, j: int) -> list[str]:
+    """Field ``j`` of every row as str: one gather, one decode and one split."""
+    starts = bounds[:, j] + 1
+    joined = _spans(buf, starts, bounds[:, j + 1] - starts + 1).tobytes()  # each field and its separator
+    fields = joined.replace(b",", b"\n").decode("utf-8").split("\n")
+    fields.pop()  # the empty string after the last separator
+    return fields
 
 
 def _mapped(column: list[str], table: dict, value_of):
@@ -285,20 +503,7 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
-def _fresh_copies(strings) -> list[str]:
-    """New objects equal to ``strings`` (at least one; none holds a newline).
-
-    The strings a node block keeps are copied, together, out of the block's
-    split, so the allocator pools that held the whole split empty out once
-    the block is done with, rather than staying pinned by the kept ones.
-    """
-    return "\n".join(strings).split("\n")
-
-
 def _bulk_nodes(path: Path) -> NodeColumns:
-    width = len(NODE_HEADER)
-    ids = []
-    id_index: dict[str, int] = {}
     first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
     codes = array("i")
 
@@ -307,31 +512,35 @@ def _bulk_nodes(path: Path) -> NodeColumns:
 
     code_of: dict[str, int] = {}  # raw jurisdiction field -> code
     valid_flags: set[str] = set()  # raw is_hq fields that parse
-    for fields in _bulk_blocks(path, NODE_HEADER):
-        block_ids = _fresh_copies(map(str.strip, fields[0::width]))
-        id_index.update(zip(block_ids, range(len(ids), len(ids) + len(block_ids))))
-        ids += block_ids
-        if len(id_index) != len(ids) or "" in id_index:
-            raise _Irregular
-        codes.extend(_mapped(fields[1::width], code_of, jurisdiction_code))
-        for raw in set(fields[4::width]).difference(valid_flags):  # validated, not kept
+    blobs, lengths, keys = [], [], []
+    for buf, bounds in _bulk_blocks(path, NODE_HEADER):
+        starts, length = _id_spans(buf, bounds, 0)
+        blobs.append(_spans(buf, starts, length))
+        lengths.append(length)
+        keys.append(_keys(_word_reader(buf), starts, length, _multiplier(0)))
+        codes.extend(_mapped(_text_column(buf, bounds, 1), code_of, jurisdiction_code))
+        for raw in set(_text_column(buf, bounds, 4)).difference(valid_flags):  # validated, not kept
             _parse_bool(raw, path, None)
             valid_flags.add(raw)
-    return _node_columns(ids, id_index, first_seen, np.asarray(codes))
+    try:
+        ids = IdColumn(_joined(blobs, np.uint8), _offsets(_joined(lengths, np.int64)), _joined(keys, np.uint64))
+    except GraphError:  # a duplicate id: the row loop reports its line
+        raise _Irregular from None
+    return _node_columns(ids, first_seen, np.asarray(codes))
 
 
-def _bulk_edges(path: Path, id_index: dict[str, int]) -> EdgeLoadResult:
-    width = len(EDGE_HEADER)
+def _bulk_edges(path: Path, ids: IdColumn) -> EdgeLoadResult:
     src, dst, pct = [], [], []
     self_loops = blank_pct = 0
-    for fields in _bulk_blocks(path, EDGE_HEADER):
-        rows = len(fields) // width
-        try:
-            s = np.fromiter(map(id_index.__getitem__, map(str.strip, fields[0::width])), np.int32, rows)
-            d = np.fromiter(map(id_index.__getitem__, map(str.strip, fields[1::width])), np.int32, rows)
-        except KeyError:
-            raise _Irregular from None
-        raw = list(map(str.strip, fields[2::width]))
+    for buf, bounds in _bulk_blocks(path, EDGE_HEADER):
+        rows = len(bounds)
+        sub, sub_length = _id_spans(buf, bounds, 0)
+        sh, sh_length = _id_spans(buf, bounds, 1)
+        found = ids._find(_word_reader(buf), np.concatenate((sub, sh)), np.concatenate((sub_length, sh_length)))
+        if (found < 0).any():  # an unknown id: the row loop reports its line
+            raise _Irregular
+        s, d = found[:rows].astype(np.int32), found[rows:].astype(np.int32)
+        raw = list(map(str.strip, _text_column(buf, bounds, 2)))
         blank_pct += raw.count("")
         try:  # a blank pct reads as 0.0: {"": "0"}.get(x, x) is "0" for "" and x otherwise
             value = np.fromiter(map(float, map({"": "0"}.get, raw, raw)), np.float64, rows)
@@ -354,8 +563,8 @@ def load_nodes(path) -> NodeColumns:
 
     Empty and duplicate node ids and malformed rows, a bad ``is_hq`` too, are
     rejected with the line number. A plain file (no quoting, LF line ends) is
-    parsed a block at a time; any other file, or one that fails a check, is
-    read row by row.
+    parsed a block at a time, with no str made for an id; any other file, or
+    one that fails a check, is read row by row.
     """
     path = Path(path)
     try:
@@ -364,22 +573,19 @@ def load_nodes(path) -> NodeColumns:
         return _row_nodes(path)
 
 
-def load_edges(path, id_index: dict[str, int]) -> EdgeLoadResult:
+def load_edges(path, ids: IdColumn) -> EdgeLoadResult:
     """Read an edge CSV (``subsidiary_id,shareholder_id,pct``) into index columns.
 
-    Endpoints are mapped through ``id_index`` (see :func:`load_nodes`); an
-    unknown id is rejected with the line number. Self-loops are dropped and
-    counted rather than rejected. A blank pct is ingested as 0.0 (never
-    substantial) and counted. Plain files take the bulk parse, as in
-    :func:`load_nodes`.
+    Endpoints are looked up in ``ids`` (see :func:`load_nodes`); an unknown
+    id is rejected with the line number. Self-loops are dropped and counted
+    rather than rejected. A blank pct is ingested as 0.0 (never substantial)
+    and counted. Plain files take the bulk parse, as in :func:`load_nodes`.
     """
     path = Path(path)
     try:
-        if "" in id_index:  # the row loop rejects an empty endpoint before the lookup
-            raise _Irregular
-        return _bulk_edges(path, id_index)
+        return _bulk_edges(path, ids)
     except _Irregular:
-        return _row_edges(path, id_index)
+        return _row_edges(path, ids)
 
 
 class _Adjacency:
@@ -433,8 +639,7 @@ class OwnershipGraph(_Adjacency):
     """
 
     def __init__(self, nodes: NodeColumns, edges: EdgeColumns, counters: dict[str, int]):
-        self.ids: list[str] = nodes.ids
-        self.id_index: dict[str, int] = nodes.id_index
+        self.ids: IdColumn = nodes.ids
         labels = nodes.jurisdiction_labels
         self.jurisdiction_labels: list[str] = labels
         self.jurisdiction_index = freeze(np.asarray(nodes.jurisdiction_index, dtype=np.int32))
@@ -444,10 +649,10 @@ class OwnershipGraph(_Adjacency):
 
     # -- metadata access -------------------------------------------------
     def index_of(self, node_id: str) -> int:
-        try:
-            return self.id_index[node_id]
-        except KeyError:
-            raise GraphError(f"unknown node id {node_id!r}") from None
+        index = int(self.ids.indexes_of([node_id])[0])
+        if index < 0:
+            raise GraphError(f"unknown node id {node_id!r}")
+        return index
 
     def jurisdiction_of(self, i: int) -> str:
         return self.jurisdiction_labels[self.jurisdiction_index[i]]
@@ -475,26 +680,26 @@ def build_graph(nodes, edges) -> OwnershipGraph:
 
     Duplicate node ids and edges referencing unknown nodes are rejected.
     """
-    ids = [node.node_id for node in nodes]
-    id_index = {node_id: i for i, node_id in enumerate(ids)}
-    if len(id_index) != len(ids):
-        raise GraphError("duplicate node ids")
+    ids = IdColumn(*_pack_strings([node.node_id for node in nodes]))
     labels = sorted({node.jurisdiction for node in nodes})
     code = {label: i for i, label in enumerate(labels)}
-    columns = NodeColumns(ids, id_index, labels, [code[node.jurisdiction] for node in nodes])
-    try:
-        rows = [(id_index[edge.subsidiary], id_index[edge.shareholder], edge.pct) for edge in edges]
-    except KeyError as exc:
-        raise GraphError(f"edge references unknown node {exc.args[0]!r}") from None
-    table = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    edge_columns = EdgeColumns(table[:, 0].astype(np.int32), table[:, 1].astype(np.int32), table[:, 2])
+    columns = NodeColumns(ids, labels, np.array([code[node.jurisdiction] for node in nodes], dtype=np.int32))
+    edges = list(edges)
+    names = [name for edge in edges for name in (edge.subsidiary, edge.shareholder)]
+    ends = ids.indexes_of(names)
+    unknown = np.flatnonzero(ends < 0)
+    if unknown.size:
+        raise GraphError(f"edge references unknown node {names[unknown[0]]!r}")
+    ends = ends.astype(np.int32).reshape(-1, 2)
+    pct = np.array([edge.pct for edge in edges], dtype=np.float64)
+    edge_columns = EdgeColumns(ends[:, 0].copy(), ends[:, 1].copy(), pct)
     return OwnershipGraph(columns, edge_columns, {"self_loops_dropped": 0, "blank_pct": 0})
 
 
 def load_graph(nodes_path, edges_path) -> OwnershipGraph:
     """Parse both CSVs and build the graph."""
     nodes = load_nodes(nodes_path)
-    result = load_edges(edges_path, nodes.id_index)
+    result = load_edges(edges_path, nodes.ids)
     counters = {"self_loops_dropped": result.self_loops_dropped, "blank_pct": result.blank_pct}
     return OwnershipGraph(nodes, result.edges, counters)
 
@@ -515,27 +720,32 @@ def reciprocal_link_ratio(g: _Adjacency) -> float:
     return float(np.isin(keys, rev).sum() / m)
 
 
-def induced_subgraph(graph: OwnershipGraph, node_ids) -> OwnershipGraph:
-    """Subgraph on the given node ids with exactly the internal edges.
+def induced_subgraph(graph: OwnershipGraph, nodes) -> OwnershipGraph:
+    """Subgraph on ``nodes`` with exactly the internal edges: node ids, or an
+    integer array of node indexes.
 
     Kept nodes retain their ids, jurisdictions and relative order; only the
     jurisdiction labels they use are kept. Unknown ids are rejected.
     """
-    indexes = np.array(sorted({graph.index_of(node_id) for node_id in node_ids}), dtype=np.int64)
+    if not (isinstance(nodes, np.ndarray) and nodes.dtype.kind in "iu"):
+        node_ids = list(nodes)
+        nodes = graph.ids.indexes_of(node_ids)
+        unknown = np.flatnonzero(nodes < 0)
+        if unknown.size:
+            raise GraphError(f"unknown node id {node_ids[unknown[0]]!r}")
     keep = np.zeros(graph.n_nodes, dtype=bool)
-    keep[indexes] = True
+    keep[nodes] = True
+    indexes = np.flatnonzero(keep)
     remap = np.full(graph.n_nodes, -1, dtype=np.int64)
     remap[indexes] = np.arange(len(indexes))
 
-    ids = [graph.ids[i] for i in indexes]
     labels = graph.jurisdiction_labels
     used, jurisdiction_index = dense_relabel(graph.jurisdiction_index[indexes], len(labels))
-    nodes = NodeColumns(ids, {node_id: i for i, node_id in enumerate(ids)},
-                        [labels[u] for u in used], jurisdiction_index)
+    columns = NodeColumns(graph.ids.subset(indexes), [labels[u] for u in used], jurisdiction_index)
     mask = keep[graph.src] & keep[graph.dst]
     edges = EdgeColumns(remap[graph.src[mask]].astype(np.int32), remap[graph.dst[mask]].astype(np.int32),
                         graph.pct[mask])
-    return OwnershipGraph(nodes, edges, graph.ingest_counters)
+    return OwnershipGraph(columns, edges, graph.ingest_counters)
 
 
 # -- canonical CSV and JSON emit -------------------------------------------
@@ -548,18 +758,17 @@ def write_csv_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-EMIT_ROWS = 1 << 16  # rows per formatted chunk of write_id_value_csv
-
-
-def write_id_value_csv(path, header, ids: list, values: list) -> None:
-    """Rows ``(ids[i], values[i])`` of str or int fields, byte for byte as
-    :func:`write_csv_rows` writes them. Each chunk of rows is formatted as
-    one string, and handed to ``csv.writer`` only if a field needs quoting."""
+def write_id_value_csv(path, header, ids: IdColumn, values: list) -> None:
+    """Rows ``(ids[i], values[i])`` of str or int values, byte for byte as
+    :func:`write_csv_rows` writes them. Each chunk of ``EMIT_ROWS`` ids is
+    decoded from the column at once, its rows are formatted as one string,
+    and that goes to ``csv.writer`` only if a field needs quoting."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for start in range(0, len(ids), EMIT_ROWS):
-            chunk_ids, chunk_values = ids[start:start + EMIT_ROWS], values[start:start + EMIT_ROWS]
+            stop = min(start + EMIT_ROWS, len(ids))
+            chunk_ids, chunk_values = ids.take(np.arange(start, stop)), values[start:stop]
             text = "".join(map("{},{}\n".format, chunk_ids, chunk_values))
             rows = len(chunk_ids)
             if text.count(",") == rows and text.count("\n") == rows and not ('"' in text or "\r" in text):
@@ -587,23 +796,31 @@ def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
         encoded = [s.encode("utf-8") for s in strings]
         lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
         data = b"".join(encoded)
-    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return np.frombuffer(data, dtype=np.uint8).copy(), offsets
+    return np.frombuffer(data, dtype=np.uint8).copy(), _offsets(lengths)
 
 
-def _unpack_strings(blob: np.ndarray, offsets: np.ndarray, field: str, path) -> list[str]:
-    """The strings :func:`_pack_strings` packed for cache field ``field``;
-    ``offsets`` must run from 0 to the blob's end without decreasing."""
+def _check_packed(blob: np.ndarray, offsets: np.ndarray, field: str, path) -> None:
+    """Cache field ``field`` as :func:`_pack_strings` packs it: ``offsets`` run
+    from 0 to the blob's end without decreasing, and cut UTF-8 between characters."""
     if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != blob.size \
             or (offsets[1:] < offsets[:-1]).any():
         raise LoadError(f"cache field {field!r} has offsets that do not delimit its {blob.size}-byte blob",
                         path)
     raw = blob.tobytes()
-    if len(offsets) > 1 and raw.isascii() and b"\n" not in raw:
-        # one newline between strings, then one decode and one split
-        return np.insert(blob, offsets[1:-1], ord("\n")).tobytes().decode("ascii").split("\n")
-    bounds = offsets.tolist()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")  # checked, not kept
+        except UnicodeDecodeError:
+            raise LoadError(f"cache field {field!r} is not UTF-8", path) from None
+        cuts = offsets[1:-1]
+        if ((blob[cuts[cuts < blob.size]] & 0xC0) == 0x80).any():  # a string starts mid-character
+            raise LoadError(f"cache field {field!r} is not UTF-8", path)
+
+
+def _unpack_strings(blob: np.ndarray, offsets: np.ndarray, field: str, path) -> list[str]:
+    """The strings :func:`_pack_strings` packed for cache field ``field`` (see :func:`_check_packed`)."""
+    _check_packed(blob, offsets, field, path)
+    raw, bounds = blob.tobytes(), offsets.tolist()
     return [raw[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
@@ -618,7 +835,7 @@ def _sha256(path) -> str:
 def save_cache(graph: OwnershipGraph, path, digests: tuple[str, str] = ("", "")) -> None:
     """Persist the built graph to a versioned npz cache, keyed on ``digests``:
     the sha256 of the node and edge CSVs it was parsed from (default: none)."""
-    ids_blob, ids_off = _pack_strings(graph.ids)
+    ids_blob, ids_off = graph.ids.blob, graph.ids.offsets
     jur_blob, jur_off = _pack_strings(graph.jurisdiction_labels)
     np.savez(
         path,
@@ -652,12 +869,13 @@ def load_cache(path) -> OwnershipGraph:
         version = int(data["version"])
         if version != CACHE_VERSION:
             raise LoadError(f"cache version {version} unsupported (expected {CACHE_VERSION})", path)
-        ids = _unpack_strings(data["ids_blob"], data["ids_off"], "ids", path)
+        ids_blob, ids_off = data["ids_blob"], data["ids_off"]
+        _check_packed(ids_blob, ids_off, "ids", path)
         labels = _unpack_strings(data["jur_blob"], data["jur_off"], "jur", path)
         fields = {key: data[key] for key in ("jur_index", "src", "dst", "pct")}
         counters = {key: int(data[key]) for key in ("self_loops_dropped", "blank_pct")}
 
-    n, m = len(ids), len(fields["src"])
+    n, m = len(ids_off) - 1, len(fields["src"])
     for field in ("jur_index", "dst", "pct"):
         expected = m if field in ("dst", "pct") else n
         if len(fields[field]) != expected:
@@ -668,11 +886,12 @@ def load_cache(path) -> OwnershipGraph:
             raise LoadError(f"cache field {field!r} holds values outside [0, {bound})", path)
     if not np.all((fields["pct"] >= 0.0) & (fields["pct"] <= 100.0)):
         raise LoadError("cache field 'pct' holds values outside [0, 100]", path)
-    id_index = dict(zip(ids, range(n)))
-    if len(id_index) != n:
-        raise LoadError("cache field 'ids' holds duplicate node ids", path)
+    try:
+        ids = IdColumn(ids_blob, ids_off)
+    except GraphError:
+        raise LoadError("cache field 'ids' holds duplicate node ids", path) from None
 
-    nodes = NodeColumns(ids, id_index, labels, fields["jur_index"])
+    nodes = NodeColumns(ids, labels, fields["jur_index"])
     src, dst = fields["src"].astype(np.int32, copy=False), fields["dst"].astype(np.int32, copy=False)
     edges = EdgeColumns(src, dst, fields["pct"].astype(np.float64, copy=False))
     return OwnershipGraph(nodes, edges, counters)

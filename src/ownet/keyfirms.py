@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csr import neighbor_positions
-from .errors import GraphError, InvariantError
+from .errors import InvariantError
 from .graph import SubstantialView
 from .mnc import SubtreeTable, row_mnc, subtree_table
 
@@ -195,13 +195,14 @@ def classify_all(view: SubstantialView, hq_list) -> ClassificationReport:
     collected as a failure and the run continues. All subtrees are built
     and identified in one pass; MNCs keep list order.
     """
+    hq_list = list(hq_list)
+    found = view.graph.ids.indexes_of([hq_id for hq_id, _ in hq_list])
     names, hqs, failures = [], [], []
-    for hq_id, name in hq_list:
-        try:
-            hqs.append(view.graph.index_of(hq_id))
-        except GraphError as exc:
-            failures.append((name, str(exc)))
+    for (hq_id, name), index in zip(hq_list, found.tolist()):
+        if index < 0:
+            failures.append((name, f"unknown node id {hq_id!r}"))
             continue
+        hqs.append(index)
         names.append(name)
     table = subtree_table(view, hqs)
     return ClassificationReport(view.graph, names, table.hqs, table.bounds, table.affiliates, table.layers,

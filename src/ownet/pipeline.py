@@ -280,8 +280,7 @@ def _stage_stats(config, outdir, state):
 def community_scope(graph: OwnershipGraph) -> OwnershipGraph:
     """The graph communities are detected on: the GWCC."""
     weak = comp.weak_components(graph)
-    keep = np.flatnonzero(weak.labels == weak.largest)
-    return induced_subgraph(graph, [graph.ids[i] for i in keep])
+    return induced_subgraph(graph, np.flatnonzero(weak.labels == weak.largest))
 
 
 def _stage_communities(config, outdir, state):
@@ -312,8 +311,7 @@ def _get_report(config, state):
 
 def _affiliate_columns(report) -> list[list]:
     """MNC name, affiliate id, layer and within-MNC degrees of every report row."""
-    ids = report.graph.ids
-    return [[report.mncs[m] for m in report.row_mnc.tolist()], [ids[a] for a in report.affiliates.tolist()],
+    return [[report.mncs[m] for m in report.row_mnc.tolist()], report.graph.ids.take(report.affiliates),
             report.layers.tolist(), report.k_in.tolist(), report.k_out.tolist()]
 
 

@@ -411,8 +411,11 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
     def nace() -> str:
         return NACE_POOL[int(rng.integers(0, len(NACE_POOL)))]
 
+    pct_texts: dict[str, str] = {}  # one object per distinct pct: under 2,000 of them in a 1M-edge corpus
+
     def low_pct() -> str:
-        return f"{rng.uniform(spec.noise_pct[0], spec.noise_pct[1]):.2f}"
+        text = f"{rng.uniform(spec.noise_pct[0], spec.noise_pct[1]):.2f}"
+        return pct_texts.setdefault(text, text)
 
     # core: directed cycle plus chords, the designated largest SCC
     core_ids = [f"core{i:05d}" for i in range(spec.core_size)]

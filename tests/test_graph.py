@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import ownet.graph as graph_module
 from conftest import in_neighbors, make_graph, out_neighbors
 from ownet.errors import GraphError, LoadError
 from ownet.graph import (
+    IdColumn,
     NodeRecord,
     OwnershipEdge,
     build_graph,
@@ -39,8 +42,12 @@ def write(tmp_path, name, text):
     return path
 
 
+def id_column(*ids):
+    return IdColumn(*_pack_strings(list(ids)))
+
+
 NODES_2 = "node_id,jurisdiction,nace_section,name,is_hq\nn1,US,C,Acme,0\nn2,NL,K,Holdco,1\n"
-IDS_2 = {"n1": 0, "n2": 1}
+IDS_2 = id_column("n1", "n2")
 
 
 def node_records(columns):
@@ -125,7 +132,7 @@ class TestLoadEdges:
     def test_unknown_id_strict(self, tmp_path):
         path = write(tmp_path, "e.csv", "subsidiary_id,shareholder_id,pct\nn1,zz,10\n")
         with pytest.raises(LoadError, match="unknown"):
-            load_edges(path, {"n1": 0})
+            load_edges(path, id_column("n1"))
 
 
 class TestBuildGraph:
@@ -267,7 +274,7 @@ class TestCache:
         path = tmp_path / "g.npz"
         save_cache(m1_graph, path)
         back = load_cache(path)
-        assert back.ids == m1_graph.ids
+        assert list(back.ids) == list(m1_graph.ids)
         assert np.array_equal(back.src, m1_graph.src)
         assert np.array_equal(back.pct, m1_graph.pct)
         assert [back.jurisdiction_of(i) for i in range(back.n_nodes)] == [
@@ -296,7 +303,8 @@ class TestPackedStrings:
         g = build_graph(nodes, [OwnershipEdge("Zürich-1", "株式会社", 50.0)])
         save_cache(g, tmp_path / "g.npz")
         back = load_cache(tmp_path / "g.npz")
-        assert (back.ids, back.id_index) == (self.IDS, g.id_index)
+        assert list(back.ids) == self.IDS
+        assert [back.index_of(node_id) for node_id in self.IDS] == list(range(len(self.IDS)))
 
     @given(st.lists(st.text(max_size=6), max_size=20))
     @example(IDS)
@@ -312,12 +320,13 @@ class TestPackedStrings:
 
 
 class TestIdValueCsv:
-    @given(st.lists(st.tuples(st.text(max_size=5), st.integers(-3, 10**6) | st.text(max_size=3)), max_size=12))
-    @example([("n,1", "IN"), ("n2", "GSCC"), ('q"', 3), ("cr\r", "OUT"), ("é", "TE"), ("", "")])
+    @given(st.lists(st.tuples(st.text(max_size=5), st.integers(-3, 10**6) | st.text(max_size=3)), max_size=12,
+                    unique_by=lambda row: row[0]))
+    @example([("n,1", "IN"), ("n2", "GSCC"), ('q"', 3), ("cr\r", "OUT"), ("é", "TE"), ("", ""), ("a\nb", 1)])
     @settings(deadline=None)
     def test_bytes_equal_write_csv_rows(self, tmp_path_factory, rows):
         tmp = tmp_path_factory.mktemp("emit")
-        ids, values = [row[0] for row in rows], [row[1] for row in rows]
+        ids, values = id_column(*(row[0] for row in rows)), [row[1] for row in rows]
         write_csv_rows(tmp / "want.csv", ["node_id", "value"], rows)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph_module, "EMIT_ROWS", 3)  # several chunks, quoted and plain
@@ -393,6 +402,7 @@ class TestCacheValidation:
             pytest.param("ids", lambda d: d["ids_off"].__setitem__(1, d["ids_off"][-1] + 5),
                          id="ids_off-decreasing"),
             pytest.param("jur", lambda d: d.update(jur_blob=d["jur_blob"][:-1]), id="jur_blob-short"),
+            pytest.param("ids", lambda d: d["ids_blob"].__setitem__(0, 0xFF), id="ids_blob-not-utf8"),
         ],
     )
     def test_corrupt_field_named(self, tmp_path, m1_graph, field, corrupt):
@@ -528,7 +538,8 @@ def csv_inputs(draw):
     several checks at once, which pins down the order of the checks. Fields
     may carry tabs and spaces around ids and pcts, NUL bytes, non-ASCII
     text and quotes; files may be written with bare fields (so quotes are
-    stray), CRLF line ends, blank lines mid-file and no final newline.
+    stray), CRLF line ends, blank lines mid-file and no final newline. The
+    ids of one file share a shape (see ``ID_SHAPES``).
     """
 
     def field(common, faults, broken):
@@ -547,12 +558,13 @@ def csv_inputs(draw):
     def rarely(value, otherwise, odds=4):  # most files are plain, as real dumps are
         return value if draw(st.integers(1, odds)) == 1 else otherwise
 
-    ids = [f"n{k}" for k in range(draw(st.integers(0, 8)))]
+    shape = ID_SHAPES[draw(st.integers(0, len(ID_SHAPES) - 1))]
+    ids = [shape(k) for k in range(draw(st.integers(0, 8)))]
     node_rows = []
     for node_id in ids:
         broken = draw(st.integers(0, 9)) == 0
         row = [
-            field(padded(node_id), [f" {node_id} ", "n0", ""], broken),
+            field(padded(node_id), [f" {node_id} ", ids[0], ""], broken),
             draw(st.sampled_from(["US", "NL", "", " KY ", "n.a.", "ÅX"])),
             draw(st.sampled_from(["C", "K", "", "AB", "\tC"])),
             # a name that needs csv quoting or is irregular in a bare file, about once in 32 rows
@@ -561,15 +573,15 @@ def csv_inputs(draw):
             field(draw(st.sampled_from(["0", "1", "true", " No ", "", "y"])), ["maybe"], broken),
         ]
         node_rows.append(shaped(row, broken))
-    endpoint = st.sampled_from(ids or ["n0"])
+    endpoint = st.sampled_from(ids or [shape(0)])
     pct = (st.sampled_from(["", " ", "100", "1e2", " 50 ", "0", "12.5", "\t12.5 "])
            | st.floats(0, 100).map(repr))
     edge_rows = []
     for _ in range(draw(st.integers(0, 10))):
         broken = draw(st.integers(0, 9)) == 0
         row = [
-            field(padded(draw(endpoint)), ["zz", "", " n1"], broken),
-            field(padded(draw(endpoint)), ["zz", ""], broken),
+            field(padded(draw(endpoint)), ["zz", "", f" {shape(1)}", shape(8)], broken),
+            field(padded(draw(endpoint)), ["zz", "", shape(9)], broken),
             field(padded(draw(pct)), ["abc", "nan", "inf", "-1", "100.5", "1e3"], broken),
         ]
         edge_rows.append(shaped(row, broken))
@@ -583,12 +595,24 @@ def csv_inputs(draw):
     return node_rows, edge_rows, layout
 
 
-PADDING = st.sampled_from(["", "", "", " ", "\t", " \t"])
+PADDING = st.sampled_from(["", "", "", " ", "\t", " \t", "\x1f", "\u3000"])
+
+# id k of a file: short ids; ids sharing their first 8 or 16 bytes (so a
+# duplicate differs from other ids only after byte 16); ids of 17 to 38 bytes;
+# non-ASCII ids, ending in a multi-byte character or made of them
+ID_SHAPES = [
+    lambda k: f"n{k}",
+    lambda k: f"prefix08{k}",
+    lambda k: f"prefix16prefix16{k}",
+    lambda k: f"company-{k:02d}-" + "x" * (3 * k + 6),
+    lambda k: f"Zürich-{k}-株",
+    lambda k: "é" * (k + 1),
+]
 
 
 def assert_same_graph(got, want, want_counters):
-    assert got.ids == want.ids
-    assert got.id_index == want.id_index
+    assert list(got.ids) == list(want.ids)
+    assert [got.index_of(node_id) for node_id in want.ids] == list(range(want.n_nodes))
     assert got.jurisdiction_labels == want.jurisdiction_labels
     assert got.na_jurisdiction == want.na_jurisdiction
     for name in ("jurisdiction_index", "src", "dst", "pct", "out_indptr", "in_indptr", "in_order"):
@@ -670,6 +694,8 @@ class TestLoaderOracle:
         for column in dataclasses.fields(want[1]):
             a, b = getattr(got[1], column.name), getattr(want[1], column.name)
             assert type(a) is type(b), column.name
+            if isinstance(b, IdColumn):
+                a, b = list(a), list(b)
             if isinstance(b, np.ndarray):
                 assert a.dtype == b.dtype and a.tolist() == b.tolist(), column.name
             else:
@@ -705,7 +731,7 @@ class TestLoaderOracle:
         assert outcome(lambda: load_graph(nodes, edges)) == outcome(
             lambda: reference_load_graph(nodes, edges))
 
-    def test_graph_keeps_the_parsed_id_index(self, tmp_path, monkeypatch):
+    def test_graph_keeps_the_parsed_id_column(self, tmp_path, monkeypatch):
         import ownet.graph as graph_module
 
         parsed = []
@@ -718,6 +744,91 @@ class TestLoaderOracle:
         write(tmp_path, "nodes.csv", NODES_2)
         write(tmp_path, "edges.csv", "subsidiary_id,shareholder_id,pct\nn1,n2,55.00\n")
         g = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
-        assert g.id_index is parsed[0].id_index
-        assert g.id_index == {"n1": 0, "n2": 1}
+        assert g.ids is parsed[0].ids
+        assert list(g.ids) == ["n1", "n2"]
+        assert [g.index_of(node_id) for node_id in ("n1", "n2")] == [0, 1]
 
+
+
+def synth_paths(tmp_path, **sizes):
+    spec = SynthSpec(seed=9, n_mncs=5, core_size=25, out_chain=5, **sizes)
+    return write_corpus(build_corpus(spec), tmp_path)
+
+
+class TestIdColumn:
+    @given(st.lists(st.text(max_size=40), unique=True, max_size=30),
+           st.lists(st.text(max_size=40), max_size=10))
+    @example(["a", "a\x00", "prefix16prefix16a", "prefix16prefix16b", "Zürich-株", "x\ny"], ["a\x00\x00", "prefix16prefix16"])
+    @settings(deadline=None)
+    def test_lookups_and_decodes_equal_a_list(self, ids, queries):
+        column = id_column(*ids)
+        assert len(column) == len(ids)
+        assert list(column) == ids and [column[i] for i in range(len(ids))] == ids
+        assert column.take(list(reversed(range(len(ids)))) * 2) == list(reversed(ids)) * 2
+        want = [ids.index(q) if q in ids else -1 for q in ids + queries]
+        assert column.indexes_of(ids + queries).tolist() == want
+
+    def test_sequence_protocol(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "EMIT_ROWS", 2)  # iteration crosses chunks
+        column = id_column("n0", "n1", "n2", "Ω")
+        assert list(column) == ["n0", "n1", "n2", "Ω"]
+        assert (column[-1], column[np.int64(1)]) == ("Ω", "n1")
+        for bad in (4, -5):
+            with pytest.raises(IndexError):
+                column[bad]
+        with pytest.raises(IndexError):
+            column.take([0, 4])
+        assert "n2" in column and "n9" not in column
+        with pytest.raises(GraphError, match="duplicate"):
+            id_column("a", "b", "a")
+
+    def test_key_collision_mixes_again(self, tmp_path, monkeypatch):
+        """When the first multiplier's keys collide, every key is mixed again
+        with the next; the bulk parse, the cache and build_graph give the same indexes."""
+        paths = synth_paths(tmp_path, n_noise=400, noise_edges=500)
+        want = load_graph(paths["nodes"], paths["edges"])
+        real_mix = graph_module._mix
+
+        def colliding_mix(reader, starts, lengths, multiplier):
+            keys = real_mix(reader, starts, lengths, multiplier)
+            return keys % np.uint64(7) if multiplier == graph_module._multiplier(0) else keys
+
+        def row_loop(*args):
+            raise AssertionError("the row loop ran on a plain file")
+
+        monkeypatch.setattr(graph_module, "_mix", colliding_mix)
+        monkeypatch.setattr(graph_module, "_row_nodes", row_loop)
+        monkeypatch.setattr(graph_module, "_row_edges", row_loop)
+        got = load_graph(paths["nodes"], paths["edges"])
+        save_cache(want, tmp_path / "g.npz")
+        cached = load_cache(tmp_path / "g.npz")
+        built = build_graph(node_records(load_nodes(paths["nodes"])), edge_records(want, want.ids))
+        for graph in (got, cached, built):
+            assert graph.ids._multiplier == graph_module._multiplier(1)
+            assert_same_graph(graph, want, want.ingest_counters)
+        with pytest.raises(GraphError, match="duplicate"):
+            id_column("n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n1")
+
+
+class TestMemory:
+    @pytest.mark.parametrize("source", ["csv", "cache"])
+    def test_loaded_graph_holds_no_object_per_node(self, tmp_path, source):
+        """A loaded graph holds under 100 traced bytes per node, edge arrays
+        included: one Python object per node (a str in a list, a dict entry)
+        costs more than that alone."""
+        paths = synth_paths(tmp_path, n_noise=50_000, noise_edges=50_000)
+        save_cache(load_graph(paths["nodes"], paths["edges"]), tmp_path / "g.npz")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if source == "csv":
+                g = load_graph(paths["nodes"], paths["edges"])
+            else:
+                g = load_cache(tmp_path / "g.npz")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.n_nodes > 50_000 and g.n_edges > 50_000
+        assert held / g.n_nodes < 100, f"{held / g.n_nodes:.1f} traced bytes per node"

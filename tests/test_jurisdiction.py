@@ -437,6 +437,37 @@ class TestEdgeValues:
         with pytest.raises(LoadError, match="unknown"):
             load_edge_values(path, view)
 
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([5.0, 20.0, 60.0]))
+                 .filter(lambda e: e[0] != e[1]), max_size=8),
+        st.lists(st.tuples(st.sampled_from([f"n{i}" for i in range(n)] + ["zz", " n0 "]),
+                           st.sampled_from([f"n{i}" for i in range(n)] + ["zz"]),
+                           st.floats(0, 1e6).map(repr) | st.sampled_from(["0.1", "0.2", "1e3", "-1", "abc", ""])),
+                 max_size=12))))
+    @example((2, [(0, 1, 60.0), (0, 1, 20.0), (0, 1, 60.0)], [("n0", "n1", "0.1"), ("n0", "n1", "0.2"), ("n0", "n1", "0.7")]))
+    @example((3, [(0, 1, 60.0)], [("n0", "n1", "abc"), ("zz", "n1", "1")]))
+    @example((3, [(0, 1, 60.0)], [("n0", "n1", "1"), ("n2", "zz", "-1"), ("n0", "zz", "1")]))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_row_loop(self, tmp_path_factory, case):
+        """Repeated rows over parallel edges add up in file order, bit for bit
+        as the row-at-a-time loader added them; errors keep their message and line."""
+        from ownet.jurisdiction import load_edge_values
+
+        n, edges, rows = case
+        view = substantial_view(make_graph(n, edges), 10.0)
+        path = tmp_path_factory.mktemp("values") / "values.csv"
+        path.write_text("subsidiary_id,shareholder_id,value\n" + "".join(f"{a},{b},{v}\n" for a, b, v in rows),
+                        encoding="utf-8")
+
+        def outcome(load):
+            try:
+                return load(path, view).tolist()
+            except LoadError as exc:
+                return str(exc), exc.line
+
+        assert outcome(load_edge_values) == outcome(reference_edge_values)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "+inf", "NaN"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         from ownet.jurisdiction import load_edge_values
@@ -448,3 +479,31 @@ class TestEdgeValues:
         with pytest.raises(LoadError, match="value") as info:
             load_edge_values(path, view)
         assert (info.value.path, info.value.line) == (path, 3)
+
+
+def reference_edge_values(path, view):
+    """The row-at-a-time ``load_edge_values`` that preceded the batched one, kept as its oracle."""
+    from ownet.errors import GraphError
+    from ownet.graph import data_rows, parse_number
+    from ownet.jurisdiction import VALUE_HEADER
+
+    n = np.int64(view.n_nodes)
+    keys = view.src.astype(np.int64) * n + view.dst.astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    values = np.zeros(view.n_edges, dtype=np.float64)
+    for line, row in data_rows(path, VALUE_HEADER):
+        try:
+            sub = view.graph.index_of(row[0].strip())
+            sh = view.graph.index_of(row[1].strip())
+        except GraphError:
+            raise LoadError("unknown node in value row", path, line) from None
+        value = parse_number(row[2], float, "value", path, line)
+        if value < 0:
+            raise LoadError(f"value must be nonnegative, got {value}", path, line)
+        key = np.int64(sub) * n + np.int64(sh)
+        lo = int(np.searchsorted(sorted_keys, key, side="left"))
+        hi = int(np.searchsorted(sorted_keys, key, side="right"))
+        if hi > lo:
+            values[order[lo:hi]] += value / (hi - lo)
+    return values

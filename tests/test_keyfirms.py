@@ -423,7 +423,7 @@ def hq_lists(draw):
     """An ownership view's graph and an HQ list that may repeat an HQ, hold an
     unknown id, nest one HQ inside another's subtree, or be empty."""
     g, _ = draw(ownership_views())
-    hq_ids = draw(st.lists(st.sampled_from(g.ids + ["ghost"]), max_size=4))
+    hq_ids = draw(st.lists(st.sampled_from(list(g.ids) + ["ghost"]), max_size=4))
     return g, [(hq, f"M{k}") for k, hq in enumerate(hq_ids)]
 
 
