@@ -72,10 +72,9 @@ def bowtie(graph_path, outdir):
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @_OUT
-@click.option("--bin-ratio", default=2.0, show_default=True)
-def stats(graph_path, outdir, bin_ratio):
+def stats(graph_path, outdir):
     """Degree distributions, exponent fits, clustering, and k_nn curves."""
-    config, state = _stage_inputs(graph_path, outdir, bin_ratio=bin_ratio)
+    config, state = _stage_inputs(graph_path, outdir)
     pl.run_stage("stats", config, state)
     click.echo(f"stats written under {Path(outdir) / 'stats'}")
 
@@ -84,10 +83,9 @@ def stats(graph_path, outdir, bin_ratio):
 @click.option("--graph", "graph_path", required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_OUT
-@click.option("--damping", default=0.85, show_default=True)
-def communities(graph_path, seed, outdir, damping):
+def communities(graph_path, seed, outdir):
     """Two-level map-equation communities of the GWCC, and their size distribution."""
-    config, state = _stage_inputs(graph_path, outdir, seed=seed, damping=damping)
+    config, state = _stage_inputs(graph_path, outdir, seed=seed)
     pl.run_stage("communities", config, state)
     partition = state["partition"]
     click.echo(f"{partition.n_communities} communities, codelength {partition.codelength:.6f} bits")
@@ -96,11 +94,10 @@ def communities(graph_path, seed, outdir, damping):
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @click.option("--hqs", required=True, type=click.Path(exists=True))
-@click.option("--threshold", default=10.0, show_default=True)
 @_OUT
-def extract(graph_path, hqs, threshold, outdir):
+def extract(graph_path, hqs, outdir):
     """Affiliates of every listed MNC (layer, within-MNC degrees) in one CSV."""
-    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, threshold=threshold)
+    config, state = _stage_inputs(graph_path, outdir, hqs=hqs)
     [path] = pl.run_stage("extract", config, state)
     report = state["report"]
     for name, reason in report.failures:
@@ -111,11 +108,10 @@ def extract(graph_path, hqs, threshold, outdir):
 @main.command()
 @click.option("--graph", "graph_path", required=True)
 @click.option("--hqs", required=True, type=click.Path(exists=True))
-@click.option("--threshold", default=10.0, show_default=True)
 @_OUT
-def identify(graph_path, hqs, threshold, outdir):
+def identify(graph_path, hqs, outdir):
     """Hierarchical key-company identification for every listed MNC."""
-    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, threshold=threshold)
+    config, state = _stage_inputs(graph_path, outdir, hqs=hqs)
     pl.run_stage("identify", config, state)
     report = state["report"]
     click.echo(f"tallies: {report.tallies}")
@@ -129,13 +125,12 @@ def identify(graph_path, hqs, threshold, outdir):
 @click.option("--profiles", required=True, type=click.Path(exists=True))
 @click.option("--values", "values_path", default=None, type=click.Path(exists=True),
               help="Per-edge value CSV; switches flows from link counts to value mode.")
-@click.option("--threshold", default=10.0, show_default=True)
 @_OUT
-def jurisdiction(graph_path, hqs, profiles, values_path, threshold, outdir):
+def jurisdiction(graph_path, hqs, profiles, values_path, outdir):
     """Jurisdiction centralities, tallies, chains, and regressions of every listed MNC's key firms."""
-    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, profiles=profiles, threshold=threshold)
+    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, profiles=profiles)
     if values_path:
-        state["view"] = substantial_view(state["graph"], threshold)
+        state["view"] = substantial_view(state["graph"])
         state["edge_values"] = load_edge_values(values_path, state["view"])
     pl.run_stage("jurisdiction", config, state)
     for name, reason in state["report"].failures:

@@ -334,8 +334,7 @@ def _run_levels(level: _Level, n: int, const_term: float, rng: np.random.Generat
             return assign
 
 
-def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
-                       trace: list | None = None) -> Partition:
+def detect_communities(g, seed: int = 0, trace: list | None = None) -> Partition:
     """Greedy two-level map-equation partition, reproducible per seed.
 
     Node-move passes alternate with community aggregation until a full
@@ -348,7 +347,7 @@ def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
     if n == 0:
         return Partition(np.zeros(0, dtype=np.int64), 0.0)
 
-    flow = stationary_flow(g, damping=damping)
+    flow = stationary_flow(g)
     const_term = _plogp_arr(flow.rates)
     rng = np.random.default_rng(seed)
 
@@ -381,7 +380,6 @@ def detect_communities(g, seed: int = 0, damping: float = DEFAULT_DAMPING,
     return Partition(labels=labels, codelength=codelength)
 
 
-def community_size_histogram(partition: Partition, bin_ratio: float = 2.0) -> LogBinnedHistogram:
-    """Community-size counts and log-binned density."""
-    sizes = partition.sizes()
-    return log_binned_histogram(sizes[sizes > 0], bin_ratio)
+def community_size_histogram(partition: Partition) -> LogBinnedHistogram:
+    """Log-binned density of the community sizes."""
+    return log_binned_histogram(partition.sizes())

@@ -858,8 +858,8 @@ def save_cache(graph: OwnershipGraph, path, digests: tuple[str, str] = ("", ""))
 def load_cache(path) -> OwnershipGraph:
     """Load a graph cache written by :func:`save_cache`.
 
-    Field lengths, node and label index ranges and pct values are checked;
-    a violation raises a :class:`LoadError` naming the field.
+    Field lengths, node and label index ranges, label order and pct values
+    are checked; a violation raises a :class:`LoadError` naming the field.
     """
     try:
         data = np.load(path)
@@ -872,6 +872,8 @@ def load_cache(path) -> OwnershipGraph:
         ids_blob, ids_off = data["ids_blob"], data["ids_off"]
         _check_packed(ids_blob, ids_off, "ids", path)
         labels = _unpack_strings(data["jur_blob"], data["jur_off"], "jur", path)
+        if any(a >= b for a, b in zip(labels, labels[1:])):  # save_cache writes them sorted and unique
+            raise LoadError("cache field 'jur' holds labels that are not strictly ascending", path)
         fields = {key: data[key] for key in ("jur_index", "src", "dst", "pct")}
         counters = {key: int(data[key]) for key in ("self_loops_dropped", "blank_pct")}
 

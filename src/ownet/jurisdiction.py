@@ -43,13 +43,15 @@ TALLY_DIMENSIONS = ("hq", *ROLE_TAGS, "affiliates")
 class JurisdictionProfile:
     code: str
     gdp: float | None
-    gdp_year: int | None = None
-    statutory_rate: float | None = None
     wtc: float | None = None
 
 
 def load_profiles(path) -> dict[str, JurisdictionProfile]:
-    """Read ``code,gdp,gdp_year,statutory_rate,wtc`` profile rows."""
+    """Read ``code,gdp,gdp_year,statutory_rate,wtc`` profile rows.
+
+    ``gdp_year`` and ``statutory_rate`` are checked, so a bad value fails
+    with its line, but not kept: no report reads them.
+    """
     path = Path(path)
     profiles: dict[str, JurisdictionProfile] = {}
     for line, row in data_rows(path, PROFILE_HEADER):
@@ -68,13 +70,9 @@ def load_profiles(path) -> dict[str, JurisdictionProfile]:
         wtc = optional(row[4], float, "wtc")
         if wtc is not None and wtc < 0:
             raise LoadError(f"wtc must be nonnegative, got {wtc}", path, line)
-        profiles[code] = JurisdictionProfile(
-            code=code,
-            gdp=gdp,
-            gdp_year=optional(row[2], int, "gdp_year"),
-            statutory_rate=optional(row[3], float, "statutory_rate"),
-            wtc=wtc,
-        )
+        optional(row[2], int, "gdp_year")
+        optional(row[3], float, "statutory_rate")
+        profiles[code] = JurisdictionProfile(code, gdp, wtc)
     return profiles
 
 

@@ -27,15 +27,16 @@ _GAMMA_LO = 1.000001
 _GAMMA_HI = 25.0
 _MIN_TAIL = 50
 _MAX_XMIN_CANDIDATES = 200
+BIN_RATIO = 2.0  # each geometric bin is twice as wide as the last
+
 
 @dataclass(frozen=True)
 class LogBinnedHistogram:
-    """Raw ``{value: count}`` tally plus geometric bins over the positive values.
+    """Geometric bins over the positive values.
 
     The one histogram type of the degree and community-size distributions.
     """
 
-    raw: dict[int, int]
     bin_edges: np.ndarray
     counts: np.ndarray
     densities: np.ndarray
@@ -54,51 +55,35 @@ def value_counts(values: np.ndarray) -> dict[int, int]:
     return dict(zip(present.tolist(), counts[present].tolist()))
 
 
-def log_binned_histogram(values: np.ndarray, bin_ratio: float) -> LogBinnedHistogram:
-    """Raw counts of non-negative integer ``values`` and their log-binned density.
+def log_binned_histogram(values: np.ndarray) -> LogBinnedHistogram:
+    """Log-binned density of non-negative integer ``values``.
 
-    Zero values stay in the raw counts but are excluded from the geometric
-    bins. Densities are normalised so that sum(density * width) equals 1
-    over the binned values.
+    Zero values are excluded from the geometric bins. Densities are
+    normalised so that sum(density * width) equals 1 over the binned values.
     """
-    if not bin_ratio > 1.0:
-        raise ValueError(f"bin_ratio must exceed 1, got {bin_ratio}")
-    raw = value_counts(values)
     positive = values[values > 0]
     if positive.size == 0:
-        return LogBinnedHistogram(raw, np.zeros(0), np.zeros(0, np.int64), np.zeros(0))
-
-    edges, counts, densities = geometric_bins(positive, bin_ratio)
-    return LogBinnedHistogram(raw, edges, counts, densities)
+        return LogBinnedHistogram(np.zeros(0), np.zeros(0, np.int64), np.zeros(0))
+    return LogBinnedHistogram(*geometric_bins(positive))
 
 
-def _degrees_for(g, direction: str) -> np.ndarray:
-    if direction == "in":
-        return g.in_degrees()
-    if direction == "out":
-        return g.out_degrees()
-    if direction == "total":
-        return g.in_degrees() + g.out_degrees()
-    raise ValueError(f"direction must be in/out/total, got {direction!r}")
+def degree_histogram(g, direction: str = "in") -> LogBinnedHistogram:
+    """Log-binned in- or out-degree distribution (see :func:`log_binned_histogram`)."""
+    if direction not in ("in", "out"):
+        raise ValueError(f"direction must be in/out, got {direction!r}")
+    return log_binned_histogram(g.in_degrees() if direction == "in" else g.out_degrees())
 
 
-def degree_histogram(g, direction: str = "in", bin_ratio: float = 2.0) -> LogBinnedHistogram:
-    """Raw and log-binned degree distribution (see :func:`log_binned_histogram`)."""
-    return log_binned_histogram(_degrees_for(g, direction), bin_ratio)
-
-
-def geometric_bins(values: np.ndarray, bin_ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bin positive ``values`` on the edges 1, r, r^2, ... past their maximum.
+def geometric_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin positive ``values`` on the edges 1, r, r^2, ... (r = ``BIN_RATIO``) past their maximum.
 
     Returns (edges, counts, densities); densities are counts / (n * width),
     so sum(density * width) equals 1. ``values`` must be non-empty.
     """
-    if not bin_ratio > 1.0:
-        raise ValueError(f"bin_ratio must exceed 1, got {bin_ratio}")
     max_v = int(values.max())
     edges = [1.0]
     while edges[-1] <= max_v:
-        edges.append(edges[-1] * bin_ratio)
+        edges.append(edges[-1] * BIN_RATIO)
     edges_arr = np.asarray(edges)
     counts, _ = np.histogram(values, bins=edges_arr)
     densities = counts / (values.size * np.diff(edges_arr))
@@ -181,7 +166,7 @@ def fit_power_law(samples, x_min: int | None = 1) -> PowerLawFit:
     return best
 
 
-def binned_fit_slope(samples, bin_ratio: float = 2.0) -> float:
+def binned_fit_slope(samples) -> float:
     """Least-squares slope of log density vs log degree over geometric bins.
 
     The straight-line analogue of the MLE exponent (reported alongside it;
@@ -191,7 +176,7 @@ def binned_fit_slope(samples, bin_ratio: float = 2.0) -> float:
     data = data[data > 0]
     if data.size < 2:
         raise FitError("need at least two positive samples")
-    edges, counts, densities = geometric_bins(data, bin_ratio)
+    edges, counts, densities = geometric_bins(data)
     centers = np.sqrt(edges[:-1] * edges[1:])
     mask = counts > 0
     if mask.sum() < 2:

@@ -21,7 +21,7 @@ import numpy as np
 from . import components as comp
 from . import jurisdiction as jur
 from . import netstats
-from .community import community_size_histogram, detect_communities
+from .community import DEFAULT_DAMPING, community_size_histogram, detect_communities
 from .errors import FitError, OwnetError, PipelineError
 from .graph import (
     OwnershipGraph,
@@ -44,40 +44,28 @@ MANIFEST_VERSION = 1
 
 @dataclass
 class RunConfig:
-    """Inputs, knobs, and stage toggles for one pipeline run."""
+    """Inputs, seed, and stage toggles for one pipeline run."""
 
     nodes: Path
     edges: Path
     outdir: Path
     hqs: Path | None = None
     profiles: Path | None = None
-    threshold: float = 10.0
     seed: int = 0
     stages: tuple[str, ...] = STAGES
-    bin_ratio: float = 2.0
-    damping: float = 0.85
     cache: Path | None = None
+    damping = DEFAULT_DAMPING  # not a field, so no run sets it; the fixed perfbench/run.py reads it
 
     def __post_init__(self):
         """Reject a parameter no stage can use, so a bad value fails before any stage runs.
 
         Types are checked first, so a range rule only ever compares numbers.
         """
-        def typed(*kinds):
-            return lambda value: isinstance(value, kinds) and not isinstance(value, bool)
-
-        number = typed(int, float)
         rules = (
-            ("seed", typed(int), "an int"),
+            ("seed", lambda value: isinstance(value, int) and not isinstance(value, bool), "an int"),
             ("stages", lambda value: isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value),
              "a list of stage names"),
-            ("threshold", number, "a real number"),
-            ("damping", number, "a real number"),
-            ("bin_ratio", number, "a real number"),
             ("seed", lambda value: value >= 0, ">= 0"),
-            ("threshold", lambda value: 0 < value <= 100, "in (0, 100]"),
-            ("damping", lambda value: 0 < value < 1, "in (0, 1)"),
-            ("bin_ratio", lambda value: value > 1, "> 1"),
         )
         for name, ok, rule in rules:
             if not ok(getattr(self, name)):
@@ -126,13 +114,7 @@ class _Manifest:
         self.outdir = outdir
         self.data = {
             "version": MANIFEST_VERSION,
-            "config": {
-                "threshold": config.threshold,
-                "seed": config.seed,
-                "stages": list(config.stages),
-                "bin_ratio": config.bin_ratio,
-                "damping": config.damping,
-            },
+            "config": {"seed": config.seed, "stages": list(config.stages)},
             "stages": {},
             "status": "running",
         }
@@ -243,7 +225,7 @@ def _stage_stats(config, outdir, state):
     paths = []
     fits = {}
     for direction in ("in", "out"):
-        hist = netstats.degree_histogram(graph, direction, config.bin_ratio)
+        hist = netstats.degree_histogram(graph, direction)
         path = stats_dir / f"pk_{direction}.csv"
         write_csv_rows(path, ["bin_lo", "bin_hi", "count", "density"], _fmt_bins(hist))
         paths.append(path)
@@ -257,7 +239,7 @@ def _stage_stats(config, outdir, state):
                 "n_tail": fit.n_tail,
                 "loglik": fit.loglik,
                 "ks": fit.ks,
-                "binned_slope": netstats.binned_fit_slope(deg, config.bin_ratio),
+                "binned_slope": netstats.binned_fit_slope(deg),
             }
         except FitError as exc:
             fits[direction] = {"error": str(exc)}
@@ -285,12 +267,12 @@ def community_scope(graph: OwnershipGraph) -> OwnershipGraph:
 
 def _stage_communities(config, outdir, state):
     scope = community_scope(_get_graph(config, state))
-    partition = state["partition"] = detect_communities(scope, seed=config.seed, damping=config.damping)
+    partition = state["partition"] = detect_communities(scope, seed=config.seed)
     paths = [outdir / "communities.csv", outdir / "dsizes.csv", outdir / "communities_summary.json"]
     labels, dsizes, summary = paths
 
     write_id_value_csv(labels, ["node_id", "community_id"], scope.ids, partition.labels.tolist())
-    hist = community_size_histogram(partition, bin_ratio=config.bin_ratio)
+    hist = community_size_histogram(partition)
     write_csv_rows(dsizes, ["size_lo", "size_hi", "count", "density"], _fmt_bins(hist))
     write_json(summary, {"communities": partition.n_communities, "codelength": partition.codelength,
                          "scope": "gwcc"})
@@ -299,7 +281,7 @@ def _stage_communities(config, outdir, state):
 
 def _get_view(config, state):
     if "view" not in state:
-        state["view"] = substantial_view(_get_graph(config, state), config.threshold)
+        state["view"] = substantial_view(_get_graph(config, state))
     return state["view"]
 
 

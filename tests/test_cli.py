@@ -111,6 +111,7 @@ class TestPipeline:
         assert config.seed == 3
         data = verify_manifest(run_pipeline(config))
         assert "identify" in data["stages"]
+        assert data["config"] == {"seed": 3, "stages": ["ingest", "identify"]}
 
     def test_mnc_without_affiliates(self, corpus, tmp_path):
         _, paths, _ = corpus
@@ -551,6 +552,13 @@ class TestBadInputs:
         ("run", '["nodes.csv"]', "bad config: .*expected a JSON object, got list"),
         ("run", '{"nodes": "n.csv", "edges": "e.csv", "outdir": "out", "communities_scope": "gwcc"}',
          "bad config: .*unexpected keyword argument 'communities_scope'"),
+        # the substantial-link threshold, the bin ratio and the damping are constants, not parameters
+        ("run", '{"nodes": "n.csv", "edges": "e.csv", "outdir": "out", "threshold": 10.0}',
+         "bad config: .*unexpected keyword argument 'threshold'"),
+        ("run", '{"nodes": "n.csv", "edges": "e.csv", "outdir": "out", "bin_ratio": 2.0}',
+         "bad config: .*unexpected keyword argument 'bin_ratio'"),
+        ("run", '{"nodes": "n.csv", "edges": "e.csv", "outdir": "out", "damping": 0.85}',
+         "bad config: .*unexpected keyword argument 'damping'"),
         ("synth", '{"seed": 1, "n_nodes": 5}', "bad spec: .*n_nodes"),
         ("synth", '{"target_region": "XX"}', "bad spec: target_region must be IN or TE, got 'XX'"),
     ])
@@ -565,20 +573,27 @@ class TestBadInputs:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"{command} failed: "), result.stderr
         assert re.search(reason, lines[0]), lines[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
 
+    @pytest.mark.parametrize("args", [
+        ["identify", "--threshold", "10"], ["stats", "--bin-ratio", "2"], ["communities", "--damping", "0.85"],
+    ], ids=lambda args: args[1])
+    def test_constant_options_removed(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, [*args, "--graph", "g.npz", "--out", "out"])
+        assert result.exit_code == 2
+        assert f"No such option '{args[1]}'" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    # the explicit ids keep these rows' test names stable as rows come and go
     @pytest.mark.parametrize("key, value, rule, subcommand", [
-        ("threshold", 0.0, "in (0, 100]", ["identify", "--threshold", "0"]),
-        ("threshold", 100.5, "in (0, 100]", ["extract", "--threshold", "100.5"]),
-        ("damping", 1.5, "in (0, 1)", ["communities", "--damping", "1.5"]),
-        ("bin_ratio", 1.0, "> 1", ["stats", "--bin-ratio", "1.0"]),
-        ("seed", -1, ">= 0", ["communities", "--seed", "-1"]),
+        pytest.param("seed", -1, ">= 0", ["communities", "--seed", "-1"], id="seed--1->= 0-subcommand4"),
         # the subcommands' option types reject these before a config is built
         ("seed", "x", "an int", None),
         ("seed", True, "an int", None),
         ("stages", "ingest", "a list of stage names", None),
-        ("stages", ["ingest", 3], "a list of stage names", None),
-        ("threshold", "10", "a real number", None),
-        ("damping", None, "a real number", None),
+        pytest.param("stages", ["ingest", 3], "a list of stage names", None,
+                     id="stages-value8-a list of stage names-None"),
     ])
     def test_parameters_checked_before_any_stage(self, corpus, tmp_path, key, value, rule, subcommand):
         _, paths, _ = corpus

@@ -230,11 +230,12 @@ class TestSizeHistogram:
 
     def test_counts(self):
         hist = community_size_histogram(self._partition_of_sizes([3, 3, 4]))
-        assert hist.raw == {3: 2, 4: 1}
+        assert hist.rows() == [(1.0, 2.0, 0, 0.0), (2.0, 4.0, 2, 2 / 6), (4.0, 8.0, 1, 1 / 12)]
 
     def test_single_community(self):
         hist = community_size_histogram(self._partition_of_sizes([12]))
-        assert hist.raw == {12: 1}
+        assert hist.counts.tolist() == [0, 0, 0, 1]
+        assert hist.bin_edges.tolist() == [1.0, 2.0, 4.0, 8.0, 16.0]
 
     def test_fit_recovers_exponent(self):
         from ownet.netstats import fit_power_law

@@ -403,6 +403,10 @@ class TestCacheValidation:
                          id="ids_off-decreasing"),
             pytest.param("jur", lambda d: d.update(jur_blob=d["jur_blob"][:-1]), id="jur_blob-short"),
             pytest.param("ids", lambda d: d["ids_blob"].__setitem__(0, 0xFF), id="ids_blob-not-utf8"),
+            # IE relabelled as a second GB: a link between the two GB indexes would count as cross-border
+            pytest.param("jur", lambda d: d.update(zip(("jur_blob", "jur_off"),
+                                                       _pack_strings(["FR", "GB", "GB", "JP", "NL", "US"]))),
+                         id="jur-repeated-label"),
         ],
     )
     def test_corrupt_field_named(self, tmp_path, m1_graph, field, corrupt):
