@@ -22,7 +22,6 @@ from .netstats import LogBinnedHistogram, log_binned_histogram
 DEFAULT_DAMPING = 0.85
 MIN_CODELENGTH_GAIN = 1e-10  # stop when a full level cycle improves less
 _MIN_MOVE_GAIN = 1e-12       # guard against float-noise "improvements"
-N_TRIALS = 2                 # seeded optimizer runs per partition; the best is kept
 
 
 @dataclass(frozen=True)
@@ -147,28 +146,36 @@ class _Level(_Adjacency):
 class _Optimizer:
     """Greedy map-equation minimisation over one level.
 
-    The move loop reads and writes plain Python scalars through memoryviews
-    of the module and level arrays; the views copy nothing, so ``mod`` stays
-    the numpy array that :func:`_aggregate` reads.
+    ``mod`` is the start partition (node -> module id below ``level.n``);
+    the default is one module per node. The move loop reads and writes plain
+    Python scalars through memoryviews of the module and level arrays; the
+    views copy nothing, so ``mod`` stays the numpy array that
+    :func:`_aggregate` reads. ``p_q`` and ``p_qs`` cache each module's
+    ``plogp(q)`` and ``plogp(q + s)``, and ``p_qtot`` caches ``plogp(qtot)``,
+    all from the scalar :func:`_plogp` that the move deltas use.
     """
 
-    def __init__(self, level: _Level, n_orig: int, const_term: float, trace=None):
+    def __init__(self, level: _Level, n_orig: int, const_term: float, trace=None, mod=None):
         self.lv = level
         self.n_orig = n_orig
         self.const = const_term
         self.trace = trace
         n = level.n
-        self.mod = np.arange(n, dtype=np.int64)
-        self.m_s = level.s.astype(np.float64)
-        self.m_t = level.t.astype(np.float64)
-        self.m_size = level.size.astype(np.float64)
-        self.m_e = level.total_out.astype(np.float64)
+        self.mod = np.arange(n, dtype=np.int64) if mod is None else np.array(mod, dtype=np.int64)
+        self.m_s = np.bincount(self.mod, weights=level.s, minlength=n)
+        self.m_t = np.bincount(self.mod, weights=level.t, minlength=n)
+        self.m_size = np.bincount(self.mod, weights=level.size, minlength=n)
+        ext = self.mod[level.src] != self.mod[level.dst]
+        self.m_e = np.bincount(self.mod[level.src[ext]], weights=level.w[ext], minlength=n)
         self.m_q = self._exit(self.m_t, self.m_size, self.m_e)
         self.qtot = float(self.m_q.sum())
         self.sum_plogp_q = _plogp_arr(self.m_q)
         self.sum_plogp_qs = _plogp_arr(self.m_q + self.m_s)
+        self.p_qtot = _plogp(self.qtot)
+        self.p_q = np.fromiter(map(_plogp, self.m_q.tolist()), np.float64, n)
+        self.p_qs = np.fromiter(map(_plogp, (self.m_q + self.m_s).tolist()), np.float64, n)
         self._views = tuple(memoryview(a) for a in (
-            self.mod, self.m_s, self.m_t, self.m_size, self.m_e, self.m_q,
+            self.mod, self.m_s, self.m_t, self.m_size, self.m_e, self.m_q, self.p_q, self.p_qs,
             level.out_indptr, level.dst, level.w, level.in_indptr, level.in_sources, level.in_w,
             level.total_out, level.s, level.t, level.size,
         ))
@@ -177,7 +184,7 @@ class _Optimizer:
         return t * (self.n_orig - size) / self.n_orig + e
 
     def codelength(self) -> float:
-        return _plogp(self.qtot) - 2.0 * self.sum_plogp_q + self.sum_plogp_qs - self.const
+        return self.p_qtot - 2.0 * self.sum_plogp_q + self.sum_plogp_qs - self.const
 
     def _try_move(self, v: int) -> bool:
         """Move node ``v`` to the neighbouring module that lowers the codelength most.
@@ -185,9 +192,8 @@ class _Optimizer:
         Candidates run in ascending module id and only a strictly better
         delta replaces the best, so ties go to the lowest id.
         """
-        (mod, m_s, m_t, m_size, m_e, m_q, out_indptr, dst, w,
+        (mod, m_s, m_t, m_size, m_e, m_q, p_q, p_qs, out_indptr, dst, w,
          in_indptr, in_sources, in_w, total_out, s, t, size) = self._views
-        n_orig = self.n_orig
         i = mod[v]
         flow_to: dict[int, float] = {}
         flow_from: dict[int, float] = {}
@@ -199,7 +205,13 @@ class _Optimizer:
         for nb, f in zip(in_sources[lo:hi], in_w[lo:hi]):
             c = mod[nb]
             flow_from[c] = flow_from.get(c, 0.0) + f
+        candidates = flow_to.keys() | flow_from.keys()
+        candidates.discard(i)
+        if not candidates:
+            return False
 
+        n_orig = self.n_orig
+        log2 = math.log2
         fout_v = total_out[v]
         s_v, t_v, size_v = s[v], t[v], size[v]
 
@@ -213,50 +225,53 @@ class _Optimizer:
         qtot = self.qtot
 
         # delta terms that do not depend on the candidate module j
-        p_qtot = _plogp(qtot)
-        p_i_old = _plogp(q_i_old)
-        pqs_i_old = _plogp(q_i_old + m_s[i])
+        p_qtot = self.p_qtot
+        p_i_old = p_q[i]
+        pqs_i_old = p_qs[i]
         p_i_new = _plogp(q_i_new)
         pqs_i_new = _plogp(q_i_new + s_i)
 
         best_j = -1
         best_gain = -_MIN_MOVE_GAIN
         best_state = None
-        for j in sorted(flow_to.keys() | flow_from.keys()):
-            if j == i:
-                continue
+        for j in sorted(candidates):
             s_j = m_s[j] + s_v
             t_j = m_t[j] + t_v
             size_j = m_size[j] + size_v
             e_j = m_e[j] + (fout_v - flow_to.get(j, 0.0)) - flow_from.get(j, 0.0)
             q_j_new = t_j * (n_orig - size_j) / n_orig + e_j
-            q_j_old = m_q[j]
+            qs_j_new = q_j_new + s_j
+            qtot_new = qtot - q_i_old - m_q[j] + q_i_new + q_j_new
 
-            qtot_new = qtot - q_i_old - q_j_old + q_i_new + q_j_new
+            # _plogp inlined: this loop runs once per candidate of every attempt
+            p_qtot_new = qtot_new * log2(qtot_new) if qtot_new > 0.0 else 0.0
+            p_j_new = q_j_new * log2(q_j_new) if q_j_new > 0.0 else 0.0
+            pqs_j_new = qs_j_new * log2(qs_j_new) if qs_j_new > 0.0 else 0.0
             delta = (
-                _plogp(qtot_new)
+                p_qtot_new
                 - p_qtot
-                - 2.0 * (p_i_new + _plogp(q_j_new) - p_i_old - _plogp(q_j_old))
+                - 2.0 * (p_i_new + p_j_new - p_i_old - p_q[j])
                 + pqs_i_new
-                + _plogp(q_j_new + s_j)
+                + pqs_j_new
                 - pqs_i_old
-                - _plogp(q_j_old + m_s[j])
+                - p_qs[j]
             )
             if delta < best_gain:
                 best_gain = delta
                 best_j = j
-                best_state = (s_j, t_j, size_j, e_j, q_j_new, qtot_new)
+                best_state = (s_j, t_j, size_j, e_j, q_j_new, qtot_new, p_qtot_new, p_j_new, pqs_j_new)
 
         if best_j < 0:
             return False
 
         j = best_j
-        s_j, t_j, size_j, e_j, q_j_new, qtot_new = best_state
-        self.sum_plogp_q += p_i_new + _plogp(q_j_new) - p_i_old - _plogp(m_q[j])
-        self.sum_plogp_qs += pqs_i_new + _plogp(q_j_new + s_j) - pqs_i_old - _plogp(m_q[j] + m_s[j])
+        s_j, t_j, size_j, e_j, q_j_new, qtot_new, p_qtot_new, p_j_new, pqs_j_new = best_state
+        self.sum_plogp_q += p_i_new + p_j_new - p_i_old - p_q[j]
+        self.sum_plogp_qs += pqs_i_new + pqs_j_new - pqs_i_old - p_qs[j]
         m_s[i], m_t[i], m_size[i], m_e[i], m_q[i] = s_i, t_i, size_i, e_i, q_i_new
         m_s[j], m_t[j], m_size[j], m_e[j], m_q[j] = s_j, t_j, size_j, e_j, q_j_new
-        self.qtot = qtot_new
+        p_q[i], p_qs[i], p_q[j], p_qs[j] = p_i_new, pqs_i_new, p_j_new, pqs_j_new
+        self.qtot, self.p_qtot = qtot_new, p_qtot_new
         mod[v] = j
         if self.trace is not None:
             self.trace.append(self.codelength())
@@ -265,18 +280,24 @@ class _Optimizer:
     def run_passes(self, rng: np.random.Generator) -> int:
         """Move passes over seeded permutations until a pass moves nothing.
 
-        Only active nodes are tried. All start active; trying a node
-        deactivates it, and a move of ``v`` to module ``j`` re-activates each
-        in- and out-neighbour of ``v`` outside ``j``: the nodes whose
-        neighbourhood changed (Ozaki, Tezuka & Inaba 2016).
+        Only active nodes are tried. The boundary nodes, those with an edge
+        to another module, start active: any other node has no candidate
+        module. Trying a node deactivates it, and a move of ``v`` to module
+        ``j`` re-activates each in- and out-neighbour of ``v`` outside ``j``:
+        the nodes whose neighbourhood changed (Ozaki, Tezuka & Inaba 2016).
         """
+        lv = self.lv
         mod = self._views[0]
-        out_indptr, dst, _, in_indptr, in_sources = self._views[6:11]
-        active = bytearray(b"\x01") * self.lv.n
+        out_indptr, dst, _, in_indptr, in_sources = self._views[8:13]
+        boundary = np.zeros(lv.n, dtype=np.uint8)
+        ext = self.mod[lv.src] != self.mod[lv.dst]
+        boundary[lv.src[ext]] = 1
+        boundary[lv.dst[ext]] = 1
+        active = bytearray(boundary)
         moved_total = 0
         while True:
             moved = 0
-            for v in memoryview(rng.permutation(self.lv.n)):
+            for v in memoryview(rng.permutation(lv.n)):
                 if not active[v]:
                     continue
                 active[v] = 0
@@ -337,11 +358,13 @@ def _run_levels(level: _Level, n: int, const_term: float, rng: np.random.Generat
 def detect_communities(g, seed: int = 0, trace: list | None = None) -> Partition:
     """Greedy two-level map-equation partition, reproducible per seed.
 
-    Node-move passes alternate with community aggregation until a full
-    cycle improves the codelength by less than ``MIN_CODELENGTH_GAIN``.
-    ``N_TRIALS`` such trials draw from one seeded stream; the lowest
-    codelength wins, ties to the earlier trial, and ``trace`` receives the
-    winner's moves only.
+    One trial alternates node-move passes with community aggregation until
+    a full cycle improves the codelength by less than
+    ``MIN_CODELENGTH_GAIN``. Single-node fine-tuning (Rosvall, Axelsson &
+    Bergstrom 2009) then runs move passes over the original nodes from the
+    trial's partition, drawing from the same seeded stream; each of its
+    moves strictly lowers the codelength. ``trace`` receives the trial's
+    moves, then the fine-tune's.
     """
     n = g.n_nodes
     if n == 0:
@@ -359,17 +382,12 @@ def detect_communities(g, seed: int = 0, trace: list | None = None) -> Partition
         g.dst.astype(np.int64),
         flow.edge_flows.astype(np.float64),
     )
-    best = None
-    for _ in range(N_TRIALS):
-        moves = None if trace is None else []
-        # deterministic final ids: order communities by smallest member node
-        labels = rank_by_first_member(_run_levels(level, n, const_term, rng, moves))
-        length = map_equation(labels, flow)
-        if best is None or length < best[0]:
-            best = (length, labels, moves)
-    codelength, labels, moves = best
-    if trace is not None:
-        trace.extend(moves)
+    coarse = rank_by_first_member(_run_levels(level, n, const_term, rng, trace))
+    fine = _Optimizer(level, n, const_term, trace, mod=coarse)
+    fine.run_passes(rng)
+    # deterministic final ids: order communities by smallest member node
+    labels = rank_by_first_member(fine.mod)
+    codelength = map_equation(labels, flow)
 
     # greedy moves start from singletons and can miss the all-in-one optimum
     one_module = np.zeros(n, dtype=np.int64)

@@ -691,12 +691,12 @@ PINNED_DIGESTS = {
     "affiliates.csv": "047db8324369774dbb70c638a4107a39f88ebba06bf67bc6b21f6672345b7873",
     "bowtie.csv": "a0a78bb0afd7e578f1f45f826488c4ff1c669a89d7ff072e85259bd24b8a3854",
     "bowtie_summary.csv": "3a4843d241e64e521a7ee946143d639f92b8c7a67cc22beaea87774df23e011a",
-    "communities.csv": "283be2e34c4c4e0b629e586f15614acde26b5be410b93ffdba4204ff724be48b",
-    "communities_summary.json": "d8b136815052529adb0ccb03f8d05f2ef80e3fe366210e78b8cf0aaf3026762d",
+    "communities.csv": "e105ce47682f137f63a57705ce2f6869057c10674c1b7d9be7e4ce6532ff8ceb",
+    "communities_summary.json": "b1490037af96eb7b9dc4c18fb8c871eb88d5375ef5890e619324ae115119f067",
     "component_sizes.csv": "5aaa253e5454eab45e566dcf8849b2b12111162602adb73179d9ea758bf81514",
     "distances_in.csv": "f83538d2c65f83033189b3601baf58d7a259f050b24a0bd179ec0a386be22d3c",
     "distances_out.csv": "50978c97e89b344421a603c34db54bca113c3490a34b8bfc10685a2fc4774328",
-    "dsizes.csv": "fdcec3c81ce8eecdb32a81fd56d98a01edf7b53fc64e0af2f92ae1dec6a07367",
+    "dsizes.csv": "c1e477ff9848b097952da6dbb84c504799b2b552edd1cb74ff2726596b707ce3",
     "graph.npz": "6bad101e286b0284b9c07bb89d9d1813c1f8d9ee7e4336622d1a2a9bb9c940cd",
     "identify_summary.json": "6c38717c6520c1b12201738f520d34870effd33ab3f7d81cd733b1b1c6ebc2a1",
     "ingest_summary.json": "1dd5304970c5915d3ab63bc682cfe0bbffce57f425c29c764421945b440f271d",

@@ -9,8 +9,10 @@ from ownet.community import (
     MIN_CODELENGTH_GAIN,
     _aggregate,
     _Level,
+    _Optimizer,
     _plogp,
     _plogp_arr,
+    _run_levels,
     community_size_histogram,
     detect_communities,
     map_equation,
@@ -253,22 +255,32 @@ class TestSizeHistogram:
 
 
 # -- reference optimizer ---------------------------------------------------
-# A plain scalar move loop, aggregation and level cycle: numpy scalar reads,
-# dict accumulators, every _plogp term evaluated per candidate and np.unique
-# merging module links. _Optimizer and _aggregate must match it bit for bit.
+# A plain scalar move loop, aggregation and level cycle: module sums built by
+# loops over nodes and edges, numpy scalar reads, dict accumulators, every
+# node active at the start of a level, every _plogp term evaluated per
+# candidate and np.unique merging module links. _Optimizer and _aggregate
+# must match it bit for bit.
 
 class RefOptimizer:
-    def __init__(self, level, n_orig, const_term, trace=None):
+    def __init__(self, level, n_orig, const_term, trace=None, mod=None):
         self.lv = level
         self.n_orig = n_orig
         self.const = const_term
         self.trace = trace
         n = level.n
-        self.mod = np.arange(n, dtype=np.int64)
-        self.m_s = level.s.astype(np.float64).copy()
-        self.m_t = level.t.astype(np.float64).copy()
-        self.m_size = level.size.astype(np.float64).copy()
-        self.m_e = level.total_out.astype(np.float64).copy()
+        self.mod = np.arange(n, dtype=np.int64) if mod is None else np.array(mod, dtype=np.int64)
+        self.m_s = np.zeros(n)
+        self.m_t = np.zeros(n)
+        self.m_size = np.zeros(n)
+        self.m_e = np.zeros(n)
+        for v in range(n):
+            c = int(self.mod[v])
+            self.m_s[c] += float(level.s[v])
+            self.m_t[c] += float(level.t[v])
+            self.m_size[c] += float(level.size[v])
+        for a, b, w in zip(level.src.tolist(), level.dst.tolist(), level.w.tolist()):
+            if self.mod[a] != self.mod[b]:
+                self.m_e[int(self.mod[a])] += w
         self.m_q = self._exit(self.m_t, self.m_size, self.m_e)
         self.qtot = float(self.m_q.sum())
         self.sum_plogp_q = _plogp_arr(self.m_q)
@@ -424,45 +436,61 @@ def ref_aggregate(level, mod):
     return _Level(s, t, size, e_src, e_dst, agg_w), dense
 
 
-def ref_detect_communities(g, seed, trace=None, sweep=False):
-    """Two active-set trials, the better kept; ``sweep`` runs the earlier
-    algorithm instead: one trial of full sweeps."""
-    n = g.n_nodes
+def flow_level(g):
+    """The flow, the codelength's constant term and level 0, as detect_communities builds them."""
     flow = stationary_flow(g)
-    const_term = _plogp_arr(flow.rates)
-    rng = np.random.default_rng(seed)
-
     level0 = _Level(
         flow.rates.astype(np.float64),
         flow.teleport.astype(np.float64),
-        np.ones(n, dtype=np.float64),
+        np.ones(g.n_nodes, dtype=np.float64),
         g.src.astype(np.int64),
         g.dst.astype(np.int64),
         flow.edge_flows.astype(np.float64),
     )
-    trials = []
-    for _ in range(1 if sweep else 2):
-        moves = []
-        level = level0
-        assign = np.arange(n, dtype=np.int64)
-        current_len = None
-        while True:
-            opt = RefOptimizer(level, n, const_term, trace=moves)
-            if current_len is None:
-                current_len = opt.codelength()
-            moved = opt.sweep_passes(rng) if sweep else opt.run_passes(rng)
-            new_len = opt.codelength()
-            if moved == 0 or current_len - new_len < MIN_CODELENGTH_GAIN:
-                break
-            current_len = new_len
-            level, dense = ref_aggregate(level, opt.mod)
-            assign = dense[assign]
-            if level.n <= 1:
-                break
-        labels = rank_by_first_member(assign)
-        trials.append((map_equation(labels, flow), labels, moves))
+    return flow, _plogp_arr(flow.rates), level0
 
-    codelength, labels, moves = min(trials, key=lambda trial: trial[0])  # ties: the first
+
+def ref_trial(level, n, const_term, rng, moves, sweep=False):
+    """Move passes and aggregation from singletons; returns node -> module."""
+    assign = np.arange(n, dtype=np.int64)
+    current_len = None
+    while True:
+        opt = RefOptimizer(level, n, const_term, trace=moves)
+        if current_len is None:
+            current_len = opt.codelength()
+        moved = opt.sweep_passes(rng) if sweep else opt.run_passes(rng)
+        new_len = opt.codelength()
+        if moved == 0 or current_len - new_len < MIN_CODELENGTH_GAIN:
+            return assign
+        current_len = new_len
+        level, dense = ref_aggregate(level, opt.mod)
+        assign = dense[assign]
+        if level.n <= 1:
+            return assign
+
+
+def ref_detect_communities(g, seed, trace=None, sweep=False, best_of_two=False):
+    """One active-set trial, then move passes over the original nodes from
+    its partition. ``best_of_two`` runs the schedule the fine-tune replaced:
+    two active-set trials, the better kept; ``sweep`` runs the one before
+    that: one trial of full sweeps."""
+    n = g.n_nodes
+    flow, const_term, level0 = flow_level(g)
+    rng = np.random.default_rng(seed)
+    if sweep or best_of_two:
+        trials = []
+        for _ in range(2 if best_of_two else 1):
+            moves = []
+            labels = rank_by_first_member(ref_trial(level0, n, const_term, rng, moves, sweep))
+            trials.append((map_equation(labels, flow), labels, moves))
+        codelength, labels, moves = min(trials, key=lambda trial: trial[0])  # ties: the first
+    else:
+        moves = []
+        coarse = rank_by_first_member(ref_trial(level0, n, const_term, rng, moves))
+        fine = RefOptimizer(level0, n, const_term, trace=moves, mod=coarse)
+        fine.run_passes(rng)
+        labels = rank_by_first_member(fine.mod)
+        codelength = map_equation(labels, flow)
     if trace is not None:
         trace.extend(moves)
     if map_equation(np.zeros(n, dtype=np.int64), flow) < codelength:
@@ -509,6 +537,41 @@ class TestMoveLoopOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_tied_candidates(self, g, seed):
         self.assert_same_run(g, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_determinism_gwcc(self, determinism_gwcc, seed):
+        g = determinism_gwcc
+        self.assert_same_run(g, seed)
+        # the fine-tune moves nodes here, so the case covers its start partition
+        _, const_term, level0 = flow_level(g)
+        trial_moves: list[float] = []
+        _run_levels(level0, g.n_nodes, const_term, np.random.default_rng(seed), trial_moves)
+        trace: list[float] = []
+        detect_communities(g, seed=seed, trace=trace)
+        assert len(trace) > len(trial_moves)
+
+    @given(block_digraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_singleton_start_matches_copies(self, g):
+        # the bincount start equals the per-node copies it replaced, bit for bit,
+        # on level 0 and on an aggregated level
+        n = g.n_nodes
+        _, const_term, level0 = flow_level(g)
+        for level in (level0, _aggregate(level0, detect_communities(g).labels)[0]):
+            opt = _Optimizer(level, n, const_term)
+            m_s, m_t = level.s.astype(np.float64), level.t.astype(np.float64)
+            m_size, m_e = level.size.astype(np.float64), level.total_out.astype(np.float64)
+            m_q = m_t * (n - m_size) / n + m_e
+            for got, want in ((opt.m_s, m_s), (opt.m_t, m_t), (opt.m_size, m_size), (opt.m_e, m_e),
+                              (opt.m_q, m_q)):
+                assert got.tobytes() == want.tobytes()
+            assert opt.mod.tolist() == list(range(level.n))
+            assert opt.qtot == float(m_q.sum())
+            assert opt.sum_plogp_q == _plogp_arr(m_q)
+            assert opt.sum_plogp_qs == _plogp_arr(m_q + m_s)
+            assert opt.p_qtot == _plogp(opt.qtot)
+            assert opt.p_q.tolist() == [_plogp(x) for x in m_q.tolist()]
+            assert opt.p_qs.tolist() == [_plogp(x) for x in (m_q + m_s).tolist()]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_aggregate_many_parallel_links(self, seed):
@@ -569,3 +632,18 @@ def test_schedule_beats_full_sweep(determinism_gwcc, monkeypatch):
         sweep_lengths.append(ref_detect_communities(g, seed, sweep=True)[1])
         assert opt_calls[0] < ref_calls[0], seed
     assert np.mean(lengths) <= np.mean(sweep_lengths)
+
+
+def test_schedule_beats_best_of_two(determinism_gwcc, monkeypatch):
+    # one trial plus the fine-tune: no worse on average than the better of
+    # two trials, and fewer move attempts at every seed
+    g = determinism_gwcc
+    opt_calls = counting_try_move(monkeypatch, _Optimizer)
+    ref_calls = counting_try_move(monkeypatch, RefOptimizer)
+    lengths, best_of_two = [], []
+    for seed in range(16):
+        opt_calls[0] = ref_calls[0] = 0
+        lengths.append(detect_communities(g, seed=seed).codelength)
+        best_of_two.append(ref_detect_communities(g, seed, best_of_two=True)[1])
+        assert opt_calls[0] < ref_calls[0], seed
+    assert np.mean(lengths) <= np.mean(best_of_two)
