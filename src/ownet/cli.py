@@ -8,8 +8,7 @@ import click
 
 from . import pipeline as pl
 from .errors import OwnetError
-from .graph import load_cache, substantial_view
-from .jurisdiction import load_edge_values
+from .graph import load_cache
 from .synth import SynthSpec, build_corpus, write_corpus
 
 
@@ -123,15 +122,12 @@ def identify(graph_path, hqs, outdir):
 @click.option("--graph", "graph_path", required=True)
 @click.option("--hqs", required=True, type=click.Path(exists=True))
 @click.option("--profiles", required=True, type=click.Path(exists=True))
-@click.option("--values", "values_path", default=None, type=click.Path(exists=True),
+@click.option("--values", default=None, type=click.Path(exists=True),
               help="Per-edge value CSV; switches flows from link counts to value mode.")
 @_OUT
-def jurisdiction(graph_path, hqs, profiles, values_path, outdir):
+def jurisdiction(graph_path, hqs, profiles, values, outdir):
     """Jurisdiction centralities, tallies, chains, and regressions of every listed MNC's key firms."""
-    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, profiles=profiles)
-    if values_path:
-        state["view"] = substantial_view(state["graph"])
-        state["edge_values"] = load_edge_values(values_path, state["view"])
+    config, state = _stage_inputs(graph_path, outdir, hqs=hqs, profiles=profiles, values=values)
     pl.run_stage("jurisdiction", config, state)
     for name, reason in state["report"].failures:
         click.echo(f"failed {name}: {reason}", err=True)

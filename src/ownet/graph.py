@@ -20,6 +20,7 @@ import zipfile
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,27 @@ def data_rows(path: Path, header: list[str]):
             yield line, row
 
 
+def id_pair_rows(path: Path, header: list[str], ids: IdColumn):
+    """``(line, row, i, j)`` per row of :func:`data_rows`: ``i`` and ``j`` index its
+    first two fields, stripped, in ``ids`` (-1 if unknown), one ``indexes_of`` call
+    per ``EMIT_ROWS`` rows. A malformed row fails after the rows before it."""
+    rows = data_rows(path, header)
+    while True:
+        lines, fields, failure = [], [], None
+        try:
+            for line, row in islice(rows, EMIT_ROWS):
+                lines.append(line)
+                fields.append(row)
+        except LoadError as exc:
+            failure = exc
+        found = ids.indexes_of([row[k].strip() for row in fields for k in (0, 1)])
+        yield from zip(lines, fields, found[0::2].tolist(), found[1::2].tolist())
+        if failure is not None:
+            raise failure
+        if len(lines) < EMIT_ROWS:
+            return
+
+
 def _jurisdiction(raw: str) -> str:
     """A jurisdiction field: stripped, and ``NA_JURISDICTION`` if blank."""
     return raw.strip() or NA_JURISDICTION
@@ -337,28 +359,22 @@ def _node_columns(ids: IdColumn, first_seen, codes) -> NodeColumns:
 def _row_edges(path: Path, ids: IdColumn) -> EdgeLoadResult:
     """:func:`load_edges` one ``csv.reader`` row at a time: the definition of a
     valid edge file, and the path that reports the first bad line."""
-    position = dict(zip(ids, range(len(ids))))
     src, dst, pct = array("i"), array("i"), array("d")
     self_loops = blank_pct = 0
-    for line, row in data_rows(path, EDGE_HEADER):
+    for line, row, s, d in id_pair_rows(path, EDGE_HEADER, ids):
         sub, sh = row[0].strip(), row[1].strip()
         if not sub or not sh:
             raise LoadError("empty endpoint id", path, line)
-        s = position.get(sub)
-        if s is None:
+        if s < 0:
             raise LoadError(f"unknown node_id {sub!r}", path, line)
-        d = position.get(sh)
-        if d is None:
+        if d < 0:
             raise LoadError(f"unknown node_id {sh!r}", path, line)
         raw_pct = row[2].strip()
-        if raw_pct == "":
-            value = 0.0
-            blank_pct += 1
-        else:
-            try:
-                value = float(raw_pct)
-            except ValueError as exc:
-                raise LoadError(f"cannot parse pct {raw_pct!r}", path, line) from exc
+        blank_pct += raw_pct == ""
+        try:
+            value = float(raw_pct or "0")  # a blank pct reads as 0.0
+        except ValueError as exc:
+            raise LoadError(f"cannot parse pct {raw_pct!r}", path, line) from exc
         if not 0.0 <= value <= 100.0:
             raise LoadError(f"pct {value} outside [0, 100]", path, line)
         if s == d:
@@ -858,24 +874,29 @@ def save_cache(graph: OwnershipGraph, path, digests: tuple[str, str] = ("", ""))
 def load_cache(path) -> OwnershipGraph:
     """Load a graph cache written by :func:`save_cache`.
 
-    Field lengths, node and label index ranges, label order and pct values
-    are checked; a violation raises a :class:`LoadError` naming the field.
+    A file that is no readable npz archive, a missing field, and a bad field
+    length, index range, label order or pct raise a :class:`LoadError`.
     """
-    try:
-        data = np.load(path)
+    try:  # the file is opened here: np.load leaks its own handle on a damaged zip
+        with open(path, "rb") as handle, np.load(handle) as data:
+            fields = {key: data[key] for key in data.files}
     except OSError as exc:
         raise LoadError(str(exc), path) from exc
-    with data:
-        version = int(data["version"])
-        if version != CACHE_VERSION:
-            raise LoadError(f"cache version {version} unsupported (expected {CACHE_VERSION})", path)
-        ids_blob, ids_off = data["ids_blob"], data["ids_off"]
-        _check_packed(ids_blob, ids_off, "ids", path)
-        labels = _unpack_strings(data["jur_blob"], data["jur_off"], "jur", path)
-        if any(a >= b for a, b in zip(labels, labels[1:])):  # save_cache writes them sorted and unique
-            raise LoadError("cache field 'jur' holds labels that are not strictly ascending", path)
-        fields = {key: data[key] for key in ("jur_index", "src", "dst", "pct")}
-        counters = {key: int(data[key]) for key in ("self_loops_dropped", "blank_pct")}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:  # no npz archive, or a damaged one
+        raise LoadError("not a readable npz archive", path) from exc
+    for key in ("version", "ids_blob", "ids_off", "jur_blob", "jur_off", "jur_index", "src", "dst", "pct",
+                "self_loops_dropped", "blank_pct"):  # every older version wrote these too
+        if key not in fields:
+            raise LoadError(f"cache field {key!r} is missing", path)
+    version = int(fields["version"])
+    if version != CACHE_VERSION:
+        raise LoadError(f"cache version {version} unsupported (expected {CACHE_VERSION})", path)
+    ids_blob, ids_off = fields["ids_blob"], fields["ids_off"]
+    _check_packed(ids_blob, ids_off, "ids", path)
+    labels = _unpack_strings(fields["jur_blob"], fields["jur_off"], "jur", path)
+    if any(a >= b for a, b in zip(labels, labels[1:])):  # save_cache writes them sorted and unique
+        raise LoadError("cache field 'jur' holds labels that are not strictly ascending", path)
+    counters = {key: int(fields[key]) for key in ("self_loops_dropped", "blank_pct")}
 
     n, m = len(ids_off) - 1, len(fields["src"])
     for field in ("jur_index", "dst", "pct"):
@@ -908,10 +929,10 @@ def load_or_build(nodes_path, edges_path, cache_path) -> tuple[OwnershipGraph, t
     """
     digests = (_sha256(nodes_path), _sha256(edges_path))
     try:
-        with np.load(cache_path) as data:
+        with open(cache_path, "rb") as handle, np.load(handle) as data:
             current = (int(data["version"]) == CACHE_VERSION
                        and (data["nodes_sha256"].item(), data["edges_sha256"].item()) == digests)
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
         current = False
     if current:
         return load_cache(cache_path), None

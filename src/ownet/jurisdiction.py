@@ -10,6 +10,7 @@ rewards pass-through volume toward sink-flagged jurisdictions.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from scipy.special import stdtr
 from ._csr import neighbor_positions, sorted_unique
 from .components import REGION_NAMES, BowTie
 from .errors import LoadError
-from .graph import data_rows, parse_number
+from .graph import data_rows, id_pair_rows, parse_number
 from .keyfirms import ClassificationReport, Role, ROLE_NAMES
 from .netstats import value_counts
 
@@ -80,45 +81,33 @@ VALUE_HEADER = ["subsidiary_id", "shareholder_id", "value"]
 
 
 def load_edge_values(path, view) -> np.ndarray:
-    """Per-edge values aligned with the view's canonical edge order.
+    """Per-edge values aligned with the view's canonical edge order (``RunConfig.values``).
 
     Rows name an edge by its endpoints (``subsidiary_id,shareholder_id,
     value``); repeated rows add up in file order, edges without a row get
     0, and rows for pairs absent from the view (e.g. below the threshold)
-    are ignored. All endpoints are looked up in one batch; an error names
-    the first bad row, an unknown node before a bad value.
+    are ignored. Endpoints are looked up through :func:`graph.id_pair_rows`;
+    the first bad row fails with its line, an unknown node before a bad value.
     """
     path = Path(path)
-    lines, names, amounts = [], [], []
-    failure = None
-    try:
-        for line, row in data_rows(path, VALUE_HEADER):
-            lines.append(line)
-            names += (row[0].strip(), row[1].strip())
-            value = parse_number(row[2], float, "value", path, line)
-            if value < 0:
-                raise LoadError(f"value must be nonnegative, got {value}", path, line)
-            amounts.append(value)
-    except LoadError as exc:  # raised after any unknown node in this or an earlier row
-        failure = exc
-    ends = view.graph.ids.indexes_of(names).reshape(-1, 2)
-    unknown = np.flatnonzero((ends < 0).any(axis=1))
-    if unknown.size:
-        raise LoadError("unknown node in value row", path, lines[unknown[0]])
-    if failure is not None:
-        raise failure
+    n = view.n_nodes
+    pairs, amounts = array("q"), array("d")
+    for line, row, sub, sh in id_pair_rows(path, VALUE_HEADER, view.graph.ids):
+        if sub < 0 or sh < 0:
+            raise LoadError("unknown node in value row", path, line)
+        value = parse_number(row[2], float, "value", path, line)
+        if value < 0:
+            raise LoadError(f"value must be nonnegative, got {value}", path, line)
+        pairs.append(sub * n + sh)
+        amounts.append(value)
 
-    n = np.int64(view.n_nodes)
-    keys = view.src.astype(np.int64) * n + view.dst.astype(np.int64)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    pairs = ends[:, 0] * n + ends[:, 1]
-    lo = np.searchsorted(sorted_keys, pairs, side="left")
-    count = np.searchsorted(sorted_keys, pairs, side="right") - lo
+    keys = view.src.astype(np.int64) * n + view.dst.astype(np.int64)  # ascending: views are in (src, dst) order
+    lo = np.searchsorted(keys, pairs, side="left")
+    count = np.searchsorted(keys, pairs, side="right") - lo
     # parallel edges share the pair: spread the value over them; np.add.at adds in row order
     values = np.zeros(view.n_edges, dtype=np.float64)
     positions = np.arange(int(count.sum())) + np.repeat(lo - (np.cumsum(count) - count), count)
-    np.add.at(values, order[positions], np.repeat(np.array(amounts) / np.maximum(count, 1), count))
+    np.add.at(values, positions, np.repeat(np.asarray(amounts) / np.maximum(count, 1), count))
     return values
 
 

@@ -51,6 +51,7 @@ class RunConfig:
     outdir: Path
     hqs: Path | None = None
     profiles: Path | None = None
+    values: Path | None = None  # per-edge values: the jurisdiction stage's value mode
     seed: int = 0
     stages: tuple[str, ...] = STAGES
     cache: Path | None = None
@@ -75,8 +76,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise PipelineError(f"bad config: {path}: {exc}") from exc
         if not isinstance(raw, dict):
@@ -84,7 +84,7 @@ class RunConfig:
         base = Path(path).parent
         paths = {}
         try:
-            for key in ("nodes", "edges", "outdir", "hqs", "profiles", "cache"):
+            for key in ("nodes", "edges", "outdir", "hqs", "profiles", "values", "cache"):
                 value = raw.pop(key, None)
                 if value is not None:
                     paths[key] = base / value  # an absolute path replaces the base
@@ -102,6 +102,8 @@ class RunConfig:
             required.append(("hqs", self.hqs))
         if "jurisdiction" in self.stages:
             required.append(("profiles", self.profiles))
+            if self.values is not None:
+                required.append(("values", self.values))
         for name, path in required:
             if path is None:
                 raise PipelineError(f"stage inputs incomplete: {name} file not configured")
@@ -339,15 +341,20 @@ def _score_rows(centrality) -> list[tuple[str, str, str]]:
     return [(c, _fmt(s), "1" if c in centrality.flagged else "0") for c, s in sorted(centrality.scores.items())]
 
 
+def _records(rows) -> list[dict]:
+    """``(code, count, percent)`` rows of ``hq_tables.json``, as objects."""
+    return [{"code": c, "count": n, "percent": p} for c, n, p in rows]
+
+
 def _stage_jurisdiction(config, outdir, state):
     """``reports/``: sink/conduit scores, tallies, chains, HQ tables, regressions.
 
-    ``state["edge_values"]`` (if set) switches flows to value mode; a bow-tie
+    ``config.values`` (if set) switches flows to value mode; a bow-tie
     computed in the same run adds the bow-tie region tally.
     """
     view, report = _get_view(config, state), _get_report(config, state)
     profiles = jur.load_profiles(config.profiles)
-    edge_values, bowtie = state.get("edge_values"), state.get("bowtie")
+    edge_values = jur.load_edge_values(config.values, view) if config.values else None
     reports_dir = outdir / "reports"
     paths = []
     (reports_dir / "tallies").mkdir(parents=True, exist_ok=True)
@@ -376,8 +383,8 @@ def _stage_jurisdiction(config, outdir, state):
         )
         paths.append(path)
 
-    if bowtie is not None:
-        regions = jur.tally_by_bowtie(report, bowtie)
+    if "bowtie" in state:
+        regions = jur.tally_by_bowtie(report, state["bowtie"])
         path = reports_dir / "tallies" / "bowtie_regions.csv"
         rows = [
             (category, region, count)
@@ -398,29 +405,17 @@ def _stage_jurisdiction(config, outdir, state):
 
     hq_t = jur.hq_tables(report)
     path = reports_dir / "hq_tables.json"
-    payload = {
-        "by_role": {
-            role: [{"code": c, "count": n, "percent": p} for c, n, p in rows]
-            for role, rows in hq_t.by_role.items()
-        },
-        "locations": {
-            f"{hq}/{role}": [{"code": c, "count": n, "percent": p} for c, n, p in rows]
-            for (hq, role), rows in hq_t.locations.items()
-        },
-    }
-    write_json(path, payload)
+    write_json(path, {"by_role": {role: _records(rows) for role, rows in hq_t.by_role.items()},
+                      "locations": {f"{hq}/{role}": _records(rows) for (hq, role), rows in hq_t.locations.items()}})
     paths.append(path)
 
     # withholding-tax regressions per role
     regressions = {}
-    wtc = {code: p.wtc for code, p in profiles.items() if p.wtc is not None}
+    wtc = {code: p.wtc for code, p in sorted(profiles.items()) if p.wtc is not None}  # by code
     for tag in jur.ROLE_TAGS:
         counts = {c: n for c, n, _ in tallies[tag]}
-        codes = sorted(wtc)
-        x = [wtc[c] for c in codes]
-        y = [counts.get(c, 0) for c in codes]
         try:
-            regressions[tag] = asdict(jur.ols_regression(x, y))
+            regressions[tag] = asdict(jur.ols_regression(list(wtc.values()), [counts.get(c, 0) for c in wtc]))
         except ValueError as exc:
             regressions[tag] = {"error": str(exc)}
     path = reports_dir / "regression.json"
@@ -443,10 +438,14 @@ _STAGE_FUNCS = {
 def verify_manifest(manifest_path) -> dict:
     """Load a manifest and re-hash every artifact; raises on mismatch."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+        raise PipelineError(f"bad manifest: {manifest_path}: {exc}") from exc
+    if not (isinstance(data, dict) and isinstance(data.get("stages"), dict) and "status" in data):
+        raise PipelineError(f"bad manifest: {manifest_path}: not a JSON object with 'stages' and 'status'")
     outdir = manifest_path.parent
-    for stage, entry in data.get("stages", {}).items():
+    for stage, entry in data["stages"].items():
         for rel, digest in entry["artifacts"].items():
             target = outdir / rel
             if not target.exists():
@@ -466,31 +465,29 @@ def write_report(manifest_path, report_dir=None) -> Path:
 
     lines: list[str] = ["ownership-network analysis report", ""]
 
+    def table(title: str, path: Path) -> None:
+        """``title``, then the rows of the CSV at ``path`` without its header, indented."""
+        lines.extend([title, *("  " + row for row in path.read_text(encoding="utf-8").splitlines()[1:]), ""])
+
     ingest = outdir / "ingest_summary.json"
     if ingest.exists():
-        with open(ingest, encoding="utf-8") as handle:
-            info = json.load(handle)
+        info = json.loads(ingest.read_text(encoding="utf-8"))
         lines.append(f"graph: {info['nodes']} nodes, {info['edges']} edges")
         lines.append(f"ingest counters: {info['counters']}")
         lines.append("")
 
     summary = outdir / "bowtie_summary.csv"
     if summary.exists():
-        lines.append("bow-tie structure (component, companies, ratio %):")
-        lines.extend("  " + line for line in summary.read_text(encoding="utf-8").splitlines()[1:])
-        lines.append("")
+        table("bow-tie structure (component, companies, ratio %):", summary)
         for direction in ("in", "out"):
             dist = outdir / f"distances_{direction}.csv"
             if dist.exists():
                 label = "IN -> GSCC" if direction == "in" else "GSCC -> OUT"
-                lines.append(f"shortest distances {label} (distance, count, ratio):")
-                lines.extend("  " + line for line in dist.read_text(encoding="utf-8").splitlines()[1:])
-                lines.append("")
+                table(f"shortest distances {label} (distance, count, ratio):", dist)
 
     identify = outdir / "identify_summary.json"
     if identify.exists():
-        with open(identify, encoding="utf-8") as handle:
-            info = json.load(handle)
+        info = json.loads(identify.read_text(encoding="utf-8"))
         lines.append(f"affiliates classified: {info['affiliates']}")
         lines.append(f"key-company tallies: {info['tallies']}")
         if info["failures"]:
@@ -499,14 +496,11 @@ def write_report(manifest_path, report_dir=None) -> Path:
 
     mnc_summary = outdir / "mnc_summary.csv"
     if mnc_summary.exists():
-        lines.append("per-MNC key companies (mnc, hq, affiliates, holding, h&c, conduit):")
-        lines.extend("  " + line for line in mnc_summary.read_text(encoding="utf-8").splitlines()[1:])
-        lines.append("")
+        table("per-MNC key companies (mnc, hq, affiliates, holding, h&c, conduit):", mnc_summary)
 
     regression = outdir / "reports" / "regression.json"
     if regression.exists():
-        with open(regression, encoding="utf-8") as handle:
-            info = json.load(handle)
+        info = json.loads(regression.read_text(encoding="utf-8"))
         lines.append("withholding-tax regressions (count ~ wtc):")
         for tag, res in sorted(info.items()):
             if "error" in res:

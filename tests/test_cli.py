@@ -487,9 +487,9 @@ class TestCli:
         assert not (tmp_path / "rep").exists()
 
     def test_stage_options_are_config_inputs(self):
-        # a stage subcommand takes the cache, its output directory, the edge values, and
-        # RunConfig fields only: it has no input that `ownet run` lacks
-        allowed = {field.name for field in dataclasses.fields(RunConfig)} | {"graph_path", "outdir", "values_path"}
+        # a stage subcommand takes the cache, its output directory and RunConfig
+        # fields only: it has no input that `ownet run` lacks
+        allowed = {field.name for field in dataclasses.fields(RunConfig)} | {"graph_path", "outdir"}
         for stage in STAGES:
             names = {param.name for param in main.commands[stage].params}
             assert names <= allowed, (stage, sorted(names - allowed))
@@ -545,6 +545,42 @@ class TestCliMatchesPipeline:
         assert affiliates[0] == ["mnc", "affiliate_id", "layer", "k_in", "k_out"]
         assert {row[0] for row in affiliates[1:]} == {name for _, name in bundle.hq_rows}
 
+    def test_value_mode_reports_byte_identical(self, corpus, tmp_path):
+        # the value file is a run input: `ownet run` with `values` in its config (a path
+        # relative to the config file) writes the reports of `ownet jurisdiction --values`
+        _, paths, _ = corpus
+        view = substantial_view(load_graph(paths["nodes"], paths["edges"]), 10.0)
+        ids, edges = view.graph.ids, list(zip(view.src.tolist(), view.dst.tolist()))
+        config_dir = tmp_path / "config"
+        config_dir.mkdir()
+        (config_dir / "values.csv").write_text("subsidiary_id,shareholder_id,value\n" + "".join(
+            f"{ids[s]},{ids[d]},{1 + 2 * (i % 3)}\n" for i, (s, d) in enumerate(edges)), encoding="utf-8")
+        out = tmp_path / "out"
+        config_path = config_dir / "config.json"
+        config_path.write_text(json.dumps({
+            "nodes": str(paths["nodes"]), "edges": str(paths["edges"]), "hqs": str(paths["hqs"]),
+            "profiles": str(paths["profiles"]), "values": "values.csv", "outdir": str(out),
+            "stages": ["ingest", "jurisdiction"],
+        }), encoding="utf-8")
+        assert RunConfig.from_json(config_path).values == config_dir / "values.csv"
+
+        runner = CliRunner()
+        assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+        data = verify_manifest(out / "manifest.json")
+        assert data["config"] == {"seed": 0, "stages": ["ingest", "jurisdiction"]}
+        modes = {}
+        for mode, extra in (("valued", ["--values", str(config_dir / "values.csv")]), ("links", [])):
+            result = runner.invoke(main, [
+                "jurisdiction", "--graph", str(out / "graph.npz"), "--hqs", str(paths["hqs"]),
+                "--profiles", str(paths["profiles"]), *extra, "--out", str(tmp_path / mode)])
+            assert result.exit_code == 0, result.output
+            reports = tmp_path / mode / "reports"
+            modes[mode] = {str(p.relative_to(reports)): p.read_bytes() for p in reports.rglob("*") if p.is_file()}
+        run_reports = {rel.removeprefix("reports/"): (out / rel).read_bytes()
+                       for rel in data["stages"]["jurisdiction"]["artifacts"]}
+        assert run_reports == modes["valued"]
+        assert run_reports["sink.csv"] != modes["links"]["sink.csv"]
+
 
 class TestBadInputs:
     @pytest.mark.parametrize("command, text, reason", [
@@ -561,12 +597,16 @@ class TestBadInputs:
          "bad config: .*unexpected keyword argument 'damping'"),
         ("synth", '{"seed": 1, "n_nodes": 5}', "bad spec: .*n_nodes"),
         ("synth", '{"target_region": "XX"}', "bad spec: target_region must be IN or TE, got 'XX'"),
+        ("report", '{"stages": {', "bad manifest: .*input.json: Expecting"),
+        ("report", '[]', "bad manifest: .*input.json: not a JSON object with 'stages' and 'status'"),
+        ("report", '{"stages": ["ingest"], "status": "ok"}', "bad manifest: .*not a JSON object with 'stages'"),
+        ("report", '{"stages": {}}', "bad manifest: .*not a JSON object with 'stages' and 'status'"),
     ])
     def test_bad_json_one_line(self, tmp_path, monkeypatch, command, text, reason):
         monkeypatch.chdir(tmp_path)  # a default output directory, should one be made, lands here
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")
-        option = "--config" if command == "run" else "--spec"
+        option = {"run": "--config", "synth": "--spec", "report": "--manifest"}[command]
         result = CliRunner().invoke(main, [command, option, str(path)])
         assert result.exit_code == 1
         assert "Traceback" not in result.output
@@ -574,6 +614,34 @@ class TestBadInputs:
         assert len(lines) == 1 and lines[0].startswith(f"{command} failed: "), result.stderr
         assert re.search(reason, lines[0]), lines[0]
         assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
+
+    def test_unreadable_cache_one_line(self, corpus, tmp_path):
+        _, paths, _ = corpus
+        graph = tmp_path / "partial.npz"
+        assert CliRunner().invoke(main, ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
+                                         "--out", str(graph)]).exit_code == 0
+        graph.write_bytes(graph.read_bytes()[:1000])  # a copy cut short
+        result = CliRunner().invoke(main, ["bowtie", "--graph", str(graph), "--out", str(tmp_path / "bt")])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert result.stderr == f"bowtie failed: {graph}: not a readable npz archive\n"
+
+    def test_missing_values_file_checked_before_any_stage(self, corpus, tmp_path):
+        _, paths, _ = corpus
+        out = tmp_path / "out"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "nodes": str(paths["nodes"]), "edges": str(paths["edges"]), "hqs": str(paths["hqs"]),
+            "profiles": str(paths["profiles"]), "values": "absent.csv", "outdir": str(out),
+        }), encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == f"run failed: missing input file: values ({tmp_path / 'absent.csv'})\n"
+        assert not out.exists()
+        # a run without the jurisdiction stage reads no value file
+        config = RunConfig.from_json(config_path)
+        config.stages = ("ingest",)
+        assert verify_manifest(run_pipeline(config))["status"] == "ok"
 
     @pytest.mark.parametrize("args", [
         ["identify", "--threshold", "10"], ["stats", "--bin-ratio", "2"], ["communities", "--damping", "0.85"],

@@ -384,6 +384,13 @@ class TestDataRows:
         assert load(write(tmp_path, "blank.csv", ",".join(header) + "\n\n"), g) == empty
 
 
+def npy_bytes(array):
+    """The bytes ``np.save`` writes for ``array``: one array, not an npz archive."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 class TestCacheValidation:
     @pytest.mark.parametrize(
         "field, corrupt",
@@ -417,6 +424,24 @@ class TestCacheValidation:
         np.savez(path, **data)
         with pytest.raises(LoadError, match=f"cache field '{field}'"):
             load_cache(path)
+
+    @pytest.mark.parametrize("damage, reason", [
+        pytest.param(lambda path: path.write_text("node_id\nn1\n", encoding="utf-8"), "not a readable npz archive",
+                     id="not-npz"),
+        pytest.param(lambda path: path.write_bytes(b""), "not a readable npz archive", id="empty"),
+        pytest.param(lambda path: path.write_bytes(path.read_bytes()[:200]), "not a readable npz archive",
+                     id="truncated"),
+        pytest.param(lambda path: path.write_bytes(npy_bytes(np.arange(3))), "not a readable npz archive", id="npy"),
+        pytest.param(lambda path: np.savez(path, **{k: v for k, v in np.load(path).items() if k != "src"}),
+                     "cache field 'src' is missing", id="missing-field"),
+    ])
+    def test_unreadable_archive_named(self, tmp_path, m1_graph, damage, reason):
+        path = tmp_path / "g.npz"
+        save_cache(m1_graph, path)
+        damage(path)
+        with pytest.raises(LoadError, match=reason) as info:
+            load_cache(path)
+        assert info.value.path == path
 
 
 # -- loader oracle ---------------------------------------------------------
@@ -627,13 +652,16 @@ def assert_same_graph(got, want, want_counters):
 
 def loads_like_reference(tmp_path_factory, rows):
     """Write the drawn files, then load them with both loaders: the same error
-    (type, message and line), or equal graphs and counters."""
+    (type, message and line), or equal graphs and counters. ``EMIT_ROWS`` is 2,
+    so the row loop's id lookups split the rows into many chunks."""
     node_rows, edge_rows, layout = rows
     tmp = tmp_path_factory.mktemp("oracle")
     nodes, edges = tmp / "nodes.csv", tmp / "edges.csv"
     write_rows(nodes, NODE_HEADER, node_rows, layout)
     write_rows(edges, EDGE_HEADER, edge_rows, layout)
-    got = outcome(lambda: load_graph(nodes, edges))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "EMIT_ROWS", 2)  # the row loop looks ids up two rows at a time
+        got = outcome(lambda: load_graph(nodes, edges))
     want = outcome(lambda: reference_load_graph(nodes, edges))
     if want[0] == "error":
         assert got == want
@@ -648,6 +676,8 @@ class TestLoaderOracle:
     @example(([["n0", "US", "C", "", "0"], ["n0", "NL", "K", "", "maybe"]], [], PLAIN))
     @example(([["n0", "US", "C", "", "0"]], [["zz", "yy", "abc"]], PLAIN))
     @example(([["n0", "US", "C", "", "0"]], [["n0", "zz", "150"]], PLAIN))
+    # an unknown id, then a row of the same id-lookup chunk that has too few fields
+    @example(([["n0", "US", "C", "", "0"]], [["n0", "zz", "5"], ["n0", "n0"]], PLAIN))
     # plain files but for one anomaly each
     @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "1"]], [["n0", "n1", "5"]],
               Layout(eol="\r\n", final_newline=False)))
@@ -690,6 +720,7 @@ class TestLoaderOracle:
         want = outcome(lambda: graph_module._row_nodes(path))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph_module, "BLOCK_BYTES", block_bytes)
+            patch.setattr(graph_module, "EMIT_ROWS", 2)
             got = outcome(lambda: load_nodes(path))
         if want[0] == "error":
             assert got == want

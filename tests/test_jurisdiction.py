@@ -448,10 +448,14 @@ class TestEdgeValues:
     @example((2, [(0, 1, 60.0), (0, 1, 20.0), (0, 1, 60.0)], [("n0", "n1", "0.1"), ("n0", "n1", "0.2"), ("n0", "n1", "0.7")]))
     @example((3, [(0, 1, 60.0)], [("n0", "n1", "abc"), ("zz", "n1", "1")]))
     @example((3, [(0, 1, 60.0)], [("n0", "n1", "1"), ("n2", "zz", "-1"), ("n0", "zz", "1")]))
+    # an unknown id, then a row of the same id-lookup chunk that has too many fields
+    @example((3, [(0, 1, 60.0)], [("n0", "zz", "1"), ("n0", "n1", "1,2")]))
     @settings(max_examples=200, deadline=None)
     def test_batch_equals_row_loop(self, tmp_path_factory, case):
         """Repeated rows over parallel edges add up in file order, bit for bit
-        as the row-at-a-time loader added them; errors keep their message and line."""
+        as the row-at-a-time loader added them; errors keep their message and
+        line. ``EMIT_ROWS`` is 2, so the id lookups split the rows into chunks."""
+        import ownet.graph as graph_module
         from ownet.jurisdiction import load_edge_values
 
         n, edges, rows = case
@@ -466,7 +470,10 @@ class TestEdgeValues:
             except LoadError as exc:
                 return str(exc), exc.line
 
-        assert outcome(load_edge_values) == outcome(reference_edge_values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "EMIT_ROWS", 2)
+            got = outcome(load_edge_values)
+        assert got == outcome(reference_edge_values)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "+inf", "NaN"])
     def test_non_finite_value_rejected(self, tmp_path, value):
