@@ -19,7 +19,6 @@ from .graph import (
     load_edges,
     load_graph,
     load_nodes,
-    reciprocal_link_ratio,
     substantial_view,
 )
 from .components import (

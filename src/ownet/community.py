@@ -32,7 +32,6 @@ class FlowDistribution:
     rates: np.ndarray = field(repr=False, default=None)
     edge_flows: np.ndarray = field(repr=False, default=None)
     teleport: np.ndarray = field(repr=False, default=None)
-    damping: float = DEFAULT_DAMPING
     iterations: int = 0
 
 
@@ -51,7 +50,7 @@ def stationary_flow(g, damping: float = DEFAULT_DAMPING, tolerance: float = 1e-1
     n = g.n_nodes
     if n == 0:
         z = np.zeros(0)
-        return FlowDistribution(g, z, z, z, damping, 0)
+        return FlowDistribution(g, z, z, z, 0)
 
     out_deg = g.out_degrees().astype(np.float64)
     dangling = out_deg == 0
@@ -72,7 +71,7 @@ def stationary_flow(g, damping: float = DEFAULT_DAMPING, tolerance: float = 1e-1
             p = p / p.sum()
             edge_flows = damping * p[g.src] * inv_deg[g.src]
             tele = p * ((1.0 - damping) + damping * dangling)
-            return FlowDistribution(g, p, edge_flows, tele, damping, it)
+            return FlowDistribution(g, p, edge_flows, tele, it)
     raise ConvergenceError(f"stationary flow did not converge in {max_iter} iterations")
 
 

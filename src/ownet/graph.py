@@ -29,6 +29,7 @@ from ._csr import build_indptr, canonical_edge_order, dense_relabel, freeze
 from .errors import GraphError, LoadError
 
 NA_JURISDICTION = "n.a."
+SUBSTANTIAL_PCT = 10.0  # the paper's substantial-link rule: a stake that can give significant influence
 
 NODE_HEADER = ["node_id", "jurisdiction", "nace_section", "name", "is_hq"]
 EDGE_HEADER = ["subsidiary_id", "shareholder_id", "pct"]
@@ -675,18 +676,15 @@ class OwnershipGraph(_Adjacency):
 
 
 class SubstantialView(_Adjacency):
-    """Edge-filtered view keeping only shareholdings at or above a threshold.
+    """Edge-filtered view keeping only shareholdings of at least ``SUBSTANTIAL_PCT``.
 
     Shares node indexes and metadata with the parent graph; only the edge
     arrays are filtered (and re-indexed). Immutable like the parent.
     """
 
-    def __init__(self, graph: OwnershipGraph, threshold: float):
-        if not 0.0 < threshold <= 100.0:
-            raise GraphError(f"threshold must be in (0, 100], got {threshold}")
+    def __init__(self, graph: OwnershipGraph):
         self.graph = graph
-        self.threshold = float(threshold)
-        keep = graph.pct >= threshold
+        keep = graph.pct >= SUBSTANTIAL_PCT
         self.pct = self._index_edges(graph.n_nodes, graph.src[keep], graph.dst[keep], graph.pct[keep])
 
 
@@ -720,20 +718,9 @@ def load_graph(nodes_path, edges_path) -> OwnershipGraph:
     return OwnershipGraph(nodes, result.edges, counters)
 
 
-def substantial_view(graph: OwnershipGraph, threshold: float = 10.0) -> SubstantialView:
-    """Edges with pct >= threshold (default: the 10% substantial-link rule)."""
-    return SubstantialView(graph, threshold)
-
-
-def reciprocal_link_ratio(g: _Adjacency) -> float:
-    """Fraction of edges (u, v) whose reverse (v, u) is also present."""
-    m = g.n_edges
-    if m == 0:
-        return 0.0
-    n = np.int64(g.n_nodes)
-    keys = g.src.astype(np.int64) * n + g.dst.astype(np.int64)
-    rev = g.dst.astype(np.int64) * n + g.src.astype(np.int64)
-    return float(np.isin(keys, rev).sum() / m)
+def substantial_view(graph: OwnershipGraph) -> SubstantialView:
+    """Edges with pct >= ``SUBSTANTIAL_PCT``: the 10% substantial-link rule."""
+    return SubstantialView(graph)
 
 
 def induced_subgraph(graph: OwnershipGraph, nodes) -> OwnershipGraph:

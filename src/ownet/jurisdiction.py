@@ -156,27 +156,20 @@ def link_flows(view, edge_values=None) -> FlowAggregate:
 class CentralityScores:
     scores: dict[str, float]
     flagged: list[str]
-    skipped: list[str]
 
 
 def _gdp_normalised(values: dict[str, float], total: float, profiles: dict[str, JurisdictionProfile],
                     threshold: float) -> CentralityScores:
     """``values[code] / total`` divided by the code's share of the summed GDP.
 
-    Codes without a GDP are skipped; scores strictly above ``threshold``
+    Codes without a GDP get no score; scores strictly above ``threshold``
     are flagged.
     """
     gdp = {p.code: p.gdp for p in profiles.values() if p.gdp is not None}
     gdp_sum = sum(gdp.values())
-    scores: dict[str, float] = {}
-    skipped: list[str] = []
-    for code in sorted(values):
-        if code not in gdp:
-            skipped.append(code)
-            continue
-        scores[code] = values[code] / total * (gdp_sum / gdp[code])
+    scores = {code: values[code] / total * (gdp_sum / gdp[code]) for code in sorted(values) if code in gdp}
     flagged = [c for c, s in scores.items() if s > threshold]
-    return CentralityScores(scores, flagged, skipped)
+    return CentralityScores(scores, flagged)
 
 
 def sink_centrality(flows: FlowAggregate, profiles: dict[str, JurisdictionProfile]) -> CentralityScores:
@@ -276,8 +269,6 @@ def tally_by_bowtie(report: ClassificationReport, bowtie: BowTie) -> dict[str, d
 class ChainTable:
     """Jurisdiction shares of direct subsidiaries and shareholders."""
 
-    role: str
-    jurisdiction: str
     subsidiaries: list[tuple[str, int, float]]
     shareholders: list[tuple[str, int, float]]
 
@@ -298,8 +289,6 @@ def chain_tables(report: ClassificationReport, view, role: Role, jurisdiction: s
     subsidiaries = view.in_sources[neighbor_positions(view.in_indptr, firms)]
     shareholders = view.dst[neighbor_positions(view.out_indptr, firms)]
     return ChainTable(
-        role=ROLE_NAMES[role],
-        jurisdiction=jurisdiction,
         subsidiaries=_ranked_jurisdictions(g, subsidiaries, table=True),
         shareholders=_ranked_jurisdictions(g, shareholders, table=True),
     )

@@ -364,7 +364,7 @@ def _stage_jurisdiction(config, outdir, state):
         try:
             return centrality(flows, profiles)
         except ValueError:  # no cross-border or no pass-through flow: no score, a header-only table
-            return jur.CentralityScores({}, [], [])
+            return jur.CentralityScores({}, [])
 
     flows = jur.link_flows(view, edge_values=edge_values)
     sink = scores(jur.sink_centrality, flows)
@@ -446,7 +446,12 @@ def verify_manifest(manifest_path) -> dict:
         raise PipelineError(f"bad manifest: {manifest_path}: not a JSON object with 'stages' and 'status'")
     outdir = manifest_path.parent
     for stage, entry in data["stages"].items():
-        for rel, digest in entry["artifacts"].items():
+        artifacts = entry.get("artifacts") if isinstance(entry, dict) else None
+        if not (isinstance(artifacts, dict) and all(isinstance(digest, str) for digest in artifacts.values())):
+            raise PipelineError(f"bad manifest: {manifest_path}: stage {stage!r} has no 'artifacts' mapping of paths to digests")
+        for rel, digest in artifacts.items():
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                raise PipelineError(f"bad manifest: {manifest_path}: artifact {rel!r} is outside the manifest's directory")
             target = outdir / rel
             if not target.exists():
                 raise PipelineError(f"manifest artifact missing: {rel}")

@@ -47,6 +47,10 @@ _RETRY_FACTOR = 100  # stub swaps allowed per edge before the wiring is re-drawn
 _P_HOME = 0.35  # chance that a template affiliate sits in the HQ's jurisdiction
 _P_EXTRA_PARENT = 0.15  # chance that it gets a second owner
 _P_CYCLE = 0.1  # chance that a link between two affiliates is also reversed
+_GAMMA_IN = 2.44  # noise in-degree exponent
+_GAMMA_OUT = 3.0  # noise out-degree exponent
+_ATTACH_FRACTION = 0.3  # share of noise nodes that also point into the core
+_NOISE_PCT = (1.0, 9.5)  # pct range of every edge outside the templates: below the 10% rule
 _table_cache: dict[tuple[float, int], np.ndarray] = {}
 
 
@@ -94,11 +98,7 @@ def _mean_power_law(gamma: float, x_min: int = 1) -> float:
     return float(zeta(gamma - 1.0, x_min) / zeta(gamma, x_min))
 
 
-def _degree_sequence(rng, n: int, gamma: float, target_sum: int | None) -> np.ndarray:
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if target_sum is None:
-        return sample_power_law(rng, gamma, n)
+def _degree_sequence(rng, n: int, gamma: float, target_sum: int) -> np.ndarray:
     k = np.zeros(n, dtype=np.int64)
     n_active = min(n, max(1, int(round(target_sum / _mean_power_law(gamma)))))
     active = rng.choice(n, size=n_active, replace=False)
@@ -134,11 +134,12 @@ def _wire_stubs(rng, k_out: np.ndarray, k_in: np.ndarray):
         dst[bad_idx], dst[swap] = dst[swap], dst[bad_idx].copy()
 
 
-def generate_scale_free(n: int, gamma_in: float, gamma_out: float, seed: int = 0,
-                        target_edges: int | None = None):
+def generate_scale_free(n: int, gamma_in: float, gamma_out: float, target_edges: int, seed: int = 0):
     """Directed configuration-model graph with power-law in/out degrees.
 
-    Returns (src, dst) index arrays. Degree sums are balanced by topping up
+    Returns (src, dst) index arrays. Each side draws power-law degrees for
+    about ``target_edges`` / (mean degree) nodes, the rest getting none, so
+    both sums land near ``target_edges``. They are balanced by topping up
     one random node on the lighter side; colliding stubs (self-loops,
     duplicate pairs) are re-paired, and the sequence is re-drawn when the
     retry budget (100x edges) is exhausted.
@@ -174,8 +175,9 @@ class MncTemplate:
     name: str
     jurisdictions: dict[str, str]
     edges: list[tuple[str, str, float]]
-    hq: str = "HQ"
     roles: dict[str, str] = field(default_factory=dict)
+
+    hq = "HQ"  # not a field: the local id of every template's head
 
     def global_id(self, local: str) -> str:
         return f"{self.name}:{local}"
@@ -293,12 +295,10 @@ def evaluate_template_roles(template: MncTemplate) -> dict[str, str]:
 
 
 def random_mnc_template(rng: np.random.Generator, name: str,
-                        n_affiliates: tuple[int, int] = (5, 30),
-                        pool: list[str] | None = None) -> MncTemplate:
+                        n_affiliates: tuple[int, int] = (5, 30)) -> MncTemplate:
     """Random layered ownership tree plus optional multi-parent/cycle edges."""
-    pool = pool or JURISDICTION_POOL
     count = int(rng.integers(n_affiliates[0], n_affiliates[1] + 1))
-    hq_jur = pool[int(rng.integers(0, len(pool)))]
+    hq_jur = JURISDICTION_POOL[int(rng.integers(0, len(JURISDICTION_POOL)))]
     jurisdictions = {"HQ": hq_jur}
     locals_: list[str] = []
     prev_layer = ["HQ"]
@@ -318,7 +318,7 @@ def random_mnc_template(rng: np.random.Generator, name: str,
             if rng.random() < _P_HOME:
                 jurisdictions[local] = hq_jur
             else:
-                jurisdictions[local] = pool[int(rng.integers(0, len(pool)))]
+                jurisdictions[local] = JURISDICTION_POOL[int(rng.integers(0, len(JURISDICTION_POOL)))]
             current.append(local)
             locals_.append(local)
         prev_layer = current
@@ -354,17 +354,37 @@ class SynthSpec:
     seed: int = 0
     n_noise: int = 2000
     noise_edges: int = 2500
-    gamma_in: float = 2.44
-    gamma_out: float = 3.0
     core_size: int = 60
     out_chain: int = 12
-    attach_fraction: float = 0.3
-    n_mncs: int = 10
+    n_mncs: int = 10  # the canonical template M1 plus n_mncs - 1 random ones
     affiliates_range: tuple[int, int] = (5, 30)
-    include_toy: bool = True
     target_region: str = "IN"
-    noise_pct: tuple[float, float] = (1.0, 9.5)
-    seed_jurisdictions: list[str] = field(default_factory=lambda: list(JURISDICTION_POOL))
+
+    def __post_init__(self):
+        """Reject a value the generator cannot honour, so no corpus is written from it.
+
+        Types are checked first, so a range rule only ever compares numbers.
+        """
+        def whole(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        sizes = ("seed", "n_noise", "noise_edges", "core_size", "out_chain", "n_mncs")
+        rules = [
+            *((name, whole, "an int") for name in sizes),
+            ("affiliates_range", lambda r: isinstance(r, (list, tuple)) and len(r) == 2 and all(map(whole, r)),
+             "two ints"),
+            ("target_region", lambda region: region in ("IN", "TE"), "IN or TE"),
+            *((name, lambda value: value >= 0, ">= 0") for name in ("seed", "n_noise", "noise_edges", "out_chain")),
+            # a one-node core is a self-loop, which ingest drops
+            ("core_size", lambda value: value >= 2, ">= 2"),
+            ("n_mncs", lambda value: value >= 1, ">= 1"),
+            ("affiliates_range", lambda r: 0 <= r[0] <= r[1], "[lo, hi] with 0 <= lo <= hi"),
+            ("out_chain", lambda value: value >= 1 or self.target_region == "IN", ">= 1 for a TE target"),
+        ]
+        for name, ok, rule in rules:
+            if not ok(getattr(self, name)):
+                raise LoadError(f"bad spec: {name} must be {rule}, got {getattr(self, name)!r}")
+        self.affiliates_range = tuple(self.affiliates_range)
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
@@ -374,15 +394,9 @@ class SynthSpec:
         except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise LoadError(f"bad spec: {exc}", path) from exc
         try:
-            for key in ("affiliates_range", "noise_pct"):
-                if key in raw:
-                    raw[key] = tuple(raw[key])
-            spec = cls(**raw)
-        except TypeError as exc:  # an unknown key, a non-object or a non-list range
+            return cls(**raw)
+        except TypeError as exc:  # an unknown key or a non-object
             raise LoadError(f"bad spec: {exc}", path) from exc
-        if spec.target_region not in ("IN", "TE"):
-            raise LoadError(f"bad spec: target_region must be IN or TE, got {spec.target_region!r}", path)
-        return spec
 
 
 @dataclass
@@ -398,7 +412,6 @@ class CorpusBundle:
 def build_corpus(spec: SynthSpec) -> CorpusBundle:
     """Assemble noise, core, out-chain, and planted MNCs into CSV rows."""
     rng = np.random.default_rng(spec.seed)
-    pool = spec.seed_jurisdictions
     node_rows: list[tuple[str, str, str, str, str]] = []
     edge_rows: list[tuple[str, str, str]] = []
 
@@ -406,7 +419,7 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
         # a sprinkle of unknown jurisdictions, like real registries
         if rng.random() < 0.02:
             return NA_JURISDICTION
-        return pool[int(rng.integers(0, len(pool)))]
+        return JURISDICTION_POOL[int(rng.integers(0, len(JURISDICTION_POOL)))]
 
     def nace() -> str:
         return NACE_POOL[int(rng.integers(0, len(NACE_POOL)))]
@@ -414,7 +427,7 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
     pct_texts: dict[str, str] = {}  # one object per distinct pct: under 2,000 of them in a 1M-edge corpus
 
     def low_pct() -> str:
-        text = f"{rng.uniform(spec.noise_pct[0], spec.noise_pct[1]):.2f}"
+        text = f"{rng.uniform(*_NOISE_PCT):.2f}"
         return pct_texts.setdefault(text, text)
 
     # core: directed cycle plus chords, the designated largest SCC
@@ -441,30 +454,25 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
     noise_ids = [f"noise{i:07d}" for i in range(spec.n_noise)]
     for nid in noise_ids:
         node_rows.append((nid, jur(), nace(), "", "0"))
-    n_attach = int(spec.attach_fraction * spec.n_noise)
+    n_attach = int(_ATTACH_FRACTION * spec.n_noise)
     internal_target = max(spec.noise_edges - n_attach, 0)
     if spec.n_noise > 1 and internal_target > 0:
         src, dst = generate_scale_free(
-            spec.n_noise, spec.gamma_in, spec.gamma_out,
-            seed=int(rng.integers(0, 2**63 - 1)), target_edges=internal_target,
+            spec.n_noise, _GAMMA_IN, _GAMMA_OUT, internal_target, seed=int(rng.integers(0, 2**63 - 1)),
         )
         for s, d in zip(src, dst):
             edge_rows.append((noise_ids[int(s)], noise_ids[int(d)], low_pct()))
-    if spec.n_noise and n_attach and spec.core_size:
-        attach_nodes = rng.choice(spec.n_noise, size=min(n_attach, spec.n_noise), replace=False)
+    if n_attach:
+        attach_nodes = rng.choice(spec.n_noise, size=n_attach, replace=False)
         attach_nodes.sort()
         targets = rng.integers(0, spec.core_size, size=attach_nodes.shape[0])
         for node, tgt in zip(attach_nodes, targets):
             edge_rows.append((noise_ids[int(node)], core_ids[int(tgt)], low_pct()))
 
     # planted corporations
-    templates: list[MncTemplate] = []
-    if spec.include_toy:
-        templates.append(toy_m1_template())
-    for i in range(spec.n_mncs - (1 if spec.include_toy else 0)):
-        templates.append(
-            random_mnc_template(rng, f"MNC{i:03d}", n_affiliates=tuple(spec.affiliates_range), pool=pool)
-        )
+    templates = [toy_m1_template()]
+    for i in range(spec.n_mncs - 1):
+        templates.append(random_mnc_template(rng, f"MNC{i:03d}", n_affiliates=spec.affiliates_range))
 
     hq_rows: list[tuple[str, str]] = []
     truth: dict[str, dict[str, str]] = {}
@@ -479,12 +487,10 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
         hq_rows.append((hq_gid, template.name))
         truth[template.name] = {template.global_id(k): v for k, v in template.roles.items()}
         # region wiring stays below the substantial threshold
-        if spec.target_region == "IN" and spec.core_size:
+        if spec.target_region == "IN":
             anchor = core_ids[int(rng.integers(0, spec.core_size))]
-        elif spec.target_region == "TE" and spec.out_chain:
-            anchor = out_ids[int(rng.integers(0, spec.out_chain))]
         else:
-            anchor = core_ids[0]
+            anchor = out_ids[int(rng.integers(0, spec.out_chain))]
         edge_rows.append((hq_gid, anchor, low_pct()))
 
     profile_rows = [
@@ -495,7 +501,7 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
             f"{rng.uniform(0.10, 0.35):.3f}",
             f"{rng.uniform(0.0, 0.10):.5f}",
         )
-        for code in pool
+        for code in JURISDICTION_POOL
     ]
 
     return CorpusBundle(

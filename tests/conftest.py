@@ -76,7 +76,7 @@ def m1_graph(m1_template):
 
 @pytest.fixture(scope="session")
 def m1_view(m1_graph):
-    return substantial_view(m1_graph, 10.0)
+    return substantial_view(m1_graph)
 
 
 @pytest.fixture()

@@ -83,7 +83,7 @@ def test_02_sign_law_over_random_subtrees():
     while subtrees < 1000:
         template = random_mnc_template(rng, f"SL{subtrees}", n_affiliates=(3, 200))
         graph = template_graph(template)
-        view = substantial_view(graph, 10.0)
+        view = substantial_view(graph)
         table = subtree_table(view, [graph.index_of(template.global_id("HQ"))])
         subtrees += 1
         if table.mnc_sums(table.k_in)[0] <= 0:
@@ -226,7 +226,7 @@ def test_08_planted_corpus_end_to_end(tmp_path):
     bundle = build_corpus(spec)
     paths = write_corpus(bundle, tmp_path)
     graph = load_graph(paths["nodes"], paths["edges"])
-    view = substantial_view(graph, 10.0)
+    view = substantial_view(graph)
     report = classify_all(view, bundle.hq_rows)
     assert report.failures == []
     assert len(report.mncs) == 50

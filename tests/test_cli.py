@@ -41,7 +41,7 @@ def config_for(paths, outdir, **kw):
 def lonely_node(paths):
     """A node with no substantial subsidiary: an HQ without affiliates."""
     graph = load_graph(paths["nodes"], paths["edges"])
-    return graph.ids[int(np.flatnonzero(np.diff(substantial_view(graph, 10.0).in_indptr) == 0)[0])]
+    return graph.ids[int(np.flatnonzero(np.diff(substantial_view(graph).in_indptr) == 0)[0])]
 
 
 def csv_rows(path):
@@ -445,7 +445,7 @@ class TestCli:
         assert (tmp_path / "rep" / "reports" / "regression.json").exists()
 
         # value mode: a value of 1 on every substantial edge gives the link-count scores, other values do not
-        view = substantial_view(load_graph(paths["nodes"], paths["edges"]), 10.0)
+        view = substantial_view(load_graph(paths["nodes"], paths["edges"]))
         ids, edges = view.graph.ids, list(zip(view.src.tolist(), view.dst.tolist()))
         for weights, same in ((lambda i: 1, True), (lambda i: 1 + 2 * (i % 2), False)):
             values = tmp_path / "values.csv"
@@ -549,7 +549,7 @@ class TestCliMatchesPipeline:
         # the value file is a run input: `ownet run` with `values` in its config (a path
         # relative to the config file) writes the reports of `ownet jurisdiction --values`
         _, paths, _ = corpus
-        view = substantial_view(load_graph(paths["nodes"], paths["edges"]), 10.0)
+        view = substantial_view(load_graph(paths["nodes"], paths["edges"]))
         ids, edges = view.graph.ids, list(zip(view.src.tolist(), view.dst.tolist()))
         config_dir = tmp_path / "config"
         config_dir.mkdir()
@@ -597,10 +597,34 @@ class TestBadInputs:
          "bad config: .*unexpected keyword argument 'damping'"),
         ("synth", '{"seed": 1, "n_nodes": 5}', "bad spec: .*n_nodes"),
         ("synth", '{"target_region": "XX"}', "bad spec: target_region must be IN or TE, got 'XX'"),
+        ("synth", '{"target_region": "TE", "out_chain": 0}', "bad spec: out_chain must be >= 1 for a TE target, got 0"),
+        ("synth", '{"n_noise": 1.5}', "bad spec: n_noise must be an int, got 1.5"),
+        ("synth", '{"seed": true}', "bad spec: seed must be an int, got True"),
+        ("synth", '{"seed": -1}', "bad spec: seed must be >= 0, got -1"),
+        ("synth", '{"n_noise": -5}', "bad spec: n_noise must be >= 0, got -5"),
+        ("synth", '{"noise_edges": -1}', "bad spec: noise_edges must be >= 0, got -1"),
+        ("synth", '{"out_chain": -1}', "bad spec: out_chain must be >= 0, got -1"),
+        ("synth", '{"core_size": 0}', "bad spec: core_size must be >= 2, got 0"),
+        ("synth", '{"n_mncs": 0}', "bad spec: n_mncs must be >= 1, got 0"),
+        ("synth", '{"affiliates_range": [5]}', r"bad spec: affiliates_range must be two ints, got \[5\]"),
+        ("synth", '{"affiliates_range": [30, 5]}',
+         r"bad spec: affiliates_range must be \[lo, hi\] with 0 <= lo <= hi, got \[30, 5\]"),
+        ("synth", '{"affiliates_range": [-1, 5]}', "bad spec: affiliates_range must be .* 0 <= lo"),
+        # the generator's exponents, attachment share, wiring pct range, jurisdiction pool and toy template are fixed
+        *(("synth", f'{{"{key}": 1}}', f"bad spec: .*unexpected keyword argument '{key}'")
+          for key in ("gamma_in", "gamma_out", "attach_fraction", "include_toy", "noise_pct", "seed_jurisdictions")),
         ("report", '{"stages": {', "bad manifest: .*input.json: Expecting"),
         ("report", '[]', "bad manifest: .*input.json: not a JSON object with 'stages' and 'status'"),
         ("report", '{"stages": ["ingest"], "status": "ok"}', "bad manifest: .*not a JSON object with 'stages'"),
         ("report", '{"stages": {}}', "bad manifest: .*not a JSON object with 'stages' and 'status'"),
+        ("report", '{"stages": {"ingest": 1}, "status": "ok"}',
+         "bad manifest: .*stage 'ingest' has no 'artifacts' mapping of paths to digests"),
+        ("report", '{"stages": {"ingest": {"artifacts": {"graph.npz": 1}}}, "status": "ok"}',
+         "bad manifest: .*stage 'ingest' has no 'artifacts' mapping"),
+        ("report", '{"stages": {"ingest": {"artifacts": {"/etc/hostname": "x"}}}, "status": "ok"}',
+         "bad manifest: .*artifact '/etc/hostname' is outside the manifest's directory"),
+        ("report", '{"stages": {"ingest": {"artifacts": {"reports/../../input.json": "x"}}}, "status": "ok"}',
+         "bad manifest: .*artifact 'reports/../../input.json' is outside"),
     ])
     def test_bad_json_one_line(self, tmp_path, monkeypatch, command, text, reason):
         monkeypatch.chdir(tmp_path)  # a default output directory, should one be made, lands here

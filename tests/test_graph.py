@@ -22,13 +22,13 @@ from ownet.graph import (
     load_edges,
     load_graph,
     load_nodes,
-    reciprocal_link_ratio,
     save_cache,
     substantial_view,
     write_csv_rows,
     write_id_value_csv,
     EDGE_HEADER,
     NODE_HEADER,
+    SUBSTANTIAL_PCT,
     _pack_strings,
     _parse_bool,
     _unpack_strings,
@@ -163,28 +163,31 @@ class TestBuildGraph:
 class TestSubstantialView:
     def test_filter(self):
         g = make_graph(2, [(0, 1, 5.0), (0, 1, 10.0), (0, 1, 60.0)])
-        assert substantial_view(g, 10).n_edges == 2
+        assert substantial_view(g).n_edges == 2
 
     def test_boundary_100(self):
         g = make_graph(2, [(0, 1, 99.9), (0, 1, 100.0)])
-        assert substantial_view(g, 100).n_edges == 1
+        assert substantial_view(g).n_edges == 2
 
-    def test_zero_threshold_rejected(self):
-        g = make_graph(2, [(0, 1)])
-        with pytest.raises(GraphError):
-            substantial_view(g, 0.0)
+    def test_boundary_at_substantial_pct(self):
+        below = float(np.nextafter(SUBSTANTIAL_PCT, 0))
+        g = make_graph(2, [(0, 1, below), (0, 1, SUBSTANTIAL_PCT)])
+        assert SUBSTANTIAL_PCT == 10.0
+        assert substantial_view(g).pct.tolist() == [10.0]
 
     def test_excluded_counter(self):
         g = make_graph(2, [(0, 1, 5.0), (0, 1, 50.0)])
-        assert g.n_edges - substantial_view(g, 10).n_edges == 1
+        assert g.n_edges - substantial_view(g).n_edges == 1
 
-    @given(st.lists(st.floats(min_value=0, max_value=100), min_size=0, max_size=30),
-           st.floats(min_value=0.5, max_value=100), st.floats(min_value=0.5, max_value=100))
+    pcts = st.floats(min_value=0, max_value=100) | st.sampled_from([SUBSTANTIAL_PCT, np.nextafter(SUBSTANTIAL_PCT, 0)])
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), pcts), max_size=30))
     @settings(max_examples=50, deadline=None)
-    def test_monotone_in_threshold(self, pcts, t1, t2):
-        t1, t2 = sorted((t1, t2))
-        g = make_graph(2, [(0, 1, p) for p in pcts])
-        assert substantial_view(g, t1).n_edges >= substantial_view(g, t2).n_edges
+    def test_keeps_exactly_substantial_edges(self, edges):
+        """The kept (src, dst, pct) rows, in (src, dst) order with parallel edges in input order."""
+        view = substantial_view(make_graph(4, edges))
+        expect = sorted((e for e in edges if e[2] >= 10.0), key=lambda e: e[:2])
+        assert list(zip(view.src.tolist(), view.dst.tolist(), view.pct.tolist())) == expect
 
 
 class TestDegrees:
@@ -225,20 +228,6 @@ class TestDegrees:
                     for node_id, k_in, k_out in zip(g.ids, g.in_degrees(), g.out_degrees())}
 
         assert by_id(build_graph(nodes, rows)) == by_id(build_graph(list(reversed(nodes)), rows))
-
-
-class TestReciprocal:
-    def test_example(self):
-        g = make_graph(4, [(0, 1), (1, 0), (1, 2), (2, 3)])
-        assert reciprocal_link_ratio(g) == 0.5
-
-    def test_dag(self):
-        g = make_graph(3, [(0, 1), (1, 2)])
-        assert reciprocal_link_ratio(g) == 0.0
-
-    def test_two_cycle(self):
-        g = make_graph(2, [(0, 1), (1, 0)])
-        assert reciprocal_link_ratio(g) == 1.0
 
 
 class TestInducedSubgraph:
@@ -345,7 +334,7 @@ class TestCsvRoundTrip:
 def _load_values(path, g):
     from ownet.jurisdiction import load_edge_values
 
-    return load_edge_values(path, substantial_view(g, 10.0)).tolist()
+    return load_edge_values(path, substantial_view(g)).tolist()
 
 
 def _small_loaders():

@@ -66,7 +66,6 @@ class TestSink:
     def test_missing_gdp_skipped(self):
         flows = FlowAggregate(v_in={"A": 10.0, "B": 10.0}, v_out={})
         scores = sink_centrality(flows, profiles_of({"A": 1.0}))
-        assert "B" in scores.skipped
         assert "B" not in scores.scores
 
     def test_rescaling_invariance(self):
@@ -120,14 +119,14 @@ class TestLinkFlows:
         return make_graph(4, [(1, 0), (2, 1), (3, 1), (0, 3)], jurisdictions=juris)
 
     def test_cross_border_only(self):
-        view = substantial_view(self.graph(), 10.0)
+        view = substantial_view(self.graph())
         flows = link_flows(view)
         # NL->NL edge (2,1) is domestic: not counted
         assert flows.v_in == {"JP": 1.0, "NL": 1.0, "GB": 1.0}
         assert flows.v_out == {"NL": 1.0, "GB": 1.0, "JP": 1.0}
 
     def test_value_mode(self):
-        view = substantial_view(self.graph(), 10.0)
+        view = substantial_view(self.graph())
         values = np.full(view.n_edges, 2.5)
         flows = link_flows(view, edge_values=values)
         assert flows.total_in == pytest.approx(3 * 2.5)
@@ -136,7 +135,7 @@ class TestLinkFlows:
         # u(GB) -> x(NL) -> w(KY, sink): one two-path through NL
         juris = {0: "GB", 1: "NL", 2: "KY", 3: "NL"}
         g = make_graph(4, [(0, 1), (1, 2), (3, 1)], jurisdictions=juris)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         got = pass_flows(view, sink_codes={"KY"})
         # node 1 has one foreign in-edge (0->1) and one edge to a sink (1->2)
         assert got == {"NL": 1.0}
@@ -144,7 +143,7 @@ class TestLinkFlows:
     def test_pass_requires_sink_target(self):
         juris = {0: "GB", 1: "NL", 2: "DE"}
         g = make_graph(3, [(0, 1), (1, 2)], jurisdictions=juris)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         assert pass_flows(view, sink_codes=set()) == {}
 
 
@@ -152,7 +151,7 @@ class TestTallies:
     def _report(self):
         template = toy_m1_template()
         g = template_graph(template)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         return g, view, classify_all(view, [("M1:HQ", "M1")])
 
     def test_example_share(self):
@@ -200,7 +199,7 @@ class TestChains:
     def test_toy_table(self):
         template = toy_m1_template()
         g = template_graph(template)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         report = classify_all(view, [("M1:HQ", "M1")])
         table = chain_tables(report, view, Role.HOLDING, "NL")
         assert table.subsidiaries[0] == ("FR", 2, pytest.approx(100 * 2 / 3))
@@ -210,7 +209,7 @@ class TestChains:
     def test_no_matching_firms(self):
         template = toy_m1_template()
         g = template_graph(template)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         report = classify_all(view, [("M1:HQ", "M1")])
         table = chain_tables(report, view, Role.CONDUIT, "LU")
         assert table.subsidiaries == [] and table.shareholders == []
@@ -220,7 +219,7 @@ class TestHqTables:
     def test_single_hq_all_shares(self):
         template = toy_m1_template()
         g = template_graph(template)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         report = classify_all(view, [("M1:HQ", "M1")])
         tables = hq_tables(report)
         for role, rows in tables.by_role.items():
@@ -348,7 +347,7 @@ class TestProfiles:
     def test_flow_integration(self):
         juris = {0: "JP", 1: "NL", 2: "KY"}
         g = make_graph(3, [(0, 1), (1, 2)], jurisdictions=juris)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         flows = link_flows(view)
         p = profiles_of({"JP": 5.0, "NL": 1.0, "KY": 0.1})
         sink = sink_centrality(flows, p)
@@ -365,7 +364,7 @@ class TestScoreTables:
         config = RunConfig(nodes=None, edges=None, outdir=tmp_path / "out", profiles=path)
         run_stage("jurisdiction", config, {"graph": g, "report": classified(g)})
 
-        view, profiles = substantial_view(g, 10.0), load_profiles(path)
+        view, profiles = substantial_view(g), load_profiles(path)
         flows = link_flows(view)
         sink = sink_centrality(flows, profiles)
         conduit = conduit_outward_centrality(with_pass_flows(flows, view, sink.flagged), profiles)
@@ -405,7 +404,7 @@ class TestEdgeValues:
 
         juris = {0: "JP", 1: "NL", 2: "GB"}
         g = make_graph(3, [(0, 1, 60.0), (1, 2, 40.0), (2, 0, 5.0)], jurisdictions=juris)
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         path = tmp_path / "values.csv"
         path.write_text(
             "subsidiary_id,shareholder_id,value\nn0,n1,12.5\nn1,n2,2.5\nn2,n0,99\n",
@@ -420,7 +419,7 @@ class TestEdgeValues:
         from ownet.jurisdiction import load_edge_values
 
         g = make_graph(2, [(0, 1, 50.0)], jurisdictions={0: "JP", 1: "NL"})
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         path = tmp_path / "values.csv"
         path.write_text(
             "subsidiary_id,shareholder_id,value\nn0,n1,1.0\nn0,n1,2.0\n", encoding="utf-8"
@@ -431,7 +430,7 @@ class TestEdgeValues:
         from ownet.jurisdiction import load_edge_values
 
         g = make_graph(2, [(0, 1, 50.0)])
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         path = tmp_path / "values.csv"
         path.write_text("subsidiary_id,shareholder_id,value\nzz,n1,1.0\n", encoding="utf-8")
         with pytest.raises(LoadError, match="unknown"):
@@ -459,7 +458,7 @@ class TestEdgeValues:
         from ownet.jurisdiction import load_edge_values
 
         n, edges, rows = case
-        view = substantial_view(make_graph(n, edges), 10.0)
+        view = substantial_view(make_graph(n, edges))
         path = tmp_path_factory.mktemp("values") / "values.csv"
         path.write_text("subsidiary_id,shareholder_id,value\n" + "".join(f"{a},{b},{v}\n" for a, b, v in rows),
                         encoding="utf-8")
@@ -480,7 +479,7 @@ class TestEdgeValues:
         from ownet.jurisdiction import load_edge_values
 
         g = make_graph(2, [(0, 1, 50.0)])
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         path = tmp_path / "values.csv"
         path.write_text(f"subsidiary_id,shareholder_id,value\nn0,n1,1.0\nn0,n1,{value}\n", encoding="utf-8")
         with pytest.raises(LoadError, match="value") as info:

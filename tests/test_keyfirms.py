@@ -33,7 +33,7 @@ def by_id(table, values):
 
 def template_table(template):
     g = template_graph(template)
-    return subtree_table(substantial_view(g, 10.0), [g.index_of(template.global_id("HQ"))])
+    return subtree_table(substantial_view(g), [g.index_of(template.global_id("HQ"))])
 
 
 class TestCentralities:
@@ -56,7 +56,7 @@ class TestCentralities:
     def test_degenerate_subtree_signaled(self, m1_view, m1_graph):
         # sum k_in = 0 under HQ n0: NaN there, while M1 in the same table is scored
         g = make_graph(2, [(1, 0)])
-        table = subtree_table(substantial_view(g, 10.0), [0])
+        table = subtree_table(substantial_view(g), [0])
         assert np.isnan(holding_centrality(table)).all()
         assert np.isnan(conduit_centrality(table)).all()
         table = subtree_table(m1_view, [idx(m1_graph, "HQ"), idx(m1_graph, "g")])
@@ -89,7 +89,7 @@ class TestCentralities:
 
 
 def third_country_of(n, edges, juris, affiliate):
-    table = subtree_table(substantial_view(make_graph(n, edges, jurisdictions=juris), 10.0), [0])
+    table = subtree_table(substantial_view(make_graph(n, edges, jurisdictions=juris)), [0])
     return third_country(table)[row_of(table, affiliate)]
 
 
@@ -174,7 +174,7 @@ class TestHierarchicalIdentify:
 
     def test_empty_subtree(self):
         g = make_graph(2, [(0, 1)])
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         assert subtree_table(view, [1]).n_affiliates == 1  # n0 owned by n1
         assert [a.shape for a in hierarchical_identify(subtree_table(view, [0]))] == [(0,)] * 4
         assert [a.shape for a in hierarchical_identify(subtree_table(view, []))] == [(0,)] * 4
@@ -208,7 +208,7 @@ class TestClassifyAll:
                 nodes.append(NodeRecord(t.global_id(local), jur))
             for c, p, pct in t.edges:
                 edges.append(OwnershipEdge(t.global_id(c), t.global_id(p), pct))
-        return substantial_view(build_graph(nodes, edges), 10.0)
+        return substantial_view(build_graph(nodes, edges))
 
     def test_disjoint_copies_double_tallies(self):
         view = self._two_copies_view()
@@ -381,7 +381,7 @@ class TestArrayIdentificationOracle:
     @example((make_graph(4, [(1, 0), (2, 0), (3, 0)], {0: "US", 1: "NL", 2: "GB", 3: "n.a."}), [0]))
     def test_records_equal_reference(self, case):
         g, hqs = case
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         table = subtree_table(view, hqs)
         identified = hierarchical_identify(table)
         columns = {"holding": holding_centrality(table), "conduit": conduit_centrality(table),
@@ -409,7 +409,7 @@ class TestArrayIdentificationOracle:
         # k_out >= 1, and a positive k_in sum makes the k_in * k_out sum positive:
         # "sum k_in == 0" is the only degenerate denominator
         g, hqs = case
-        table = subtree_table(substantial_view(g, 10.0), hqs)
+        table = subtree_table(substantial_view(g), hqs)
         assert (table.k_out >= 1).all()
         positive_in = table.mnc_sums(table.k_in) > 0
         assert (table.mnc_sums(table.k_in * table.k_out)[positive_in] > 0).all()
@@ -451,7 +451,7 @@ class TestBatchedClassifyOracle:
     @example((_NESTED, [("ghost", "G"), ("spook", "S")]))
     def test_equals_per_mnc_reference(self, case):
         g, hq_list = case
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         got, want = classify_all(view, hq_list), ref_classify_all(view, hq_list)
         assert got.failures == want.failures
         assert got.mncs == want.mncs

@@ -15,7 +15,7 @@ from test_keyfirms import ownership_views
 
 
 def view_of(n, edges, jurisdictions=None):
-    return substantial_view(make_graph(n, edges, jurisdictions), 10.0)
+    return substantial_view(make_graph(n, edges, jurisdictions))
 
 
 def table_of(view, hq):
@@ -135,7 +135,7 @@ class TestDegrees:
         rng = np.random.default_rng(12)
         for i in range(20):
             template = random_mnc_template(rng, f"B{i}")
-            view = substantial_view(template_graph(template), 10.0)
+            view = substantial_view(template_graph(template))
             hq = view.graph.index_of(template.global_id("HQ"))
             table = subtree_table(view, [hq])
             members = set(table.affiliates.tolist()) | {hq}
@@ -164,7 +164,7 @@ class TestSubsidiaryTableOracle:
     @settings(max_examples=300, deadline=None)
     def test_table_equals_internal_edges(self, case):
         g, hqs = case
-        view = substantial_view(g, 10.0)
+        view = substantial_view(g)
         edges = list(zip(view.src.tolist(), view.dst.tolist()))
         table = subtree_table(view, hqs)
         n_aff = table.n_affiliates
@@ -191,7 +191,7 @@ class TestClosure:
         for i in range(20):
             template = random_mnc_template(rng, f"T{i}")
             graph = template_graph(template)
-            view = substantial_view(graph, 10.0)
+            view = substantial_view(graph)
             hq = graph.index_of(template.global_id("HQ"))
             table = subtree_table(view, [hq])
             members = set(table.affiliates.tolist()) | {hq}

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -44,7 +46,7 @@ class TestSampler:
 
 class TestScaleFree:
     def test_single_node_empty(self):
-        src, dst = generate_scale_free(1, 2.5, 3.0, seed=0)
+        src, dst = generate_scale_free(1, 2.5, 3.0, target_edges=5, seed=0)
         assert src.size == 0 and dst.size == 0
 
     def test_no_self_loops_or_duplicates(self):
@@ -86,7 +88,7 @@ class TestTemplates:
         for i in range(100):
             template = random_mnc_template(rng, f"R{i}")
             graph = template_graph(template)
-            view = substantial_view(graph, 10.0)
+            view = substantial_view(graph)
             table = subtree_table(view, [graph.index_of(template.global_id("HQ"))])
             got = {
                 graph.ids[a].split(":", 1)[1]: ROLE_NAMES[r]
@@ -101,6 +103,31 @@ class TestCorpus:
         base = dict(seed=5, n_noise=500, noise_edges=600, n_mncs=6, core_size=30, out_chain=6)
         base.update(kw)
         return SynthSpec(**base)
+
+    # sha256 of every file write_corpus writes for self.spec() in each target region. Any change in
+    # the order or the number of random draws moves them; a declared corpus change updates them.
+    PINNED_CORPORA = {
+        "IN": {
+            "nodes": "ae1b37863f9039de70e155ea93f22e44a59eab140a9aa24fbcc586347ca96b3b",
+            "edges": "35e37574fdeba544c056394d27181d31569fa65ab587a358d6e71a7fcf99d9e3",
+            "hqs": "cd28dde4c413370070765c01dcdac10af20db5b746419b85e9c08be6fec67a9a",
+            "profiles": "6222f4f3043ed9b772b6907fa3a9002a57ebf0fd49f27fc5d9263e91ffca665a",
+            "truth": "e5d2fdaadacfe401afe29699f97c25643b2420655c2b23e0cb01cafe71788fc9",
+        },
+        "TE": {
+            "nodes": "ae1b37863f9039de70e155ea93f22e44a59eab140a9aa24fbcc586347ca96b3b",
+            "edges": "3ff77396965be0cc5e49024c29519d9e3222154a2542e64ebf3daa9b1914c577",
+            "hqs": "cd28dde4c413370070765c01dcdac10af20db5b746419b85e9c08be6fec67a9a",
+            "profiles": "6222f4f3043ed9b772b6907fa3a9002a57ebf0fd49f27fc5d9263e91ffca665a",
+            "truth": "b592f2934bcb6375261a36694028ccbc4c3012bda5a791985e1c684df3923bcd",
+        },
+    }
+
+    @pytest.mark.parametrize("region", sorted(PINNED_CORPORA))
+    def test_pinned_corpus_digests(self, tmp_path, region):
+        paths = write_corpus(build_corpus(self.spec(target_region=region)), tmp_path)
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        assert digests == self.PINNED_CORPORA[region]
 
     def test_deterministic_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -117,7 +144,7 @@ class TestCorpus:
         bundle = build_corpus(self.spec(n_mncs=12))
         paths = write_corpus(bundle, tmp_path)
         graph = load_graph(paths["nodes"], paths["edges"])
-        view = substantial_view(graph, 10.0)
+        view = substantial_view(graph)
         report = classify_all(view, bundle.hq_rows)
         assert report.failures == []
         for name, lo, hi in zip(report.mncs, report.bounds, report.bounds[1:]):
@@ -132,7 +159,7 @@ class TestCorpus:
         bundle = build_corpus(self.spec(target_region="TE"))
         paths = write_corpus(bundle, tmp_path)
         graph = load_graph(paths["nodes"], paths["edges"])
-        view = substantial_view(graph, 10.0)
+        view = substantial_view(graph)
         report = classify_all(view, bundle.hq_rows)
         bowtie = comp.bowtie_decompose(graph)
         regions = tally_by_bowtie(report, bowtie)
