@@ -29,10 +29,10 @@ class FlowDistribution:
     """Visit rates and transition flows of the teleporting walk."""
 
     graph: object = field(repr=False)
-    rates: np.ndarray = field(repr=False, default=None)
-    edge_flows: np.ndarray = field(repr=False, default=None)
-    teleport: np.ndarray = field(repr=False, default=None)
-    iterations: int = 0
+    rates: np.ndarray = field(repr=False)
+    edge_flows: np.ndarray = field(repr=False)
+    teleport: np.ndarray = field(repr=False)
+    iterations: int
 
 
 def stationary_flow(g, damping: float = DEFAULT_DAMPING, tolerance: float = 1e-12,

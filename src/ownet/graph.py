@@ -692,7 +692,8 @@ def build_graph(nodes, edges) -> OwnershipGraph:
     """Assemble the immutable graph from in-memory :class:`NodeRecord` and
     :class:`OwnershipEdge` records.
 
-    Duplicate node ids and edges referencing unknown nodes are rejected.
+    Duplicate node ids, edges referencing unknown nodes and a pct that is not
+    a number in [0, 100] are rejected, as ingest rejects them.
     """
     ids = IdColumn(*_pack_strings([node.node_id for node in nodes]))
     labels = sorted({node.jurisdiction for node in nodes})
@@ -706,6 +707,9 @@ def build_graph(nodes, edges) -> OwnershipGraph:
         raise GraphError(f"edge references unknown node {names[unknown[0]]!r}")
     ends = ends.astype(np.int32).reshape(-1, 2)
     pct = np.array([edge.pct for edge in edges], dtype=np.float64)
+    bad = np.flatnonzero(~((pct >= 0.0) & (pct <= 100.0)))  # NaN fails both comparisons
+    if bad.size:
+        raise GraphError(f"edge pct {pct[bad[0]]} outside [0, 100]")
     edge_columns = EdgeColumns(ends[:, 0].copy(), ends[:, 1].copy(), pct)
     return OwnershipGraph(columns, edge_columns, {"self_loops_dropped": 0, "blank_pct": 0})
 
@@ -836,26 +840,28 @@ def _sha256(path) -> str:
 
 
 def save_cache(graph: OwnershipGraph, path, digests: tuple[str, str] = ("", "")) -> None:
-    """Persist the built graph to a versioned npz cache, keyed on ``digests``:
-    the sha256 of the node and edge CSVs it was parsed from (default: none)."""
+    """Persist the built graph to a versioned npz cache at exactly ``path``, keyed
+    on ``digests``: the sha256 of the node and edge CSVs it was parsed from
+    (default: none)."""
     ids_blob, ids_off = graph.ids.blob, graph.ids.offsets
     jur_blob, jur_off = _pack_strings(graph.jurisdiction_labels)
-    np.savez(
-        path,
-        version=np.int64(CACHE_VERSION),
-        nodes_sha256=np.array(digests[0]),
-        edges_sha256=np.array(digests[1]),
-        ids_blob=ids_blob,
-        ids_off=ids_off,
-        jur_blob=jur_blob,
-        jur_off=jur_off,
-        jur_index=graph.jurisdiction_index,
-        src=graph.src,
-        dst=graph.dst,
-        pct=graph.pct,
-        self_loops_dropped=np.int64(graph.ingest_counters.get("self_loops_dropped", 0)),
-        blank_pct=np.int64(graph.ingest_counters.get("blank_pct", 0)),
-    )
+    with open(path, "wb") as handle:  # np.savez appends ".npz" to a path that lacks it, not to a handle
+        np.savez(
+            handle,
+            version=np.int64(CACHE_VERSION),
+            nodes_sha256=np.array(digests[0]),
+            edges_sha256=np.array(digests[1]),
+            ids_blob=ids_blob,
+            ids_off=ids_off,
+            jur_blob=jur_blob,
+            jur_off=jur_off,
+            jur_index=graph.jurisdiction_index,
+            src=graph.src,
+            dst=graph.dst,
+            pct=graph.pct,
+            self_loops_dropped=np.int64(graph.ingest_counters.get("self_loops_dropped", 0)),
+            blank_pct=np.int64(graph.ingest_counters.get("blank_pct", 0)),
+        )
 
 
 def load_cache(path) -> OwnershipGraph:

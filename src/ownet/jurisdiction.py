@@ -42,7 +42,8 @@ TALLY_DIMENSIONS = ("hq", *ROLE_TAGS, "affiliates")
 
 @dataclass(frozen=True)
 class JurisdictionProfile:
-    code: str
+    """A jurisdiction's GDP and withholding-tax score; ``load_profiles`` keys them by code."""
+
     gdp: float | None
     wtc: float | None = None
 
@@ -73,7 +74,7 @@ def load_profiles(path) -> dict[str, JurisdictionProfile]:
             raise LoadError(f"wtc must be nonnegative, got {wtc}", path, line)
         optional(row[2], int, "gdp_year")
         optional(row[3], float, "statutory_rate")
-        profiles[code] = JurisdictionProfile(code, gdp, wtc)
+        profiles[code] = JurisdictionProfile(gdp, wtc)
     return profiles
 
 
@@ -111,45 +112,38 @@ def load_edge_values(path, view) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class FlowAggregate:
-    """Per-jurisdiction inbound/outbound/pass-through flow totals."""
+def _cross_border(view, edge_values):
+    """The view's edge weights, source and target jurisdictions, and cross-border mask.
 
-    v_in: dict[str, float]
-    v_out: dict[str, float]
-    v_pass: dict[str, float] | None = None
-
-    @property
-    def total_in(self) -> float:
-        return sum(self.v_in.values())
-
-    @property
-    def total_pass(self) -> float:
-        return sum(self.v_pass.values()) if self.v_pass else 0.0
-
-
-def link_flows(view, edge_values=None) -> FlowAggregate:
-    """Cross-border flow totals per jurisdiction over the view's edges.
-
-    An edge contributes to the source jurisdiction's outbound and the
-    target jurisdiction's inbound total only when the two bucket labels
-    differ ("n.a." is its own bucket). ``edge_values`` (aligned with the
-    view's canonical edge order) switches from link counts to value mode.
+    Weights are 1 per link, or ``edge_values`` (aligned with the view's
+    canonical edge order) in value mode. An edge crosses a border when its
+    two jurisdiction labels differ ("n.a." is its own label).
     """
-    g = view.graph
     weights = np.ones(view.n_edges) if edge_values is None else np.asarray(edge_values, dtype=np.float64)
     if weights.shape[0] != view.n_edges:
         raise ValueError("edge_values must align with the view's edges")
-    jsrc = g.jurisdiction_index[view.src]
-    jdst = g.jurisdiction_index[view.dst]
-    cross = jsrc != jdst
-    n_labels = len(g.jurisdiction_labels)
-    out_totals = np.bincount(jsrc[cross], weights=weights[cross], minlength=n_labels)
-    in_totals = np.bincount(jdst[cross], weights=weights[cross], minlength=n_labels)
-    labels = g.jurisdiction_labels
-    v_in = {labels[i]: float(in_totals[i]) for i in range(n_labels) if in_totals[i]}
-    v_out = {labels[i]: float(out_totals[i]) for i in range(n_labels) if out_totals[i]}
-    return FlowAggregate(v_in=v_in, v_out=v_out)
+    jsrc = view.graph.jurisdiction_index[view.src]
+    jdst = view.graph.jurisdiction_index[view.dst]
+    return weights, jsrc, jdst, jsrc != jdst
+
+
+def _by_label(labels, totals: np.ndarray) -> dict[str, float]:
+    """``{label: total}`` of the nonzero per-label ``totals``, in label order."""
+    return {labels[i]: float(totals[i]) for i in range(len(labels)) if totals[i]}
+
+
+def link_flows(view, edge_values=None) -> tuple[dict[str, float], dict[str, float]]:
+    """Cross-border ``(v_in, v_out)`` totals per jurisdiction over the view's edges.
+
+    A cross-border edge adds its weight (see :func:`_cross_border`) to the
+    target jurisdiction's inbound and the source jurisdiction's outbound
+    total; codes with a zero total are absent.
+    """
+    weights, jsrc, jdst, cross = _cross_border(view, edge_values)
+    labels = view.graph.jurisdiction_labels
+    v_in = _by_label(labels, np.bincount(jdst[cross], weights=weights[cross], minlength=len(labels)))
+    v_out = _by_label(labels, np.bincount(jsrc[cross], weights=weights[cross], minlength=len(labels)))
+    return v_in, v_out
 
 
 @dataclass(frozen=True)
@@ -165,20 +159,20 @@ def _gdp_normalised(values: dict[str, float], total: float, profiles: dict[str, 
     Codes without a GDP get no score; scores strictly above ``threshold``
     are flagged.
     """
-    gdp = {p.code: p.gdp for p in profiles.values() if p.gdp is not None}
+    gdp = {code: p.gdp for code, p in profiles.items() if p.gdp is not None}
     gdp_sum = sum(gdp.values())
     scores = {code: values[code] / total * (gdp_sum / gdp[code]) for code in sorted(values) if code in gdp}
     flagged = [c for c, s in scores.items() if s > threshold]
     return CentralityScores(scores, flagged)
 
 
-def sink_centrality(flows: FlowAggregate, profiles: dict[str, JurisdictionProfile]) -> CentralityScores:
-    """GDP-normalised net capital retention score; flagged above 10."""
-    total_in = flows.total_in
+def sink_centrality(v_in: dict[str, float], v_out: dict[str, float],
+                    profiles: dict[str, JurisdictionProfile]) -> CentralityScores:
+    """GDP-normalised net capital retention score of the :func:`link_flows` totals; flagged above 10."""
+    total_in = sum(v_in.values())
     if total_in <= 0:
         raise ValueError("total inbound flow is zero; sink centrality undefined")
-    net = {code: flows.v_in.get(code, 0.0) - flows.v_out.get(code, 0.0)
-           for code in set(flows.v_in) | set(flows.v_out)}
+    net = {code: v_in.get(code, 0.0) - v_out.get(code, 0.0) for code in set(v_in) | set(v_out)}
     return _gdp_normalised(net, total_in, profiles, SINK_THRESHOLD)
 
 
@@ -190,37 +184,28 @@ def pass_flows(view, sink_codes, edge_values=None) -> dict[str, float]:
     sink-flagged; in value mode the unit becomes (inbound value sum) *
     (outbound value sum).
     """
+    weights, jsrc, jdst, foreign = _cross_border(view, edge_values)
     g = view.graph
-    weights = np.ones(view.n_edges) if edge_values is None else np.asarray(edge_values, dtype=np.float64)
-    jsrc = g.jurisdiction_index[view.src]
-    jdst = g.jurisdiction_index[view.dst]
     labels = g.jurisdiction_labels
-    sink_mask_by_label = np.array([label in set(sink_codes) for label in labels], dtype=bool)
+    sinks = set(sink_codes)
+    is_sink = np.array([label in sinks for label in labels], dtype=bool)
 
-    foreign = jsrc != jdst
-    n = g.n_nodes
-    inbound = np.bincount(view.dst[foreign], weights=weights[foreign], minlength=n)
-    to_sink = foreign & sink_mask_by_label[jdst]
-    outbound = np.bincount(view.src[to_sink], weights=weights[to_sink], minlength=n)
-
-    per_node = inbound * outbound
-    totals = np.bincount(g.jurisdiction_index, weights=per_node, minlength=len(labels))
-    return {labels[i]: float(totals[i]) for i in range(len(labels)) if totals[i]}
+    inbound = np.bincount(view.dst[foreign], weights=weights[foreign], minlength=g.n_nodes)
+    to_sink = foreign & is_sink[jdst]
+    outbound = np.bincount(view.src[to_sink], weights=weights[to_sink], minlength=g.n_nodes)
+    return _by_label(labels, np.bincount(g.jurisdiction_index, weights=inbound * outbound, minlength=len(labels)))
 
 
-def with_pass_flows(flows: FlowAggregate, view, sink_codes, edge_values=None) -> FlowAggregate:
-    return FlowAggregate(flows.v_in, flows.v_out, pass_flows(view, sink_codes, edge_values))
+def conduit_outward_centrality(v_in: dict[str, float], v_out: dict[str, float], v_pass: dict[str, float],
+                               profiles: dict[str, JurisdictionProfile]) -> CentralityScores:
+    """GDP-normalised pass-through score of the :func:`pass_flows` totals; flagged strictly above 1.
 
-
-def conduit_outward_centrality(flows: FlowAggregate, profiles: dict[str, JurisdictionProfile]) -> CentralityScores:
-    """GDP-normalised pass-through score; flagged strictly above 1."""
-    if flows.v_pass is None:
-        raise ValueError("flows carry no pass-through totals; call with_pass_flows first")
-    total = flows.total_pass
+    Codes with cross-border flow but no pass-through score 0.
+    """
+    total = sum(v_pass.values())
     if total <= 0:
         raise ValueError("total pass-through flow is zero; conduit centrality undefined")
-    passed = {code: flows.v_pass.get(code, 0.0)
-              for code in set(flows.v_in) | set(flows.v_out) | set(flows.v_pass)}
+    passed = {code: v_pass.get(code, 0.0) for code in set(v_in) | set(v_out) | set(v_pass)}
     return _gdp_normalised(passed, total, profiles, CONDUIT_THRESHOLD)
 
 

@@ -58,13 +58,19 @@ def value_counts(values: np.ndarray) -> dict[int, int]:
 def log_binned_histogram(values: np.ndarray) -> LogBinnedHistogram:
     """Log-binned density of non-negative integer ``values``.
 
-    Zero values are excluded from the geometric bins. Densities are
-    normalised so that sum(density * width) equals 1 over the binned values.
+    Positive values fall in the bins 1, r, r^2, ... (r = ``BIN_RATIO``) past
+    their maximum; zero values are excluded. Densities are counts / (n *
+    width) over the n positive values, so sum(density * width) equals 1.
     """
     positive = values[values > 0]
     if positive.size == 0:
         return LogBinnedHistogram(np.zeros(0), np.zeros(0, np.int64), np.zeros(0))
-    return LogBinnedHistogram(*geometric_bins(positive))
+    max_v, edges = int(positive.max()), [1.0]
+    while edges[-1] <= max_v:
+        edges.append(edges[-1] * BIN_RATIO)
+    edges_arr = np.asarray(edges)
+    counts, _ = np.histogram(positive, bins=edges_arr)
+    return LogBinnedHistogram(edges_arr, counts.astype(np.int64), counts / (positive.size * np.diff(edges_arr)))
 
 
 def degree_histogram(g, direction: str = "in") -> LogBinnedHistogram:
@@ -72,22 +78,6 @@ def degree_histogram(g, direction: str = "in") -> LogBinnedHistogram:
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be in/out, got {direction!r}")
     return log_binned_histogram(g.in_degrees() if direction == "in" else g.out_degrees())
-
-
-def geometric_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bin positive ``values`` on the edges 1, r, r^2, ... (r = ``BIN_RATIO``) past their maximum.
-
-    Returns (edges, counts, densities); densities are counts / (n * width),
-    so sum(density * width) equals 1. ``values`` must be non-empty.
-    """
-    max_v = int(values.max())
-    edges = [1.0]
-    while edges[-1] <= max_v:
-        edges.append(edges[-1] * BIN_RATIO)
-    edges_arr = np.asarray(edges)
-    counts, _ = np.histogram(values, bins=edges_arr)
-    densities = counts / (values.size * np.diff(edges_arr))
-    return edges_arr, counts.astype(np.int64), densities
 
 
 @dataclass(frozen=True)
@@ -166,23 +156,19 @@ def fit_power_law(samples, x_min: int | None = 1) -> PowerLawFit:
     return best
 
 
-def binned_fit_slope(samples) -> float:
-    """Least-squares slope of log density vs log degree over geometric bins.
+def binned_fit_slope(hist: LogBinnedHistogram) -> float:
+    """Least-squares slope of log density vs log degree over the occupied bins of ``hist``.
 
     The straight-line analogue of the MLE exponent (reported alongside it;
     the slope approximates -gamma).
     """
-    data = np.asarray(samples)
-    data = data[data > 0]
-    if data.size < 2:
-        raise FitError("need at least two positive samples")
-    edges, counts, densities = geometric_bins(data)
+    edges = hist.bin_edges
     centers = np.sqrt(edges[:-1] * edges[1:])
-    mask = counts > 0
+    mask = hist.counts > 0
     if mask.sum() < 2:
         raise FitError("fewer than two occupied bins")
     x = np.log10(centers[mask])
-    y = np.log10(densities[mask])
+    y = np.log10(hist.densities[mask])
     slope = np.polyfit(x, y, 1)[0]
     return float(slope)
 

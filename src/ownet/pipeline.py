@@ -241,7 +241,7 @@ def _stage_stats(config, outdir, state):
                 "n_tail": fit.n_tail,
                 "loglik": fit.loglik,
                 "ks": fit.ks,
-                "binned_slope": netstats.binned_fit_slope(deg),
+                "binned_slope": netstats.binned_fit_slope(hist),
             }
         except FitError as exc:
             fits[direction] = {"error": str(exc)}
@@ -261,14 +261,15 @@ def _stage_stats(config, outdir, state):
     return paths
 
 
-def community_scope(graph: OwnershipGraph) -> OwnershipGraph:
-    """The graph communities are detected on: the GWCC."""
-    weak = comp.weak_components(graph)
+def community_scope(graph: OwnershipGraph, weak: comp.ComponentLabeling) -> OwnershipGraph:
+    """The graph communities are detected on: the GWCC of ``weak``, the graph's weak labelling."""
     return induced_subgraph(graph, np.flatnonzero(weak.labels == weak.largest))
 
 
 def _stage_communities(config, outdir, state):
-    scope = community_scope(_get_graph(config, state))
+    graph = _get_graph(config, state)
+    weak = state["bowtie"].weak if "bowtie" in state else comp.weak_components(graph)  # one labelling per run
+    scope = community_scope(graph, weak)
     partition = state["partition"] = detect_communities(scope, seed=config.seed)
     paths = [outdir / "communities.csv", outdir / "dsizes.csv", outdir / "communities_summary.json"]
     labels, dsizes, summary = paths
@@ -360,16 +361,16 @@ def _stage_jurisdiction(config, outdir, state):
     (reports_dir / "tallies").mkdir(parents=True, exist_ok=True)
     (reports_dir / "chains").mkdir(exist_ok=True)
 
-    def scores(centrality, flows):
+    def scores(centrality, *flows):
         try:
-            return centrality(flows, profiles)
+            return centrality(*flows, profiles)
         except ValueError:  # no cross-border or no pass-through flow: no score, a header-only table
             return jur.CentralityScores({}, [])
 
-    flows = jur.link_flows(view, edge_values=edge_values)
-    sink = scores(jur.sink_centrality, flows)
-    flows = jur.with_pass_flows(flows, view, sink.flagged, edge_values=edge_values)
-    for name, centrality in (("sink.csv", sink), ("conduit.csv", scores(jur.conduit_outward_centrality, flows))):
+    v_in, v_out = jur.link_flows(view, edge_values)
+    sink = scores(jur.sink_centrality, v_in, v_out)
+    conduit = scores(jur.conduit_outward_centrality, v_in, v_out, jur.pass_flows(view, sink.flagged, edge_values))
+    for name, centrality in (("sink.csv", sink), ("conduit.csv", conduit)):
         path = reports_dir / name
         write_csv_rows(path, ["code", "score", "flagged"], _score_rows(centrality))
         paths.append(path)

@@ -381,6 +381,11 @@ class SynthSpec:
             ("affiliates_range", lambda r: 0 <= r[0] <= r[1], "[lo, hi] with 0 <= lo <= hi"),
             ("out_chain", lambda value: value >= 1 or self.target_region == "IN", ">= 1 for a TE target"),
         ]
+        # the noise block wires its own edges (past the core attachments) on at most n_noise nodes of
+        # mean out-degree _mean_power_law(_GAMMA_OUT): any more would pile onto one hub, or go missing
+        n_noise = self.n_noise if whole(self.n_noise) and self.n_noise > 1 else 0
+        limit = int(_ATTACH_FRACTION * n_noise) + int(n_noise * _mean_power_law(_GAMMA_OUT))
+        rules.append(("noise_edges", lambda value: value <= limit, f"<= {limit} for n_noise {self.n_noise}"))
         for name, ok, rule in rules:
             if not ok(getattr(self, name)):
                 raise LoadError(f"bad spec: {name} must be {rule}, got {getattr(self, name)!r}")
@@ -456,7 +461,7 @@ def build_corpus(spec: SynthSpec) -> CorpusBundle:
         node_rows.append((nid, jur(), nace(), "", "0"))
     n_attach = int(_ATTACH_FRACTION * spec.n_noise)
     internal_target = max(spec.noise_edges - n_attach, 0)
-    if spec.n_noise > 1 and internal_target > 0:
+    if internal_target > 0:  # never with n_noise <= 1: SynthSpec rejects that
         src, dst = generate_scale_free(
             spec.n_noise, _GAMMA_IN, _GAMMA_OUT, internal_target, seed=int(rng.integers(0, 2**63 - 1)),
         )

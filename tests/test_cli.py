@@ -171,6 +171,11 @@ class TestPipeline:
         config = config_for(paths, tmp_path / "out", stages=("ingest", "bowtie", "stats"))
         assert verify_manifest(run_pipeline(config))["status"] == "ok"
         assert sorted(calls) == ["undirected_simple_csr", "weak_components"]
+        # the communities stage takes its GWCC from the bow-tie's labelling
+        calls.clear()
+        config = config_for(paths, tmp_path / "both", stages=("ingest", "bowtie", "communities"))
+        assert verify_manifest(run_pipeline(config))["status"] == "ok"
+        assert calls == ["weak_components"]
 
 
     def test_stale_cache_rebuilt(self, corpus, tmp_path, monkeypatch):
@@ -343,6 +348,26 @@ class TestCli:
         assert f"edges={edges} " in result.output
         assert "cache written" in result.output
         assert load_cache(tmp_path / "graph.npz").n_edges == edges
+
+    def test_suffixless_cache_is_the_named_file(self, corpus, tmp_path, monkeypatch):
+        # np.savez appends ".npz" to a path without it: the cache must still land under the name given
+        import ownet.pipeline
+
+        _, paths, _ = corpus
+        runner = CliRunner()
+        cache = tmp_path / "g.cache"
+        args = ["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]), "--out", str(cache)]
+        assert f"cache written: {cache}\n" in runner.invoke(main, args).output
+        assert runner.invoke(main, args).output.startswith(f"cache exists: {cache}")
+        result = runner.invoke(main, ["bowtie", "--graph", str(cache), "--out", str(tmp_path / "bt")])
+        assert result.exit_code == 0, result.output
+
+        config = config_for(paths, tmp_path / "o", cache=tmp_path / "o" / "g.cache", stages=("ingest",))
+        assert "g.cache" in verify_manifest(run_pipeline(config))["stages"]["ingest"]["artifacts"]
+        saves = []
+        monkeypatch.setattr(ownet.pipeline, "save_cache", lambda *args: saves.append(args))
+        assert verify_manifest(run_pipeline(config))["status"] == "ok" and saves == []  # the cache was reused
+        assert not list(tmp_path.glob("**/*.npz"))
 
     def test_run_missing_input_nonzero_exit(self, tmp_path):
         runner = CliRunner()
@@ -610,6 +635,11 @@ class TestBadInputs:
         ("synth", '{"affiliates_range": [30, 5]}',
          r"bad spec: affiliates_range must be \[lo, hi\] with 0 <= lo <= hi, got \[30, 5\]"),
         ("synth", '{"affiliates_range": [-1, 5]}', "bad spec: affiliates_range must be .* 0 <= lo"),
+        # more noise edges than the noise block can wire: a hub takes the shortfall, or edges go missing
+        ("synth", '{"n_noise": 2000, "noise_edges": 20000}', "bad spec: noise_edges must be <= 3336 for n_noise 2000, got 20000"),
+        ("synth", '{"n_noise": 100, "noise_edges": 1000}', "bad spec: noise_edges must be <= 166 for n_noise 100, got 1000"),
+        ("synth", '{"n_noise": 10, "noise_edges": 100}', "bad spec: noise_edges must be <= 16 for n_noise 10, got 100"),
+        ("synth", '{"n_noise": 1, "noise_edges": 1}', "bad spec: noise_edges must be <= 0 for n_noise 1, got 1"),
         # the generator's exponents, attachment share, wiring pct range, jurisdiction pool and toy template are fixed
         *(("synth", f'{{"{key}": 1}}', f"bad spec: .*unexpected keyword argument '{key}'")
           for key in ("gamma_in", "gamma_out", "attach_fraction", "include_toy", "noise_pct", "seed_jurisdictions")),

@@ -594,13 +594,15 @@ class TestMoveLoopOracle:
 @pytest.fixture(scope="module")
 def determinism_gwcc(tmp_path_factory):
     """The GWCC of the acceptance test 10 corpus (838 nodes)."""
+    from ownet.components import weak_components
     from ownet.graph import load_graph
     from ownet.pipeline import community_scope
     from ownet.synth import SynthSpec, build_corpus, write_corpus
 
     spec = SynthSpec(seed=20_10, n_noise=800, noise_edges=1000, n_mncs=8, core_size=40, out_chain=8)
     paths = write_corpus(build_corpus(spec), tmp_path_factory.mktemp("corpus10"))
-    return community_scope(load_graph(paths["nodes"], paths["edges"]))
+    graph = load_graph(paths["nodes"], paths["edges"])
+    return community_scope(graph, weak_components(graph))
 
 
 def counting_try_move(monkeypatch, cls):

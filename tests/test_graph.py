@@ -147,6 +147,14 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="unknown node"):
             build_graph([NodeRecord("a")], [OwnershipEdge("a", "b", 10)])
 
+    @pytest.mark.parametrize("pct", [-0.5, 100.5, 150.0, float("nan"), float("inf")])
+    def test_pct_outside_range_rejected(self, pct):
+        # ingest and load_cache reject such a pct, so a graph holding one could not be saved and read back
+        nodes = [NodeRecord("a"), NodeRecord("b")]
+        with pytest.raises(GraphError, match=r"pct .* outside \[0, 100\]"):
+            build_graph(nodes, [OwnershipEdge("a", "b", 50.0), OwnershipEdge("b", "a", pct)])
+        assert build_graph(nodes, [OwnershipEdge("a", "b", 0.0), OwnershipEdge("b", "a", 100.0)]).n_edges == 2
+
     def test_adjacency_indexes_consistent(self):
         g = make_graph(4, [(0, 1), (2, 1), (1, 3)])
         for u in range(4):

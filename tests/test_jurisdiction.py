@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from conftest import make_graph, template_graph
 from ownet import components as comp
 from ownet.errors import LoadError
-from ownet.graph import substantial_view
+from ownet.graph import NA_JURISDICTION, substantial_view
 from ownet.jurisdiction import (
-    FlowAggregate,
     JurisdictionProfile,
     chain_tables,
     conduit_outward_centrality,
@@ -22,7 +21,6 @@ from ownet.jurisdiction import (
     sink_centrality,
     tally_by_bowtie,
     tally_by_jurisdiction,
-    with_pass_flows,
 )
 from ownet.keyfirms import ClassificationReport, Role, classify_all
 from ownet.pipeline import RunConfig, run_pipeline, run_stage, verify_manifest
@@ -42,75 +40,59 @@ def classified(graph, *mncs):
 
 
 def profiles_of(gdps):
-    return {code: JurisdictionProfile(code=code, gdp=g) for code, g in gdps.items()}
+    return {code: JurisdictionProfile(gdp=g) for code, g in gdps.items()}
 
 
 class TestSink:
     def test_hand_example(self):
-        flows = FlowAggregate(v_in={"A": 80.0, "B": 20.0}, v_out={"A": 20.0, "B": 80.0})
-        scores = sink_centrality(flows, profiles_of({"A": 1.0, "B": 9.0}))
+        scores = sink_centrality({"A": 80.0, "B": 20.0}, {"A": 20.0, "B": 80.0}, profiles_of({"A": 1.0, "B": 9.0}))
         assert scores.scores["A"] == pytest.approx(6.0)
         assert scores.scores["B"] == pytest.approx(-0.6667, abs=1e-4)
 
     def test_balanced_flows_zero(self):
-        flows = FlowAggregate(v_in={"A": 5.0, "B": 7.0}, v_out={"A": 5.0, "B": 7.0})
-        scores = sink_centrality(flows, profiles_of({"A": 1.0, "B": 1.0}))
+        scores = sink_centrality({"A": 5.0, "B": 7.0}, {"A": 5.0, "B": 7.0}, profiles_of({"A": 1.0, "B": 1.0}))
         assert all(s == 0.0 for s in scores.scores.values())
 
     def test_sink_flag(self):
-        flows = FlowAggregate(v_in={"A": 100.0}, v_out={"A": 1.0})
-        scores = sink_centrality(flows, profiles_of({"A": 1.0, "B": 99.0}))
+        scores = sink_centrality({"A": 100.0}, {"A": 1.0}, profiles_of({"A": 1.0, "B": 99.0}))
         assert scores.scores["A"] == pytest.approx(99.0)
         assert scores.flagged == ["A"]
 
     def test_missing_gdp_skipped(self):
-        flows = FlowAggregate(v_in={"A": 10.0, "B": 10.0}, v_out={})
-        scores = sink_centrality(flows, profiles_of({"A": 1.0}))
+        scores = sink_centrality({"A": 10.0, "B": 10.0}, {}, profiles_of({"A": 1.0}))
         assert "B" not in scores.scores
 
     def test_rescaling_invariance(self):
-        base = FlowAggregate(v_in={"A": 80.0, "B": 20.0}, v_out={"A": 20.0, "B": 80.0})
-        scaled = FlowAggregate(
-            v_in={k: 7 * v for k, v in base.v_in.items()},
-            v_out={k: 7 * v for k, v in base.v_out.items()},
-        )
+        v_in, v_out = {"A": 80.0, "B": 20.0}, {"A": 20.0, "B": 80.0}
+        scaled = [{k: 7 * v for k, v in flows.items()} for flows in (v_in, v_out)]
         p = profiles_of({"A": 1.0, "B": 9.0})
-        assert sink_centrality(base, p).scores == pytest.approx(sink_centrality(scaled, p).scores)
+        assert sink_centrality(v_in, v_out, p).scores == pytest.approx(sink_centrality(*scaled, p).scores)
 
     def test_monotone_in_net_flow(self):
         p = profiles_of({"A": 1.0, "B": 9.0})
         prev = -math.inf
         for net in (10.0, 30.0, 60.0):
-            flows = FlowAggregate(v_in={"A": net, "B": 100 - net}, v_out={"A": 0.0, "B": 0.0})
-            s = sink_centrality(flows, p).scores["A"]
+            s = sink_centrality({"A": net, "B": 100 - net}, {"A": 0.0, "B": 0.0}, p).scores["A"]
             assert s > prev
             prev = s
 
 
 class TestConduit:
     def test_hand_example(self):
-        flows = FlowAggregate(v_in={}, v_out={}, v_pass={"A": 30.0, "B": 70.0})
-        scores = conduit_outward_centrality(flows, profiles_of({"A": 1.0, "B": 9.0}))
+        scores = conduit_outward_centrality({}, {}, {"A": 30.0, "B": 70.0}, profiles_of({"A": 1.0, "B": 9.0}))
         assert scores.scores["A"] == pytest.approx(3.0)
         assert scores.scores["B"] == pytest.approx(0.7778, abs=1e-4)
         assert scores.flagged == ["A"]
 
     def test_uniform_boundary_not_flagged(self):
-        flows = FlowAggregate(v_in={}, v_out={}, v_pass={"A": 10.0, "B": 90.0})
-        scores = conduit_outward_centrality(flows, profiles_of({"A": 1.0, "B": 9.0}))
+        scores = conduit_outward_centrality({}, {}, {"A": 10.0, "B": 90.0}, profiles_of({"A": 1.0, "B": 9.0}))
         assert scores.scores["A"] == pytest.approx(1.0)
         assert scores.scores["B"] == pytest.approx(1.0)
         assert scores.flagged == []
 
     def test_zero_pass_is_zero(self):
-        flows = FlowAggregate(v_in={"C": 4.0}, v_out={}, v_pass={"A": 30.0})
-        scores = conduit_outward_centrality(flows, profiles_of({"A": 1.0, "C": 2.0}))
+        scores = conduit_outward_centrality({"C": 4.0}, {}, {"A": 30.0}, profiles_of({"A": 1.0, "C": 2.0}))
         assert scores.scores["C"] == 0.0
-
-    def test_requires_pass_totals(self):
-        flows = FlowAggregate(v_in={"A": 1.0}, v_out={})
-        with pytest.raises(ValueError, match="pass"):
-            conduit_outward_centrality(flows, profiles_of({"A": 1.0}))
 
 
 class TestLinkFlows:
@@ -120,16 +102,16 @@ class TestLinkFlows:
 
     def test_cross_border_only(self):
         view = substantial_view(self.graph())
-        flows = link_flows(view)
+        v_in, v_out = link_flows(view)
         # NL->NL edge (2,1) is domestic: not counted
-        assert flows.v_in == {"JP": 1.0, "NL": 1.0, "GB": 1.0}
-        assert flows.v_out == {"NL": 1.0, "GB": 1.0, "JP": 1.0}
+        assert v_in == {"JP": 1.0, "NL": 1.0, "GB": 1.0}
+        assert v_out == {"NL": 1.0, "GB": 1.0, "JP": 1.0}
 
     def test_value_mode(self):
         view = substantial_view(self.graph())
         values = np.full(view.n_edges, 2.5)
-        flows = link_flows(view, edge_values=values)
-        assert flows.total_in == pytest.approx(3 * 2.5)
+        v_in, _ = link_flows(view, edge_values=values)
+        assert sum(v_in.values()) == pytest.approx(3 * 2.5)
 
     def test_pass_flows_two_paths(self):
         # u(GB) -> x(NL) -> w(KY, sink): one two-path through NL
@@ -145,6 +127,47 @@ class TestLinkFlows:
         g = make_graph(3, [(0, 1), (1, 2)], jurisdictions=juris)
         view = substantial_view(g)
         assert pass_flows(view, sink_codes=set()) == {}
+
+    @pytest.mark.parametrize("flows", [link_flows, lambda view, values: pass_flows(view, {"GB"}, values)],
+                             ids=["link_flows", "pass_flows"])
+    def test_values_must_align(self, flows):
+        view = substantial_view(self.graph())
+        with pytest.raises(ValueError, match="align"):
+            flows(view, np.ones(view.n_edges + 1))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flows_match_edge_loops(self, data):
+        # random multigraphs with parallel, domestic, self-loop and n.a. edges, some below the view's 10%;
+        # integer values keep every sum exact, so the totals must be equal
+        codes = ["JP", "NL", NA_JURISDICTION]
+        n = data.draw(st.integers(1, 6))
+        juris = data.draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n))
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             st.sampled_from([5.0, 10.0, 60.0])), max_size=14))
+        view = substantial_view(make_graph(n, edges, jurisdictions=dict(enumerate(juris))))
+        values = data.draw(st.none() | st.lists(st.integers(0, 4), min_size=view.n_edges, max_size=view.n_edges))
+        sinks = data.draw(st.sets(st.sampled_from(codes)))
+
+        weights = [1.0] * view.n_edges if values is None else [float(v) for v in values]
+        pairs = list(zip(view.src.tolist(), view.dst.tolist()))
+        v_in, v_out, v_pass = {}, {}, {}
+        for (s, d), w in zip(pairs, weights):
+            if juris[s] != juris[d]:
+                v_in[juris[d]] = v_in.get(juris[d], 0.0) + w
+                v_out[juris[s]] = v_out.get(juris[s], 0.0) + w
+        for x in range(n):  # x's foreign in-edges times its foreign out-edges into a sink jurisdiction
+            inbound = sum(w for (s, d), w in zip(pairs, weights) if d == x and juris[s] != juris[x])
+            outbound = sum(w for (s, d), w in zip(pairs, weights)
+                           if s == x and juris[d] != juris[x] and juris[d] in sinks)
+            v_pass[juris[x]] = v_pass.get(juris[x], 0.0) + inbound * outbound
+
+        def nonzero(totals):
+            return {code: total for code, total in totals.items() if total}
+
+        edge_values = None if values is None else np.array(values, dtype=np.float64)
+        assert link_flows(view, edge_values) == (nonzero(v_in), nonzero(v_out))
+        assert pass_flows(view, sinks, edge_values) == nonzero(v_pass)
 
 
 class TestTallies:
@@ -318,8 +341,7 @@ class TestProfiles:
         )
         profiles = load_profiles(path)
         # gdp_year and statutory_rate are checked but not kept
-        assert profiles == {"US": JurisdictionProfile("US", 18.5, 0.01),
-                            "KY": JurisdictionProfile("KY", None, None)}
+        assert profiles == {"US": JurisdictionProfile(18.5, 0.01), "KY": JurisdictionProfile(None, None)}
 
     def test_negative_gdp_rejected(self, tmp_path):
         path = tmp_path / "profiles.csv"
@@ -348,11 +370,9 @@ class TestProfiles:
         juris = {0: "JP", 1: "NL", 2: "KY"}
         g = make_graph(3, [(0, 1), (1, 2)], jurisdictions=juris)
         view = substantial_view(g)
-        flows = link_flows(view)
-        p = profiles_of({"JP": 5.0, "NL": 1.0, "KY": 0.1})
-        sink = sink_centrality(flows, p)
-        flows = with_pass_flows(flows, view, sink.flagged)
-        assert flows.v_pass is not None
+        sink = sink_centrality(*link_flows(view), profiles_of({"JP": 5.0, "NL": 1.0, "KY": 0.1}))
+        assert sink.flagged == ["KY"]
+        assert pass_flows(view, sink.flagged) == {"NL": 1.0}  # JP -> NL -> KY passes through NL
 
 
 class TestScoreTables:
@@ -365,9 +385,9 @@ class TestScoreTables:
         run_stage("jurisdiction", config, {"graph": g, "report": classified(g)})
 
         view, profiles = substantial_view(g), load_profiles(path)
-        flows = link_flows(view)
-        sink = sink_centrality(flows, profiles)
-        conduit = conduit_outward_centrality(with_pass_flows(flows, view, sink.flagged), profiles)
+        v_in, v_out = link_flows(view)
+        sink = sink_centrality(v_in, v_out, profiles)
+        conduit = conduit_outward_centrality(v_in, v_out, pass_flows(view, sink.flagged), profiles)
         assert (sink.flagged, conduit.flagged) == (["KY"], ["NL"])
         for name, scores in (("sink.csv", sink), ("conduit.csv", conduit)):
             rows = (tmp_path / "out" / "reports" / name).read_text(encoding="utf-8").splitlines()
@@ -412,8 +432,8 @@ class TestEdgeValues:
         )
         values = load_edge_values(path, view)
         assert values.shape[0] == view.n_edges == 2  # sub-threshold row ignored
-        flows = link_flows(view, edge_values=values)
-        assert flows.total_in == pytest.approx(15.0)
+        v_in, _ = link_flows(view, edge_values=values)
+        assert sum(v_in.values()) == pytest.approx(15.0)
 
     def test_repeated_rows_accumulate(self, tmp_path):
         from ownet.jurisdiction import load_edge_values

@@ -123,7 +123,7 @@ class TestPowerLawFit:
     def test_binned_slope_tracks_exponent(self):
         rng = np.random.default_rng(5)
         samples = sample_power_law(rng, 2.5, 400_000)
-        slope = netstats.binned_fit_slope(samples)
+        slope = netstats.binned_fit_slope(netstats.log_binned_histogram(samples))
         assert abs(-slope - 2.5) < 0.3
 
 
