@@ -12,8 +12,22 @@ import numpy as np
 
 def canonical_edge_order(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """Permutation sorting edges by (src, dst), nodes below ``n``; parallel
-    edges keep their input order (the ``np.lexsort`` order)."""
-    return np.argsort(src.astype(np.int64) * n + dst, kind="stable")
+    edges keep their input order (the ``np.lexsort`` order).
+
+    Distinct pairs have distinct keys, which any sort orders alike, so numpy's
+    default sort does; only the runs of equal keys (parallel edges) are sorted
+    again by input index, so the extra work grows with the number of ties.
+    """
+    key = src.astype(np.int64) * n + dst
+    order = np.argsort(key)
+    ordered = key[order]
+    same = ordered[1:] == ordered[:-1]
+    tied = np.zeros(key.shape[0], dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    sub = order[tied]
+    order[tied] = sub[np.lexsort((sub, ordered[tied]))]
+    return order
 
 
 def sorted_unique(values: np.ndarray, return_counts: bool = False):

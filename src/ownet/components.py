@@ -39,12 +39,21 @@ class ComponentLabeling:
 
 def rank_by_first_member(raw: np.ndarray) -> np.ndarray:
     """Renumber the group ids in ``raw`` 0, 1, ... in order of each group's
-    first (smallest-index) member."""
-    order = np.argsort(raw, kind="stable")
+    first (smallest-index) member.
+
+    The sort key is ``(value - min) * n + index``, which must fit in int64:
+    ids in ``[0, n)`` always do, wider ranges raise ``ValueError``.
+    """
+    n = raw.shape[0]
+    low = int(raw.min()) if n else 0
+    if n and (int(raw.max()) - low + 1) * n >= 1 << 63:
+        raise ValueError(f"group ids span too wide a range for {n} members")
+    # (value, index) keys are distinct, so the default sort gives the stable order of ``raw``
+    order = np.argsort((raw.astype(np.int64) - low) * n + np.arange(n))
     ordered = raw[order]
     first = np.ones(ordered.shape[0], dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    # the stable sort puts each group's smallest member index first
+    # index breaks value ties, so each group's smallest member index comes first
     starts = order[first]
     rank = np.empty(starts.shape[0], dtype=np.int64)
     rank[np.argsort(starts)] = np.arange(starts.shape[0])

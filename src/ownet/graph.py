@@ -20,6 +20,7 @@ import zipfile
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -108,6 +109,16 @@ def _keys(reader: np.ndarray, starts: np.ndarray, lengths: np.ndarray, multiplie
     parts = [_mix(reader, starts[i:i + EMIT_ROWS], lengths[i:i + EMIT_ROWS], multiplier)
              for i in range(0, len(starts), EMIT_ROWS)]
     return _joined(parts, np.uint64)
+
+
+def _same_bytes(reader_a: np.ndarray, starts_a: np.ndarray, reader_b: np.ndarray, starts_b: np.ndarray,
+                lengths: np.ndarray) -> np.ndarray:
+    """Whether ``lengths[i]`` bytes from ``starts_a[i]`` of ``reader_a`` equal as many
+    from ``starts_b[i]`` of ``reader_b`` (two :func:`_word_reader` arrays), word by word."""
+    same = np.ones(len(lengths), dtype=bool)
+    for w in range(_n_words(lengths)):
+        same &= _word(reader_a, starts_a, lengths, w) == _word(reader_b, starts_b, lengths, w)
+    return same
 
 
 def _spans(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -222,10 +233,7 @@ class IdColumn(Sequence):
     def _matches(self, index: np.ndarray, reader: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Whether id ``index[i]`` has the bytes of query ``i`` (as in :meth:`_find`)."""
         own = self.offsets[index]
-        same = self.offsets[index + 1] - own == lengths
-        for w in range(_n_words(lengths)):
-            same &= _word(self._reader, own, lengths, w) == _word(reader, starts, lengths, w)
-        return same
+        return (self.offsets[index + 1] - own == lengths) & _same_bytes(self._reader, own, reader, starts, lengths)
 
 
 @dataclass(frozen=True)
@@ -499,21 +507,29 @@ def _id_spans(buf: np.ndarray, bounds: np.ndarray, j: int) -> tuple[np.ndarray, 
     return lo, hi - lo
 
 
-def _text_column(buf: np.ndarray, bounds: np.ndarray, j: int) -> list[str]:
-    """Field ``j`` of every row as str: one gather, one decode and one split."""
+def _distinct_fields(buf: np.ndarray, reader: np.ndarray, bounds: np.ndarray, j: int) -> tuple[list[str], np.ndarray]:
+    """Field ``j`` of every row, unstripped, factorised: the distinct raw fields
+    as str and one inverse per row, so that row ``i`` holds ``raws[inverse[i]]``.
+
+    Rows are grouped by :func:`_keys` (``reader`` is ``buf``'s :func:`_word_reader`),
+    and every row's bytes are checked against its group's representative. If
+    two different fields share a key, all keys are mixed again with the next
+    multiplier, as in :class:`IdColumn`.
+    """
     starts = bounds[:, j] + 1
-    joined = _spans(buf, starts, bounds[:, j + 1] - starts + 1).tobytes()  # each field and its separator
-    fields = joined.replace(b",", b"\n").decode("utf-8").split("\n")
-    fields.pop()  # the empty string after the last separator
-    return fields
-
-
-def _mapped(column: list[str], table: dict, value_of):
-    """``table[raw]`` for every raw field, lazily; ``value_of`` adds the
-    values not yet in ``table``, one call per distinct raw field."""
-    for raw in set(column).difference(table):
-        table[raw] = value_of(raw)
-    return map(table.__getitem__, column)
+    lengths = bounds[:, j + 1] - starts
+    attempt = 0
+    while True:
+        distinct, inverse = np.unique(_keys(reader, starts, lengths, _multiplier(attempt)), return_inverse=True)
+        sample = np.empty(len(distinct), dtype=np.int64)
+        sample[inverse] = np.arange(len(inverse))  # any row of each group serves as its representative
+        rep = sample[inverse]
+        if ((lengths[rep] == lengths) & _same_bytes(reader, starts[rep], reader, starts, lengths)).all():
+            break
+        attempt += 1
+    raws = [buf[start:start + length].tobytes().decode("utf-8")
+            for start, length in zip(starts[sample].tolist(), lengths[sample].tolist())]
+    return raws, inverse
 
 
 def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -521,29 +537,25 @@ def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
 
 
 def _bulk_nodes(path: Path) -> NodeColumns:
-    first_seen: dict[str, int] = {}  # jurisdiction -> code, numbered in order of first use
-    codes = array("i")
-
-    def jurisdiction_code(raw: str) -> int:
-        return first_seen.setdefault(_jurisdiction(raw), len(first_seen))
-
-    code_of: dict[str, int] = {}  # raw jurisdiction field -> code
-    valid_flags: set[str] = set()  # raw is_hq fields that parse
-    blobs, lengths, keys = [], [], []
+    # jurisdiction -> code in any order: _node_columns renumbers codes to sorted-label order
+    first_seen: dict[str, int] = {}
+    blobs, lengths, keys, codes = [], [], [], []
     for buf, bounds in _bulk_blocks(path, NODE_HEADER):
+        reader = _word_reader(buf)
         starts, length = _id_spans(buf, bounds, 0)
         blobs.append(_spans(buf, starts, length))
         lengths.append(length)
-        keys.append(_keys(_word_reader(buf), starts, length, _multiplier(0)))
-        codes.extend(_mapped(_text_column(buf, bounds, 1), code_of, jurisdiction_code))
-        for raw in set(_text_column(buf, bounds, 4)).difference(valid_flags):  # validated, not kept
+        keys.append(_keys(reader, starts, length, _multiplier(0)))
+        raws, inverse = _distinct_fields(buf, reader, bounds, 1)
+        code = [first_seen.setdefault(_jurisdiction(raw), len(first_seen)) for raw in raws]
+        codes.append(np.array(code, dtype=np.int32)[inverse])
+        for raw in _distinct_fields(buf, reader, bounds, 4)[0]:  # validated, not kept
             _parse_bool(raw, path, None)
-            valid_flags.add(raw)
     try:
         ids = IdColumn(_joined(blobs, np.uint8), _offsets(_joined(lengths, np.int64)), _joined(keys, np.uint64))
     except GraphError:  # a duplicate id: the row loop reports its line
         raise _Irregular from None
-    return _node_columns(ids, first_seen, np.asarray(codes))
+    return _node_columns(ids, first_seen, _joined(codes, np.int32))
 
 
 def _bulk_edges(path: Path, ids: IdColumn) -> EdgeLoadResult:
@@ -551,20 +563,23 @@ def _bulk_edges(path: Path, ids: IdColumn) -> EdgeLoadResult:
     self_loops = blank_pct = 0
     for buf, bounds in _bulk_blocks(path, EDGE_HEADER):
         rows = len(bounds)
+        reader = _word_reader(buf)
         sub, sub_length = _id_spans(buf, bounds, 0)
         sh, sh_length = _id_spans(buf, bounds, 1)
-        found = ids._find(_word_reader(buf), np.concatenate((sub, sh)), np.concatenate((sub_length, sh_length)))
+        found = ids._find(reader, np.concatenate((sub, sh)), np.concatenate((sub_length, sh_length)))
         if (found < 0).any():  # an unknown id: the row loop reports its line
             raise _Irregular
         s, d = found[:rows].astype(np.int32), found[rows:].astype(np.int32)
-        raw = list(map(str.strip, _text_column(buf, bounds, 2)))
-        blank_pct += raw.count("")
-        try:  # a blank pct reads as 0.0: {"": "0"}.get(x, x) is "0" for "" and x otherwise
-            value = np.fromiter(map(float, map({"": "0"}.get, raw, raw)), np.float64, rows)
+        raws, inverse = _distinct_fields(buf, reader, bounds, 2)
+        stripped = [raw.strip() for raw in raws]
+        try:
+            values = np.array([float(raw or "0") for raw in stripped], dtype=np.float64)  # a blank pct reads as 0.0
         except ValueError:
             raise _Irregular from None
-        if not ((value >= 0.0) & (value <= 100.0)).all():
+        if not ((values >= 0.0) & (values <= 100.0)).all():
             raise _Irregular
+        blank_pct += int(np.count_nonzero(np.array([raw == "" for raw in stripped], dtype=bool)[inverse]))
+        value = values[inverse]
         keep = s != d
         self_loops += rows - int(keep.sum())
         src.append(s[keep])
@@ -617,21 +632,29 @@ class _Adjacency:
     src: np.ndarray
     dst: np.ndarray
     out_indptr: np.ndarray
-    in_indptr: np.ndarray
-    in_order: np.ndarray
-    in_sources: np.ndarray
 
     def _index_edges(self, n: int, src: np.ndarray, dst: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Store and index the edges; returns ``values`` in the same order."""
+        """Store and index the edges; returns ``values`` in the same order. The
+        reverse index is built on its first read: a warm run never walks the
+        full graph backwards."""
         order = canonical_edge_order(src, dst, n)
         self.n_nodes = n
         self.src = freeze(src[order])
         self.dst = freeze(dst[order])
         self.out_indptr = freeze(build_indptr(self.src, n))
-        self.in_order = freeze(canonical_edge_order(self.dst, self.src, n))
-        self.in_indptr = freeze(build_indptr(self.dst[self.in_order], n))
-        self.in_sources = freeze(self.src[self.in_order])
         return freeze(values[order])
+
+    @cached_property
+    def in_order(self) -> np.ndarray:
+        return freeze(canonical_edge_order(self.dst, self.src, self.n_nodes))
+
+    @cached_property
+    def in_indptr(self) -> np.ndarray:
+        return freeze(build_indptr(self.dst, self.n_nodes))  # counts per node: the edge order does not matter
+
+    @cached_property
+    def in_sources(self) -> np.ndarray:
+        return freeze(self.src[self.in_order])
 
     @property
     def n_edges(self) -> int:
@@ -765,23 +788,32 @@ def write_csv_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_id_value_csv(path, header, ids: IdColumn, values: list) -> None:
-    """Rows ``(ids[i], values[i])`` of str or int values, byte for byte as
-    :func:`write_csv_rows` writes them. Each chunk of ``EMIT_ROWS`` ids is
-    decoded from the column at once, its rows are formatted as one string,
-    and that goes to ``csv.writer`` only if a field needs quoting."""
+def write_id_value_csv(path, header, ids: IdColumn, codes: np.ndarray, labels: Sequence[str]) -> None:
+    """Rows ``(ids[i], labels[codes[i]])``, byte for byte as :func:`write_csv_rows`
+    writes them; ``labels`` is indexed by code (region names, community ids).
+
+    Each chunk of ``EMIT_ROWS`` rows is assembled as bytes with one gather: every
+    id from the column's blob, then ``,``, its label and a newline. A chunk with
+    a ``"`` or CR, or with more commas or newlines than rows, holds a field that
+    needs quoting, and goes through ``csv.writer`` instead.
+    """
+    tails, tail_offsets = _pack_strings([f",{label}\n" for label in labels])
+    tail_lengths = np.diff(tail_offsets)
+    source = np.concatenate((ids.blob, tails))  # every id, then the tails
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for start in range(0, len(ids), EMIT_ROWS):
             stop = min(start + EMIT_ROWS, len(ids))
-            chunk_ids, chunk_values = ids.take(np.arange(start, stop)), values[start:stop]
-            text = "".join(map("{},{}\n".format, chunk_ids, chunk_values))
-            rows = len(chunk_ids)
-            if text.count(",") == rows and text.count("\n") == rows and not ('"' in text or "\r" in text):
-                handle.write(text)
+            offsets, chunk = ids.offsets[start:stop + 1], codes[start:stop]
+            starts = np.column_stack((offsets[:-1], len(ids.blob) + tail_offsets[chunk]))
+            lengths = np.column_stack((np.diff(offsets), tail_lengths[chunk]))
+            text = _spans(source, starts.ravel(), lengths.ravel()).tobytes()
+            rows = stop - start
+            if text.count(b",") == rows and text.count(b"\n") == rows and not (b'"' in text or b"\r" in text):
+                handle.write(text.decode("utf-8"))
             else:
-                writer.writerows(zip(chunk_ids, chunk_values))
+                writer.writerows(zip(ids.take(np.arange(start, stop)), [labels[c] for c in chunk.tolist()]))
 
 
 def write_json(path, data) -> None:

@@ -199,8 +199,8 @@ def _stage_bowtie(config, outdir, state):
              ("bowtie.csv", "bowtie_summary.csv", "distances_in.csv", "distances_out.csv", "component_sizes.csv")]
     regions, summary, dist_in, dist_out, sizes = paths
 
-    write_id_value_csv(regions, ["node_id", "region"], graph.ids,
-                       list(map(comp.REGION_NAMES.__getitem__, bowtie.region.tolist())))
+    write_id_value_csv(regions, ["node_id", "region"], graph.ids, bowtie.region,
+                       [comp.REGION_NAMES[r] for r in range(len(comp.REGION_NAMES))])
     write_csv_rows(summary, ["component", "companies", "ratio"], bowtie.summary_rows())
     # hop counts IN -> GSCC and GSCC -> OUT, as shares of the region
     for direction, region, path in (("in", comp.IN, dist_in), ("out", comp.OUT, dist_out)):
@@ -274,7 +274,8 @@ def _stage_communities(config, outdir, state):
     paths = [outdir / "communities.csv", outdir / "dsizes.csv", outdir / "communities_summary.json"]
     labels, dsizes, summary = paths
 
-    write_id_value_csv(labels, ["node_id", "community_id"], scope.ids, partition.labels.tolist())
+    write_id_value_csv(labels, ["node_id", "community_id"], scope.ids, partition.labels,
+                       [str(k) for k in range(partition.n_communities)])
     hist = community_size_histogram(partition)
     write_csv_rows(dsizes, ["size_lo", "size_hi", "count", "density"], _fmt_bins(hist))
     write_json(summary, {"communities": partition.n_communities, "codelength": partition.codelength,

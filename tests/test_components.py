@@ -255,6 +255,11 @@ def test_rank_by_first_member_matches_unique(values, dtype):
     assert got.tolist() == want.tolist()
 
 
+def test_rank_by_first_member_rejects_overflowing_keys():
+    with pytest.raises(ValueError, match="too wide a range"):
+        comp.rank_by_first_member(np.array([2**62, -2**62, 5], dtype=np.int64))
+
+
 @given(st.lists(st.integers(min_value=-3, max_value=2**40), max_size=60),
        st.sampled_from([np.int32, np.int64]))
 @example([], np.int64)

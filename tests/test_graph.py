@@ -167,6 +167,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             g.src[0] = 1
 
+    def test_reverse_index_built_on_first_read(self):
+        """A graph that is never walked backwards never sorts its edges by (dst, src)."""
+        g = make_graph(3, [(0, 2), (1, 2), (2, 0)])
+        assert "in_order" not in vars(g) and g.in_degrees().tolist() == [1, 0, 2]
+        assert in_neighbors(g, 2).tolist() == [0, 1] and "in_order" in vars(g)
+        with pytest.raises(ValueError):
+            g.in_sources[0] = 1
+
 
 class TestSubstantialView:
     def test_filter(self):
@@ -316,18 +324,36 @@ class TestPackedStrings:
         assert _unpack_strings(blob, offsets, "ids", None) == strings
 
 
+@st.composite
+def id_label_rows(draw):
+    """``(ids, codes, labels)``: distinct ids, and one code per id into a small label table."""
+    labels = draw(st.lists(st.text(max_size=3) | st.integers(0, 10**6).map(str), min_size=1, max_size=4))
+    ids = draw(st.lists(st.text(max_size=5), max_size=12, unique=True))
+    codes = draw(st.lists(st.integers(0, len(labels) - 1), min_size=len(ids), max_size=len(ids)))
+    return ids, codes, labels
+
+
 class TestIdValueCsv:
-    @given(st.lists(st.tuples(st.text(max_size=5), st.integers(-3, 10**6) | st.text(max_size=3)), max_size=12,
-                    unique_by=lambda row: row[0]))
-    @example([("n,1", "IN"), ("n2", "GSCC"), ('q"', 3), ("cr\r", "OUT"), ("é", "TE"), ("", ""), ("a\nb", 1)])
+    REGIONS = ["GSCC", "IN", "OUT", "TE", "REST"]
+
+    @given(id_label_rows())
+    # ids that need quoting (comma, quote, CR, LF) among plain ones, so some chunks of three go
+    # through csv.writer and the rest are assembled; 10 rows end in a short chunk
+    @example((["n1", "n,2", "n3", "n4", "n5", "n6", 'q"7', "n8", "n9", "cr\r10"],
+              [0, 1, 2, 3, 4, 0, 1, 2, 3, 4], REGIONS))
+    @example((["n1", "n2", "n3", "a\nb", "n5", "n6", "é7", "", "n9"], [0, 1, 1, 0, 2, 2, 1, 0, 2], ["0", "1", "12"]))
+    @example((["n1", "n2", "n3", "n4"], [1, 0, 1, 1], ["Zürich", "株式会社"]))  # non-ASCII labels
+    @example((["n1", "n2", "n3"], [0, 1, 0], ["a,b", 'q"']))  # labels that need quoting
+    @example(([], [], REGIONS))
     @settings(deadline=None)
     def test_bytes_equal_write_csv_rows(self, tmp_path_factory, rows):
+        ids, codes, labels = rows
         tmp = tmp_path_factory.mktemp("emit")
-        ids, values = id_column(*(row[0] for row in rows)), [row[1] for row in rows]
-        write_csv_rows(tmp / "want.csv", ["node_id", "value"], rows)
+        write_csv_rows(tmp / "want.csv", ["node_id", "value"], [(i, labels[c]) for i, c in zip(ids, codes)])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph_module, "EMIT_ROWS", 3)  # several chunks, quoted and plain
-            write_id_value_csv(tmp / "got.csv", ["node_id", "value"], ids, values)
+            write_id_value_csv(tmp / "got.csv", ["node_id", "value"], id_column(*ids),
+                               np.array(codes, dtype=np.int8), labels)
         assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
@@ -688,6 +714,16 @@ class TestLoaderOracle:
     # names and NACE sections that load to the graph of blank ones
     @example(([["n0", "ÅX", "AB", "Société Générale", "1"], ["n1", "US", "K", "株式会社", "no"]],
               [["n1", "n0", "50"]], PLAIN))
+    # fields the bulk parse converts once per distinct raw value: longer than 8 bytes, padded,
+    # spelled as only float reads them, blank and non-ASCII, with "GB" and " GB " in one block
+    @example(([["n0", "LONG-JURISDICTION", "C", "", "1"], ["n1", " Zürich-Kanton ", "K", "", " No "],
+               ["n2", "株式会社の国", "C", "", "y"], ["n3", " GB ", "C", "", "0"], ["n4", "GB", "C", "", "0"]],
+              [["n0", "n1", "12.5000000000"], ["n1", "n2", " 5.5 "], ["n2", "n0", "5.5"], ["n2", "n3", "1_0"],
+               ["n3", "n0", "1e1"], ["n1", "n0", "+5"], ["n2", "n1", ""], ["n0", "n0", " "], ["n3", "n4", "٥"],
+               ["n4", "n3", "\u30007\u3000"]], PLAIN))
+    # a pct that float reads but the range check rejects: the row loop's message and line
+    @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "0"]],
+              [["n0", "n1", "5"], ["n1", "n0", "nan"], ["n1", "n0", "abc"]], PLAIN))
     @settings(max_examples=300, deadline=None)
     def test_matches_row_by_row_reference(self, tmp_path_factory, rows):
         loads_like_reference(tmp_path_factory, rows)
@@ -696,6 +732,9 @@ class TestLoaderOracle:
     @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "0"], ["n0", "US", "C", "", "0"]], [], PLAIN))
     @example(([["n0", "US", "C", "", "0"], ["n1", "US", "C", "", "0"]],
               [["n0", "n1", "5"], ["n1", "n0", "5"], ["n1", "n2", "5"]], PLAIN))
+    # "GB" and " GB " in different blocks load as one jurisdiction; so do " 5.5 " and "5.5" as one pct
+    @example(([["n0", "GB", "C", "", "0"], ["n1", " GB ", "C", "", "1"], ["n2", "GB ", "C", "", " y "]],
+              [["n0", "n1", " 5.5 "], ["n1", "n2", "5.5"], ["n2", "n0", ""]], PLAIN))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_in_small_blocks(self, tmp_path_factory, rows):
         """The same oracle with blocks of a few bytes: rows straddle blocks, and
@@ -707,6 +746,8 @@ class TestLoaderOracle:
     @given(csv_inputs(), st.sampled_from([graph_module.BLOCK_BYTES, 5]))
     @example(([["n0", "US", "AB", "", "0"], ["n1", "", "", "", "1"], ["n2", "US", " Cx ", "", "y"]], [], PLAIN),
              graph_module.BLOCK_BYTES)
+    @example(([["n0", "GB", "C", "", "0"], ["n1", " GB ", "C", "", "1"], ["n2", "LONG-JURISDICTION", "C", "", "no"],
+               ["n3", "株式会社の国", "C", "", "y"], ["n4", "GB", "C", "", "0"]], [], PLAIN), 5)
     @settings(max_examples=200, deadline=None)
     def test_node_columns_equal_row_loop(self, tmp_path_factory, rows, block_bytes):
         """``load_nodes`` returns the row loop's columns, values and types alike,

@@ -209,6 +209,33 @@ class TestClustering:
         assert tri.dtype == np.int64
         assert tri.tolist() == [nx.triangles(und, v) for v in range(g.n_nodes)]
 
+    @staticmethod
+    def networkx_triangles(g):
+        und = nx.Graph()
+        und.add_nodes_from(range(g.n_nodes))
+        und.add_edges_from(zip(g.src.tolist(), g.dst.tolist()))
+        return [nx.triangles(und, v) for v in range(g.n_nodes)]
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_wedge_chunks_match_networkx(self, monkeypatch, chunk):
+        """Wedges taken a few at a time: batches end between the wedges of one
+        node, and one edge's wedges can outnumber a whole batch."""
+        g, _ = random_digraph(np.random.default_rng(11), 40, p=0.15)
+        indptr, nbrs = netstats.undirected_simple_csr(g)
+        monkeypatch.setattr(netstats, "WEDGE_CHUNK", chunk)
+        tri = netstats.triangle_counts(indptr, nbrs)
+        assert tri.sum() // 3 > 20  # enough triangles that many batches find some
+        assert tri.tolist() == self.networkx_triangles(g)
+
+    def test_hub_plus_clique(self):
+        """Node 0 owns 6 clique members and 30 leaves: the hub ranks last, so every
+        triangle through it is found from the wedges of the clique members."""
+        clique = range(1, 7)
+        g = make_graph(37, [(u, v) for u in clique for v in clique if u < v] + [(k, 0) for k in range(1, 37)])
+        tri = netstats.triangle_counts(*netstats.undirected_simple_csr(g))
+        assert tri.tolist() == self.networkx_triangles(g)
+        assert tri[0] == 15 and tri[1:7].tolist() == [15] * 6 and not tri[7:].any()
+
 
 class TestKnn:
     def test_star(self):
